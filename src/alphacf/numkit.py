@@ -6,23 +6,53 @@ package:
 * ``fractions.Fraction`` -- exact rationals,
 * ``Surd``               -- quadratic irrationals (a + b*sqrt(d))/c,
 * ``BallFloat``          -- arbitrary-precision floats carrying a certified
-                            error radius (outward-rounded intervals inside).
+                            error radius: a raw libmp interval (two mpf
+                            tuples, rounded outward) plus its own precision.
 
 Every value is immutable and every operation is pure, so values can be
-shared freely between concurrent workers.  Mixed arithmetic between the
-families works through the usual operator protocol; surds with different
-radicands are rejected rather than approximated.
+shared freely between concurrent workers.  Ball arithmetic and decisions
+pass each ball's precision to ``mpmath.libmp`` explicitly and never touch
+mpmath's global precision, so they give the same bits in threads as
+serially.  Mixed arithmetic between the families works through the usual
+operator protocol; surds with different radicands are rejected rather than
+approximated.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-from mpmath import iv, mp
+from mpmath import mp
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    fnone,
+    fone,
+    from_float,
+    from_int,
+    from_str,
+    fzero,
+    mpf_lt,
+    mpf_pos,
+    mpf_sign,
+    mpi_abs,
+    mpi_add,
+    mpi_div,
+    mpi_from_str,
+    mpi_mul,
+    mpi_neg,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_str,
+)
 
 from .errors import (
     AmbiguousComparison,
@@ -38,17 +68,6 @@ DEFAULT_PRECISION = 256
 LT, EQ, GT = -1, 0, 1
 
 Rational = Fraction
-
-
-@contextmanager
-def _iv_prec(prec):
-    """Temporarily set the interval context precision (iv has no workprec)."""
-    old = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = old
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -312,47 +331,46 @@ GOLDEN = Surd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
 class BallFloat:
     """Arbitrary-precision float with a certified, outward-rounded error radius.
 
-    Backed by an mpmath interval; ``value`` is the midpoint and ``radius``
-    half the width.  All arithmetic rounds outward, so a zero-width result
-    is exact and interval tests (floor, comparison, sign) are sound.
+    Stored as a raw libmp interval ``_x = (lo, hi)`` of two mpf tuples plus
+    the working precision ``prec``.  Every operation calls
+    ``mpmath.libmp.libmpi`` with that precision passed explicitly, so ball
+    arithmetic and decisions touch no global precision state.  ``value`` is
+    the midpoint and ``radius`` half the width.  All arithmetic rounds
+    outward, so a zero-width result is exact and interval tests (floor,
+    comparison, sign) are sound.
     """
 
     __slots__ = ("_x", "prec")
 
-    def __init__(self, value=0, radius=0, prec: int = DEFAULT_PRECISION,
-                 _interval=None):
-        object.__setattr__(self, "prec", prec)
-        if _interval is not None:
-            object.__setattr__(self, "_x", _interval)
-            return
+    def __init__(self, value=0, radius=0, prec: int = DEFAULT_PRECISION):
         if isinstance(value, str):
             # decimal text is parsed AT the requested precision: the value is
             # the nearest representable float, radius 0; radii then track
             # arithmetic error only (exact inputs go through Fraction/Surd).
-            with mp.workprec(prec):
-                value = mp.mpf(value)
-        with _iv_prec(prec):
-            x = _to_interval(value)
-            if radius:
-                x = x + iv.mpf([-1, 1]) * abs(_to_interval(radius))
+            value = mp.make_mpf(from_str(value, prec, round_nearest))
+        x = _interval_of(value, prec)
+        if x is NotImplemented:
+            raise TypeError(f"cannot make a BallFloat from {type(value).__name__}")
+        if radius:
+            r = mpi_abs(_interval_of(radius, prec), prec)
+            x = mpi_add(x, mpi_mul(_UNIT_IV, r, prec), prec)
         object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "prec", prec)
 
     def __setattr__(self, *_):
         raise AttributeError("BallFloat is immutable")
 
     # -- interval views ----------------------------------------------------
-    # iv endpoint access yields zero-width intervals; convert to plain mpf
-    # at own precision (exact: same mantissa size).
+    # endpoints as plain mpf rounded at own precision + 4 (exact whenever
+    # they fit in prec bits, as every arithmetic result does).
 
     @property
     def lower(self):
-        with mp.workprec(self.prec + 4):
-            return mp.mpf(self._x.a)
+        return mp.make_mpf(mpf_pos(self._x[0], self.prec + 4, round_nearest))
 
     @property
     def upper(self):
-        with mp.workprec(self.prec + 4):
-            return mp.mpf(self._x.b)
+        return mp.make_mpf(mpf_pos(self._x[1], self.prec + 4, round_nearest))
 
     @property
     def value(self):
@@ -368,11 +386,11 @@ class BallFloat:
             return r + mp.ldexp(1, -self.prec) * max(abs(lo), mp.mpf(1))
 
     def is_exact_zero(self) -> bool:
-        return self.lower == 0 and self.upper == 0
+        return self._x == _ZERO_IV
 
     def with_prec(self, prec: int) -> "BallFloat":
         """Same interval, different working precision (endpoints are exact)."""
-        return BallFloat(prec=prec, _interval=self._x)
+        return _ball(self._x, prec)
 
     def mpf(self, prec=None):
         with mp.workprec(prec or self.prec):
@@ -383,29 +401,26 @@ class BallFloat:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _wrap(self, interval):
-        return BallFloat(prec=self.prec, _interval=interval)
-
-    def _binop(self, other, op):
-        with _iv_prec(self.prec):
-            y = _to_interval(other)
-            if y is NotImplemented:
-                return NotImplemented
-            return self._wrap(op(self._x, y))
+    def _binop(self, other, f, reflected=False):
+        y = _interval_of(other, self.prec)
+        if y is NotImplemented:
+            return NotImplemented
+        x = f(y, self._x, self.prec) if reflected else f(self._x, y, self.prec)
+        return _ball(x, self.prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda x, y: x + y)
+        return self._binop(other, mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda x, y: x - y)
+        return self._binop(other, mpi_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda x, y: y - x)
+        return self._binop(other, mpi_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda x, y: x * y)
+        return self._binop(other, mpi_mul)
 
     __rmul__ = __mul__
 
@@ -417,35 +432,36 @@ class BallFloat:
         return self._reciprocal() * other
 
     def __neg__(self):
-        return self._wrap(-self._x)
+        return _ball(mpi_neg(self._x, self.prec), self.prec)
 
     def __abs__(self):
-        with _iv_prec(self.prec):
-            return self._wrap(abs(self._x))
+        return _ball(mpi_abs(self._x, self.prec), self.prec)
 
     def _reciprocal(self):
-        if self.lower <= 0 <= self.upper:
+        lo, hi = self._x
+        if mpf_sign(lo) <= 0 <= mpf_sign(hi):
             raise DivisionByZero("reciprocal of an interval containing zero")
-        with _iv_prec(self.prec):
-            return self._wrap(1 / self._x)
+        return _ball(mpi_div(_ONE_IV, self._x, self.prec), self.prec)
 
     # -- decisions ---------------------------------------------------------
 
     def floor(self) -> int:
-        lo = _mpf_floor_exact(self.lower)
-        hi = _mpf_floor_exact(self.upper)
-        if lo != hi:
+        lo, hi = self._x
+        n = _mpf_floor_exact(lo)
+        if n != _mpf_floor_exact(hi):
             raise AmbiguousFloor(
-                f"interval [{self.lower}, {self.upper}] straddles an integer"
+                f"interval [{to_str(lo, _MSG_DIGITS)}, {to_str(hi, _MSG_DIGITS)}]"
+                " straddles an integer"
             )
-        return lo
+        return n
 
     def sign(self) -> int:
-        if self.lower > 0:
+        lo, hi = self._x
+        if mpf_sign(lo) > 0:
             return 1
-        if self.upper < 0:
+        if mpf_sign(hi) < 0:
             return -1
-        if self.is_exact_zero():
+        if self._x == _ZERO_IV:
             return 0
         raise AmbiguousComparison("interval contains zero with nonzero radius")
 
@@ -455,15 +471,29 @@ class BallFloat:
                     f"radius={mp.nstr(self.radius, 3)}, prec={self.prec})")
 
 
-def _mpf_floor_exact(x) -> int:
-    """Exact floor of an mpf, independent of the ambient working precision."""
-    sign, man, exp, _ = x._mpf_
+_ZERO_IV = (fzero, fzero)
+_ONE_IV = (fone, fone)
+_UNIT_IV = (fnone, fone)  # [-1, 1]
+_MSG_DIGITS = 15  # endpoint digits in messages, as str(mpf) at 53 bits
+
+
+def _ball(x, prec) -> BallFloat:
+    """Wrap a libmp interval without conversion."""
+    b = object.__new__(BallFloat)
+    object.__setattr__(b, "_x", x)
+    object.__setattr__(b, "prec", prec)
+    return b
+
+
+def _mpf_floor_exact(t) -> int:
+    """Exact floor of a raw mpf tuple."""
+    sign, man, exp, _ = t
     man = int(man)  # gmpy2 backend hands out mpz
     exp = int(exp)
     if man == 0:
-        if x == 0:
+        if t == fzero:
             return 0
-        raise ValueError(f"floor of non-finite value {x}")
+        raise ValueError(f"floor of non-finite value {to_str(t, _MSG_DIGITS)}")
     if exp >= 0:
         v = man << exp
         return -v if sign else v
@@ -473,22 +503,47 @@ def _mpf_floor_exact(x) -> int:
     return -q - (1 if r else 0)
 
 
-def _to_interval(v):
-    """Coerce v into an mpi at the current iv precision."""
+def _int_interval(n: int, prec: int):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+@lru_cache(maxsize=256)
+def _exact_interval(v, prec: int):
+    """Enclosure of a Fraction or Surd; memoised, as alpha recurs every step."""
+    if isinstance(v, Fraction):
+        # two int intervals divided, not one from_rational rounding: big
+        # ints round before the division, and orbits depend on it bit for bit
+        return mpi_div(_int_interval(v.numerator, prec),
+                       _int_interval(v.denominator, prec), prec)
+    root = mpi_sqrt(_int_interval(v.d, prec), prec)
+    num = mpi_add(_int_interval(v.a, prec),
+                  mpi_mul(_int_interval(v.b, prec), root, prec), prec)
+    return mpi_div(num, _int_interval(v.c, prec), prec)
+
+
+def _interval_of(v, prec: int):
+    """Outward-rounded libmp interval enclosing v at prec, or NotImplemented.
+
+    Conversions round exactly as mpmath's ``iv`` context does at
+    ``iv.prec = prec``, so results are bit-identical to it.
+    """
     if isinstance(v, BallFloat):
         return v._x
     if isinstance(v, int):
-        return iv.mpf(v)
-    if isinstance(v, Fraction):
-        return iv.mpf(v.numerator) / iv.mpf(v.denominator)
-    if isinstance(v, Surd):
-        return (iv.mpf(v.a) + iv.mpf(v.b) * iv.sqrt(iv.mpf(v.d))) / iv.mpf(v.c)
+        return _int_interval(v, prec)
+    if isinstance(v, (Fraction, Surd)):
+        return _exact_interval(v, prec)
     if isinstance(v, str):
-        return iv.mpf(v)
-    try:
-        return iv.mpf(v)
-    except Exception:
+        return mpi_from_str(v, prec)
+    if isinstance(v, float):
+        a, b = from_float(v, prec, round_floor), from_float(v, prec, round_ceiling)
+    elif hasattr(v, "_mpf_"):
+        a = b = v._mpf_
+    else:
         return NotImplemented
+    if a == fnan or b == fnan:
+        return fninf, finf
+    return a, b
 
 
 ExactNumber = Union[Fraction, Surd, BallFloat]
@@ -560,13 +615,13 @@ def compare(v: ExactNumber, w: ExactNumber) -> int:
     """
     if isinstance(v, BallFloat) or isinstance(w, BallFloat):
         prec = max(getattr(v, "prec", 0), getattr(w, "prec", 0)) or DEFAULT_PRECISION
-        bv = v if isinstance(v, BallFloat) else BallFloat(v, prec=prec)
-        bw = w if isinstance(w, BallFloat) else BallFloat(w, prec=prec)
-        if bv.upper < bw.lower:
+        va, vb = _interval_of(v, prec)
+        wa, wb = _interval_of(w, prec)
+        if mpf_lt(vb, wa):
             return LT
-        if bv.lower > bw.upper:
+        if mpf_lt(wb, va):
             return GT
-        if (bv.lower == bv.upper == bw.lower == bw.upper):
+        if va == vb == wa == wb:
             return EQ
         raise AmbiguousComparison("overlapping intervals")
     if isinstance(v, Surd):

@@ -379,6 +379,9 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     if depth < 1:
         raise ExpansionTooShort("no expansion steps available")
     c = convergents(e, depth)
+    # the lhs resolves only down to ~2^-prec while the bound falls like
+    # 1/q_r: work 64 bits below 1/q_depth so rounding never reads as failure
+    prec = max(prec, c.q_of(depth).bit_length() + 64)
     modes = [("brjuno", k) for k in ks] + ([("wilton", 1)] if include_wilton else [])
     reports = []
     with mp.workprec(prec + 16):

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from alphacf.cf_core import (
     normalize,
 )
 from alphacf.errors import ExpansionTooShort, OutOfDomain, PrecisionExhausted
+from alphacf.sampling import random_dyadic_ball
 
 G = nk.GOLDEN
 
@@ -263,3 +267,43 @@ def test_orbit_convergent_consistency_alpha_one():
             recons = (c.p_of(i - 1) * xi + c.p_of(i)) / \
                 (c.q_of(i - 1) * xi + c.q_of(i))
             assert recons == xn
+
+
+def test_ball_expansion_escalates_then_exhausts():
+    # a 64-bit decimal: escalation stops at 1024 bits with 36 certified digits
+    x = nk.parse_exact("0.3183098861837907", 64)
+    e = expand(x, Alpha.one(), 256, best_effort=True)
+    assert len(e.digits) == 36
+    assert e.exhausted and not e.terminated
+    assert e.orbit[0].prec == 1024
+
+
+def test_ball_expansion_same_in_threads_as_serial():
+    # ball arithmetic carries its precision itself, so concurrent expansions
+    # at different precisions cannot disturb each other
+    rng = random.Random(2026)
+    alphas = [Alpha.one(), Alpha.half(), Alpha.golden()]
+    cases = []
+    for i in range(80):
+        bits = rng.randint(64, 256)
+        x = random_dyadic_ball(rng, bits=bits, prec=bits)
+        alpha = alphas[i % 3]
+        if nk.compare(x, alpha.value) == nk.GT:
+            x = 1 - x
+        cases.append((x, alpha))
+
+    def run(case):
+        e = expand(case[0], case[1], 100, best_effort=True)
+        return (e.digits, e.terminated, e.exhausted, e.period,
+                [(v.lower, v.upper, v.prec) for v in e.orbit])
+
+    serial = [run(c) for c in cases]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(a != b for a, b in zip(serial, threaded)) == 0
+    assert any(r[2] for r in serial) and any(len(r[0]) > 50 for r in serial)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import mpf_neg
 
 from alphacf import numkit as nk
 from alphacf.errors import (
@@ -194,3 +195,67 @@ def test_ball_precision_escalation_roundtrip():
     wide = x.with_prec(512)
     assert wide.prec == 512
     assert wide.lower == x.lower and wide.upper == x.upper
+
+
+def _ends(v):
+    return (v.lower._mpf_, v.upper._mpf_)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 2048])
+def test_ball_negation_is_exact(prec):
+    for x in [nk.BallFloat(Fraction(1, 3), prec=prec),
+              nk.BallFloat(G, radius=Fraction(1, 2**40), prec=prec),
+              nk.BallFloat("-2.71828", prec=prec)]:
+        y = -x
+        assert y.prec == prec
+        assert _ends(y) == (mpf_neg(x.upper._mpf_), mpf_neg(x.lower._mpf_))
+        assert y.radius == x.radius
+    assert (-nk.BallFloat(Fraction(1, 3), prec=256)).radius < mp.mpf(2) ** -250
+
+
+# -- BallFloat against mpmath.iv ------------------------------------------------
+# BallFloat calls the libmp interval kernels that mpmath's iv context calls,
+# with the ball's own precision; the oracle runs the same expressions through
+# iv at iv.prec = prec.  Division is multiplication by the reciprocal, as it
+# has always been defined for balls.
+
+def _iv_of(v):
+    if isinstance(v, nk.BallFloat):
+        return iv.mpf([v.lower, v.upper])
+    if isinstance(v, Fraction):
+        return iv.mpf(v.numerator) / iv.mpf(v.denominator)
+    if isinstance(v, nk.Surd):
+        return (iv.mpf(v.a) + iv.mpf(v.b) * iv.sqrt(iv.mpf(v.d))) / iv.mpf(v.c)
+    return iv.mpf(v)
+
+
+def _random_ball(rng, prec):
+    mid = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+    rad = rng.choice([0, Fraction(1, 2 ** rng.randint(prec // 2, prec + 8))])
+    return nk.BallFloat(mid, radius=rad, prec=prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 2048])
+def test_ball_arithmetic_matches_iv_oracle(prec):
+    rng = random.Random(prec)
+    surd = nk.make_surd(3, 1, 19, 11)
+    old = iv.prec
+    try:
+        for _ in range(25):
+            x = _random_ball(rng, prec)
+            others = [rng.randint(-50, 50) or 7,
+                      Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6)),
+                      G, surd, _random_ball(rng, prec)]
+            for y in others:
+                iv.prec = 53  # ball arithmetic must not read it
+                got = [x + y, y + x, x - y, y - x, x * y, y * x, x / y, y / x,
+                       nk.reciprocal(x), abs(x), -x]
+                iv.prec = prec
+                X, Y = _iv_of(x), _iv_of(y)
+                want = [X + Y, X + Y, X - Y, Y - X, X * Y, X * Y,
+                        X * (1 / Y), (1 / X) * Y, 1 / X, abs(X), -X]
+                for g, w in zip(got, want):
+                    assert g.prec == prec
+                    assert _ends(g) == w._mpi_
+    finally:
+        iv.prec = old

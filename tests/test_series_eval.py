@@ -229,6 +229,15 @@ def test_truncation_audit_matches_single_checks():
     assert single.lhs == pytest.approx(batched.lhs, rel=1e-10, abs=1e-30)
 
 
+def test_truncation_audit_precision_follows_denominators():
+    # q_30 has 190 bits here: at a flat 160 bits the lhs is pure rounding and
+    # four checks read as violations
+    x = nk.parse_exact("(3+1*sqrt(11))/19")
+    reports = se.truncation_audit(x, 30)
+    assert len(reports) == 120
+    assert all(r.passed for r in reports)
+
+
 # -- gap audit ----------------------------------------------------------------
 
 def test_gap_audit_golden_stable():
