@@ -36,15 +36,19 @@ class IntervalStats:
     quad_error: float
 
 
-def _gl_cells(u: float, v: float, cells: int):
-    """Two-point Gauss-Legendre nodes/weights on `cells` uniform cells."""
-    h = (v - u) / cells
-    left = u + h * np.arange(cells)
-    pts = np.empty(2 * cells)
-    pts[0::2] = left + _TAU_GL * h
-    pts[1::2] = left + (1.0 - _TAU_GL) * h
-    w = np.full(2 * cells, h / 2.0)
-    return pts, w
+def _gl_cells(u, v, cells: int):
+    """Two-point Gauss-Legendre nodes/weights on `cells` uniform cells.
+
+    `u` and `v` are arrays of block ends; the blocks' nodes follow one
+    another in the order of the blocks, and within a block left to right.
+    """
+    h = ((v - u) / cells)[:, None]
+    left = u[:, None] + h * np.arange(cells)
+    pts = np.empty((len(h), cells, 2))
+    pts[:, :, 0] = left + _TAU_GL * h
+    pts[:, :, 1] = left + (1.0 - _TAU_GL) * h
+    w = np.repeat(h / 2.0, 2 * cells)
+    return pts.ravel(), w
 
 
 def _graded_mesh(a: float, b: float, n: int):
@@ -54,23 +58,22 @@ def _graded_mesh(a: float, b: float, n: int):
     half = (b - a) / 2.0
     levels = int(max(2, min(_MAX_LEVELS, n // 6)))
     cells_per_block = max(1, n // (4 * (levels + 1)))
-    pts_parts = []
-    w_parts = []
-    # left half: blocks [a + half*s^{i+1}, a + half*s^i], innermost touches a
+    # left half: blocks [a + half*s^{i+1}, a + half*s^i], innermost touches a;
+    # each left block is followed by its mirror [b - half*s^i, b - half*s^{i+1}]
     bounds = [half * _GRADING ** i for i in range(levels + 1)]
-    for lo_off, hi_off in [(0.0, bounds[-1])] + [
-            (bounds[i + 1], bounds[i]) for i in reversed(range(levels))]:
-        p, w = _gl_cells(a + lo_off, a + hi_off, cells_per_block)
-        pts_parts.append(p)
-        w_parts.append(w)
-        p, w = _gl_cells(b - hi_off, b - lo_off, cells_per_block)
-        pts_parts.append(p)
-        w_parts.append(w)
-    return np.concatenate(pts_parts), np.concatenate(w_parts)
+    hi_off = np.array(bounds[::-1])
+    lo_off = np.array([0.0] + bounds[:0:-1])
+    u = np.column_stack((a + lo_off, b - hi_off)).ravel()
+    v = np.column_stack((a + hi_off, b - lo_off)).ravel()
+    return _gl_cells(u, v, cells_per_block)
 
 
 def _integrate(f, a: float, b: float, n: int):
-    """(integral, n_points, error_estimate) via fine-vs-coarse graded meshes."""
+    """Fine and coarse passes on graded meshes, and the integral's error bar.
+
+    Each pass is (integral, n_points, weights, values, nodes), its values
+    gated and zero-filled by the non-finite policy.
+    """
     results = []
     for budget in (n, max(n // 2, 24)):
         pts, w = _graded_mesh(a, b, budget)
@@ -86,7 +89,7 @@ def _integrate(f, a: float, b: float, n: int):
         results.append(((w * vals).sum(), len(pts), w, vals, pts))
     fine, coarse = results
     err = abs(fine[0] - coarse[0]) + 1e-12 * (1 + abs(fine[0]))
-    return fine, err
+    return fine, coarse, err
 
 
 def _as_fraction_pair(interval) -> tuple:
@@ -99,7 +102,7 @@ def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats
     """Mean of f over [a, b] on a graded mesh, with a refinement error bar."""
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
-    (integral, used, _, _, _), err = _integrate(f, a, b, n_samples)
+    (integral, used, _, _, _), _, err = _integrate(f, a, b, n_samples)
     width = b - a
     return IntervalStats(interval=(fa, fb), mean=float(integral / width),
                          oscillation=None, samples=used,
@@ -108,17 +111,18 @@ def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats
 
 @registered_op("bmo_lab.mean_oscillation")
 def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalStats:
-    """Two-pass mean oscillation (1/|I|) int |f - f_I| over the interval."""
+    """Two-pass mean oscillation (1/|I|) int |f - f_I| over the interval.
+
+    The coarse pass that gives the mean its error bar is reused for the
+    oscillation's, so f is called twice.
+    """
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
     width = b - a
-    (integral, used, w, vals, _), mean_err = _integrate(f, a, b, n_samples)
+    (integral, used, w, vals, _), (_, _, w2, vals2, _), mean_err = _integrate(
+        f, a, b, n_samples)
     mean = integral / width
     osc_fine = (w * np.abs(vals - mean)).sum() / width
-    # coarse pass for the oscillation error estimate
-    pts2, w2 = _graded_mesh(a, b, max(n_samples // 2, 24))
-    vals2 = np.asarray(f(pts2), dtype=np.float64)
-    vals2 = np.where(np.isfinite(vals2), vals2, 0.0)
     osc_coarse = (w2 * np.abs(vals2 - mean)).sum() / width
     err = abs(osc_fine - osc_coarse) + mean_err / width + 1e-12
     return IntervalStats(interval=(fa, fb), mean=float(mean),
@@ -184,10 +188,7 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     cells = max(1, n_samples // 2)
     per_leaf = 2 * cells
     leaf_edges = a + (b - a) * np.arange(n_leaves + 1) / n_leaves
-    pts = np.empty(n_leaves * per_leaf)
-    for i in range(n_leaves):
-        p, _ = _gl_cells(leaf_edges[i], leaf_edges[i + 1], cells)
-        pts[i * per_leaf:(i + 1) * per_leaf] = p
+    pts, _ = _gl_cells(leaf_edges[:-1], leaf_edges[1:], cells)
     vals = np.asarray(f(pts), dtype=np.float64)
     vals = np.where(np.isfinite(vals), vals, 0.0)
     best = -1.0
@@ -238,8 +239,8 @@ def wilton_blowup_experiment(n_list: Sequence[int], points: int = 100_000,
         if n < 2:
             raise DegenerateInterval("blow-up rows need n >= 2")
         width = 1.0 / n
-        (int_p, used_p, w_p, v_p, _), err_p = _integrate(f, 0.0, width, points)
-        (int_m, used_m, w_m, v_m, _), err_m = _integrate(f, -width, 0.0, points)
+        (int_p, used_p, w_p, v_p, _), _, err_p = _integrate(f, 0.0, width, points)
+        (int_m, used_m, w_m, v_m, _), _, err_m = _integrate(f, -width, 0.0, points)
         mean_p = int_p / width
         mean_m = int_m / width
         mean_union = (int_p + int_m) / (2 * width)

@@ -55,7 +55,6 @@ class RunConfig:
     tol: float = 1e-40
     terms: int = 256
     seed: int = 20260810
-    fmt: str = "json"
     out: str | None = None
     jobs: int = 1
 
@@ -64,8 +63,6 @@ class RunConfig:
             raise OutOfDomain("precision_bits must be >= 64")
         if self.terms < 1:
             raise OutOfDomain("terms cap must be >= 1")
-        if self.fmt not in ("json", "csv"):
-            raise OutOfDomain("format must be json or csv")
 
 
 def _load_config_file(path: str) -> dict:
@@ -87,7 +84,7 @@ def build_config(args) -> RunConfig:
     if getattr(args, "config", None):
         raw = _load_config_file(args.config)
         casts = {"precision_bits": int, "tol": float, "terms": int,
-                 "seed": int, "fmt": str, "out": str, "jobs": int}
+                 "seed": int, "out": str, "jobs": int}
         cfg = replace(cfg, **{k: casts[k](v) for k, v in raw.items()
                               if k in casts})
     env_prec = os.environ.get(PRECISION_ENV)
@@ -96,8 +93,7 @@ def build_config(args) -> RunConfig:
     overrides = {}
     for field_name, flag in (("precision_bits", "precision"), ("tol", "tol"),
                              ("terms", "terms"), ("seed", "seed"),
-                             ("fmt", "format"), ("out", "out"),
-                             ("jobs", "jobs")):
+                             ("out", "out"), ("jobs", "jobs")):
         val = getattr(args, flag, None)
         if val is not None:
             overrides[field_name] = val
@@ -472,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series terms cap")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized audits")
-    common.add_argument("--format", choices=["json", "csv"], dest="format",
-                        default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output file (default stdout)")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,

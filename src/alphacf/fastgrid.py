@@ -6,9 +6,11 @@ paths iterate the alpha-CF map on whole arrays in double precision.  They are
 *not* certified: orbit digits drift after ~20 steps, but the series weights
 those steps by beta ~ g^n.  Against exact surd values the Wilton error at
 alpha = 1 has a median of 1.4e-8 and a max of 4.8e-7, far below any
-quadrature tolerance used here.  Points that collapse onto a
-rational (orbit hits zero) just stop contributing; callers avoid sampling
-rationals by using irrational node offsets.
+quadrature tolerance used here.  Each step works on the live points
+only: a point leaves the arrays once its orbit hits zero (a rational) or its
+weight beta^k falls below the tolerance, keeping its partial sum, so late
+steps cost what their few survivors cost.  Callers avoid sampling rationals
+by using irrational node offsets.
 """
 
 from __future__ import annotations
@@ -38,30 +40,30 @@ def series_grid(xs, alpha: float = 1.0, k: int = 1, signed: bool = False,
     partial sum; exact zeros yield +inf like the underlying singularity.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    cur = _reduce_mod1(xs.copy(), alpha)
-    out = np.zeros_like(cur)
-    beta_k = np.ones_like(cur)  # beta_{n-1}^k
-    alive = cur > _TINY
-    out[~alive] = np.inf
+    out = np.full(xs.size, np.inf)
+    # the live set: indices into out, the orbit point, beta_{n-1}^k, the sum
+    c = _reduce_mod1(xs.ravel(), alpha)
+    idx = np.flatnonzero(c > _TINY)
+    c = c[idx]
+    beta = np.ones_like(c)
+    acc = np.zeros_like(c)
     sign = 1.0
     for _ in range(terms):
-        if not alive.any():
+        if not idx.size:
             break
-        c = cur[alive]
-        out[alive] += sign * beta_k[alive] * np.log(1.0 / c)
-        if k == 1:
-            beta_k[alive] *= c
-        else:
-            beta_k[alive] *= c ** k
         inv = 1.0 / c
-        nxt = np.abs(inv - np.floor(inv - alpha + 1.0))
-        cur[alive] = nxt
-        still = np.zeros_like(alive)
-        still[alive] = (nxt > _TINY) & (beta_k[alive] > tol)
-        alive = still
+        acc += sign * beta * np.log(inv)
+        beta *= c if k == 1 else c ** k
+        c = np.abs(inv - np.floor(inv - alpha + 1.0))
+        live = (c > _TINY) & (beta > tol)
+        if not live.all():
+            dead = ~live
+            out[idx[dead]] = acc[dead]
+            idx, c, beta, acc = idx[live], c[live], beta[live], acc[live]
         if signed:
             sign = -sign
-    return out
+    out[idx] = acc
+    return out.reshape(xs.shape)
 
 
 def wilton_grid(xs, alpha: float = 1.0, terms: int = DEFAULT_GRID_TERMS,

@@ -347,6 +347,8 @@ def truncation_bound_check(x: ExactNumber, r: int, k: int = 1,
     c = convergents(e, r)
     fr = Fraction(c.p_of(r), c.q_of(r))
     signed = mode == "wilton"
+    # the same floor under 1/q_r as truncation_audit keeps
+    prec = max(prec, c.q_of(r).bit_length() + 64)
     with mp.workprec(prec + 16):
         finite = _finite_rational(fr, k, signed=signed, prec=prec)
         vals = e.orbit_mpf(r, prec + 16)

@@ -170,3 +170,71 @@ def test_blowup_oscillation_lower_bound_from_means():
     rows = wilton_blowup_experiment([32, 128], points=20_000)
     for row in rows:
         assert row.oscillation >= abs(row.mean_plus - row.mean_minus) / 2 - 1e-9
+
+
+# -- meshes built in one pass equal the block-by-block construction ----------
+
+def _gl_block(u, v, cells):
+    """Frozen oracle: nodes/weights of one block of uniform GL cells."""
+    h = (v - u) / cells
+    left = u + h * np.arange(cells)
+    pts = np.empty(2 * cells)
+    pts[0::2] = left + bmo_lab._TAU_GL * h
+    pts[1::2] = left + (1.0 - bmo_lab._TAU_GL) * h
+    return pts, np.full(2 * cells, h / 2.0)
+
+
+def _graded_mesh_by_blocks(a, b, n):
+    half = (b - a) / 2.0
+    levels = int(max(2, min(bmo_lab._MAX_LEVELS, n // 6)))
+    cells = max(1, n // (4 * (levels + 1)))
+    bounds = [half * bmo_lab._GRADING ** i for i in range(levels + 1)]
+    parts = []
+    for lo_off, hi_off in [(0.0, bounds[-1])] + [
+            (bounds[i + 1], bounds[i]) for i in reversed(range(levels))]:
+        parts.append(_gl_block(a + lo_off, a + hi_off, cells))
+        parts.append(_gl_block(b - hi_off, b - lo_off, cells))
+    return (np.concatenate([p for p, _ in parts]),
+            np.concatenate([w for _, w in parts]))
+
+
+@pytest.mark.parametrize("budget", [24, 4096, 100_000])
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-0.0625, 0.0), (5 / 64, 6 / 64)])
+def test_graded_mesh_equals_block_loop(budget, a, b):
+    pts, w = bmo_lab._graded_mesh(a, b, budget)
+    ref_pts, ref_w = _graded_mesh_by_blocks(a, b, budget)
+    assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("depth,n_samples", [(0, 32), (5, 16), (8, 5)])
+def test_scan_leaf_nodes_equal_block_loop(depth, n_samples):
+    seen = []
+
+    def f(xs):
+        seen.append(xs.copy())
+        return np.sin(xs)
+
+    a, b = 1 / 7, 5 / 7
+    bmo_seminorm_scan(f, (Fraction(1, 7), Fraction(5, 7)), depth, n_samples)
+    edges = a + (b - a) * np.arange((1 << depth) + 1) / (1 << depth)
+    ref = np.concatenate([_gl_block(edges[i], edges[i + 1],
+                                    max(1, n_samples // 2))[0]
+                          for i in range(1 << depth)])
+    assert len(seen) == 1 and np.array_equal(seen[0], ref)
+
+
+def test_mean_oscillation_reuses_coarse_pass():
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return wilton_grid(xs, alpha=0.55)
+
+    st = mean_oscillation(f, (Fraction(5, 64), Fraction(6, 64)), 4096)
+    assert len(calls) == 2
+    # the values of the three-pass construction, frozen
+    assert st.interval == (Fraction(5, 64), Fraction(3, 32))
+    assert st.mean == 2.339987060421984
+    assert st.oscillation == 0.10527168412513455
+    assert st.samples == 3180
+    assert st.quad_error == 0.00015681241841036044

@@ -172,6 +172,13 @@ def test_precision_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert cfg.precision_bits == 320
 
 
+def test_format_flag_removed(capsys):
+    code, _, err = run(["expand", "--x", "2/5", "--alpha", "1/2",
+                        "--format", "json"], capsys)
+    assert code == 2
+    assert "--format" in err
+
+
 def test_usage_error_on_bad_grid(capsys):
     code, _, err = run(["eval", "--fn", "wilton", "--grid", "zero-one"],
                        capsys)

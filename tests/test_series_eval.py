@@ -290,3 +290,14 @@ def test_tail_estimate_flags():
     f = se.wilton(nk.BallFloat("0.31830988618", prec=256), Alpha.one(),
                   terms=40, tol=1e-30)
     assert not f.rigorous_tail and f.tail_estimate >= 0.0
+
+
+def test_truncation_bound_check_precision_follows_denominator():
+    # at a flat 192 bits the single check read rounding (lhs 2.9e-58) as a
+    # violation of the 5.5e-59 bound at r = 30
+    x = nk.parse_exact("(3+1*sqrt(11))/19")
+    single = se.truncation_bound_check(x, 30, 1)
+    assert single.passed
+    batched = next(r for r in se.truncation_audit(x, 30)
+                   if r.r == 30 and r.k == 1 and r.mode == "brjuno")
+    assert single.lhs == pytest.approx(batched.lhs, rel=1e-12)
