@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateInterval, QuadratureFailure
 from .fastgrid import DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, wilton_grid
-from .opsreg import registered_op
 
 _TAU_GL = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0  # irrational 2-point GL offset
 _GRADING = 0.9
@@ -68,6 +67,23 @@ def _graded_mesh(a: float, b: float, n: int):
     return _gl_cells(u, v, cells_per_block)
 
 
+def _finite_samples(f, pts, w, a: float, b: float):
+    """f at the nodes, under the one non-finite policy of this module.
+
+    Non-finite values are zero-filled while they carry at most 0.5% of the
+    quadrature weight; past that the quadrature raises QuadratureFailure.
+    """
+    vals = np.asarray(f(pts), dtype=np.float64)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        if w[bad].sum() / w.sum() > 0.005:
+            raise QuadratureFailure(
+                f"{bad.sum()} non-finite samples on [{a}, {b}]"
+            )
+        vals = np.where(bad, 0.0, vals)
+    return vals
+
+
 def _integrate(f, a: float, b: float, n: int):
     """Fine and coarse passes on graded meshes, and the integral's error bar.
 
@@ -77,15 +93,7 @@ def _integrate(f, a: float, b: float, n: int):
     results = []
     for budget in (n, max(n // 2, 24)):
         pts, w = _graded_mesh(a, b, budget)
-        vals = np.asarray(f(pts), dtype=np.float64)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            frac_bad = w[bad].sum() / w.sum()
-            if frac_bad > 0.005:
-                raise QuadratureFailure(
-                    f"{bad.sum()} non-finite samples on [{a}, {b}]"
-                )
-            vals = np.where(bad, 0.0, vals)
+        vals = _finite_samples(f, pts, w, a, b)
         results.append(((w * vals).sum(), len(pts), w, vals, pts))
     fine, coarse = results
     err = abs(fine[0] - coarse[0]) + 1e-12 * (1 + abs(fine[0]))
@@ -97,7 +105,6 @@ def _as_fraction_pair(interval) -> tuple:
     return (Fraction(a), Fraction(b))
 
 
-@registered_op("bmo_lab.interval_mean")
 def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats:
     """Mean of f over [a, b] on a graded mesh, with a refinement error bar."""
     fa, fb = _as_fraction_pair(interval)
@@ -109,7 +116,6 @@ def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats
                          quad_error=float(err / width))
 
 
-@registered_op("bmo_lab.mean_oscillation")
 def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalStats:
     """Two-pass mean oscillation (1/|I|) int |f - f_I| over the interval.
 
@@ -130,7 +136,6 @@ def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalSt
                          quad_error=float(err))
 
 
-@registered_op("bmo_lab.concat_oscillation")
 def concat_oscillation(o1: float, o2: float, m1: float, m2: float,
                        len1: float, len2: float) -> float:
     """Oscillation merge formula for two abutting intervals.
@@ -169,7 +174,6 @@ class ScanResult:
     per_level_sup: list
 
 
-@registered_op("bmo_lab.bmo_seminorm_scan")
 def bmo_seminorm_scan(f: Callable, interval, depth: int,
                       n_samples: int = 32) -> ScanResult:
     """Sup of mean oscillation over all dyadic subintervals down to `depth`.
@@ -177,6 +181,7 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     Every leaf is sampled once (n_samples GL nodes); parents reuse the pooled
     leaf samples, so each level costs one vectorized pass over the full value
     array and parent oscillations are true quadratures, not merge bounds.
+    Non-finite samples follow the same policy as the quadratures.
     """
     if depth < 0:
         raise DegenerateInterval("depth must be >= 0")
@@ -188,9 +193,8 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     cells = max(1, n_samples // 2)
     per_leaf = 2 * cells
     leaf_edges = a + (b - a) * np.arange(n_leaves + 1) / n_leaves
-    pts, _ = _gl_cells(leaf_edges[:-1], leaf_edges[1:], cells)
-    vals = np.asarray(f(pts), dtype=np.float64)
-    vals = np.where(np.isfinite(vals), vals, 0.0)
+    pts, w = _gl_cells(leaf_edges[:-1], leaf_edges[1:], cells)
+    vals = _finite_samples(f, pts, w, a, b)
     best = -1.0
     best_node = (0, 0)
     per_level = []
@@ -224,7 +228,6 @@ class BlowupRow:
     tol: float
 
 
-@registered_op("bmo_lab.wilton_blowup_experiment")
 def wilton_blowup_experiment(n_list: Sequence[int], points: int = 100_000,
                              terms: int = DEFAULT_GRID_TERMS,
                              tol: float = DEFAULT_GRID_TOL) -> list:

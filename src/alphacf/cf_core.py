@@ -40,7 +40,6 @@ from .numkit import (
     sign_of,
     to_mpf,
 )
-from .opsreg import registered_op
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -90,7 +89,6 @@ class Alpha:
         return format_exact(self.value)
 
 
-@registered_op("cf_core.alpha_step")
 def alpha_step(x: ExactNumber, alpha: Alpha):
     """One step of the alpha-CF algorithm on x in (0, alpha].
 
@@ -245,7 +243,6 @@ def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
     return e
 
 
-@registered_op("cf_core.expand")
 def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
            best_effort: bool = False) -> CFExpansion:
     """Expand x in [0, alpha] to at most max_steps digits.
@@ -302,7 +299,6 @@ class ConvergentSeq:
         return abs(self.q_of(j) * self.expansion.x0 - self.p_of(j))
 
 
-@registered_op("cf_core.convergents")
 def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
     """Convergents up to index n (default: every stored digit)."""
     if n is None:
@@ -320,7 +316,6 @@ def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
     return ConvergentSeq(expansion=e, n=n, p=p, q=q)
 
 
-@registered_op("cf_core.beta_products")
 def beta_products(e: CFExpansion, n: int) -> list:
     """[beta_-1, ..., beta_n] with beta_-1 = 1 and beta_j = beta_{j-1} x_j."""
     if n >= 0 and not (e.period is not None or n < len(e.orbit)):
@@ -331,7 +326,6 @@ def beta_products(e: CFExpansion, n: int) -> list:
     return betas
 
 
-@registered_op("cf_core.normalize")
 def normalize(y: ExactNumber, alpha: Alpha):
     """Reduce y into [0, alpha] using Z-periodicity and evenness.
 

@@ -9,7 +9,6 @@ files and goes to the console only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -20,20 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import bmo_lab, modular_series, opsreg, orbit_compare, series_eval
-from .cf_core import Alpha, beta_products, convergents, expand, normalize
+from . import bmo_lab, modular_series, orbit_compare, series_eval
+from .cf_core import Alpha, expand, normalize
 from .errors import AlphaCFError, OutOfDomain
 from .fastgrid import brjuno_grid, wilton_grid
-from .numkit import (
-    GOLDEN,
-    BallFloat,
-    compare,
-    floor_of,
-    format_exact,
-    parse_exact,
-    reciprocal,
-)
-from .opsreg import registered_op
+from .numkit import BallFloat, compare, format_exact, parse_exact
 from .sampling import random_rational
 from .verify_suites import SUITE_ORDER, SUITES, run_suites
 
@@ -144,7 +134,6 @@ def _csv_text(header, rows) -> str:
 # expand
 # ---------------------------------------------------------------------------
 
-@registered_op("cli.cmd_expand")
 def cmd_expand(args, cfg: RunConfig) -> int:
     x_raw = _parse_value(args.x, "--x", cfg.precision_bits)
     alpha = _parse_alpha(args.alpha, "--alpha")
@@ -208,7 +197,6 @@ def _eval_one(fn: str, x, alpha: Alpha, args, cfg: RunConfig):
     raise UsageError(f"--fn: unknown function {fn!r}")
 
 
-@registered_op("cli.cmd_eval")
 def cmd_eval(args, cfg: RunConfig) -> int:
     alpha = _parse_alpha(args.alpha, "--alpha")
     if args.grid:
@@ -244,59 +232,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _coverage_exercise(cfg: RunConfig) -> None:
-    """Touch every registered operation once with tiny canonical inputs."""
-    g = GOLDEN
-    alpha = Alpha.half()
-    floor_of(Fraction(7, 2))
-    reciprocal(Fraction(2, 5))
-    compare(Fraction(2, 5), Fraction(1, 2))
-    e = expand(Fraction(2, 5), alpha, 16)
-    convergents(e)
-    beta_products(e, 1)
-    normalize(Fraction(7, 10), alpha)
-    series_eval.brjuno_k(g, Alpha.one(), 1, prec=128)
-    series_eval.wilton(g, Alpha.one(), prec=128)
-    series_eval.brjuno_finite_rational(Fraction(2, 5), 1, prec=96)
-    series_eval.wilton_finite_rational(Fraction(2, 5), prec=96)
-    series_eval.proxy_sum(g, Alpha.one(), 1, 4)
-    series_eval.apply_transfer(lambda t: 1.0, 2, Alpha.one(), Fraction(1, 2),
-                               prec=96)
-    series_eval.functional_eq_residual(g, Alpha.one(), "brjuno", 10, 1,
-                                       prec=128)
-    series_eval.truncation_bound_check(g, 5, 1, prec=128)
-    series_eval.gap_audit([g], Alpha.one(), 1, 10)
-    ident = lambda xs: __import__("numpy").asarray(xs, dtype=float)
-    bmo_lab.interval_mean(ident, (Fraction(0), Fraction(1)), 256)
-    bmo_lab.mean_oscillation(ident, (Fraction(0), Fraction(1)), 256)
-    bmo_lab.concat_oscillation(0.0, 0.0, 0.0, 1.0, 0.5, 0.5)
-    bmo_lab.bmo_seminorm_scan(ident, (Fraction(0), Fraction(1)), 3, 4)
-    bmo_lab.wilton_blowup_experiment([4], points=2000)
-    tr = orbit_compare.matched_orbits(Fraction(39, 100), Alpha(Fraction(3, 5)), 8)
-    orbit_compare.q_difference_classify(tr)
-    orbit_compare.ladder(3)
-    orbit_compare.mobius_apply(((1, 0), (-1, 1)), Fraction(1, 3))
-    modular_series.divisor_sigma(6, 1)
-    modular_series.fourier_Fk_partial(Fraction(1, 4), 2, 2)
-    modular_series.kbrjuno_condition_partial(g, 2, 4)
-    # the sibling commands, run quietly on tiny inputs
-    quiet = io.StringIO()
-    with contextlib.redirect_stdout(quiet):
-        parser = build_parser()
-        cmd_expand(parser.parse_args(
-            ["expand", "--x", "2/5", "--alpha", "1/2"]), replace(cfg, out=None))
-        cmd_eval(parser.parse_args(
-            ["eval", "--fn", "wilton-finite", "--x", "2/5"]),
-            replace(cfg, out=None))
-        cmd_scan(parser.parse_args(
-            ["scan", "--fn", "wilton", "--alpha", "1", "--blowup", "4",
-             "--points", "2000"]), replace(cfg, out=None))
-        cmd_compare(parser.parse_args(
-            ["compare", "--alpha", "3/5", "--samples", "2", "--depth", "8"]),
-            replace(cfg, out=None))
-
-
-@registered_op("cli.cmd_verify")
 def cmd_verify(args, cfg: RunConfig) -> int:
     names = args.suite or ["all"]
     if names == ["all"]:
@@ -306,18 +241,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         if unknown:
             raise UsageError(f"--suite: unknown suite(s) {unknown}")
         chosen = names
-    opsreg.reset_counts()
-    opsreg.mark("cli.cmd_verify")  # the reset above cleared this call's count
     results = run_suites(chosen, seed=cfg.seed, fast=args.fast)
-    coverage = None
-    if names == ["all"]:
-        _coverage_exercise(cfg)
-        missing = opsreg.uncovered()
-        coverage = {"covered": not missing, "missing": missing}
     for r in results:
         print(r.line())
-    if coverage is not None:
-        print(f"[coverage] all registered ops exercised: {coverage['covered']}")
     report = {
         "config": {
             "precision_bits": cfg.precision_bits,
@@ -332,7 +258,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
              "details": r.details}
             for r in results
         ],
-        "coverage": coverage,
     }
     text = json.dumps(report, sort_keys=True, indent=1)
     if args.report:
@@ -340,8 +265,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             fh.write(text)
     elif cfg.out:
         _emit(text, cfg.out)
-    all_ok = all(r.passed for r in results) and \
-        (coverage is None or coverage["covered"])
+    all_ok = all(r.passed for r in results)
     return EXIT_OK if all_ok else EXIT_CRITERION
 
 
@@ -349,7 +273,6 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-@registered_op("cli.cmd_scan")
 def cmd_scan(args, cfg: RunConfig) -> int:
     alpha = _parse_alpha(args.alpha, "--alpha")
     af = float(alpha)
@@ -416,7 +339,6 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-@registered_op("cli.cmd_compare")
 def cmd_compare(args, cfg: RunConfig) -> int:
     import random as _random
 

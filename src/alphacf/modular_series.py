@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .cf_core import Alpha
 from .numkit import ExactNumber
-from .opsreg import registered_op
 
 
 @dataclass
@@ -57,7 +56,6 @@ def _factorize(n: int):
     return out
 
 
-@registered_op("modular_series.divisor_sigma")
 def divisor_sigma(n: int, e: int = 1) -> int:
     """sigma_e(n) = sum of d^e over divisors d of n, by trial factorization."""
     if n < 1:
@@ -103,7 +101,6 @@ def _sin_2pi(t: Fraction) -> float:
     return sign * math.sin(math.pi * float(u))
 
 
-@registered_op("modular_series.fourier_Fk_partial")
 def fourier_Fk_partial(x, k: int = 2, N: int = 1000,
                        sigma_table: SigmaTable | None = None) -> FkPartial:
     """Partial sum to n = N of sigma_{k-1}(n) n^{-(k+1)} sin(2 pi n x).
@@ -134,7 +131,6 @@ def fourier_Fk_partial(x, k: int = 2, N: int = 1000,
     return FkPartial(value=total, n_terms=N, tail_bound=tail)
 
 
-@registered_op("modular_series.kbrjuno_condition_partial")
 def kbrjuno_condition_partial(x: ExactNumber, k: int = 2, N: int = 20) -> float:
     """Partial sum of log(q_{n+1})/q_n^k over the regular-CF denominators.
 

@@ -60,7 +60,6 @@ from .errors import (
     DivisionByZero,
     MixedRadicalError,
 )
-from .opsreg import registered_op
 
 DEFAULT_PRECISION = 256
 
@@ -576,7 +575,6 @@ def is_zero(v: ExactNumber) -> bool:
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 
-@registered_op("numkit.floor_of")
 def floor_of(v: ExactNumber) -> int:
     """Exact floor; for BallFloat the interval must not straddle an integer."""
     if isinstance(v, Fraction):
@@ -588,7 +586,6 @@ def floor_of(v: ExactNumber) -> int:
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 
-@registered_op("numkit.reciprocal")
 def reciprocal(v: ExactNumber) -> ExactNumber:
     """Exact reciprocal within the same value family."""
     if isinstance(v, Fraction):
@@ -606,7 +603,6 @@ def reciprocal(v: ExactNumber) -> ExactNumber:
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 
-@registered_op("numkit.compare")
 def compare(v: ExactNumber, w: ExactNumber) -> int:
     """Total-order verdict LT/EQ/GT (-1/0/+1); exact whenever both sides are.
 

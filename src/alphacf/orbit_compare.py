@@ -26,7 +26,6 @@ from .numkit import (
     is_zero,
     sign_of,
 )
-from .opsreg import registered_op
 
 _HALF = Fraction(1, 2)
 
@@ -79,7 +78,6 @@ def _classify_state(xh, xa) -> str:
     return "drift"
 
 
-@registered_op("orbit_compare.matched_orbits")
 def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
     """Run the 1/2- and alpha-expansions of x in [0, 1/2] side by side.
 
@@ -129,7 +127,6 @@ class ClassifyResult:
         return not self.violations
 
 
-@registered_op("orbit_compare.q_difference_classify")
 def q_difference_classify(trace: MatchedTrace) -> ClassifyResult:
     """Check q_j^(1/2) - q_j^(alpha) in {0, q_{j-1}^(1/2)} along the trace.
 
@@ -189,7 +186,6 @@ class LadderPoint:
         return Fraction(self.r, self.s)
 
 
-@registered_op("orbit_compare.ladder")
 def ladder(i: int) -> LadderPoint:
     """i-th ladder point: t_i = 1/(3 - t_{i-1}) from 1/2, r_i/s_i from 0.
 
@@ -206,7 +202,6 @@ def ladder(i: int) -> LadderPoint:
     return LadderPoint(index=i, t=t, r=r, s=s)
 
 
-@registered_op("orbit_compare.mobius_apply")
 def mobius_apply(m, x: ExactNumber) -> ExactNumber:
     """(a x + b)/(c x + d) for an integer matrix ((a, b), (c, d)), det +/-1."""
     (a, b), (c, d) = m

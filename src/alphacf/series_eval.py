@@ -7,6 +7,11 @@ residual operation measures, and both admit exact closed-form tails on
 eventually periodic (quadratic surd) orbits.  Rational points diverge; the
 sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
+
+Every mp-precision sum here runs through one kernel: ``_orbit_terms`` yields
+the unsigned terms beta_{n-1}^k * log(1/x_n) of an orbit, one log per point
+for all requested k, and ``_gauss_orbit`` supplies the terminating orbit of a
+rational for the finite truncations.  Callers apply the Wilton sign.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import takewhile
+from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp
 
@@ -28,16 +34,13 @@ from .errors import (
 )
 from .numkit import (
     DEFAULT_PRECISION,
-    BallFloat,
     ExactNumber,
-    Surd,
     format_exact,
     is_zero,
     reciprocal,
     sign_of,
     to_mpf,
 )
-from .opsreg import registered_op
 
 DEFAULT_TERMS = 256
 DEFAULT_TOL = 1e-40
@@ -94,6 +97,27 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
+def _orbit_terms(vals: Iterable, ks: Sequence[int]) -> Iterator[tuple]:
+    """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over ks.
+
+    Lazy, so a caller that stops early takes no further logs; runs under the
+    caller's mp precision.
+    """
+    beta = mp.mpf(1)
+    for v in vals:
+        lg = mp.log(1 / v)
+        yield tuple((beta ** k) * lg for k in ks)
+        beta *= v
+
+
+def _gauss_orbit(fr: Fraction) -> Iterator:
+    """The terminating Gauss orbit of fr - floor(fr) as mpf values."""
+    num, den = fr.numerator % fr.denominator, fr.denominator
+    while num:
+        yield mp.mpf(num) / mp.mpf(den)
+        num, den = den % num, num
+
+
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, closed_form: bool, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
@@ -104,15 +128,12 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             vals = e.orbit_mpf(n_explicit - 1, prec + 32)
             total = mp.mpf(0)
             block = mp.mpf(0)
-            beta = mp.mpf(1)
-            for n in range(n_explicit):
-                term = (beta ** k) * mp.log(1 / vals[n])
+            for n, (term,) in enumerate(_orbit_terms(vals, (k,))):
                 if signed and n % 2:
                     term = -term
                 total += term
                 if n >= pre:
                     block += term
-                beta *= vals[n]
             rho = mp.mpf(1)
             for n in range(pre, n_explicit):
                 rho *= vals[n]
@@ -134,15 +155,13 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
         n_max = min(terms, n_avail)
         vals = e.orbit_mpf(n_max - 1, prec + 32) if n_max else []
         total = mp.mpf(0)
-        beta = mp.mpf(1)
         used = 0
         last = mp.mpf(0)
         prev_abs = mp.inf
         monotone = True
-        for n in range(min(n_max, len(vals))):
-            if vals[n] <= 0:
-                break
-            term = (beta ** k) * mp.log(1 / vals[n])
+        # a float orbit can leave (0, 1) once its replay loses precision
+        positive = takewhile(lambda v: v > 0, vals)
+        for n, (term,) in enumerate(_orbit_terms(positive, (k,))):
             if signed and n % 2:
                 term = -term
             total += term
@@ -153,7 +172,6 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             prev_abs = abs(term)
             if abs(term) < tol:
                 break
-            beta *= vals[n]
         gk = _GOLDEN_F ** k
         if signed and monotone:
             tail = float(abs(last))  # alternating series with shrinking terms
@@ -164,7 +182,6 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                                rigorous_tail=False, mode=mode)
 
 
-@registered_op("series_eval.brjuno_k")
 def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERMS,
              tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION,
              closed_form: bool = True) -> SeriesValue:
@@ -181,7 +198,6 @@ def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERM
                          closed_form=closed_form, mode=f"brjuno({k})")
 
 
-@registered_op("series_eval.wilton")
 def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
            tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION,
            closed_form: bool = True) -> SeriesValue:
@@ -193,27 +209,14 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
-    m0 = fr.numerator // fr.denominator
-    y = fr - m0
     with mp.workprec(prec + 16):
         total = mp.mpf(0)
-        beta = mp.mpf(1)
-        n = 0
-        while y != 0:
-            yf = mp.mpf(y.numerator) / mp.mpf(y.denominator)
-            term = (beta ** k) * mp.log(1 / yf)
-            if signed and n % 2:
-                term = -term
-            total += term
-            beta *= yf
-            y = reciprocal(y)
-            y -= y.numerator // y.denominator
-            n += 1
+        for n, (term,) in enumerate(_orbit_terms(_gauss_orbit(fr), (k,))):
+            total += -term if (signed and n % 2) else term
         with mp.workprec(prec):
             return +total
 
 
-@registered_op("series_eval.brjuno_finite_rational")
 def brjuno_finite_rational(p_over_q: Fraction, k: int = 1,
                            prec: int = DEFAULT_PRECISION):
     """Finite k-Brjuno value of a rational over its terminating Gauss orbit.
@@ -227,13 +230,11 @@ def brjuno_finite_rational(p_over_q: Fraction, k: int = 1,
     return _finite_rational(Fraction(p_over_q), k, signed=False, prec=prec)
 
 
-@registered_op("series_eval.wilton_finite_rational")
 def wilton_finite_rational(p_over_q: Fraction, prec: int = DEFAULT_PRECISION):
     """Finite Wilton value of a rational (alternating-sign finite sum)."""
     return _finite_rational(Fraction(p_over_q), 1, signed=True, prec=prec)
 
 
-@registered_op("series_eval.proxy_sum")
 def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
               alternating: bool = False) -> float:
     """sum_{j<N} (+/-1)^j log(q_{j+1}) / q_j^k over the alpha-CF denominators."""
@@ -255,7 +256,6 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     return total
 
 
-@registered_op("series_eval.apply_transfer")
 def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
                    x: ExactNumber, sign: int = 1,
                    prec: int = DEFAULT_PRECISION):
@@ -277,7 +277,6 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
         return sign * to_mpf(x, prec) ** k * f(t)
 
 
-@registered_op("series_eval.functional_eq_residual")
 def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
                            N: int = 50, k: int = 1,
                            prec: int = DEFAULT_PRECISION):
@@ -304,17 +303,11 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         vals = e.orbit_mpf(N - 1, prec + 16)
         signed = mode == "wilton"
         s_n = mp.mpf(0)
-        beta = mp.mpf(1)
-        for n in range(N):
-            term = (beta ** k) * mp.log(1 / vals[n])
+        for n, (term,) in enumerate(_orbit_terms(vals[:N], (k,))):
             s_n += -term if (signed and n % 2) else term
-            beta *= vals[n]
         s_shift = mp.mpf(0)
-        beta = mp.mpf(1)
-        for m in range(N - 1):
-            term = (beta ** k) * mp.log(1 / vals[m + 1])
+        for m, (term,) in enumerate(_orbit_terms(vals[1:N], (k,))):
             s_shift += -term if (signed and m % 2) else term
-            beta *= vals[m + 1]
         x0 = vals[0]
         if mode == "brjuno":
             res = s_n + mp.log(x0) - (x0 ** k) * s_shift
@@ -324,46 +317,24 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
             return +res
 
 
-@registered_op("series_eval.truncation_bound_check")
 def truncation_bound_check(x: ExactNumber, r: int, k: int = 1,
                            mode: str = "brjuno",
                            prec: int = 192) -> TruncationReport:
     """Check |finite value at p_r/q_r - r-term orbit sum| <= 2kC' x_r / q_r.
 
     Stated for the regular continued fraction (alpha = 1); the Wilton variant
-    uses the k = 1 constant.
+    uses the k = 1 constant.  This is the r-th entry of truncation_audit.
     """
     if mode not in ("brjuno", "wilton"):
         raise OutOfDomain(f"unknown mode {mode!r}")
-    if mode == "wilton":
-        k = 1
-    alpha = Alpha.one()
-    xn, _ = normalize(x, alpha)
-    e = expand(xn, alpha, r + 1)
-    if not e.n_digits_available(r):
+    wilton_mode = mode == "wilton"
+    report = truncation_audit(x, r, ks=() if wilton_mode else (k,),
+                              include_wilton=wilton_mode, prec=prec)[-1]
+    if report.r < r:
         raise ExpansionTooShort(
-            f"r = {r} needs {r} digits, expansion has {len(e.digits)}"
+            f"r = {r} needs {r} digits, expansion has {report.r}"
         )
-    c = convergents(e, r)
-    fr = Fraction(c.p_of(r), c.q_of(r))
-    signed = mode == "wilton"
-    # the same floor under 1/q_r as truncation_audit keeps
-    prec = max(prec, c.q_of(r).bit_length() + 64)
-    with mp.workprec(prec + 16):
-        finite = _finite_rational(fr, k, signed=signed, prec=prec)
-        vals = e.orbit_mpf(r, prec + 16)
-        partial = mp.mpf(0)
-        beta = mp.mpf(1)
-        for j in range(r):
-            term = (beta ** k) * mp.log(1 / vals[j])
-            partial += -term if (signed and j % 2) else term
-            beta *= vals[j]
-        lhs = abs(finite - partial)
-        x_r = vals[r] if len(vals) > r else mp.mpf(0)
-        bound = 2 * k * c_prime(prec) * x_r / c.q_of(r)
-    return TruncationReport(x=format_exact(x), r=r, k=k, mode=mode,
-                            lhs=float(lhs), bound=float(bound),
-                            passed=bool(lhs <= bound))
+    return report
 
 
 def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
@@ -389,40 +360,24 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     with mp.workprec(prec + 16):
         vals = e.orbit_mpf(depth, prec + 16)
         cp = c_prime(prec)
+        ks_all = [k for _, k in modes]
+        signed = [mode == "wilton" for mode, _ in modes]
         # running partial sums of the orbit series, one per mode
-        partial = {m: mp.mpf(0) for m in modes}
-        beta = mp.mpf(1)
-        for r in range(1, depth + 1):
-            j = r - 1
-            logterm = mp.log(1 / vals[j])
-            for mode, k in modes:
-                term = (beta ** k) * logterm
-                if mode == "wilton" and j % 2:
-                    term = -term
-                partial[(mode, k)] += term
-            beta *= vals[j]
+        partial = [mp.mpf(0)] * len(modes)
+        for j, terms in enumerate(_orbit_terms(vals[:depth], ks_all)):
+            r = j + 1
+            for i, t in enumerate(terms):
+                partial[i] += -t if (signed[i] and j % 2) else t
             # finite values at p_r/q_r over one shared Gauss orbit
             q_r = c.q_of(r)
-            y = Fraction(c.p_of(r), q_r)
-            y -= y.numerator // y.denominator
-            fin = {m: mp.mpf(0) for m in modes}
-            beta_f = mp.mpf(1)
-            n = 0
-            while y != 0:
-                yf = mp.mpf(y.numerator) / mp.mpf(y.denominator)
-                flog = mp.log(1 / yf)
-                for mode, k in modes:
-                    term = (beta_f ** k) * flog
-                    if mode == "wilton" and n % 2:
-                        term = -term
-                    fin[(mode, k)] += term
-                beta_f *= yf
-                y = reciprocal(y)
-                y -= y.numerator // y.denominator
-                n += 1
+            fin = [mp.mpf(0)] * len(modes)
+            gauss = _gauss_orbit(Fraction(c.p_of(r), q_r))
+            for n, fterms in enumerate(_orbit_terms(gauss, ks_all)):
+                for i, t in enumerate(fterms):
+                    fin[i] += -t if (signed[i] and n % 2) else t
             x_r = vals[r] if len(vals) > r else mp.mpf(0)
-            for mode, k in modes:
-                lhs = abs(fin[(mode, k)] - partial[(mode, k)])
+            for (mode, k), f, p in zip(modes, fin, partial):
+                lhs = abs(f - p)
                 bound = 2 * k * cp * x_r / q_r
                 reports.append(TruncationReport(
                     x=format_exact(x), r=r, k=k, mode=mode,
@@ -454,7 +409,6 @@ class GapAuditResult:
     mode: str
 
 
-@registered_op("series_eval.gap_audit")
 def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
               N: int = 60, mode: str = "brjuno") -> GapAuditResult:
     """Sup over samples and depths <= N of |partial series - proxy sum|.

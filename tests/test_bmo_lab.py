@@ -56,6 +56,22 @@ def test_quadrature_failure_on_nonfinite():
         interval_mean(bad, UNIT, 512)
 
 
+def _ident_with(value, count):
+    def f(xs):
+        v = np.asarray(xs, dtype=float).copy()
+        v[:count] = value
+        return v
+    return f
+
+
+def test_scan_nonfinite_policy_matches_quadrature():
+    # 8 leaves x 32 nodes: one inf is 0.39% of the weight, two are 0.78%
+    with pytest.raises(QuadratureFailure):
+        bmo_seminorm_scan(_ident_with(np.inf, 2), UNIT, 3, 32)
+    assert bmo_seminorm_scan(_ident_with(np.inf, 1), UNIT, 3, 32) == \
+        bmo_seminorm_scan(_ident_with(0.0, 1), UNIT, 3, 32)
+
+
 def test_degenerate_interval():
     ident = lambda xs: np.asarray(xs, dtype=float)
     with pytest.raises(DegenerateInterval):

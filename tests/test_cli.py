@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,26 @@ def test_verify_report_deterministic(tmp_path, capsys):
     assert cli.main(args + ["--report", str(r2)]) == 0
     capsys.readouterr()
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_verify_report_has_no_coverage_key(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "ladders", "--report",
+                     str(report)]) == 0
+    capsys.readouterr()
+    assert set(json.loads(report.read_text())) == {"config", "criteria"}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphacf", "verify", "--suite", "ladders"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "[AC7] ladders: PASS" in proc.stdout
 
 
 def test_scan_blowup_csv(tmp_path, capsys):

@@ -301,3 +301,64 @@ def test_truncation_bound_check_precision_follows_denominator():
     batched = next(r for r in se.truncation_audit(x, 30)
                    if r.r == 30 and r.k == 1 and r.mode == "brjuno")
     assert single.lhs == pytest.approx(batched.lhs, rel=1e-12)
+
+
+# -- the orbit-series kernel, frozen --------------------------------------------
+
+def _repr128(v):
+    with mp.workprec(128):
+        return repr(v)
+
+
+def test_kernel_values_frozen():
+    # literal outputs of the hand-written loops the kernel replaced
+    one, half = Alpha.one(), Alpha.half()
+    assert [_repr128(se.brjuno_k(G, one, k, prec=128).value)
+            for k in (1, 2, 3)] == [
+        "mpf('1.2598289137944102198584299113248094164834')",
+        "mpf('0.7786170887348067723606709979004409933491')",
+        "mpf('0.6299144568972051099292149556624047082417')",
+    ]
+    assert _repr128(se.wilton(G, one, prec=128).value) == \
+        "mpf('0.29740526367520332486291208447607257021333')"
+    ball = nk.BallFloat(Fraction(0x9E3779B97F4A7C15F39CC0605CEDC835, 2 ** 128),
+                        prec=256)
+    sv = se.brjuno_k(ball, half, 2, terms=60, tol=1e-30, prec=128)
+    assert (_repr128(sv.value), sv.n_terms, repr(sv.tail_estimate)) == (
+        "mpf('1.1268252365056095058319087628501442230736')", 37,
+        "4.788047531645242e-31")
+    sv = se.wilton(ball, half, terms=60, tol=1e-30, prec=128)
+    assert (_repr128(sv.value), sv.n_terms, repr(sv.tail_estimate)) == (
+        "mpf('0.69641629554160546692779646541441209929723')", 53,
+        "1.8614834014730662e-25")
+    finite = {
+        Fraction(2, 5): ("mpf('1.1935496040981331889504200603512816986781')",
+                         "mpf('1.0271942807637463146902843512013193223395')",
+                         "mpf('0.63903185965017694141663436318474044421893')"),
+        Fraction(13, 31): ("mpf('1.4360851563665453124460491242427293401273')",
+                           "mpf('1.0570439339112263390547819290144127263605')",
+                           "mpf('0.55621134283872816116737139812648740732704')"),
+    }
+    for q, want in finite.items():
+        assert (_repr128(se.brjuno_finite_rational(q, 1, prec=128)),
+                _repr128(se.brjuno_finite_rational(q, 2, prec=128)),
+                _repr128(se.wilton_finite_rational(q, prec=128))) == want
+    res = se.functional_eq_residual(SQRT2M1, half, "wilton", 30, prec=160)
+    with mp.workprec(160):
+        assert repr(res) == \
+            "mpf('5.2202435743988196213682352874052380445609314064552e-54')"
+    lhs = {(r.r, r.k, r.mode): r.lhs for r in se.truncation_audit(G, 10)}
+    assert repr(lhs[(4, 2, "brjuno")]) == "0.0056533501405299814"
+    assert repr(lhs[(10, 1, "wilton")]) == "0.019277399097552196"
+
+
+def test_truncation_bound_check_is_its_audit_entry():
+    # at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single check used
+    # to differ from the audit in the bits below its working precision
+    rng = random.Random(5)
+    xs = [G, nk.parse_exact("(3+1*sqrt(11))/19"), random_surd_in_unit(rng)]
+    for x in xs:
+        for r in (4, 9, 16):
+            for rep in se.truncation_audit(x, r, prec=192):
+                if rep.r == r:
+                    assert se.truncation_bound_check(x, r, rep.k, rep.mode) == rep
