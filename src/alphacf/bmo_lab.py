@@ -160,10 +160,6 @@ def concat_lower_bound(m1: float, m2: float, len1: float, len2: float) -> float:
     return 2.0 * len1 * len2 * abs(m1 - m2) / (len1 + len2) ** 2
 
 
-def concat_mean(m1: float, m2: float, len1: float, len2: float) -> float:
-    return (len1 * m1 + len2 * m2) / (len1 + len2)
-
-
 @dataclass
 class ScanResult:
     sup_estimate: float

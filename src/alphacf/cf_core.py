@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath import mp
-
 from .errors import (
     AmbiguousComparison,
     AmbiguousFloor,
@@ -162,33 +160,20 @@ class CFExpansion:
     def orbit_mpf(self, n: int, prec: int) -> list:
         """Orbit values x_0..x_n as mpf at working precision.
 
-        Exact orbits (Fraction/Surd states) are converted pointwise, cycling
-        through the period where one was detected, so values carry no replay
-        drift.  Float orbits are replayed by applying the certified digits to
-        the start value.
+        Every stored orbit point is converted on its own, cycling through
+        the period where one was detected.  Exact states are rounded once;
+        float orbits are read from the certified ball orbit that ``expand``
+        stored, each ball by its midpoint, so a value lies within its ball's
+        radius plus one rounding.  A list shorter than n + 1 means the stored
+        orbit ran out first.
         """
-        if not any(isinstance(v, BallFloat) for v in self.orbit[:1]):
-            if self.period is not None:
-                pre, length = self.period
-                distinct = [to_mpf(self.orbit[j], prec)
-                            for j in range(min(n, pre + length - 1) + 1)]
-                vals = list(distinct)
-                while len(vals) <= n:
-                    vals.append(distinct[pre + (len(vals) - pre) % length])
-                return vals
-            return [to_mpf(v, prec)
-                    for v in self.orbit[:min(n, len(self.orbit) - 1) + 1]]
-        with mp.workprec(prec):
-            vals = [to_mpf(self.x0, prec)]
-            for j in range(1, n + 1):
-                if j >= len(self.orbit):
-                    break
-                vprev = vals[-1]
-                if vprev == 0:
-                    break
-                a, eps = self.digit_at(j)
-                vals.append(eps * (1 / vprev - a))
-            return vals
+        if self.period is None:
+            return [to_mpf(v, prec) for v in self.orbit[:n + 1]]
+        pre, length = self.period
+        vals = [to_mpf(v, prec) for v in self.orbit[:min(n + 1, pre + length)]]
+        while len(vals) <= n:
+            vals.append(vals[pre + (len(vals) - pre) % length])
+        return vals
 
     def to_json(self) -> str:
         return json.dumps(
@@ -201,18 +186,6 @@ class CFExpansion:
             },
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, text: str):
-        obj = json.loads(text)
-        e = cls(
-            x0=parse_exact(obj["x"]),
-            alpha=Alpha.parse(obj["alpha"]),
-            digits=[(int(a), int(s)) for a, s in obj["digits"]],
-            terminated=bool(obj["terminated"]),
-            period=tuple(obj["period"]) if obj["period"] else None,
-        )
-        return e
 
 
 def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:

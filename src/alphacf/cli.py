@@ -166,34 +166,36 @@ def _grid_points(spec: str):
 
 
 def _eval_one(fn: str, x, alpha: Alpha, args, cfg: RunConfig):
-    """Returns (value, n_terms, tail, rigorous) for the scalar eval modes."""
+    """(value, n_terms, tail, rigorous, exhausted) for the scalar eval modes."""
     k = args.k
     if fn == "brjuno":
         sv = series_eval.brjuno_k(x, alpha, k, terms=cfg.terms, tol=cfg.tol,
                                   prec=cfg.precision_bits)
-        return sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail
+        return (sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail,
+                sv.exhausted)
     if fn == "wilton":
         sv = series_eval.wilton(x, alpha, terms=cfg.terms, tol=cfg.tol,
                                 prec=cfg.precision_bits)
-        return sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail
+        return (sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail,
+                sv.exhausted)
     if fn == "brjuno-finite":
         if not isinstance(x, Fraction):
             raise OutOfDomain("--fn brjuno-finite expects a rational --x")
         v = series_eval.brjuno_finite_rational(x, k, prec=cfg.precision_bits)
-        return v, 0, 0.0, True
+        return v, 0, 0.0, True, False
     if fn == "wilton-finite":
         if not isinstance(x, Fraction):
             raise OutOfDomain("--fn wilton-finite expects a rational --x")
         v = series_eval.wilton_finite_rational(x, prec=cfg.precision_bits)
-        return v, 0, 0.0, True
+        return v, 0, 0.0, True, False
     if fn == "proxy":
         v = series_eval.proxy_sum(x, alpha, k, args.N,
                                   alternating=args.alternating)
-        return v, args.N, 0.0, False
+        return v, args.N, 0.0, False, False
     if fn == "Fk":
         res = modular_series.fourier_Fk_partial(
             x if isinstance(x, Fraction) else float(x), max(k, 2), args.N)
-        return res.value, res.n_terms, res.tail_bound, False
+        return res.value, res.n_terms, res.tail_bound, False, False
     raise UsageError(f"--fn: unknown function {fn!r}")
 
 
@@ -205,26 +207,27 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         for p in pts:
             if args.fn in ("brjuno", "wilton"):
                 x = BallFloat(repr(p), prec=cfg.precision_bits)
-                v, n, tail, rig = _eval_one(args.fn, x, alpha, args, cfg)
+                v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args, cfg)
             else:
-                v, n, tail, rig = _eval_one(
+                v, n, tail, rig, exh = _eval_one(
                     args.fn, Fraction(p).limit_denominator(10 ** 12),
                     alpha, args, cfg)
             rows.append([repr(p), repr(float(v)), n, repr(float(tail)),
-                         str(rig).lower()])
+                         str(rig).lower(), str(exh).lower()])
         meta = [cfg.precision_bits, cfg.terms, repr(cfg.tol)]
         text = _csv_text(
             ["x", "value", "n_terms", "tail_estimate", "rigorous_tail",
-             "precision_bits", "terms", "tol"],
+             "exhausted", "precision_bits", "terms", "tol"],
             [r + meta for r in rows])
         _emit(text, cfg.out)
         return EXIT_OK
     x = _parse_value(args.x, "--x", cfg.precision_bits)
-    v, n, tail, rig = _eval_one(args.fn, x, alpha, args, cfg)
+    v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args, cfg)
     print(f"value {v}")
     print(f"n_terms {n}")
     print(f"tail {tail}")
     print(f"rigorous {str(rig).lower()}")
+    print(f"exhausted {str(exh).lower()}")
     return EXIT_OK
 
 

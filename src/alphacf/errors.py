@@ -51,7 +51,3 @@ class QuadratureFailure(AlphaCFError):
 
 class DegenerateInterval(AlphaCFError):
     """Interval of nonpositive length."""
-
-
-class PoleHit(AlphaCFError):
-    """Moebius transform evaluated at the pole of its denominator."""

@@ -2,7 +2,7 @@
 
 The series of interest is F_k(x) = sum_n sigma_{k-1}(n) n^{-(k+1)} sin(2 pi n x)
 for even k >= 2; its convergence is governed by the same denominator sums the
-CF machinery produces, so the condition diagnostic is re-exported here.
+CF machinery produces.
 """
 
 from __future__ import annotations
@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .cf_core import Alpha
-from .numkit import ExactNumber
 
 
 @dataclass
@@ -129,35 +126,3 @@ def fourier_Fk_partial(x, k: int = 2, N: int = 1000,
         total += coeff * s
     tail = 4.0 / math.sqrt(N) if N else float("inf")
     return FkPartial(value=total, n_terms=N, tail_bound=tail)
-
-
-def kbrjuno_condition_partial(x: ExactNumber, k: int = 2, N: int = 20) -> float:
-    """Partial sum of log(q_{n+1})/q_n^k over the regular-CF denominators.
-
-    The convergence of this sum is the conjectured differentiability
-    criterion for the k-th sine series; only the number is reported, never a
-    differentiability verdict.
-    """
-    from .series_eval import proxy_sum
-
-    return proxy_sum(x, Alpha.one(), k=k, N=N, alternating=False)
-
-
-def f2_differentiability_report(x: ExactNumber, N: int = 40) -> dict:
-    """The two quantities behind the k = 2 criterion, reported side by side."""
-    from .cf_core import convergents, expand, normalize
-
-    xn, _ = normalize(x, Alpha.one())
-    e = expand(xn, Alpha.one(), N + 5)
-    depth = N if e.n_digits_available(N) else len(e.digits)
-    cond = kbrjuno_condition_partial(x, 2, depth)
-    c = convergents(e, min(depth + 4, len(e.digits))
-                    if e.period is None else depth + 4)
-    ratios = [math.log(c.q_of(n + 4)) / c.q_of(n) ** 2
-              for n in range(0, depth)]
-    return {
-        "condition_partial_sum": cond,
-        "depth": depth,
-        "last_log_q_ratio": ratios[-1] if ratios else float("nan"),
-        "max_log_q_ratio_tail": max(ratios[depth // 2:]) if ratios else float("nan"),
-    }

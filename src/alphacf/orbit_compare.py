@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .cf_core import Alpha, alpha_step
-from .errors import OutOfDomain, OutOfRange, PoleHit
+from .errors import OutOfDomain, OutOfRange
 from .numkit import (
     GOLDEN,
     GT,
@@ -200,15 +200,3 @@ def ladder(i: int) -> LadderPoint:
         t = 1 / (3 - t)
         r, s = s, 3 * s - r
     return LadderPoint(index=i, t=t, r=r, s=s)
-
-
-def mobius_apply(m, x: ExactNumber) -> ExactNumber:
-    """(a x + b)/(c x + d) for an integer matrix ((a, b), (c, d)), det +/-1."""
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise OutOfDomain(f"matrix determinant must be +/-1, got {det}")
-    den = c * x + d
-    if is_zero(den) if not isinstance(den, int) else den == 0:
-        raise PoleHit("Moebius transform evaluated at its pole")
-    return (a * x + b) / den

@@ -19,12 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp
 
-from .cf_core import Alpha, CFExpansion, convergents, expand, normalize
+from .cf_core import (
+    Alpha,
+    CFExpansion,
+    ConvergentSeq,
+    convergents,
+    expand,
+    normalize,
+)
 from .errors import (
     DivergesAtRational,
     ExpansionTooShort,
@@ -56,13 +62,19 @@ def c_prime(prec: int = DEFAULT_PRECISION):
 
 @dataclass
 class SeriesValue:
-    """A truncated series evaluation with its tail bookkeeping."""
+    """A truncated series evaluation with its tail bookkeeping.
+
+    ``exhausted`` is set when the sum used every certified orbit point
+    before its terms fell below tol or reached the terms cap, so the stored
+    orbit, not the series, limited it.
+    """
 
     value: object  # mpf
     n_terms: int
     tail_estimate: float
     rigorous_tail: bool
     mode: str
+    exhausted: bool
 
     def __float__(self):
         return float(self.value)
@@ -144,7 +156,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             with mp.workprec(prec):
                 return SeriesValue(value=+total, n_terms=n_explicit,
                                    tail_estimate=0.0, rigorous_tail=True,
-                                   mode=mode)
+                                   mode=mode, exhausted=False)
 
         if e.period is not None:
             n_avail = terms
@@ -153,15 +165,14 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
         else:
             n_avail = len(e.orbit)
         n_max = min(terms, n_avail)
-        vals = e.orbit_mpf(n_max - 1, prec + 32) if n_max else []
+        vals = e.orbit_mpf(n_max - 1, prec + 32)
         total = mp.mpf(0)
         used = 0
         last = mp.mpf(0)
         prev_abs = mp.inf
         monotone = True
-        # a float orbit can leave (0, 1) once its replay loses precision
-        positive = takewhile(lambda v: v > 0, vals)
-        for n, (term,) in enumerate(_orbit_terms(positive, (k,))):
+        exhausted = False
+        for n, (term,) in enumerate(_orbit_terms(vals, (k,))):
             if signed and n % 2:
                 term = -term
             total += term
@@ -172,6 +183,8 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             prev_abs = abs(term)
             if abs(term) < tol:
                 break
+        else:
+            exhausted = n_max < terms
         gk = _GOLDEN_F ** k
         if signed and monotone:
             tail = float(abs(last))  # alternating series with shrinking terms
@@ -179,7 +192,8 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             tail = float(abs(last)) * gk / (1 - gk)
         with mp.workprec(prec):
             return SeriesValue(value=+total, n_terms=used, tail_estimate=tail,
-                               rigorous_tail=False, mode=mode)
+                               rigorous_tail=False, mode=mode,
+                               exhausted=exhausted)
 
 
 def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERMS,
@@ -235,6 +249,13 @@ def wilton_finite_rational(p_over_q: Fraction, prec: int = DEFAULT_PRECISION):
     return _finite_rational(Fraction(p_over_q), 1, signed=True, prec=prec)
 
 
+def _proxy_terms(c: ConvergentSeq, k: int, signed: bool) -> Iterator[float]:
+    """log(q_{j+1}) / q_j^k for j = 0..c.n-1, with the Wilton sign if signed."""
+    for j in range(c.n):
+        term = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
+        yield -term if (signed and j % 2) else term
+
+
 def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
               alternating: bool = False) -> float:
     """sum_{j<N} (+/-1)^j log(q_{j+1}) / q_j^k over the alpha-CF denominators."""
@@ -248,11 +269,10 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
         raise ExpansionTooShort(
             f"{N} digits needed, expansion terminated after {len(e.digits)}"
         )
-    c = convergents(e, N)
     total = 0.0
-    for j in range(N):
-        term = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
-        total += -term if (alternating and j % 2) else term
+    # plain float adds, in order: sum() compensates on Python 3.12 and later
+    for term in _proxy_terms(convergents(e, N), k, alternating):
+        total += term
     return total
 
 
@@ -436,11 +456,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         proxy = 0.0
         gap = 0.0
         series_partials = []
-        for j in range(depth):
+        for j, pterm in enumerate(_proxy_terms(c, k, signed)):
             sterm = (beta ** k) * math.log(1 / vals[j])
-            pterm = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
             if signed and j % 2:
-                sterm, pterm = -sterm, -pterm
+                sterm = -sterm
             series += sterm
             proxy += pterm
             beta *= vals[j]
@@ -455,10 +474,7 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         gap_cross = 0.0
         logq_sum = 0.0
         inv_sum = 0.0
-        for j in range(depth1):
-            pterm = math.log(c1.q_of(j + 1)) / c1.q_of(j) ** k
-            if signed and j % 2:
-                pterm = -pterm
+        for j, pterm in enumerate(_proxy_terms(c1, k, signed)):
             proxy1 += pterm
             gap_cross = max(gap_cross, abs(series_partials[j] - proxy1))
             qj = c1.q_of(j)

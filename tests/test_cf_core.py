@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -7,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from alphacf import numkit as nk
 from alphacf.cf_core import (
     Alpha,
-    CFExpansion,
     alpha_step,
     beta_products,
     convergents,
@@ -219,10 +220,11 @@ def test_surd_orbit_periodic_and_bounded():
 
 def test_json_roundtrip():
     e = expand(Fraction(5, 13), Alpha.half(), 10)
-    e2 = CFExpansion.from_json(e.to_json())
-    assert e2.digits == e.digits
-    assert e2.terminated == e.terminated
-    assert e2.x0 == e.x0
+    obj = json.loads(e.to_json())
+    assert [tuple(d) for d in obj["digits"]] == e.digits
+    assert obj["terminated"] == e.terminated
+    assert nk.parse_exact(obj["x"]) == e.x0
+    assert obj["alpha"] == "1/2" and obj["period"] is None
 
 
 def test_expansion_too_short():
@@ -233,12 +235,29 @@ def test_expansion_too_short():
         e.digit_at(4)
 
 
-def test_orbit_mpf_replay_consistency():
+def test_orbit_mpf_cycles_surd_period():
     e = expand(G, Alpha.one(), 5)
     vals = e.orbit_mpf(40, 128)
+    assert len(vals) == 41
     gf = nk.to_mpf(G, 128)
     for v in vals:
         assert abs(v - gf) < 1e-30
+
+
+@pytest.mark.parametrize("x, alpha, prec", [
+    (nk.parse_exact("0.3183098861837907", 64), Alpha.one(), 96),
+    (nk.BallFloat(Fraction(0x9E3779B97F4A7C15F39CC0605CEDC835, 2 ** 128),
+                  prec=256), Alpha.half(), 160),
+], ids=["repro-64bit", "dyadic-half"])
+def test_orbit_mpf_inside_stored_balls(x, alpha, prec):
+    # float values come from the certified orbit, not from a replay of x0
+    e = expand(normalize(x, alpha)[0], alpha, 256, best_effort=True)
+    vals = e.orbit_mpf(len(e.orbit) - 1, prec)
+    assert len(vals) == len(e.orbit)
+    for v, ball in zip(vals, e.orbit):
+        with mp.workprec(ball.prec + 64):
+            assert abs(v - ball.value) <= \
+                ball.radius + mp.ldexp(abs(v), 1 - prec)
 
 
 def test_surd_beta_identity_exact():

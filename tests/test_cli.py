@@ -61,6 +61,17 @@ def test_eval_golden_brjuno(capsys):
     value = float(out.splitlines()[0].split()[1])
     assert value == pytest.approx(1.2598289137944102, abs=1e-12)
     assert "rigorous true" in out
+    assert "exhausted false" in out
+
+
+def test_eval_float_uses_whole_certified_orbit(capsys):
+    # 37 orbit points of this 64-bit input are certified, all of them used
+    code, out, _ = run(["eval", "--fn", "brjuno", "--x", "0.3183098861837907",
+                        "--precision", "64"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "n_terms 37" in lines
+    assert lines[-1] == "exhausted true"
 
 
 def test_eval_grid_csv(capsys):
@@ -68,8 +79,9 @@ def test_eval_grid_csv(capsys):
                         "--grid", "0:1:8"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].split(",")[:5] == ["x", "value", "n_terms",
-                                       "tail_estimate", "rigorous_tail"]
+    assert lines[0].split(",")[:6] == ["x", "value", "n_terms",
+                                       "tail_estimate", "rigorous_tail",
+                                       "exhausted"]
     assert "precision_bits" in lines[0]
     assert len(lines) == 9
 

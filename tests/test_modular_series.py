@@ -4,16 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from alphacf import numkit as nk
 from alphacf.modular_series import (
     SigmaTable,
     divisor_sigma,
-    f2_differentiability_report,
     fourier_Fk_partial,
-    kbrjuno_condition_partial,
 )
-
-G = nk.GOLDEN
 
 
 def test_divisor_sigma_examples():
@@ -79,22 +74,3 @@ def test_fourier_with_table_matches():
     a = fourier_Fk_partial(Fraction(1, 7), 2, 100, sigma_table=t)
     b = fourier_Fk_partial(Fraction(1, 7), 2, 100)
     assert a.value == b.value
-
-
-def test_condition_partial_reexport():
-    from alphacf.cf_core import Alpha
-    from alphacf.series_eval import proxy_sum
-
-    got = kbrjuno_condition_partial(G, 2, 4)
-    assert got == pytest.approx(proxy_sum(G, Alpha.one(), 2, 4))
-    assert got == pytest.approx(1.1466266874418727)
-    assert kbrjuno_condition_partial(G, 1, 4) == pytest.approx(1.7789326290387004)
-    assert kbrjuno_condition_partial(G, 2, 0) == 0.0
-
-
-def test_f2_report_fields():
-    rep = f2_differentiability_report(G, 30)
-    assert rep["depth"] == 30
-    assert rep["condition_partial_sum"] > 0
-    assert rep["last_log_q_ratio"] >= 0
-    assert "verdict" not in rep

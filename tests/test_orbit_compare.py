@@ -5,11 +5,10 @@ import pytest
 
 from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, alpha_step
-from alphacf.errors import OutOfDomain, OutOfRange, PoleHit
+from alphacf.errors import OutOfDomain, OutOfRange
 from alphacf.orbit_compare import (
     ladder,
     matched_orbits,
-    mobius_apply,
     q_difference_classify,
 )
 from alphacf.sampling import random_rational
@@ -141,18 +140,6 @@ def test_ladder_convergence_to_one_minus_g():
         prev_t_gap, prev_rs_gap = t_gap, rs_gap
         assert lp.t > ONE_MINUS_G > lp.rs
     assert float(prev_t_gap) < 1e-6 and float(prev_rs_gap) < 1e-6
-
-
-def test_mobius_examples():
-    assert mobius_apply(((1, 0), (0, 1)), Fraction(2, 7)) == Fraction(2, 7)
-    x = Fraction(1, 3)
-    assert mobius_apply(((1, 0), (-1, 1)), x) == x / (1 - x)
-    y = mobius_apply(((1, 0), (-1, 1)), G)
-    assert 1 / y == 1 / G - 1
-    with pytest.raises(PoleHit):
-        mobius_apply(((1, 0), (-1, 1)), Fraction(1))
-    with pytest.raises(OutOfDomain):
-        mobius_apply(((2, 0), (0, 1)), Fraction(1, 2))
 
 
 def test_trace_jsonl_roundtrippable():

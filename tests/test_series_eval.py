@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from alphacf import numkit as nk
-from alphacf.cf_core import Alpha, normalize
+from alphacf.cf_core import Alpha, alpha_step, expand, normalize
 from alphacf import series_eval as se
 from alphacf.errors import (
     DivergesAtRational,
@@ -198,6 +198,33 @@ def test_residual_random_surds_and_floats():
         assert abs(res) < gate
 
 
+def test_functional_equation_between_closed_forms():
+    # B(x) and B(A x) each come from their own orbit and closed-form tail, so
+    # unlike functional_eq_residual's shared orbit nothing telescopes
+    rng = random.Random(7)
+    series = [(lambda x, a: se.brjuno_k(x, a, 1), 1, -1),
+              (lambda x, a: se.brjuno_k(x, a, 2), 2, -1),
+              (se.wilton, 1, 1)]
+    cases = kept = 0
+    for _ in range(30):
+        x0 = random_surd_in_unit(rng)
+        for alpha in (Alpha.one(), Alpha.half()):
+            x = normalize(x0, alpha)[0]
+            ax = alpha_step(x, alpha)[2]
+            for fn, k, sign in series:
+                b, b_ax = fn(x, alpha), fn(ax, alpha)
+                cases += 1
+                # a period beyond the digit cap falls back to a tol sum
+                if not (b.rigorous_tail and b_ax.rigorous_tail):
+                    continue
+                kept += 1
+                with mp.workprec(256):
+                    xm = nk.to_mpf(x, 256)
+                    res = b.value + mp.log(xm) + sign * xm ** k * b_ax.value
+                assert abs(res) < 1e-60
+    assert kept >= 0.9 * cases
+
+
 # -- truncation bound ---------------------------------------------------------
 
 def test_c_prime_value():
@@ -290,6 +317,12 @@ def test_tail_estimate_flags():
     f = se.wilton(nk.BallFloat("0.31830988618", prec=256), Alpha.one(),
                   terms=40, tol=1e-30)
     assert not f.rigorous_tail and f.tail_estimate >= 0.0
+    # exhausted only when the certified orbit, not tol or the cap, ended it
+    capped = se.brjuno_k(G, Alpha.one(), 1, terms=50, closed_form=False)
+    assert not (v.exhausted or f.exhausted or capped.exhausted)
+    short = se.brjuno_k(nk.parse_exact("0.3183098861837907", 64), Alpha.one(),
+                        prec=64)
+    assert short.exhausted and short.n_terms == 37
 
 
 def test_truncation_bound_check_precision_follows_denominator():
@@ -321,16 +354,23 @@ def test_kernel_values_frozen():
     ]
     assert _repr128(se.wilton(G, one, prec=128).value) == \
         "mpf('0.29740526367520332486291208447607257021333')"
-    ball = nk.BallFloat(Fraction(0x9E3779B97F4A7C15F39CC0605CEDC835, 2 ** 128),
-                        prec=256)
+    dyadic = Fraction(0x9E3779B97F4A7C15F39CC0605CEDC835, 2 ** 128)
+    ball = nk.BallFloat(dyadic, prec=256)
     sv = se.brjuno_k(ball, half, 2, terms=60, tol=1e-30, prec=128)
     assert (_repr128(sv.value), sv.n_terms, repr(sv.tail_estimate)) == (
         "mpf('1.1268252365056095058319087628501442230736')", 37,
         "4.788047531645242e-31")
+    # the ball's orbit is certified far enough to match the exact partial
+    # sum over the dyadic's own Fraction orbit, term for term
     sv = se.wilton(ball, half, terms=60, tol=1e-30, prec=128)
-    assert (_repr128(sv.value), sv.n_terms, repr(sv.tail_estimate)) == (
-        "mpf('0.69641629554160546692779646541441209929723')", 53,
-        "1.8614834014730662e-25")
+    orbit = expand(normalize(dyadic, half)[0], half, sv.n_terms).orbit
+    with mp.workprec(256):
+        beta, exact = mp.mpf(1), mp.mpf(0)
+        for n in range(sv.n_terms):
+            v = nk.to_mpf(orbit[n], 256)
+            exact += (-1) ** n * beta * mp.log(1 / v)
+            beta *= v
+        assert abs(sv.value - exact) < 1e-35
     finite = {
         Fraction(2, 5): ("mpf('1.1935496040981331889504200603512816986781')",
                          "mpf('1.0271942807637463146902843512013193223395')",
