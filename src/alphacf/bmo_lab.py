@@ -33,6 +33,7 @@ class IntervalStats:
     oscillation: Optional[float]
     samples: int
     quad_error: float
+    nonfinite: int  # samples zero-filled, over both quadrature passes
 
 
 def _gl_cells(u, v, cells: int):
@@ -68,36 +69,41 @@ def _graded_mesh(a: float, b: float, n: int):
 
 
 def _finite_samples(f, pts, w, a: float, b: float):
-    """f at the nodes, under the one non-finite policy of this module.
+    """f at the nodes under the one non-finite policy of this module, and
+    how many of them it zero-filled.
 
     Non-finite values are zero-filled while they carry at most 0.5% of the
     quadrature weight; past that the quadrature raises QuadratureFailure.
     """
     vals = np.asarray(f(pts), dtype=np.float64)
     bad = ~np.isfinite(vals)
-    if bad.any():
+    nonfinite = int(bad.sum())
+    if nonfinite:
         if w[bad].sum() / w.sum() > 0.005:
             raise QuadratureFailure(
-                f"{bad.sum()} non-finite samples on [{a}, {b}]"
+                f"{nonfinite} non-finite samples on [{a}, {b}]"
             )
         vals = np.where(bad, 0.0, vals)
-    return vals
+    return vals, nonfinite
 
 
 def _integrate(f, a: float, b: float, n: int):
-    """Fine and coarse passes on graded meshes, and the integral's error bar.
+    """Fine and coarse passes on graded meshes, the integral's error bar, and
+    the number of samples zero-filled in both passes.
 
     Each pass is (integral, n_points, weights, values, nodes), its values
     gated and zero-filled by the non-finite policy.
     """
     results = []
+    nonfinite = 0
     for budget in (n, max(n // 2, 24)):
         pts, w = _graded_mesh(a, b, budget)
-        vals = _finite_samples(f, pts, w, a, b)
+        vals, bad = _finite_samples(f, pts, w, a, b)
+        nonfinite += bad
         results.append(((w * vals).sum(), len(pts), w, vals, pts))
     fine, coarse = results
     err = abs(fine[0] - coarse[0]) + 1e-12 * (1 + abs(fine[0]))
-    return fine, coarse, err
+    return fine, coarse, err, nonfinite
 
 
 def _as_fraction_pair(interval) -> tuple:
@@ -109,11 +115,12 @@ def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats
     """Mean of f over [a, b] on a graded mesh, with a refinement error bar."""
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
-    (integral, used, _, _, _), _, err = _integrate(f, a, b, n_samples)
+    (integral, used, _, _, _), _, err, nonfinite = _integrate(
+        f, a, b, n_samples)
     width = b - a
     return IntervalStats(interval=(fa, fb), mean=float(integral / width),
                          oscillation=None, samples=used,
-                         quad_error=float(err / width))
+                         quad_error=float(err / width), nonfinite=nonfinite)
 
 
 def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalStats:
@@ -125,15 +132,15 @@ def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalSt
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
     width = b - a
-    (integral, used, w, vals, _), (_, _, w2, vals2, _), mean_err = _integrate(
-        f, a, b, n_samples)
+    ((integral, used, w, vals, _), (_, _, w2, vals2, _), mean_err,
+     nonfinite) = _integrate(f, a, b, n_samples)
     mean = integral / width
     osc_fine = (w * np.abs(vals - mean)).sum() / width
     osc_coarse = (w2 * np.abs(vals2 - mean)).sum() / width
     err = abs(osc_fine - osc_coarse) + mean_err / width + 1e-12
     return IntervalStats(interval=(fa, fb), mean=float(mean),
                          oscillation=float(osc_fine), samples=used,
-                         quad_error=float(err))
+                         quad_error=float(err), nonfinite=nonfinite)
 
 
 def concat_oscillation(o1: float, o2: float, m1: float, m2: float,
@@ -168,6 +175,7 @@ class ScanResult:
     leaf_samples: int
     total_samples: int
     per_level_sup: list
+    nonfinite: int  # samples zero-filled
 
 
 def bmo_seminorm_scan(f: Callable, interval, depth: int,
@@ -190,7 +198,7 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     per_leaf = 2 * cells
     leaf_edges = a + (b - a) * np.arange(n_leaves + 1) / n_leaves
     pts, w = _gl_cells(leaf_edges[:-1], leaf_edges[1:], cells)
-    vals = _finite_samples(f, pts, w, a, b)
+    vals, nonfinite = _finite_samples(f, pts, w, a, b)
     best = -1.0
     best_node = (0, 0)
     per_level = []
@@ -209,7 +217,7 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     hi = fa + span * Fraction(i + 1, 1 << d)
     return ScanResult(sup_estimate=best, argmax_interval=(lo, hi), depth=depth,
                       leaf_samples=per_leaf, total_samples=len(pts),
-                      per_level_sup=per_level)
+                      per_level_sup=per_level, nonfinite=nonfinite)
 
 
 @dataclass
@@ -238,8 +246,10 @@ def wilton_blowup_experiment(n_list: Sequence[int], points: int = 100_000,
         if n < 2:
             raise DegenerateInterval("blow-up rows need n >= 2")
         width = 1.0 / n
-        (int_p, used_p, w_p, v_p, _), _, err_p = _integrate(f, 0.0, width, points)
-        (int_m, used_m, w_m, v_m, _), _, err_m = _integrate(f, -width, 0.0, points)
+        (int_p, used_p, w_p, v_p, _), _, err_p, _ = _integrate(
+            f, 0.0, width, points)
+        (int_m, used_m, w_m, v_m, _), _, err_m, _ = _integrate(
+            f, -width, 0.0, points)
         mean_p = int_p / width
         mean_m = int_m / width
         mean_union = (int_p + int_m) / (2 * width)

@@ -23,7 +23,6 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numkit import (
-    EQ,
     GT,
     LT,
     BallFloat,

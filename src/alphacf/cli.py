@@ -1,9 +1,9 @@
 """Command-line surface: expand, eval, verify, scan, compare.
 
 Exit codes are fixed for CI consumption: 0 success, 1 verification criterion
-failed, 2 usage/parse error, 3 domain error.  Identical (config, seed) pairs
-produce byte-identical artifacts; anything timing-dependent stays out of the
-files and goes to the console only.
+failed, 2 usage/parse error, 3 domain error.  Each subcommand takes only the
+options it reads.  Identical arguments produce byte-identical artifacts;
+anything timing-dependent stays out of the files and goes to the console only.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import bmo_lab, modular_series, orbit_compare, series_eval
 from .cf_core import Alpha, expand, normalize
 from .errors import AlphaCFError, OutOfDomain
-from .fastgrid import brjuno_grid, wilton_grid
+from .fastgrid import (DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, brjuno_grid,
+                       wilton_grid)
 from .numkit import BallFloat, compare, format_exact, parse_exact
 from .sampling import random_rational
 from .verify_suites import SUITE_ORDER, SUITES, run_suites
@@ -32,62 +31,9 @@ EXIT_CRITERION = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-PRECISION_ENV = "ALPHACF_PRECISION"
+DEFAULT_SEED = 20260810
 
 _IRRATIONAL_OFFSET = 0.7071067811865476 % 1  # sqrt(2)/2, keeps grids off rationals
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs every command shares; precedence flags > env > file > built-ins."""
-
-    precision_bits: int = 256
-    tol: float = 1e-40
-    terms: int = 256
-    seed: int = 20260810
-    out: str | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise OutOfDomain("precision_bits must be >= 64")
-        if self.terms < 1:
-            raise OutOfDomain("terms cap must be >= 1")
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
-
-
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        casts = {"precision_bits": int, "tol": float, "terms": int,
-                 "seed": int, "out": str, "jobs": int}
-        cfg = replace(cfg, **{k: casts[k](v) for k, v in raw.items()
-                              if k in casts})
-    env_prec = os.environ.get(PRECISION_ENV)
-    if env_prec:
-        cfg = replace(cfg, precision_bits=int(env_prec))
-    overrides = {}
-    for field_name, flag in (("precision_bits", "precision"), ("tol", "tol"),
-                             ("terms", "terms"), ("seed", "seed"),
-                             ("out", "out"), ("jobs", "jobs")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field_name] = val
-    return replace(cfg, **overrides)
 
 
 def _parse_value(text: str, flag: str, prec: int):
@@ -134,18 +80,17 @@ def _csv_text(header, rows) -> str:
 # expand
 # ---------------------------------------------------------------------------
 
-def cmd_expand(args, cfg: RunConfig) -> int:
-    x_raw = _parse_value(args.x, "--x", cfg.precision_bits)
+def cmd_expand(args) -> int:
+    x_raw = _parse_value(args.x, "--x", args.precision)
     alpha = _parse_alpha(args.alpha, "--alpha")
     x, reflected = normalize(x_raw, alpha)
-    e = expand(x, alpha, args.steps if args.steps is not None else cfg.terms,
-               best_effort=True)
+    e = expand(x, alpha, args.steps, best_effort=True)
     obj = json.loads(e.to_json())
     obj["input"] = format_exact(x_raw)
     obj["reflected"] = reflected
     if e.exhausted:
         obj["exhausted"] = True  # float orbit stopped at an uncertifiable branch
-    _emit(json.dumps(obj, sort_keys=True), cfg.out)
+    _emit(json.dumps(obj, sort_keys=True), args.out)
     return EXIT_OK
 
 
@@ -165,28 +110,28 @@ def _grid_points(spec: str):
     return [a + (i + _IRRATIONAL_OFFSET) * step for i in range(n)]
 
 
-def _eval_one(fn: str, x, alpha: Alpha, args, cfg: RunConfig):
+def _eval_one(fn: str, x, alpha: Alpha, args):
     """(value, n_terms, tail, rigorous, exhausted) for the scalar eval modes."""
     k = args.k
     if fn == "brjuno":
-        sv = series_eval.brjuno_k(x, alpha, k, terms=cfg.terms, tol=cfg.tol,
-                                  prec=cfg.precision_bits)
+        sv = series_eval.brjuno_k(x, alpha, k, terms=args.terms, tol=args.tol,
+                                  prec=args.precision)
         return (sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail,
                 sv.exhausted)
     if fn == "wilton":
-        sv = series_eval.wilton(x, alpha, terms=cfg.terms, tol=cfg.tol,
-                                prec=cfg.precision_bits)
+        sv = series_eval.wilton(x, alpha, terms=args.terms, tol=args.tol,
+                                prec=args.precision)
         return (sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail,
                 sv.exhausted)
     if fn == "brjuno-finite":
         if not isinstance(x, Fraction):
             raise OutOfDomain("--fn brjuno-finite expects a rational --x")
-        v = series_eval.brjuno_finite_rational(x, k, prec=cfg.precision_bits)
+        v = series_eval.brjuno_finite_rational(x, k, prec=args.precision)
         return v, 0, 0.0, True, False
     if fn == "wilton-finite":
         if not isinstance(x, Fraction):
             raise OutOfDomain("--fn wilton-finite expects a rational --x")
-        v = series_eval.wilton_finite_rational(x, prec=cfg.precision_bits)
+        v = series_eval.wilton_finite_rational(x, prec=args.precision)
         return v, 0, 0.0, True, False
     if fn == "proxy":
         v = series_eval.proxy_sum(x, alpha, k, args.N,
@@ -199,30 +144,30 @@ def _eval_one(fn: str, x, alpha: Alpha, args, cfg: RunConfig):
     raise UsageError(f"--fn: unknown function {fn!r}")
 
 
-def cmd_eval(args, cfg: RunConfig) -> int:
+def cmd_eval(args) -> int:
     alpha = _parse_alpha(args.alpha, "--alpha")
     if args.grid:
         pts = _grid_points(args.grid)
         rows = []
         for p in pts:
             if args.fn in ("brjuno", "wilton"):
-                x = BallFloat(repr(p), prec=cfg.precision_bits)
-                v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args, cfg)
+                x = BallFloat(repr(p), prec=args.precision)
+                v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args)
             else:
                 v, n, tail, rig, exh = _eval_one(
                     args.fn, Fraction(p).limit_denominator(10 ** 12),
-                    alpha, args, cfg)
+                    alpha, args)
             rows.append([repr(p), repr(float(v)), n, repr(float(tail)),
                          str(rig).lower(), str(exh).lower()])
-        meta = [cfg.precision_bits, cfg.terms, repr(cfg.tol)]
+        meta = [args.precision, args.terms, repr(args.tol)]
         text = _csv_text(
             ["x", "value", "n_terms", "tail_estimate", "rigorous_tail",
              "exhausted", "precision_bits", "terms", "tol"],
             [r + meta for r in rows])
-        _emit(text, cfg.out)
+        _emit(text, args.out)
         return EXIT_OK
-    x = _parse_value(args.x, "--x", cfg.precision_bits)
-    v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args, cfg)
+    x = _parse_value(args.x, "--x", args.precision)
+    v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args)
     print(f"value {v}")
     print(f"n_terms {n}")
     print(f"tail {tail}")
@@ -235,7 +180,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     names = args.suite or ["all"]
     if names == ["all"]:
         chosen = SUITE_ORDER
@@ -244,15 +189,12 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         if unknown:
             raise UsageError(f"--suite: unknown suite(s) {unknown}")
         chosen = names
-    results = run_suites(chosen, seed=cfg.seed, fast=args.fast)
+    results = run_suites(chosen, seed=args.seed, fast=args.fast)
     for r in results:
         print(r.line())
     report = {
         "config": {
-            "precision_bits": cfg.precision_bits,
-            "terms": cfg.terms,
-            "tol": repr(cfg.tol),
-            "seed": cfg.seed,
+            "seed": args.seed,
             "fast": bool(args.fast),
             "suites": list(chosen),
         },
@@ -262,12 +204,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             for r in results
         ],
     }
-    text = json.dumps(report, sort_keys=True, indent=1)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif cfg.out:
-        _emit(text, cfg.out)
+            fh.write(json.dumps(report, sort_keys=True, indent=1))
     all_ok = all(r.passed for r in results)
     return EXIT_OK if all_ok else EXIT_CRITERION
 
@@ -276,15 +215,14 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def cmd_scan(args, cfg: RunConfig) -> int:
+def cmd_scan(args) -> int:
     alpha = _parse_alpha(args.alpha, "--alpha")
     af = float(alpha)
     if args.fn == "wilton":
-        f = lambda xs: wilton_grid(xs, alpha=af, terms=cfg.terms,
-                                   tol=max(cfg.tol, 1e-14))
+        f = lambda xs: wilton_grid(xs, alpha=af, terms=args.terms, tol=args.tol)
     elif args.fn == "brjuno":
-        f = lambda xs: brjuno_grid(xs, alpha=af, k=args.k, terms=cfg.terms,
-                                   tol=max(cfg.tol, 1e-14))
+        f = lambda xs: brjuno_grid(xs, alpha=af, k=args.k, terms=args.terms,
+                                   tol=args.tol)
     else:
         raise UsageError(f"--fn: scans support wilton/brjuno, got {args.fn!r}")
     if args.blowup:
@@ -295,19 +233,20 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         except ValueError as exc:
             raise UsageError(f"--blowup expects integers, got {args.blowup!r}") from exc
         def one(n):
-            return bmo_lab.wilton_blowup_experiment([n], points=args.points)[0]
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            return bmo_lab.wilton_blowup_experiment(
+                [n], points=args.points, terms=args.terms, tol=args.tol)[0]
+        if args.jobs > 1:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 rows = sorted(pool.map(one, ns), key=lambda r: r.n)
         else:
             rows = [one(n) for n in ns]
         text = _csv_text(
             ["n", "mean_plus", "mean_minus", "oscillation", "samples",
-             "quad_error", "terms", "tol", "precision_bits"],
+             "quad_error", "terms", "tol"],
             [[r.n, repr(r.mean_plus), repr(r.mean_minus), repr(r.oscillation),
-              r.samples, repr(r.quad_error), r.terms, repr(r.tol),
-              cfg.precision_bits] for r in rows])
-        _emit(text, cfg.out)
+              r.samples, repr(r.quad_error), r.terms, repr(r.tol)]
+             for r in rows])
+        _emit(text, args.out)
         return EXIT_OK
     if args.interval is None or args.depth is None:
         raise UsageError("scan needs either --blowup or --interval with --depth")
@@ -329,12 +268,12 @@ def cmd_scan(args, cfg: RunConfig) -> int:
         "per_level_sup": res.per_level_sup,
         "leaf_samples": res.leaf_samples,
         "total_samples": res.total_samples,
-        "terms": cfg.terms,
-        "tol": repr(cfg.tol),
-        "precision_bits": cfg.precision_bits,
+        "nonfinite": res.nonfinite,
+        "terms": args.terms,
+        "tol": repr(args.tol),
         "note": "evidence only for alpha in (g, 1); no verdict",
     }
-    _emit(json.dumps(obj, sort_keys=True, indent=1), cfg.out)
+    _emit(json.dumps(obj, sort_keys=True, indent=1), args.out)
     return EXIT_OK
 
 
@@ -342,11 +281,11 @@ def cmd_scan(args, cfg: RunConfig) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def cmd_compare(args, cfg: RunConfig) -> int:
+def cmd_compare(args) -> int:
     import random as _random
 
     alpha = _parse_alpha(args.alpha, "--alpha")
-    rng = _random.Random(cfg.seed)
+    rng = _random.Random(args.seed)
     dump_lines = []
     violations = []
     worst_num, worst_den = 1, 1
@@ -366,13 +305,13 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         "alpha": str(alpha),
         "samples": args.samples,
         "depth": args.depth,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "violations": violations[:20],
         "n_violations": len(violations),
         "max_log_q_gap": math.log(worst_num / worst_den),
         "log2_bound": math.log(2),
     }
-    _emit(json.dumps(summary, sort_keys=True, indent=1), cfg.out)
+    _emit(json.dumps(summary, sort_keys=True, indent=1), args.out)
     return EXIT_OK if not violations else EXIT_CRITERION
 
 
@@ -380,41 +319,45 @@ def cmd_compare(args, cfg: RunConfig) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _add_out(p):
+    p.add_argument("--out", help="output file (default stdout)")
+
+
+def _add_series_limits(p, terms: int, tol: float):
+    p.add_argument("--terms", type=int, default=terms,
+                   help="series terms cap (default %(default)s)")
+    p.add_argument("--tol", type=float, default=tol,
+                   help="series stabilization tolerance (default %(default)s)")
+
+
+def _add_precision(p):
+    p.add_argument("--precision", type=int, default=256,
+                   help="working precision in mantissa bits, >= 64 "
+                        "(default %(default)s)")
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for randomized audits (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # shared options are accepted before or after the subcommand; SUPPRESS
-    # keeps a subparser from shadowing a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, dest="precision",
-                        default=argparse.SUPPRESS,
-                        help="working precision in mantissa bits (>= 64)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="series stabilization tolerance")
-    common.add_argument("--terms", type=int, default=argparse.SUPPRESS,
-                        help="series terms cap")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized audits")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output file (default stdout)")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker pool size for batches")
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key=value config file")
     parser = argparse.ArgumentParser(
         prog="alphacf",
         description="alpha-continued fractions, Brjuno/Wilton series, and "
                     "their numerical audits",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="alpha-CF expansion as JSON",
-                       parents=[common])
+    p = sub.add_parser("expand", help="alpha-CF expansion as JSON")
     p.add_argument("--x", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=int, default=256,
+                   help="digits cap (default %(default)s)")
+    _add_precision(p)
+    _add_out(p)
 
-    p = sub.add_parser("eval", help="evaluate one of the series/functions",
-                       parents=[common])
+    p = sub.add_parser("eval", help="evaluate one of the series/functions")
     p.add_argument("--fn", required=True,
                    choices=["brjuno", "wilton", "brjuno-finite",
                             "wilton-finite", "proxy", "Fk"])
@@ -424,17 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=40)
     p.add_argument("--alternating", action="store_true")
     p.add_argument("--grid", help="a:b:n sweep emitted as CSV")
+    _add_precision(p)
+    _add_series_limits(p, 256, 1e-40)
+    _add_out(p)
 
-    p = sub.add_parser("verify", help="run acceptance criteria suites",
-                       parents=[common])
+    p = sub.add_parser("verify", help="run acceptance criteria suites")
     p.add_argument("--suite", action="append",
                    help="suite name or 'all' (repeatable)")
     p.add_argument("--fast", action="store_true",
                    help="reduced sample counts for smoke runs")
     p.add_argument("--report", help="write the JSON report to this path")
+    _add_seed(p)
 
-    p = sub.add_parser("scan", help="blow-up tables and dyadic BMO scans",
-                       parents=[common])
+    p = sub.add_parser("scan", help="blow-up tables and dyadic BMO scans")
     p.add_argument("--fn", default="wilton")
     p.add_argument("--alpha", required=True)
     p.add_argument("--k", type=int, default=1)
@@ -443,13 +388,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", help="a:b scan window")
     p.add_argument("--depth", type=int)
     p.add_argument("--leaf-samples", type=int, default=16, dest="leaf_samples")
+    _add_series_limits(p, DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="threads for the --blowup rows (default %(default)s)")
+    _add_out(p)
 
-    p = sub.add_parser("compare", help="matched 1/2-vs-alpha orbit audits",
-                       parents=[common])
+    p = sub.add_parser("compare", help="matched 1/2-vs-alpha orbit audits")
     p.add_argument("--alpha", required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--dump", help="write per-step JSONL traces here")
+    _add_seed(p)
+    _add_out(p)
 
     return parser
 
@@ -470,8 +420,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = build_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        if getattr(args, "precision", 64) < 64:
+            raise OutOfDomain("--precision must be >= 64")
+        if getattr(args, "terms", 1) < 1:
+            raise OutOfDomain("--terms must be >= 1")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,9 +18,7 @@ from .errors import OutOfDomain, OutOfRange
 from .numkit import (
     GOLDEN,
     GT,
-    LT,
     ExactNumber,
-    Surd,
     compare,
     format_exact,
     is_zero,

@@ -109,15 +109,17 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
-def _orbit_terms(vals: Iterable, ks: Sequence[int]) -> Iterator[tuple]:
+def _orbit_terms(vals: Iterable, ks: Sequence[int],
+                 logs: Sequence | None = None) -> Iterator[tuple]:
     """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over ks.
 
     Lazy, so a caller that stops early takes no further logs; runs under the
-    caller's mp precision.
+    caller's mp precision.  A caller that already holds log(1/x_n) for each
+    point passes them as `logs`.
     """
     beta = mp.mpf(1)
-    for v in vals:
-        lg = mp.log(1 / v)
+    for n, v in enumerate(vals):
+        lg = mp.log(1 / v) if logs is None else logs[n]
         yield tuple((beta ** k) * lg for k in ks)
         beta *= v
 
@@ -304,7 +306,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
 
     residual = S_N(x) + log x -/+ x^k S_{N-1}(A_alpha x); algebraically zero,
     so the returned value measures only arithmetic rounding.  Both partial
-    sums are evaluated over one shared orbit.
+    sums are evaluated over one shared orbit, with one log per point.
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -321,12 +323,13 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise DivergesAtRational("orbit too short for the requested N")
     with mp.workprec(prec + 16):
         vals = e.orbit_mpf(N - 1, prec + 16)
+        logs = [mp.log(1 / v) for v in vals]
         signed = mode == "wilton"
         s_n = mp.mpf(0)
-        for n, (term,) in enumerate(_orbit_terms(vals[:N], (k,))):
+        for n, (term,) in enumerate(_orbit_terms(vals, (k,), logs)):
             s_n += -term if (signed and n % 2) else term
         s_shift = mp.mpf(0)
-        for m, (term,) in enumerate(_orbit_terms(vals[1:N], (k,))):
+        for m, (term,) in enumerate(_orbit_terms(vals[1:], (k,), logs[1:])):
             s_shift += -term if (signed and m % 2) else term
         x0 = vals[0]
         if mode == "brjuno":

@@ -2,7 +2,7 @@
 
 Each suite returns a CriterionResult with pass/fail, timing against its
 budget, and a details dict of every computed constant tagged with where the
-number comes from.  Suites are deterministic in (seed, config); the CLI and
+number comes from.  Suites are deterministic in (seed, fast); the CLI and
 the acceptance test module both run exactly this code.
 """
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +68,18 @@ def test_scan_nonfinite_policy_matches_quadrature():
     # 8 leaves x 32 nodes: one inf is 0.39% of the weight, two are 0.78%
     with pytest.raises(QuadratureFailure):
         bmo_seminorm_scan(_ident_with(np.inf, 2), UNIT, 3, 32)
-    assert bmo_seminorm_scan(_ident_with(np.inf, 1), UNIT, 3, 32) == \
+    filled = bmo_seminorm_scan(_ident_with(np.inf, 1), UNIT, 3, 32)
+    assert replace(filled, nonfinite=0) == \
         bmo_seminorm_scan(_ident_with(0.0, 1), UNIT, 3, 32)
+
+
+def test_zero_filled_samples_are_counted():
+    # one inf node of 256 in the scan; one per pass in the quadratures
+    assert bmo_seminorm_scan(_ident_with(np.inf, 1), UNIT, 3, 32).nonfinite == 1
+    assert bmo_seminorm_scan(_ident_with(0.0, 1), UNIT, 3, 32).nonfinite == 0
+    for quad in (interval_mean, mean_oscillation):
+        assert quad(_ident_with(np.inf, 1), UNIT, 2048).nonfinite == 2
+        assert quad(_ident_with(0.0, 1), UNIT, 2048).nonfinite == 0
 
 
 def test_degenerate_interval():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from alphacf import cli
+from alphacf.fastgrid import DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, wilton_grid
 
 
 def run(argv, capsys):
@@ -190,21 +191,76 @@ def test_compare_dump_traces(tmp_path, capsys):
     assert {"j", "event", "q_half", "q_alpha"} <= set(rec)
 
 
-def test_precision_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    conf = tmp_path / "alphacf.conf"
-    conf.write_text("precision_bits = 128\nseed = 11\n")
-    # config file applies
-    args = ["verify", "--suite", "ladders", "--config", str(conf)]
-    parser = cli.build_parser()
-    cfg = cli.build_config(parser.parse_args(args))
-    assert cfg.precision_bits == 128 and cfg.seed == 11
-    # env overrides file
-    monkeypatch.setenv(cli.PRECISION_ENV, "192")
-    cfg = cli.build_config(parser.parse_args(args))
-    assert cfg.precision_bits == 192
-    # flag overrides env
-    cfg = cli.build_config(parser.parse_args(args + ["--precision", "320"]))
-    assert cfg.precision_bits == 320
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "ladders", "--precision", "128"],
+    ["verify", "--suite", "ladders", "--out", "r.json"],
+    ["compare", "--alpha", "3/5", "--samples", "3", "--tol", "1e-3"],
+    ["scan", "--alpha", "1", "--blowup", "16", "--precision", "64"],
+    ["expand", "--x", "2/5", "--alpha", "1", "--seed", "3"],
+    ["eval", "--fn", "wilton-finite", "--x", "2/5", "--jobs", "2"],
+    ["--seed", "3", "verify", "--suite", "ladders"],
+])
+def test_option_the_command_does_not_read_exit2(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--x", "2/5", "--alpha", "1", "--precision", "63"],
+    ["eval", "--fn", "wilton-finite", "--x", "2/5", "--precision", "63"],
+    ["eval", "--fn", "wilton-finite", "--x", "2/5", "--terms", "0"],
+    ["scan", "--alpha", "1", "--blowup", "16", "--terms", "0"],
+])
+def test_out_of_range_setting_exit3(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 3
+    assert "OutOfDomain" in err
+
+
+def _blowup_row(argv, capsys):
+    code, out, _ = run(["scan", "--alpha", "1", "--blowup", "16",
+                        "--points", "3000"] + argv, capsys)
+    assert code == 0
+    header, row = out.strip().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_scan_blowup_rows_carry_the_grid_settings(capsys):
+    row = _blowup_row(["--terms", "5", "--tol", "1e-6"], capsys)
+    assert (row["terms"], row["tol"]) == ("5", "1e-06")
+    assert "precision_bits" not in row
+    default = _blowup_row([], capsys)
+    assert (default["terms"], default["tol"]) == (
+        str(DEFAULT_GRID_TERMS), repr(DEFAULT_GRID_TOL))
+    assert row["mean_plus"] != default["mean_plus"]  # the grid read them
+
+
+def test_scan_interval_json_reports_the_grid_settings(capsys, monkeypatch):
+    seen = []
+
+    def spy(xs, **kw):
+        seen.append((kw["terms"], kw["tol"]))
+        return wilton_grid(xs, **kw)
+
+    monkeypatch.setattr(cli, "wilton_grid", spy)
+    code, out, _ = run(["scan", "--alpha", "1", "--interval", "0:1",
+                        "--depth", "3", "--leaf-samples", "8"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert seen == [(obj["terms"], float(obj["tol"]))]
+    assert seen == [(DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL)]
+    assert "precision_bits" not in obj
+    assert obj["nonfinite"] == 0
+
+
+def test_verify_report_config_holds_what_verify_reads(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "ladders", "--seed", "7",
+                     "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert json.loads(report.read_text())["config"] == {
+        "seed": 7, "fast": False, "suites": ["ladders"]}
 
 
 def test_format_flag_removed(capsys):

@@ -1,0 +1,33 @@
+"""Source hygiene checks over the package modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import alphacf
+
+MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")  # __init__ re-exports
+
+
+def _unread_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_imports(path):
+    assert _unread_imports(path.read_text(encoding="utf-8")) == []
+
