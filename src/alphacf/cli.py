@@ -24,7 +24,7 @@ from .fastgrid import (DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, brjuno_grid,
                        wilton_grid)
 from .numkit import BallFloat, compare, format_exact, parse_exact
 from .sampling import random_rational
-from .verify_suites import SUITE_ORDER, SUITES, run_suites
+from .verify_suites import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -168,11 +168,9 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     x = _parse_value(args.x, "--x", args.precision)
     v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args)
-    print(f"value {v}")
-    print(f"n_terms {n}")
-    print(f"tail {tail}")
-    print(f"rigorous {str(rig).lower()}")
-    print(f"exhausted {str(exh).lower()}")
+    _emit(f"value {v}\nn_terms {n}\ntail {tail}\n"
+          f"rigorous {str(rig).lower()}\nexhausted {str(exh).lower()}\n",
+          args.out)
     return EXIT_OK
 
 
@@ -183,7 +181,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     names = args.suite or ["all"]
     if names == ["all"]:
-        chosen = SUITE_ORDER
+        chosen = list(SUITES)
     else:
         unknown = [n for n in names if n not in SUITES]
         if unknown:
@@ -366,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--N", type=int, default=40)
     p.add_argument("--alternating", action="store_true")
-    p.add_argument("--grid", help="a:b:n sweep emitted as CSV")
+    p.add_argument("--grid", help="a:b:n sweep emitted as CSV; write a "
+                                  "negative start as --grid=-1:1:8")
     _add_precision(p)
     _add_series_limits(p, 256, 1e-40)
     _add_out(p)
@@ -385,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--blowup", help="comma-separated n list")
     p.add_argument("--points", type=int, default=100_000)
-    p.add_argument("--interval", help="a:b scan window")
+    p.add_argument("--interval", help="a:b scan window; write a negative "
+                                      "start as --interval=-1/8:1/8")
     p.add_argument("--depth", type=int)
     p.add_argument("--leaf-samples", type=int, default=16, dest="leaf_samples")
     _add_series_limits(p, DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL)

@@ -12,30 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass
-class SigmaTable:
-    """Sieved table of sigma_e(n) for n = 1..N (exact integers)."""
-
-    N: int
-    e: int
-    table: list
-
-    @classmethod
-    def build(cls, N: int, e: int) -> "SigmaTable":
-        """O(N log N) additions: every d contributes d^e to its multiples."""
-        table = [0] * (N + 1)
-        for d in range(1, N + 1):
-            de = d ** e
-            for m in range(d, N + 1, d):
-                table[m] += de
-        return cls(N=N, e=e, table=table)
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.N:
-            raise IndexError(f"sigma table covers 1..{self.N}")
-        return self.table[n]
-
-
 def _factorize(n: int):
     out = []
     m = n
@@ -98,8 +74,7 @@ def _sin_2pi(t: Fraction) -> float:
     return sign * math.sin(math.pi * float(u))
 
 
-def fourier_Fk_partial(x, k: int = 2, N: int = 1000,
-                       sigma_table: SigmaTable | None = None) -> FkPartial:
+def fourier_Fk_partial(x, k: int = 2, N: int = 1000) -> FkPartial:
     """Partial sum to n = N of sigma_{k-1}(n) n^{-(k+1)} sin(2 pi n x).
 
     Rational x goes through exact phase reduction, so the lattice zeros
@@ -114,11 +89,7 @@ def fourier_Fk_partial(x, k: int = 2, N: int = 1000,
     xf = None if exact else float(x)
     total = 0.0
     for n in range(1, N + 1):
-        if sigma_table is not None and n <= sigma_table.N:
-            sig = sigma_table[n]
-        else:
-            sig = divisor_sigma(n, k - 1)
-        coeff = sig / n ** (k + 1)
+        coeff = divisor_sigma(n, k - 1) / n ** (k + 1)
         if exact:
             s = _sin_2pi(Fraction(x) * n)
         else:

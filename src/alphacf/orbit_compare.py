@@ -1,11 +1,12 @@
 """Matched nearest-integer vs alpha expansions and their ladder identities.
 
-Runs the 1/2- and alpha-expansions of one starting point side by side,
-labels every index by whether the two orbit states coincide, are exact
-mirror images (x' = 1 - x), or sit inside a Moebius bridge between those
-events, and classifies the convergent-denominator differences.  Valid for
-alpha up to the golden constant g; beyond g the map grows an extra branch
-and the matching breaks down.
+Reads the 1/2- and alpha-expansions of one starting point, with their
+signed convergents, from ``cf_core.expand`` and ``convergents``.  Labels
+every index by whether the two orbit states coincide, are exact mirror
+images (x' = 1 - x), or sit inside a Moebius bridge between those events,
+and classifies the convergent-denominator differences.  Valid for alpha up
+to the golden constant g; beyond g the map grows an extra branch and the
+matching breaks down.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .cf_core import Alpha, alpha_step
+from .cf_core import Alpha, convergents, expand
 from .errors import OutOfDomain, OutOfRange
 from .numkit import (
     GOLDEN,
@@ -21,7 +22,6 @@ from .numkit import (
     ExactNumber,
     compare,
     format_exact,
-    is_zero,
     sign_of,
 )
 
@@ -86,29 +86,21 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
         raise OutOfRange("matched orbits need alpha <= (sqrt(5)-1)/2")
     if sign_of(x) < 0 or compare(x, _HALF) == GT:
         raise OutOfDomain("matched orbits start from x in [0, 1/2]")
-    half = Alpha.half()
+    eh = expand(x, Alpha.half(), N)
+    ea = expand(x, alpha, N)
+    n = min(N if e.period is not None else len(e.digits) for e in (eh, ea))
+    ch, ca = convergents(eh, n), convergents(ea, n)
     trace = MatchedTrace(x=x, alpha=alpha)
-    xh = xa = x
-    qh_prev, qh = 0, 1
-    qa_prev, qa = 0, 1
-    eps_h_prev = eps_a_prev = 1
     prev_event = "coincide"
-    for j in range(1, N + 1):
-        if is_zero(xh) or is_zero(xa):
-            break
-        ah, eh, xh_next = alpha_step(xh, half)
-        aa, ea, xa_next = alpha_step(xa, alpha)
-        qh_prev, qh = qh, ah * qh + eps_h_prev * qh_prev
-        qa_prev, qa = qa, aa * qa + eps_a_prev * qa_prev
-        eps_h_prev, eps_a_prev = eh, ea
-        xh, xa = xh_next, xa_next
+    for j in range(1, n + 1):
+        xh, xa = eh.orbit_at(j), ea.orbit_at(j)
         event = _classify_state(xh, xa)
         if event != "coincide" and prev_event == "coincide":
             trace.divergence_indices.append(j)
-        trace.steps.append(TraceStep(j=j, digit_half=(ah, eh),
-                                     digit_alpha=(aa, ea), x_half=xh,
-                                     x_alpha=xa, q_half=qh, q_alpha=qa,
-                                     event=event))
+        trace.steps.append(TraceStep(j=j, digit_half=eh.digit_at(j),
+                                     digit_alpha=ea.digit_at(j), x_half=xh,
+                                     x_alpha=xa, q_half=ch.q_of(j),
+                                     q_alpha=ca.q_of(j), event=event))
         prev_event = event
     return trace
 

@@ -9,9 +9,10 @@ sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
 Every mp-precision sum here runs through one kernel: ``_orbit_terms`` yields
-the unsigned terms beta_{n-1}^k * log(1/x_n) of an orbit, one log per point
-for all requested k, and ``_gauss_orbit`` supplies the terminating orbit of a
-rational for the finite truncations.  Callers apply the Wilton sign.
+the terms beta_{n-1}^k * log(1/x_n) of an orbit, one log per point for all
+requested modes, and applies the Wilton sign (-1)^n itself to the signed
+ones; ``_orbit_sums`` adds them up left to right.  ``_gauss_orbit`` supplies
+the terminating orbit of a rational for the finite truncations.
 """
 
 from __future__ import annotations
@@ -109,19 +110,33 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
-def _orbit_terms(vals: Iterable, ks: Sequence[int],
+def _orbit_terms(vals: Iterable, modes: Sequence[tuple[int, bool]],
                  logs: Sequence | None = None) -> Iterator[tuple]:
-    """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over ks.
+    """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over modes.
 
-    Lazy, so a caller that stops early takes no further logs; runs under the
-    caller's mp precision.  A caller that already holds log(1/x_n) for each
-    point passes them as `logs`.
+    Each mode is a pair (k, signed); a signed (Wilton) term is negated at odd
+    n.  Lazy, so a caller that stops early takes no further logs; runs under
+    the caller's mp precision.  A caller that already holds log(1/x_n) for
+    each point passes them as `logs`.
     """
     beta = mp.mpf(1)
     for n, v in enumerate(vals):
         lg = mp.log(1 / v) if logs is None else logs[n]
-        yield tuple((beta ** k) * lg for k in ks)
+        terms = []
+        for k, signed in modes:
+            t = (beta ** k) * lg
+            terms.append(-t if signed and n % 2 else t)
+        yield tuple(terms)
         beta *= v
+
+
+def _orbit_sums(vals: Iterable, modes: Sequence[tuple[int, bool]],
+                logs: Sequence | None = None) -> list:
+    """Left-to-right totals of the ``_orbit_terms`` terms, one per mode."""
+    totals = [mp.mpf(0)] * len(modes)
+    for terms in _orbit_terms(vals, modes, logs):
+        totals = [total + t for total, t in zip(totals, terms)]
+    return totals
 
 
 def _gauss_orbit(fr: Fraction) -> Iterator:
@@ -142,9 +157,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
             vals = e.orbit_mpf(n_explicit - 1, prec + 32)
             total = mp.mpf(0)
             block = mp.mpf(0)
-            for n, (term,) in enumerate(_orbit_terms(vals, (k,))):
-                if signed and n % 2:
-                    term = -term
+            for n, (term,) in enumerate(_orbit_terms(vals, ((k, signed),))):
                 total += term
                 if n >= pre:
                     block += term
@@ -174,9 +187,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
         prev_abs = mp.inf
         monotone = True
         exhausted = False
-        for n, (term,) in enumerate(_orbit_terms(vals, (k,))):
-            if signed and n % 2:
-                term = -term
+        for n, (term,) in enumerate(_orbit_terms(vals, ((k, signed),))):
             total += term
             used = n + 1
             last = term
@@ -226,9 +237,7 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     with mp.workprec(prec + 16):
-        total = mp.mpf(0)
-        for n, (term,) in enumerate(_orbit_terms(_gauss_orbit(fr), (k,))):
-            total += -term if (signed and n % 2) else term
+        total, = _orbit_sums(_gauss_orbit(fr), ((k, signed),))
         with mp.workprec(prec):
             return +total
 
@@ -324,13 +333,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     with mp.workprec(prec + 16):
         vals = e.orbit_mpf(N - 1, prec + 16)
         logs = [mp.log(1 / v) for v in vals]
-        signed = mode == "wilton"
-        s_n = mp.mpf(0)
-        for n, (term,) in enumerate(_orbit_terms(vals, (k,), logs)):
-            s_n += -term if (signed and n % 2) else term
-        s_shift = mp.mpf(0)
-        for m, (term,) in enumerate(_orbit_terms(vals[1:], (k,), logs[1:])):
-            s_shift += -term if (signed and m % 2) else term
+        modes = ((k, mode == "wilton"),)
+        s_n, = _orbit_sums(vals, modes, logs)
+        s_shift, = _orbit_sums(vals[1:], modes, logs[1:])
         x0 = vals[0]
         if mode == "brjuno":
             res = s_n + mp.log(x0) - (x0 ** k) * s_shift
@@ -378,54 +383,35 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     # the lhs resolves only down to ~2^-prec while the bound falls like
     # 1/q_r: work 64 bits below 1/q_depth so rounding never reads as failure
     prec = max(prec, c.q_of(depth).bit_length() + 64)
-    modes = [("brjuno", k) for k in ks] + ([("wilton", 1)] if include_wilton else [])
+    modes = [(k, False) for k in ks] + ([(1, True)] if include_wilton else [])
     reports = []
     with mp.workprec(prec + 16):
         vals = e.orbit_mpf(depth, prec + 16)
         cp = c_prime(prec)
-        ks_all = [k for _, k in modes]
-        signed = [mode == "wilton" for mode, _ in modes]
         # running partial sums of the orbit series, one per mode
         partial = [mp.mpf(0)] * len(modes)
-        for j, terms in enumerate(_orbit_terms(vals[:depth], ks_all)):
+        for j, terms in enumerate(_orbit_terms(vals[:depth], modes)):
             r = j + 1
-            for i, t in enumerate(terms):
-                partial[i] += -t if (signed[i] and j % 2) else t
+            partial = [p + t for p, t in zip(partial, terms)]
             # finite values at p_r/q_r over one shared Gauss orbit
             q_r = c.q_of(r)
-            fin = [mp.mpf(0)] * len(modes)
-            gauss = _gauss_orbit(Fraction(c.p_of(r), q_r))
-            for n, fterms in enumerate(_orbit_terms(gauss, ks_all)):
-                for i, t in enumerate(fterms):
-                    fin[i] += -t if (signed[i] and n % 2) else t
+            fin = _orbit_sums(_gauss_orbit(Fraction(c.p_of(r), q_r)), modes)
             x_r = vals[r] if len(vals) > r else mp.mpf(0)
-            for (mode, k), f, p in zip(modes, fin, partial):
+            for (k, signed), f, p in zip(modes, fin, partial):
                 lhs = abs(f - p)
                 bound = 2 * k * cp * x_r / q_r
                 reports.append(TruncationReport(
-                    x=format_exact(x), r=r, k=k, mode=mode,
+                    x=format_exact(x), r=r, k=k,
+                    mode="wilton" if signed else "brjuno",
                     lhs=float(lhs), bound=float(bound),
                     passed=bool(lhs <= bound)))
     return reports
 
 
 @dataclass
-class GapRow:
-    """Per-sample summary of a series-vs-proxy gap audit."""
-
-    x: str
-    depth: int
-    gap_same_alpha: float
-    gap_cross_alpha: float
-    remark_logq_sum: float
-    remark_inv_sum: float
-
-
-@dataclass
 class GapAuditResult:
     sup_gap: float
     sup_gap_cross: float
-    rows: list
     alpha: str
     k: int
     N: int
@@ -437,11 +423,9 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     """Sup over samples and depths <= N of |partial series - proxy sum|.
 
     Reports both the same-alpha gap and the cross-alpha variant against the
-    regular-CF proxy, plus the observational sums behind the reported
-    constants c1, c2 (never asserted, only recorded).
+    regular-CF proxy.
     """
     signed = mode == "wilton"
-    rows = []
     sup_gap = 0.0
     sup_cross = 0.0
     one = Alpha.one()
@@ -475,20 +459,12 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         c1 = convergents(e1, depth1)
         proxy1 = 0.0
         gap_cross = 0.0
-        logq_sum = 0.0
-        inv_sum = 0.0
         for j, pterm in enumerate(_proxy_terms(c1, k, signed)):
             proxy1 += pterm
             gap_cross = max(gap_cross, abs(series_partials[j] - proxy1))
-            qj = c1.q_of(j)
-            logq_sum += math.log(qj) / qj
-            inv_sum += math.log(2) / qj
-        rows.append(GapRow(x=format_exact(x), depth=depth, gap_same_alpha=gap,
-                           gap_cross_alpha=gap_cross, remark_logq_sum=logq_sum,
-                           remark_inv_sum=inv_sum))
         sup_gap = max(sup_gap, gap)
         sup_cross = max(sup_cross, gap_cross)
-    return GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross, rows=rows,
+    return GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross,
                           alpha=str(alpha), k=k, N=N, mode=mode)
 
 

@@ -27,19 +27,6 @@ from .sampling import (
     random_surd,
 )
 
-SUITE_ORDER = [
-    "fixed-point",
-    "functional-eq",
-    "lemma-trunc",
-    "gap-audit",
-    "wilton-blowup",
-    "orbit-compare",
-    "ladders",
-    "concat-oscil",
-    "bmo-contrast",
-    "modular",
-]
-
 
 @dataclass
 class CriterionResult:
@@ -378,5 +365,5 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0, fast: bool = False) -> list:
-    chosen = SUITE_ORDER if not names else list(names)
+    chosen = list(names or SUITES)
     return [SUITES[name](seed=seed, fast=fast) for name in chosen]

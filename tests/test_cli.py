@@ -48,6 +48,17 @@ def test_eval_wilton_finite(capsys):
     assert value == pytest.approx(0.639031859650177, abs=1e-12)
 
 
+def test_eval_out_writes_the_file(tmp_path, capsys):
+    argv = ["eval", "--fn", "wilton-finite", "--x", "2/5"]
+    _, printed, _ = run(argv, capsys)
+    out_file = tmp_path / "e.txt"
+    code, out, _ = run(argv + ["--out", str(out_file)], capsys)
+    assert code == 0
+    assert out == ""
+    assert out_file.read_text() == printed
+    assert len(printed.splitlines()) == 5
+
+
 def test_eval_rational_series_exit3(capsys):
     code, _, err = run(["eval", "--fn", "brjuno", "--x", "2/5", "--alpha", "1"],
                        capsys)
@@ -268,6 +279,17 @@ def test_format_flag_removed(capsys):
                         "--format", "json"], capsys)
     assert code == 2
     assert "--format" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--alpha", "1", "--interval=-1/8:1/8", "--depth", "3",
+     "--leaf-samples", "8"],
+    ["eval", "--fn", "wilton", "--grid=-1:1:8"],
+])
+def test_window_below_zero_with_equals_sign(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out
 
 
 def test_usage_error_on_bad_grid(capsys):

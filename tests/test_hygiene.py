@@ -31,3 +31,16 @@ def _unread_imports(source: str) -> list:
 def test_no_unread_imports(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
 
+
+def _calls(source: str, name: str) -> bool:
+    return any(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_only_cf_core_steps_the_map():
+    # every orbit outside cf_core is read from expand, not stepped by hand
+    callers = [p.name for p in MODULES
+               if _calls(p.read_text(encoding="utf-8"), "alpha_step")]
+    assert callers == ["cf_core.py"]

@@ -4,11 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alphacf.modular_series import (
-    SigmaTable,
-    divisor_sigma,
-    fourier_Fk_partial,
-)
+from alphacf.modular_series import divisor_sigma, fourier_Fk_partial
 
 
 def test_divisor_sigma_examples():
@@ -18,12 +14,15 @@ def test_divisor_sigma_examples():
     assert divisor_sigma(12, 0) == 6
 
 
-def test_sigma_table_matches_single_queries():
-    t = SigmaTable.build(500, 2)
+def _sigma_brute(n, e):
+    return sum(d ** e for d in range(1, n + 1) if n % d == 0)
+
+
+def test_divisor_sigma_matches_brute_force():
     for n in (1, 2, 17, 360, 499):
-        assert t[n] == divisor_sigma(n, 2)
-    with pytest.raises(IndexError):
-        t[501]
+        assert divisor_sigma(n, 2) == _sigma_brute(n, 2)
+    for n in range(1, 101):  # every coefficient of F_2 up to N = 100
+        assert divisor_sigma(n, 1) == _sigma_brute(n, 1)
 
 
 def test_sigma_multiplicative_on_coprime_pairs():
@@ -68,9 +67,3 @@ def test_fourier_partial_sums_cauchy():
         assert abs(s2.value - s1.value) <= s1.tail_bound
     assert s1.tail_bound == pytest.approx(4 / math.sqrt(200))
 
-
-def test_fourier_with_table_matches():
-    t = SigmaTable.build(100, 1)
-    a = fourier_Fk_partial(Fraction(1, 7), 2, 100, sigma_table=t)
-    b = fourier_Fk_partial(Fraction(1, 7), 2, 100)
-    assert a.value == b.value

@@ -7,11 +7,14 @@ from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, alpha_step
 from alphacf.errors import OutOfDomain, OutOfRange
 from alphacf.orbit_compare import (
+    MatchedTrace,
+    TraceStep,
+    _classify_state,
     ladder,
     matched_orbits,
     q_difference_classify,
 )
-from alphacf.sampling import random_rational
+from alphacf.sampling import random_rational, random_surd
 
 G = nk.GOLDEN
 ONE_MINUS_G = 1 - G
@@ -151,3 +154,48 @@ def test_trace_jsonl_roundtrippable():
     rec = json.loads(lines[0])
     assert rec["event"] == "reflected"
     assert rec["x_half"] == "17/39"
+
+
+def _matched_orbits_stepwise(x, alpha, N):
+    """Reference: both expansions and their q recurrences stepped by hand."""
+    half = Alpha.half()
+    trace = MatchedTrace(x=x, alpha=alpha)
+    xh = xa = x
+    qh_prev, qh = 0, 1
+    qa_prev, qa = 0, 1
+    eps_h_prev = eps_a_prev = 1
+    prev_event = "coincide"
+    for j in range(1, N + 1):
+        if nk.is_zero(xh) or nk.is_zero(xa):
+            break
+        ah, eh, xh = alpha_step(xh, half)
+        aa, ea, xa = alpha_step(xa, alpha)
+        qh_prev, qh = qh, ah * qh + eps_h_prev * qh_prev
+        qa_prev, qa = qa, aa * qa + eps_a_prev * qa_prev
+        eps_h_prev, eps_a_prev = eh, ea
+        event = _classify_state(xh, xa)
+        if event != "coincide" and prev_event == "coincide":
+            trace.divergence_indices.append(j)
+        trace.steps.append(TraceStep(j=j, digit_half=(ah, eh),
+                                     digit_alpha=(aa, ea), x_half=xh,
+                                     x_alpha=xa, q_half=qh, q_alpha=qa,
+                                     event=event))
+        prev_event = event
+    return trace
+
+
+def test_matched_orbits_match_stepwise_reference():
+    rng = random.Random(20261018)
+    xs = [random_rational(rng, max_den=2 ** 64, half=True) for _ in range(12)]
+    xs += [random_surd(rng, half=True) for _ in range(8)]
+    alphas = [Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)),
+              Alpha(Fraction(3, 5)), Alpha.golden()]
+    for x in xs:
+        for alpha in alphas:
+            if isinstance(x, nk.Surd) and alpha == Alpha.golden():
+                continue  # surds of another radicand do not compare with g
+            for N in (0, 1, 7, 40):
+                want = _matched_orbits_stepwise(x, alpha, N)
+                got = matched_orbits(x, alpha, N)
+                assert got.dump_jsonl() == want.dump_jsonl()
+                assert got.divergence_indices == want.divergence_indices

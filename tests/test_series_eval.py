@@ -392,6 +392,20 @@ def test_kernel_values_frozen():
     assert repr(lhs[(10, 1, "wilton")]) == "0.019277399097552196"
 
 
+def test_kernel_modes_match_single_mode_calls():
+    # one call over several modes yields each mode's own terms bit for bit
+    modes = [(1, False), (2, False), (1, True)]
+    with mp.workprec(160):
+        vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64)))
+        joint = list(se._orbit_terms(vals, modes))
+        singles = [[t for (t,) in se._orbit_terms(vals, [m])] for m in modes]
+        brjuno1, _, wilton1 = singles
+        negated = [-t if n % 2 else t for n, t in enumerate(brjuno1)]
+    assert len(vals) > 10
+    assert [list(col) for col in zip(*joint)] == singles
+    assert wilton1 == negated
+
+
 def test_truncation_bound_check_is_its_audit_entry():
     # at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single check used
     # to differ from the audit in the bits below its working precision
