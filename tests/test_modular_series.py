@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alphacf.modular_series import divisor_sigma, fourier_Fk_partial
+from alphacf.modular_series import _sin_2pi, divisor_sigma, fourier_Fk_partial
 
 
 def test_divisor_sigma_examples():
@@ -21,8 +21,15 @@ def _sigma_brute(n, e):
 def test_divisor_sigma_matches_brute_force():
     for n in (1, 2, 17, 360, 499):
         assert divisor_sigma(n, 2) == _sigma_brute(n, 2)
-    for n in range(1, 101):  # every coefficient of F_2 up to N = 100
-        assert divisor_sigma(n, 1) == _sigma_brute(n, 1)
+
+
+def test_fourier_matches_brute_force_sigma():
+    x, k, N = Fraction(1, 7), 2, 100
+    total = 0.0
+    for n in range(1, N + 1):
+        coeff = _sigma_brute(n, k - 1) / n ** (k + 1)
+        total += coeff * _sin_2pi(x * n)
+    assert fourier_Fk_partial(x, k, N).value == total
 
 
 def test_sigma_multiplicative_on_coprime_pairs():
