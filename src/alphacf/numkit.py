@@ -10,11 +10,15 @@ package:
                             tuples, rounded outward) plus its own precision.
 
 Every value is immutable and every operation is pure, so values can be
-shared freely between concurrent workers.  Ball arithmetic and decisions
-pass each ball's precision to ``mpmath.libmp`` explicitly and never touch
-mpmath's global precision, so they give the same bits in threads as
-serially.  Mixed arithmetic between the families works through the usual
-operator protocol; surds with different radicands are rejected rather than
+shared freely between concurrent workers.  Ball arithmetic and decisions,
+and every conversion to an mpf (``to_mpf``, ``Surd.mpf``, a ball's
+``value``, ``radius`` and ``mpf()`` views), pass their precision to
+``mpmath.libmp`` explicitly and never read or set mpmath's global
+precision, so they give the same bits in threads as serially.  A
+conversion rounds to nearest with the raw calls mpmath's mpf operators
+make, so it gives the bits mp-context arithmetic gives at that precision.
+Mixed arithmetic between the families works through the usual operator
+protocol; surds with different radicands are rejected rather than
 approximated.
 """
 
@@ -37,9 +41,18 @@ from mpmath.libmp import (
     from_int,
     from_str,
     fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
     mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
     mpf_pos,
+    mpf_shift,
     mpf_sign,
+    mpf_sqrt,
+    mpf_sub,
     mpi_abs,
     mpi_add,
     mpi_div,
@@ -65,6 +78,8 @@ DEFAULT_PRECISION = 256
 
 # Verdicts for compare().
 LT, EQ, GT = -1, 0, 1
+
+_RND = round_nearest  # every mpf conversion rounds to nearest
 
 Rational = Fraction
 
@@ -312,10 +327,11 @@ class Surd:
         """Value as an mpf; guard digits cover coefficient size and cancellation."""
         guard = max(self.a.bit_length(), self.b.bit_length(),
                     self.c.bit_length(), 16) + 32
-        with mp.workprec(prec + guard):
-            r = (self.a + self.b * mp.sqrt(self.d)) / self.c
-        with mp.workprec(prec):
-            return +r
+        wp = prec + guard
+        r = mpf_add(mpf_mul_int(_int_sqrt(self.d, wp), self.b, wp, _RND),
+                    from_int(self.a), wp, _RND)
+        r = mpf_div(r, from_int(self.c), wp, _RND)
+        return mp.make_mpf(mpf_pos(r, prec, _RND))
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, {self.c}, {self.d})"
@@ -346,7 +362,7 @@ class BallFloat:
             # decimal text is parsed AT the requested precision: the value is
             # the nearest representable float, radius 0; radii then track
             # arithmetic error only (exact inputs go through Fraction/Surd).
-            value = mp.make_mpf(from_str(value, prec, round_nearest))
+            value = mp.make_mpf(from_str(value, prec, _RND))
         x = _interval_of(value, prec)
         if x is NotImplemented:
             raise TypeError(f"cannot make a BallFloat from {type(value).__name__}")
@@ -365,24 +381,37 @@ class BallFloat:
 
     @property
     def lower(self):
-        return mp.make_mpf(mpf_pos(self._x[0], self.prec + 4, round_nearest))
+        return mp.make_mpf(self._end(0))
 
     @property
     def upper(self):
-        return mp.make_mpf(mpf_pos(self._x[1], self.prec + 4, round_nearest))
+        return mp.make_mpf(self._end(1))
+
+    def _end(self, i: int):
+        return mpf_pos(self._x[i], self.prec + 4, _RND)
+
+    def _mid(self, prec: int):
+        """(lower + upper)/2 rounded to nearest at prec, as a raw mpf."""
+        s = mpf_add(self._end(0), self._end(1), prec, _RND)
+        return mpf_div(s, from_int(2), prec, _RND)
+
+    def _radius(self):
+        p = self.prec
+        lo = self._end(0)
+        r = mpf_div(mpf_sub(self._end(1), lo, p, _RND), from_int(2), p, _RND)
+        # one ulp of slack: the midpoint itself was rounded
+        scale = mpf_abs(lo, p, _RND)
+        if mpf_gt(fone, scale):
+            scale = fone
+        return mpf_add(r, mpf_mul(mpf_shift(fone, -p), scale, p, _RND), p, _RND)
 
     @property
     def value(self):
-        with mp.workprec(self.prec):
-            return (self.lower + self.upper) / 2
+        return mp.make_mpf(self._mid(self.prec))
 
     @property
     def radius(self):
-        with mp.workprec(self.prec):
-            lo, hi = self.lower, self.upper
-            r = (hi - lo) / 2
-            # one ulp of slack: the midpoint itself was rounded
-            return r + mp.ldexp(1, -self.prec) * max(abs(lo), mp.mpf(1))
+        return mp.make_mpf(self._radius())
 
     def is_exact_zero(self) -> bool:
         return self._x == _ZERO_IV
@@ -392,8 +421,7 @@ class BallFloat:
         return _ball(self._x, prec)
 
     def mpf(self, prec=None):
-        with mp.workprec(prec or self.prec):
-            return (self.lower + self.upper) / 2
+        return mp.make_mpf(self._mid(prec or self.prec))
 
     def __float__(self):
         return float(self.value)
@@ -465,9 +493,8 @@ class BallFloat:
         raise AmbiguousComparison("interval contains zero with nonzero radius")
 
     def __repr__(self):
-        with mp.workprec(self.prec):
-            return (f"BallFloat({mp.nstr(self.value, 20)}, "
-                    f"radius={mp.nstr(self.radius, 3)}, prec={self.prec})")
+        return (f"BallFloat({to_str(self._mid(self.prec), 20)}, "
+                f"radius={to_str(self._radius(), 3)}, prec={self.prec})")
 
 
 _ZERO_IV = (fzero, fzero)
@@ -504,6 +531,12 @@ def _mpf_floor_exact(t) -> int:
 
 def _int_interval(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+@lru_cache(maxsize=256)
+def _int_sqrt(d: int, prec: int):
+    """sqrt(d) rounded to nearest at prec; memoised, as radicands recur."""
+    return mpf_sqrt(from_int(d), prec, _RND)
 
 
 @lru_cache(maxsize=256)
@@ -631,13 +664,12 @@ def compare(v: ExactNumber, w: ExactNumber) -> int:
 def to_mpf(v: ExactNumber, prec: int = DEFAULT_PRECISION):
     """Numeric value of v as an mpf rounded at prec."""
     if isinstance(v, Fraction):
-        with mp.workprec(prec + 8):
-            r = mp.mpf(v.numerator) / mp.mpf(v.denominator)
-        with mp.workprec(prec):
-            return +r
+        wp = prec + 8
+        r = mpf_div(from_int(v.numerator, wp, _RND),
+                    from_int(v.denominator, wp, _RND), wp, _RND)
+        return mp.make_mpf(mpf_pos(r, prec, _RND))
     if isinstance(v, int):
-        with mp.workprec(prec):
-            return mp.mpf(v)
+        return mp.make_mpf(from_int(v, prec, _RND))
     if isinstance(v, Surd):
         return v.mpf(prec)
     if isinstance(v, BallFloat):
@@ -688,6 +720,5 @@ def format_exact(v: ExactNumber) -> str:
         sgn = "+" if v.b >= 0 else "-"
         return f"({v.a}{sgn}{abs(v.b)}*sqrt({v.d}))/{v.c}"
     if isinstance(v, BallFloat):
-        with mp.workprec(v.prec):
-            return mp.nstr(v.value, int(v.prec / 3.32) + 2)
+        return to_str(v._mid(v.prec), int(v.prec / 3.32) + 2)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")

@@ -13,6 +13,13 @@ the terms beta_{n-1}^k * log(1/x_n) of an orbit, one log per point for all
 requested modes, and applies the Wilton sign (-1)^n itself to the signed
 ones; ``_orbit_sums`` adds them up left to right.  ``_gauss_orbit`` supplies
 the terminating orbit of a rational for the finite truncations.
+
+All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
+explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
+operator makes for the same expression, so the bits equal mp-context
+arithmetic at that precision; results become ``mp.mpf`` only when returned.
+Nothing reads or sets mpmath's global precision, so series values are the
+same in threads as serially.
 """
 
 from __future__ import annotations
@@ -23,6 +30,30 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp
+from mpmath.libmp import (
+    finf,
+    fone,
+    from_float,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .cf_core import (
     Alpha,
@@ -53,12 +84,18 @@ DEFAULT_TERMS = 256
 DEFAULT_TOL = 1e-40
 
 _GOLDEN_F = (5 ** 0.5 - 1) / 2
+_RND = round_nearest
+
+
+def _c_prime(prec: int):
+    root = mpf_sqrt(from_int(5), prec, _RND)
+    return mpf_div(mpf_add(root, from_int(3), prec, _RND), from_int(2), prec,
+                   _RND)
 
 
 def c_prime(prec: int = DEFAULT_PRECISION):
     """C' = sum of g^j = 1/(1 - g) = (3 + sqrt(5))/2, the contraction constant."""
-    with mp.workprec(prec):
-        return (3 + mp.sqrt(5)) / 2
+    return mp.make_mpf(_c_prime(prec))
 
 
 @dataclass
@@ -110,103 +147,121 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
-def _orbit_terms(vals: Iterable, modes: Sequence[tuple[int, bool]],
+def _orbit_terms(vals: Iterable, modes: Sequence[tuple[int, bool]], prec: int,
                  logs: Sequence | None = None) -> Iterator[tuple]:
     """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over modes.
 
+    vals are raw mpf tuples, and every term is rounded to nearest at prec.
     Each mode is a pair (k, signed); a signed (Wilton) term is negated at odd
-    n.  Lazy, so a caller that stops early takes no further logs; runs under
-    the caller's mp precision.  A caller that already holds log(1/x_n) for
-    each point passes them as `logs`.
+    n.  Each distinct k is computed once per point, so modes that share a k
+    share its product.  Lazy, so a caller that stops early takes no further
+    logs.  A caller that already holds log(1/x_n) for each point passes them
+    as `logs`.
     """
-    beta = mp.mpf(1)
+    ks = sorted({k for k, _ in modes})
+    slots = [(ks.index(k), signed) for k, signed in modes]
+    beta = fone
     for n, v in enumerate(vals):
-        lg = mp.log(1 / v) if logs is None else logs[n]
-        terms = []
-        for k, signed in modes:
-            t = (beta ** k) * lg
-            terms.append(-t if signed and n % 2 else t)
-        yield tuple(terms)
-        beta *= v
+        if logs is None:
+            lg = mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
+        else:
+            lg = logs[n]
+        by_k = [mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
+                for k in ks]
+        odd = n % 2
+        yield tuple([mpf_neg(by_k[i], prec, _RND) if signed and odd else by_k[i]
+                     for i, signed in slots])
+        beta = mpf_mul(beta, v, prec, _RND)
 
 
-def _orbit_sums(vals: Iterable, modes: Sequence[tuple[int, bool]],
+def _orbit_sums(vals: Iterable, modes: Sequence[tuple[int, bool]], prec: int,
                 logs: Sequence | None = None) -> list:
     """Left-to-right totals of the ``_orbit_terms`` terms, one per mode."""
-    totals = [mp.mpf(0)] * len(modes)
-    for terms in _orbit_terms(vals, modes, logs):
-        totals = [total + t for total, t in zip(totals, terms)]
+    totals = [fzero] * len(modes)
+    for terms in _orbit_terms(vals, modes, prec, logs):
+        totals = [mpf_add(total, t, prec, _RND)
+                  for total, t in zip(totals, terms)]
     return totals
 
 
-def _gauss_orbit(fr: Fraction) -> Iterator:
-    """The terminating Gauss orbit of fr - floor(fr) as mpf values."""
+def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
+    """The terminating Gauss orbit of fr - floor(fr) as raw mpfs at prec."""
     num, den = fr.numerator % fr.denominator, fr.denominator
     while num:
-        yield mp.mpf(num) / mp.mpf(den)
+        yield mpf_div(from_int(num, prec, _RND), from_int(den, prec, _RND),
+                      prec, _RND)
         num, den = den % num, num
+
+
+def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
+    """Orbit values x_0..x_n of e as raw mpfs at prec."""
+    return [v._mpf_ for v in e.orbit_mpf(n, prec)]
 
 
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, closed_form: bool, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
-    with mp.workprec(prec + 32):
-        if closed_form and e.period is not None:
-            pre, length = e.period
-            n_explicit = pre + length
-            vals = e.orbit_mpf(n_explicit - 1, prec + 32)
-            total = mp.mpf(0)
-            block = mp.mpf(0)
-            for n, (term,) in enumerate(_orbit_terms(vals, ((k, signed),))):
-                total += term
-                if n >= pre:
-                    block += term
-            rho = mp.mpf(1)
-            for n in range(pre, n_explicit):
-                rho *= vals[n]
-            ratio = rho ** k
-            if signed and length % 2:
-                ratio = -ratio
-            total += block * ratio / (1 - ratio)
-            with mp.workprec(prec):
-                return SeriesValue(value=+total, n_terms=n_explicit,
-                                   tail_estimate=0.0, rigorous_tail=True,
-                                   mode=mode, exhausted=False)
+    wp = prec + 32
+    mode_k = ((k, signed),)
+    if closed_form and e.period is not None:
+        pre, length = e.period
+        n_explicit = pre + length
+        vals = _raw_orbit(e, n_explicit - 1, wp)
+        total = fzero
+        block = fzero
+        for n, (term,) in enumerate(_orbit_terms(vals, mode_k, wp)):
+            total = mpf_add(total, term, wp, _RND)
+            if n >= pre:
+                block = mpf_add(block, term, wp, _RND)
+        rho = fone
+        for n in range(pre, n_explicit):
+            rho = mpf_mul(rho, vals[n], wp, _RND)
+        ratio = mpf_pow_int(rho, k, wp, _RND)
+        if signed and length % 2:
+            ratio = mpf_neg(ratio, wp, _RND)
+        tail = mpf_div(mpf_mul(block, ratio, wp, _RND),
+                       mpf_sub(fone, ratio, wp, _RND), wp, _RND)
+        total = mpf_add(total, tail, wp, _RND)
+        return SeriesValue(value=mp.make_mpf(mpf_pos(total, prec, _RND)),
+                           n_terms=n_explicit, tail_estimate=0.0,
+                           rigorous_tail=True, mode=mode, exhausted=False)
 
-        if e.period is not None:
-            n_avail = terms
-        elif e.terminated:
-            n_avail = len(e.orbit) - 1
-        else:
-            n_avail = len(e.orbit)
-        n_max = min(terms, n_avail)
-        vals = e.orbit_mpf(n_max - 1, prec + 32)
-        total = mp.mpf(0)
-        used = 0
-        last = mp.mpf(0)
-        prev_abs = mp.inf
-        monotone = True
-        exhausted = False
-        for n, (term,) in enumerate(_orbit_terms(vals, ((k, signed),))):
-            total += term
-            used = n + 1
-            last = term
-            if abs(term) > prev_abs:
-                monotone = False
-            prev_abs = abs(term)
-            if abs(term) < tol:
-                break
-        else:
-            exhausted = n_max < terms
-        gk = _GOLDEN_F ** k
-        if signed and monotone:
-            tail = float(abs(last))  # alternating series with shrinking terms
-        else:
-            tail = float(abs(last)) * gk / (1 - gk)
-        with mp.workprec(prec):
-            return SeriesValue(value=+total, n_terms=used, tail_estimate=tail,
-                               rigorous_tail=False, mode=mode,
-                               exhausted=exhausted)
+    if e.period is not None:
+        n_avail = terms
+    elif e.terminated:
+        n_avail = len(e.orbit) - 1
+    else:
+        n_avail = len(e.orbit)
+    n_max = min(terms, n_avail)
+    vals = _raw_orbit(e, n_max - 1, wp)
+    raw_tol = from_float(float(tol))
+    total = fzero
+    used = 0
+    last = fzero
+    prev_abs = finf
+    monotone = True
+    exhausted = False
+    for n, (term,) in enumerate(_orbit_terms(vals, mode_k, wp)):
+        total = mpf_add(total, term, wp, _RND)
+        used = n + 1
+        last = term
+        size = mpf_abs(term, wp, _RND)
+        if mpf_gt(size, prev_abs):
+            monotone = False
+        prev_abs = size
+        if mpf_lt(size, raw_tol):
+            break
+    else:
+        exhausted = n_max < terms
+    gk = _GOLDEN_F ** k
+    last_abs = to_float(mpf_abs(last, wp, _RND), rnd=_RND)
+    if signed and monotone:
+        tail = last_abs  # alternating series with shrinking terms
+    else:
+        tail = last_abs * gk / (1 - gk)
+    return SeriesValue(value=mp.make_mpf(mpf_pos(total, prec, _RND)),
+                       n_terms=used, tail_estimate=tail, rigorous_tail=False,
+                       mode=mode, exhausted=exhausted)
 
 
 def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERMS,
@@ -236,10 +291,9 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
-    with mp.workprec(prec + 16):
-        total, = _orbit_sums(_gauss_orbit(fr), ((k, signed),))
-        with mp.workprec(prec):
-            return +total
+    wp = prec + 16
+    total, = _orbit_sums(_gauss_orbit(fr, wp), ((k, signed),), wp)
+    return mp.make_mpf(mpf_pos(total, prec, _RND))
 
 
 def brjuno_finite_rational(p_over_q: Fraction, k: int = 1,
@@ -292,8 +346,8 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
                    prec: int = DEFAULT_PRECISION):
     """(+/-) x^k f(1/x), with 1/x reduced by Z-periodicity and evenness.
 
-    f is any evaluator defined on (0, alpha]; the periodic/even completion is
-    applied here, so f never sees a point outside its domain.
+    f is any mpf-valued evaluator defined on (0, alpha]; the periodic/even
+    completion is applied here, so f never sees a point outside its domain.
     """
     from .numkit import LT, compare
 
@@ -304,8 +358,9 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
     y = reciprocal(x)
     t, _ = normalize(y, alpha)
     # t may be an exact zero; evaluators that cannot take it raise SingularPoint
-    with mp.workprec(prec):
-        return sign * to_mpf(x, prec) ** k * f(t)
+    xk = mpf_pow_int(to_mpf(x, prec)._mpf_, k, prec, _RND)
+    return mp.make_mpf(mpf_mul(mpf_mul_int(xk, sign, prec, _RND), f(t)._mpf_,
+                               prec, _RND))
 
 
 def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
@@ -330,19 +385,20 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
                 f"only {len(e.digits)} digits certifiable, N = {N} requested"
             )
         raise DivergesAtRational("orbit too short for the requested N")
-    with mp.workprec(prec + 16):
-        vals = e.orbit_mpf(N - 1, prec + 16)
-        logs = [mp.log(1 / v) for v in vals]
-        modes = ((k, mode == "wilton"),)
-        s_n, = _orbit_sums(vals, modes, logs)
-        s_shift, = _orbit_sums(vals[1:], modes, logs[1:])
-        x0 = vals[0]
-        if mode == "brjuno":
-            res = s_n + mp.log(x0) - (x0 ** k) * s_shift
-        else:
-            res = s_n + mp.log(x0) + x0 * s_shift
-        with mp.workprec(prec):
-            return +res
+    wp = prec + 16
+    vals = _raw_orbit(e, N - 1, wp)
+    logs = [mpf_log(mpf_rdiv_int(1, v, wp, _RND), wp, _RND) for v in vals]
+    modes = ((k, mode == "wilton"),)
+    s_n, = _orbit_sums(vals, modes, wp, logs)
+    s_shift, = _orbit_sums(vals[1:], modes, wp, logs[1:])
+    x0 = vals[0]
+    head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
+    if mode == "brjuno":
+        res = mpf_sub(head, mpf_mul(mpf_pow_int(x0, k, wp, _RND), s_shift,
+                                    wp, _RND), wp, _RND)
+    else:
+        res = mpf_add(head, mpf_mul(x0, s_shift, wp, _RND), wp, _RND)
+    return mp.make_mpf(mpf_pos(res, prec, _RND))
 
 
 def truncation_bound_check(x: ExactNumber, r: int, k: int = 1,
@@ -384,27 +440,31 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     # 1/q_r: work 64 bits below 1/q_depth so rounding never reads as failure
     prec = max(prec, c.q_of(depth).bit_length() + 64)
     modes = [(k, False) for k in ks] + ([(1, True)] if include_wilton else [])
+    wp = prec + 16
+    vals = _raw_orbit(e, depth, wp)
+    # 2kC' per mode, so the bound below is (2kC' * x_r) / q_r
+    cp = _c_prime(prec)
+    scale = [mpf_mul_int(cp, 2 * k, wp, _RND) for k, _ in modes]
+    x_text = format_exact(x)
     reports = []
-    with mp.workprec(prec + 16):
-        vals = e.orbit_mpf(depth, prec + 16)
-        cp = c_prime(prec)
-        # running partial sums of the orbit series, one per mode
-        partial = [mp.mpf(0)] * len(modes)
-        for j, terms in enumerate(_orbit_terms(vals[:depth], modes)):
-            r = j + 1
-            partial = [p + t for p, t in zip(partial, terms)]
-            # finite values at p_r/q_r over one shared Gauss orbit
-            q_r = c.q_of(r)
-            fin = _orbit_sums(_gauss_orbit(Fraction(c.p_of(r), q_r)), modes)
-            x_r = vals[r] if len(vals) > r else mp.mpf(0)
-            for (k, signed), f, p in zip(modes, fin, partial):
-                lhs = abs(f - p)
-                bound = 2 * k * cp * x_r / q_r
-                reports.append(TruncationReport(
-                    x=format_exact(x), r=r, k=k,
-                    mode="wilton" if signed else "brjuno",
-                    lhs=float(lhs), bound=float(bound),
-                    passed=bool(lhs <= bound)))
+    # running partial sums of the orbit series, one per mode
+    partial = [fzero] * len(modes)
+    for j, terms in enumerate(_orbit_terms(vals[:depth], modes, wp)):
+        r = j + 1
+        partial = [mpf_add(p, t, wp, _RND) for p, t in zip(partial, terms)]
+        # finite values at p_r/q_r over one shared Gauss orbit
+        q_r = c.q_of(r)
+        fin = _orbit_sums(_gauss_orbit(Fraction(c.p_of(r), q_r), wp), modes,
+                          wp)
+        x_r = vals[r] if len(vals) > r else fzero
+        raw_q = from_int(q_r)
+        for (k, signed), s, f, p in zip(modes, scale, fin, partial):
+            lhs = mpf_abs(mpf_sub(f, p, wp, _RND), wp, _RND)
+            bound = mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp, _RND)
+            reports.append(TruncationReport(
+                x=x_text, r=r, k=k, mode="wilton" if signed else "brjuno",
+                lhs=to_float(lhs, rnd=_RND), bound=to_float(bound, rnd=_RND),
+                passed=mpf_le(lhs, bound)))
     return reports
 
 
@@ -453,8 +513,11 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
             series_partials.append(series)
             gap = max(gap, abs(series - proxy))
         # cross-alpha: same partial series vs regular-CF proxy of the same x
-        x1, _ = normalize(x, one)
-        e1 = expand(x1, one, N + 1)
+        if alpha == one:
+            e1 = e
+        else:
+            x1, _ = normalize(x, one)
+            e1 = expand(x1, one, N + 1)
         depth1 = min(depth, N if e1.n_digits_available(N) else len(e1.digits))
         c1 = convergents(e1, depth1)
         proxy1 = 0.0

@@ -150,8 +150,8 @@ def suite_gap_audit(seed: int = 0, fast: bool = False) -> CriterionResult:
         "depth": 60,
         "gate": gate,
         "gate_provenance": "derived: 2c2 + 2(c1+c2) + 2^{k+1}c1, "
-                           "c1 = 2/e and c2 = 5 log 2 reported values "
-                           "(audited, not asserted)",
+                           "c1 = 2/e and c2 = 5 log 2, the proof's constants "
+                           "(not audited)",
         **sups,
     }
     return _result(4, "gap-audit", 120.0, t0, ok, details)

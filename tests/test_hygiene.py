@@ -44,3 +44,17 @@ def test_only_cf_core_steps_the_map():
     callers = [p.name for p in MODULES
                if _calls(p.read_text(encoding="utf-8"), "alpha_step")]
     assert callers == ["cf_core.py"]
+
+
+def _mp_attributes(source: str) -> list:
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "mp"})
+
+
+@pytest.mark.parametrize("name", ["series_eval.py", "numkit.py"])
+def test_series_and_numkit_read_no_global_precision(name):
+    # mp.workprec, mp.prec and mp.dps are process-wide state, and so is the
+    # precision every other mp function reads; make_mpf only wraps a raw mpf
+    path = Path(alphacf.__file__).parent / name
+    assert _mp_attributes(path.read_text(encoding="utf-8")) == ["make_mpf"]

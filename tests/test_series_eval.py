@@ -1,12 +1,15 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import mpf_neg
 
 from alphacf import numkit as nk
-from alphacf.cf_core import Alpha, alpha_step, expand, normalize
+from alphacf.cf_core import Alpha, alpha_step, convergents, expand, normalize
 from alphacf import series_eval as se
 from alphacf.errors import (
     DivergesAtRational,
@@ -15,6 +18,7 @@ from alphacf.errors import (
     PrecisionExhausted,
     SingularPoint,
 )
+from alphacf.sampling import random_dyadic_ball
 
 G = nk.GOLDEN
 SQRT2M1 = nk.make_surd(-1, 1, 1, 2)
@@ -395,12 +399,11 @@ def test_kernel_values_frozen():
 def test_kernel_modes_match_single_mode_calls():
     # one call over several modes yields each mode's own terms bit for bit
     modes = [(1, False), (2, False), (1, True)]
-    with mp.workprec(160):
-        vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64)))
-        joint = list(se._orbit_terms(vals, modes))
-        singles = [[t for (t,) in se._orbit_terms(vals, [m])] for m in modes]
-        brjuno1, _, wilton1 = singles
-        negated = [-t if n % 2 else t for n, t in enumerate(brjuno1)]
+    vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160))
+    joint = list(se._orbit_terms(vals, modes, 160))
+    singles = [[t for (t,) in se._orbit_terms(vals, [m], 160)] for m in modes]
+    brjuno1, _, wilton1 = singles
+    negated = [mpf_neg(t) if n % 2 else t for n, t in enumerate(brjuno1)]
     assert len(vals) > 10
     assert [list(col) for col in zip(*joint)] == singles
     assert wilton1 == negated
@@ -416,3 +419,140 @@ def test_truncation_bound_check_is_its_audit_entry():
             for rep in se.truncation_audit(x, r, prec=192):
                 if rep.r == r:
                     assert se.truncation_bound_check(x, r, rep.k, rep.mode) == rep
+
+
+# -- thread safety ---------------------------------------------------------------
+
+def test_series_values_same_in_threads_as_serial():
+    # series sums pass their precision to libmp themselves, so concurrent
+    # evaluations at 64 and 512 bits cannot disturb each other
+    rng = random.Random(2027)
+    cases = [(random_dyadic_ball(rng, bits=128, prec=192),
+              (Alpha.one(), Alpha.half())[i % 2], (64, 512)[i // 2 % 2])
+             for i in range(40)]
+
+    def run(case):
+        x, alpha, prec = case
+        x = normalize(x, alpha)[0]
+        values = [se.brjuno_k(x, alpha, 1, prec=prec),
+                  se.wilton(x, alpha, prec=prec)]
+        return [(v.value._mpf_, v.n_terms, v.tail_estimate) for v in values]
+
+    serial = [run(c) for c in cases]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert sum(a != b for a, b in zip(serial, threaded)) == 0
+
+
+# -- the mp-context kernel, frozen as an oracle ----------------------------------
+# The kernel as it ran under mpmath's global precision before it moved onto
+# raw libmp calls; the raw kernel must reproduce it bit for bit.
+
+ORACLE_MODES = [(1, False), (2, False), (3, False), (1, True)]
+
+
+def _oracle_orbit_terms(vals, modes):
+    beta = mp.mpf(1)
+    for n, v in enumerate(vals):
+        lg = mp.log(1 / v)
+        terms = []
+        for k, signed in modes:
+            t = (beta ** k) * lg
+            terms.append(-t if signed and n % 2 else t)
+        yield tuple(terms)
+        beta *= v
+
+
+def _oracle_orbit_sums(vals, modes):
+    totals = [mp.mpf(0)] * len(modes)
+    for terms in _oracle_orbit_terms(vals, modes):
+        totals = [total + t for total, t in zip(totals, terms)]
+    return totals
+
+
+def _oracle_gauss_orbit(fr):
+    num, den = fr.numerator % fr.denominator, fr.denominator
+    while num:
+        yield mp.mpf(num) / mp.mpf(den)
+        num, den = den % num, num
+
+
+def _oracle_truncation_audit(x, r_max, prec=160):
+    # truncation_audit's reports as (r, k, mode, lhs, bound, passed)
+    e = expand(x, Alpha.one(), r_max + 1)
+    depth = r_max if e.n_digits_available(r_max) else len(e.digits)
+    c = convergents(e, depth)
+    prec = max(prec, c.q_of(depth).bit_length() + 64)
+    modes = ORACLE_MODES
+    reports = []
+    with mp.workprec(prec):
+        cp = (3 + mp.sqrt(5)) / 2
+    with mp.workprec(prec + 16):
+        vals = e.orbit_mpf(depth, prec + 16)
+        partial = [mp.mpf(0)] * len(modes)
+        for j, terms in enumerate(_oracle_orbit_terms(vals[:depth], modes)):
+            r = j + 1
+            partial = [p + t for p, t in zip(partial, terms)]
+            q_r = c.q_of(r)
+            fin = _oracle_orbit_sums(
+                _oracle_gauss_orbit(Fraction(c.p_of(r), q_r)), modes)
+            x_r = vals[r] if len(vals) > r else mp.mpf(0)
+            for (k, signed), f, p in zip(modes, fin, partial):
+                lhs = abs(f - p)
+                bound = 2 * k * cp * x_r / q_r
+                reports.append((r, k, "wilton" if signed else "brjuno",
+                                float(lhs), float(bound), bool(lhs <= bound)))
+    return reports
+
+
+def _oracle_inputs():
+    rng = random.Random(909)
+    orbits = []
+    for _ in range(8):
+        x = random_surd_in_unit(rng)
+        orbits.append(expand(x, Alpha.one(), 40))
+    for alpha in (Alpha.one(), Alpha.half(), Alpha(Fraction(3, 5))) * 2:
+        x = normalize(random_dyadic_ball(rng, bits=128, prec=192), alpha)[0]
+        orbits.append(expand(x, alpha, 40, best_effort=True))
+    rationals = [Fraction(rng.getrandbits(64) | 1, 2 ** 64) for _ in range(8)]
+    return orbits, rationals
+
+
+@pytest.mark.parametrize("prec", [176, 272, 600])
+def test_raw_kernel_matches_mp_context_oracle(prec):
+    orbits, rationals = _oracle_inputs()
+    cases = 0
+    for e in orbits:
+        vals = e.orbit_mpf(39, prec)
+        with mp.workprec(prec):
+            want = [tuple(t._mpf_ for t in terms)
+                    for terms in _oracle_orbit_terms(vals, ORACLE_MODES)]
+        raw = [v._mpf_ for v in vals]
+        assert list(se._orbit_terms(raw, ORACLE_MODES, prec)) == want
+        cases += len(want)
+    for fr in rationals:
+        with mp.workprec(prec):
+            want_vals = [v._mpf_ for v in _oracle_gauss_orbit(fr)]
+            want = [tuple(t._mpf_ for t in terms) for terms in
+                    _oracle_orbit_terms(_oracle_gauss_orbit(fr), ORACLE_MODES)]
+        vals = list(se._gauss_orbit(fr, prec))
+        assert vals == want_vals
+        assert list(se._orbit_terms(vals, ORACLE_MODES, prec)) == want
+        cases += len(want)
+    assert cases > 500
+
+
+def test_truncation_audit_matches_mp_context_oracle():
+    rng = random.Random(911)
+    for _ in range(5):
+        x = random_surd_in_unit(rng)
+        got = [(r.r, r.k, r.mode, r.lhs.hex(), r.bound.hex(), r.passed)
+               for r in se.truncation_audit(x, 30, ks=(1, 2, 3))]
+        want = [(r, k, mode, lhs.hex(), bound.hex(), ok)
+                for r, k, mode, lhs, bound, ok in _oracle_truncation_audit(x, 30)]
+        assert got == want
