@@ -8,11 +8,12 @@ eventually periodic (quadratic surd) orbits.  Rational points diverge; the
 sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
-Every mp-precision sum here runs through one kernel: ``_orbit_terms`` yields
-the terms beta_{n-1}^k * log(1/x_n) of an orbit, one log per point for all
-requested modes, and applies the Wilton sign (-1)^n itself to the signed
-ones; ``_orbit_sums`` adds them up left to right.  ``_gauss_orbit`` supplies
-the terminating orbit of a rational for the finite truncations.
+Every mp-precision sum over an orbit runs through one kernel:
+``_orbit_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an orbit, one
+log per point for all requested modes, and applies the Wilton sign (-1)^n
+itself to the signed ones; ``_orbit_sums`` adds them up left to right.
+``_gauss_orbit`` supplies the terminating orbit of a rational for the finite
+truncations.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -20,6 +21,12 @@ operator makes for the same expression, so the bits equal mp-context
 arithmetic at that precision; results become ``mp.mpf`` only when returned.
 Nothing reads or sets mpmath's global precision, so series values are the
 same in threads as serially.
+
+The truncation audit sums no orbit at all: it never forms the finite value
+at p_r/q_r or the r-term partial sum, whose difference is about 1/q_r^2.
+It sums that difference from exact term differences written in integer
+continuants, in floats whose binary exponents are carried as ints, and
+re-sums in raw mpfs only an r whose terms cancel.
 """
 
 from __future__ import annotations
@@ -35,12 +42,12 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
+    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
     mpf_div,
     mpf_gt,
-    mpf_le,
     mpf_log,
     mpf_lt,
     mpf_mul,
@@ -421,13 +428,157 @@ def truncation_bound_check(x: ExactNumber, r: int, k: int = 1,
     return report
 
 
+# relative accuracy of a truncation audit's lhs: a float sum whose error
+# bound exceeds it is summed again in mp arithmetic
+_LHS_REL = 2.0 ** -32
+
+
+def _reverse_continuants(a: Sequence[int]) -> tuple[list, list]:
+    """K_j = K(a_{j+1..r}) and L_j = K(a_{j+1..r-1}) for j = 0..r+1.
+
+    a holds a_1..a_r; K_r = 1, L_r = 0, and K_{r+1} = 0, L_{r+1} = 1 seed
+    the backward recurrence, so K_0 = q_r and L_0 = q_{r-1}.
+    """
+    r = len(a)
+    big_k = [0] * r + [1, 0]
+    big_l = [0] * r + [0, 1]
+    for j in range(r - 1, -1, -1):
+        big_k[j] = a[j] * big_k[j + 1] + big_k[j + 2]
+        big_l[j] = a[j] * big_l[j + 1] + big_l[j + 2]
+    return big_k, big_l
+
+
+def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float,
+                          ks: Sequence[int]) -> dict:
+    """F_r - P_r for x = [0; a_1, .., a_r + t], summed from exact differences.
+
+    F_r is the finite k-Brjuno value at p_r/q_r = [0; a_1..a_r] and P_r the
+    r-term orbit sum of x.  With the reverse continuants K_j, L_j, the Gauss
+    orbit of p_r/q_r is y_j = K_{j+1}/K_j with beta_{j-1}(y) = K_j/q_r, and
+    x_j - y_j = (-1)^(r-j) t / (K_j (K_j + t L_j)).  Term j of F_r - P_r is
+    beta_{j-1}(x)^k (expm1(k log1p u_j) log(K_j/K_{j+1}) + log1p(z_j)) with
+    z_j = (x_j - y_j)/y_j, u_j = rho_j z_j and rho_j = q_{j-1} K_{j+1}/q_r,
+    which equals (-1)^(r-j) t 2^((2-k) s_j) A_j / q_r^2 once K_j/q_r = g_j
+    2^-s_j.  Every factor of A_j > 0 is a float of moderate size formed from
+    an int ratio, so nothing overflows or loses its exponent, whatever q_r
+    is.  The Wilton sign (-1)^j turns every term's sign into (-1)^r, so at
+    k = 1 the Wilton |F_r - P_r| is the terms' absolute sum.
+
+    a holds a_1..a_r and q the denominators q_{-1}, q_0, .. (q[j] =
+    q_{j-1}).  Returns {k: (total, total_abs, err, e)}: F_r - P_r is total
+    2^e to within err 2^e, and its terms' absolute sum is total_abs 2^e.
+    """
+    r = len(a)
+    q_r = q[r + 1]
+    big_k, big_l = _reverse_continuants(a)
+    q_bits = q_r.bit_length()
+    inv_q = (1 << q_bits) / q_r  # 1/q_r = inv_q 2^-q_bits
+    rows = []
+    for j in range(r):
+        kj, kj1 = big_k[j], big_k[j + 1]
+        s = q_bits - kj.bit_length()
+        inv_y = kj / kj1
+        w = 1 + t * (big_l[j] / kj)  # (K_j + t L_j) / K_j
+        sign = -1.0 if (r - j) % 2 else 1.0
+        z = sign * t * (1 / (kj * kj1)) / w
+        rho = q[j] * kj1 / q_r
+        u = z * rho
+        rows.append((sign, (kj << s) / q_r, s, rho * math.log(inv_y),
+                     math.log1p(z) / z if z else 1.0, inv_y / w, u,
+                     math.log1p(u)))
+    # 2^((2-k) s_j) peaks at j = 0 (s_0 = 0) for k >= 2, at j = r-1 for k = 1
+    s_last = rows[-1][2]
+    scale = t * inv_q * inv_q
+    out = {}
+    for k in ks:
+        top = max(0, (2 - k) * s_last)
+        terms = []
+        for sign, g, s, rho_log, psi, inv_yw, u, lp in rows:
+            em = math.expm1(k * lp)
+            phi = em / u if u else k
+            terms.append(sign * math.ldexp(
+                (phi * rho_log + psi) * inv_yw / (em + 1.0) * g ** (k - 2),
+                (2 - k) * s - top))
+        total_abs = math.fsum(map(abs, terms)) * scale
+        # each term rounds about 30 + 3k times; fsum rounds once
+        err = (8 * k + 64) * 2.0 ** -52 * total_abs
+        out[k] = (math.fsum(terms) * scale, total_abs, err, top - 2 * q_bits)
+    return out
+
+
+def _split(v) -> tuple[float, int]:
+    """A raw mpf as (m, e) with v = m 2^e and 0.5 <= |m| < 1 (or m = 0)."""
+    if v == fzero:
+        return 0.0, 0
+    sign, man, exp, bc = v
+    return to_float((sign, man, -bc, bc), rnd=_RND), exp + bc
+
+
+def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
+                             ks: Sequence[int], prec: int) -> dict:
+    """``_finite_minus_partial`` in raw mpfs at prec, for sums that cancel.
+
+    t is x_r as a raw mpf good to prec bits.  Each term is the same exact
+    difference, good to about 2^-prec relative, so the sum resolves F_r -
+    P_r down to about 2^-prec of its terms' absolute sum.  Same return
+    value, with e taken from the absolute sum.
+    """
+    r = len(a)
+    q_r = q[r + 1]
+    big_k, big_l = _reverse_continuants(a)
+    m0 = mpf_add(from_int(q_r), mpf_mul_int(t, big_l[0], prec, _RND), prec,
+                 _RND)  # q_r + t q_{r-1}
+    sums = {k: [fzero, fzero] for k in ks}
+    for j in range(r):
+        kj, kj1 = big_k[j], big_k[j + 1]
+        m = mpf_add(from_int(kj), mpf_mul_int(t, big_l[j], prec, _RND), prec,
+                    _RND)  # K_j + t L_j
+        z = mpf_div(t, mpf_mul_int(m, kj1, prec, _RND), prec, _RND)
+        if (r - j) % 2:
+            z = mpf_neg(z)
+        log1p_z = mpf_log(mpf_add(fone, z), prec, _RND)  # 1 + z is exact
+        log_inv_y = mpf_log(from_rational(kj, kj1, prec, _RND), prec, _RND)
+        u = mpf_mul(z, from_rational(q[j] * kj1, q_r, prec, _RND), prec, _RND)
+        beta = mpf_div(m, m0, prec, _RND)  # beta_{j-1}(x)
+        for k in ks:
+            # (1 + u)^k - 1 = u sum_i C(k, i) u^(i-1), with no cancellation
+            poly = fzero
+            for i in range(k, 0, -1):
+                poly = mpf_add(mpf_mul(poly, u, prec, _RND),
+                               from_int(math.comb(k, i)), prec, _RND)
+            term = mpf_mul(mpf_pow_int(beta, k, prec, _RND),
+                           mpf_add(mpf_mul(mpf_mul(u, poly, prec, _RND),
+                                           log_inv_y, prec, _RND),
+                                   log1p_z, prec, _RND), prec, _RND)
+            acc = sums[k]
+            acc[0] = mpf_add(acc[0], term, prec, _RND)
+            acc[1] = mpf_add(acc[1], mpf_abs(term), prec, _RND)
+    out = {}
+    for k in ks:
+        total, total_abs = sums[k]
+        m_abs, e = _split(total_abs)
+        m, e_total = _split(total)
+        out[k] = (math.ldexp(m, e_total - e), m_abs,
+                  math.ldexp((r + 8 * k + 64) * m_abs, 1 - prec), e)
+    return out
+
+
 def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
                      include_wilton: bool = True,
                      prec: int = 160) -> list[TruncationReport]:
     """All truncation checks for r = 1..r_max and every requested mode at once.
 
-    Shares the expansion, the convergents, and the per-r finite Gauss orbit
-    across modes, which keeps large audits inside their time budget.
+    The lhs |F_r - P_r| (finite value at p_r/q_r minus the r-term orbit sum
+    of x) is summed from its exact term differences, which
+    ``_finite_minus_partial`` forms in floats from integer continuants and
+    x_r, so no two O(1) values cancel and no mp log is taken.  The sums
+    carry their binary exponents as ints, so any q_r is in range.  Where
+    the terms themselves cancel so far that the float sum's error bound
+    passes 2^-32 of it, that r is summed again in mp arithmetic at a
+    precision that resolves it, so every lhs is good to about 2^-32
+    relative.  The bound 2kC' x_r / q_r is rounded to nearest at prec + 16
+    bits.  An entry passes only if lhs/bound plus the sum's error bound
+    over bound stays <= 1, so a near-tie reads as a violation.
     """
     alpha = Alpha.one()
     xn, _ = normalize(x, alpha)
@@ -436,35 +587,45 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     if depth < 1:
         raise ExpansionTooShort("no expansion steps available")
     c = convergents(e, depth)
-    # the lhs resolves only down to ~2^-prec while the bound falls like
-    # 1/q_r: work 64 bits below 1/q_depth so rounding never reads as failure
-    prec = max(prec, c.q_of(depth).bit_length() + 64)
+    digits = [e.digit_at(j)[0] for j in range(1, depth + 1)]
     modes = [(k, False) for k in ks] + ([(1, True)] if include_wilton else [])
+    distinct_ks = sorted({k for k, _ in modes})
     wp = prec + 16
     vals = _raw_orbit(e, depth, wp)
-    # 2kC' per mode, so the bound below is (2kC' * x_r) / q_r
+    # 2kC' per k, so the bound below is (2kC' * x_r) / q_r
     cp = _c_prime(prec)
-    scale = [mpf_mul_int(cp, 2 * k, wp, _RND) for k, _ in modes]
+    scale = {k: mpf_mul_int(cp, 2 * k, wp, _RND) for k in distinct_ks}
+    cp_float = to_float(cp, rnd=_RND)
     x_text = format_exact(x)
     reports = []
-    # running partial sums of the orbit series, one per mode
-    partial = [fzero] * len(modes)
-    for j, terms in enumerate(_orbit_terms(vals[:depth], modes, wp)):
-        r = j + 1
-        partial = [mpf_add(p, t, wp, _RND) for p, t in zip(partial, terms)]
-        # finite values at p_r/q_r over one shared Gauss orbit
+    for r in range(1, depth + 1):
         q_r = c.q_of(r)
-        fin = _orbit_sums(_gauss_orbit(Fraction(c.p_of(r), q_r), wp), modes,
-                          wp)
+        q_bits = q_r.bit_length()
         x_r = vals[r] if len(vals) > r else fzero
+        t = to_float(x_r, rnd=_RND)
+        diffs = _finite_minus_partial(digits[:r], c.q, t, distinct_ks)
+        sum_prec = q_bits + 128
+        while (any(err > _LHS_REL * abs(total)
+                   for total, _, err, _ in diffs.values())
+               and sum_prec <= 8 * (q_bits + 128)):
+            t_raw = _raw_orbit(e, r, sum_prec)[r]
+            diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw,
+                                             distinct_ks, sum_prec)
+            sum_prec *= 2
         raw_q = from_int(q_r)
-        for (k, signed), s, f, p in zip(modes, scale, fin, partial):
-            lhs = mpf_abs(mpf_sub(f, p, wp, _RND), wp, _RND)
-            bound = mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp, _RND)
+        bounds = {k: to_float(mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp,
+                                      _RND), rnd=_RND)
+                  for k, s in scale.items()}
+        for k, signed in modes:
+            total, total_abs, err, e_sum = diffs[k]
+            lhs = total_abs if signed else abs(total)
+            # lhs/bound = lhs 2^e_sum q_r / (2kC' x_r)
+            passed = t == 0 or math.ldexp(
+                (lhs + err) * (q_r / (1 << q_bits)) / (2 * k * cp_float * t),
+                e_sum + q_bits) <= 1
             reports.append(TruncationReport(
                 x=x_text, r=r, k=k, mode="wilton" if signed else "brjuno",
-                lhs=to_float(lhs, rnd=_RND), bound=to_float(bound, rnd=_RND),
-                passed=mpf_le(lhs, bound)))
+                lhs=math.ldexp(lhs, e_sum), bound=bounds[k], passed=passed))
     return reports
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_float, mpf_mul, mpf_neg, round_nearest
 
 from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, alpha_step, convergents, expand, normalize
@@ -392,8 +392,13 @@ def test_kernel_values_frozen():
         assert repr(res) == \
             "mpf('5.2202435743988196213682352874052380445609314064552e-54')"
     lhs = {(r.r, r.k, r.mode): r.lhs for r in se.truncation_audit(G, 10)}
-    assert repr(lhs[(4, 2, "brjuno")]) == "0.0056533501405299814"
-    assert repr(lhs[(10, 1, "wilton")]) == "0.019277399097552196"
+    assert repr(lhs[(4, 2, "brjuno")]) == "0.005653350140529961"
+    assert repr(lhs[(10, 1, "wilton")]) == "0.019277399097552193"
+    # the values of the earlier mp subtraction of finite value and partial sum
+    assert lhs[(4, 2, "brjuno")] == pytest.approx(0.0056533501405299814,
+                                                  rel=1e-12)
+    assert lhs[(10, 1, "wilton")] == pytest.approx(0.019277399097552196,
+                                                   rel=1e-12)
 
 
 def test_kernel_modes_match_single_mode_calls():
@@ -547,12 +552,98 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
     assert cases > 500
 
 
+def _assert_lhs_close(got, want, rel):
+    # every lhs that is a normal float within rel of the oracle's
+    normal = [(g.lhs, w[3]) for g, w in zip(got, want)
+              if w[3] >= sys.float_info.min]
+    assert normal
+    for lhs, ref in normal:
+        assert lhs == pytest.approx(ref, rel=rel, abs=0)
+
+
 def test_truncation_audit_matches_mp_context_oracle():
+    # verdicts and bound bits equal the oracle's; the lhs, summed from exact
+    # term differences, matches the oracle run at 1500 bits
     rng = random.Random(911)
     for _ in range(5):
         x = random_surd_in_unit(rng)
-        got = [(r.r, r.k, r.mode, r.lhs.hex(), r.bound.hex(), r.passed)
-               for r in se.truncation_audit(x, 30, ks=(1, 2, 3))]
-        want = [(r, k, mode, lhs.hex(), bound.hex(), ok)
+        reports = se.truncation_audit(x, 30, ks=(1, 2, 3))
+        got = [(r.r, r.k, r.mode, r.bound.hex(), r.passed) for r in reports]
+        want = [(r, k, mode, bound.hex(), ok)
                 for r, k, mode, lhs, bound, ok in _oracle_truncation_audit(x, 30)]
         assert got == want
+        _assert_lhs_close(reports, _oracle_truncation_audit(x, 30, prec=1500),
+                          rel=1e-9)
+
+
+def test_truncation_audit_resolves_lhs_below_working_precision():
+    # the mp subtraction read lhs = 0.0 at r = 30, k = 2 (1.39e-54 at 1500
+    # bits): the lhs lies below 2^-176, its working precision
+    x = nk.parse_exact("(1+1*sqrt(17))/16")
+    got = {(r.r, r.k, r.mode): r.lhs for r in se.truncation_audit(x, 30)}
+    want = {(r, k, mode): lhs for r, k, mode, lhs, _, _ in
+            _oracle_truncation_audit(x, 30, prec=1500)}
+    assert want[(30, 2, "brjuno")] == pytest.approx(1.39e-54, rel=1e-2, abs=0)
+    for r in (28, 29, 30):
+        for k in (2, 3):
+            key = (r, k, "brjuno")
+            assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0)
+
+
+def test_truncation_audit_range_safe():
+    # [0; 2^40, 2^40, ..]: q_30 has 1201 bits, past the float range
+    x = nk.make_surd(-2 ** 40, 1, 2, 2 ** 80 + 4)
+    e = expand(x, Alpha.one(), 31)
+    assert convergents(e, 30).q_of(30).bit_length() == 1201
+    got = [r.passed for r in se.truncation_audit(x, 30)]
+    want = [ok for *_, ok in _oracle_truncation_audit(x, 30, prec=1500)]
+    assert len(got) == 120 and got == want
+    # [0; 2^20, 2^20, ..]: q_30 has 601 bits; at even r the k = 2 terms
+    # cancel to 2^-36..2^-40 of their absolute sum, which the mp re-sum
+    # resolves
+    x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
+    e = expand(x, Alpha.one(), 31)
+    assert convergents(e, 30).q_of(30).bit_length() == 601
+    _assert_lhs_close(se.truncation_audit(x, 30),
+                      _oracle_truncation_audit(x, 30, prec=1500), rel=1e-9)
+
+
+def test_truncation_audit_verdicts_follow_lhs_over_bound(monkeypatch):
+    # with C' scaled down, an entry fails exactly where lhs > bound, and one
+    # whose bound exceeds its lhs by less than the sum's error bound fails
+    x = random_surd_in_unit(random.Random(911))
+    key = (20, 2, "brjuno")
+    entry = next(r for r in se.truncation_audit(x, 30)
+                 if (r.r, r.k, r.mode) == key)
+    ratio = entry.lhs / entry.bound
+    c_prime = se._c_prime
+
+    def audit_with(factor):
+        monkeypatch.setattr(se, "_c_prime", lambda prec: mpf_mul(
+            c_prime(prec), from_float(factor), prec, round_nearest))
+        return {(r.r, r.k, r.mode): r for r in se.truncation_audit(x, 30)}
+
+    reports = audit_with(0.02).values()
+    assert 0 < sum(not r.passed for r in reports) < len(reports)
+    for r in reports:
+        if abs(r.lhs / r.bound - 1) > 1e-9:
+            assert r.passed == (r.lhs <= r.bound)
+    assert audit_with(ratio * (1 + 1e-9))[key].passed
+    assert not audit_with(ratio * (1 + 1e-14))[key].passed
+
+
+def test_truncation_audit_takes_no_mp_log_or_gauss_orbit(monkeypatch):
+    # the audit is O(r^2) float work; an O(r^2) mp-log path must not return
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(se, "mpf_log", counted(se.mpf_log))
+    monkeypatch.setattr(se, "_gauss_orbit", counted(se._gauss_orbit))
+    x = random_surd_in_unit(random.Random(911))
+    assert len(se.truncation_audit(x, 30)) == 120
+    assert calls == []
