@@ -4,7 +4,6 @@ from .numkit import (  # noqa: F401
     GOLDEN,
     BallFloat,
     ExactNumber,
-    Rational,
     Surd,
     compare,
     floor_of,

@@ -1,7 +1,8 @@
 """Alpha-continued-fraction engine.
 
 The map A_alpha(x) = |1/x - floor(1/x - alpha + 1)| on (0, alpha] drives
-everything: digit extraction, orbits, signed convergents and beta products.
+everything: digit extraction, orbits and signed convergents.  The series
+layer forms the beta products x_0 x_1 ... x_j from the orbit itself.
 ``alpha = 1`` is the regular (Gauss) continued fraction, ``alpha = 1/2`` the
 nearest-integer one.  All state is immutable and arithmetic is exact for
 Fraction and Surd inputs; BallFloat inputs carry certified radii and refuse
@@ -127,8 +128,9 @@ class CFExpansion:
     # not part of the JSON schema)
     exhausted: bool = False
 
-    def n_digits_available(self, want: int) -> bool:
-        return self.period is not None or len(self.digits) >= want
+    def depth(self, n: int) -> int:
+        """How many of digits 1..n exist: n if periodic, else those stored."""
+        return n if self.period is not None else min(n, len(self.digits))
 
     def digit_at(self, j: int):
         """(a_j, eps_j) for 1-based j, cycling through the period if any."""
@@ -249,13 +251,12 @@ def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
 
 @dataclass
 class ConvergentSeq:
-    """Signed-recurrence convergents p_j/q_j for j = -1..n, with exact betas.
+    """Signed-recurrence convergents p_j/q_j for j = -1..n.
 
     Seeds (p_-1, q_-1) = (1, 0), (p_0, q_0) = (0, 1) and eps_0 := +1, so a
     terminated expansion reproduces its rational exactly at the last index.
     """
 
-    expansion: CFExpansion
     n: int
     p: list = field(default_factory=list)
     q: list = field(default_factory=list)
@@ -266,16 +267,12 @@ class ConvergentSeq:
     def q_of(self, j: int) -> int:
         return self.q[j + 1]
 
-    def beta_of(self, j: int):
-        """beta_j = |q_j x - p_j| in exact arithmetic (1 at j = -1)."""
-        return abs(self.q_of(j) * self.expansion.x0 - self.p_of(j))
-
 
 def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
     """Convergents up to index n (default: every stored digit)."""
     if n is None:
         n = len(e.digits)
-    if not e.n_digits_available(n):
+    if e.depth(n) < n:
         raise ExpansionTooShort(f"{n} digits requested, {len(e.digits)} available")
     p = [1, 0]
     q = [0, 1]
@@ -285,17 +282,7 @@ def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
         p.append(a * p[-1] + eps_prev * p[-2])
         q.append(a * q[-1] + eps_prev * q[-2])
         eps_prev = eps
-    return ConvergentSeq(expansion=e, n=n, p=p, q=q)
-
-
-def beta_products(e: CFExpansion, n: int) -> list:
-    """[beta_-1, ..., beta_n] with beta_-1 = 1 and beta_j = beta_{j-1} x_j."""
-    if n >= 0 and not (e.period is not None or n < len(e.orbit)):
-        raise ExpansionTooShort(f"orbit of length {n + 1} not available")
-    betas = [Fraction(1)]
-    for j in range(n + 1):
-        betas.append(betas[-1] * e.orbit_at(j))
-    return betas
+    return ConvergentSeq(n=n, p=p, q=q)
 
 
 def normalize(y: ExactNumber, alpha: Alpha):

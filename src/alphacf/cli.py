@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -166,6 +167,8 @@ def cmd_eval(args) -> int:
             [r + meta for r in rows])
         _emit(text, args.out)
         return EXIT_OK
+    if args.x is None:
+        raise UsageError("eval needs --x or --grid")
     x = _parse_value(args.x, "--x", args.precision)
     v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args)
     _emit(f"value {v}\nn_terms {n}\ntail {tail}\n"
@@ -233,11 +236,9 @@ def cmd_scan(args) -> int:
         def one(n):
             return bmo_lab.wilton_blowup_experiment(
                 [n], points=args.points, terms=args.terms, tol=args.tol)[0]
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = sorted(pool.map(one, ns), key=lambda r: r.n)
-        else:
-            rows = [one(n) for n in ns]
+        workers = min(len(ns), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, ns))
         text = _csv_text(
             ["n", "mean_plus", "mean_minus", "oscillation", "samples",
              "quad_error", "terms", "tol"],
@@ -389,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int)
     p.add_argument("--leaf-samples", type=int, default=16, dest="leaf_samples")
     _add_series_limits(p, DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="threads for the --blowup rows (default %(default)s)")
     _add_out(p)
 
     p = sub.add_parser("compare", help="matched 1/2-vs-alpha orbit audits")

@@ -81,8 +81,6 @@ LT, EQ, GT = -1, 0, 1
 
 _RND = round_nearest  # every mpf conversion rounds to nearest
 
-Rational = Fraction
-
 
 def _squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s**2 * f with f squarefree; return (s, f)."""
@@ -147,8 +145,9 @@ class Surd:
     """Quadratic irrational (a + b*sqrt(d))/c in canonical form.
 
     Canonical means: d > 1 squarefree, b != 0, c > 0, gcd(a, b, c) = 1.
-    Use :func:`make_surd` to construct; arithmetic keeps values canonical and
-    returns a plain Fraction whenever the irrational part cancels.
+    Use :func:`make_surd` to construct.  Surds add, subtract, negate and
+    invert (:func:`reciprocal`), which is all the alpha-CF step needs; each
+    result is canonical, or a plain Fraction when the irrational part cancels.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -196,9 +195,6 @@ class Surd:
     def sign(self) -> int:
         return _sign_lin(self.a, self.b, self.d)
 
-    def conjugate(self):
-        return make_surd(self.a, -self.b, self.c, self.d)
-
     def floor(self) -> int:
         """Exact floor, via integer square-root bounds on b*sqrt(d)."""
         t = self.b * self.b * self.d
@@ -238,49 +234,12 @@ class Surd:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        po = self._coerce(other)
-        if po is None:
-            return NotImplemented
-        p, q, r = po
-        return make_surd(self.a * p + self.b * q * self.d,
-                         self.a * q + self.b * p, self.c * r, self.d)
-
-    __rmul__ = __mul__
-
     def _inverse(self):
         # c/(a + b*sqrt(d)) rationalized by the conjugate.
         den = self.a * self.a - self.b * self.b * self.d
         if den == 0:
             raise DivisionByZero("surd reciprocal")  # impossible canonically
         return make_surd(self.c * self.a, -self.c * self.b, den, self.d)
-
-    def __truediv__(self, other):
-        po = self._coerce(other)
-        if po is None:
-            return NotImplemented
-        p, q, r = po
-        if q == 0:
-            if p == 0:
-                raise DivisionByZero("division by zero")
-            return make_surd(self.a * r, self.b * r, self.c * p, self.d)
-        inv = make_surd(r * p, -r * q, p * p - q * q * self.d, self.d)
-        return self * inv
-
-    def __rtruediv__(self, other):
-        return self._inverse() * other
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                out = base * out
-            base = base * base
-            n >>= 1
-        return out
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self

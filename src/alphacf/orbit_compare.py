@@ -62,7 +62,6 @@ class MatchedTrace:
     x: ExactNumber
     alpha: Alpha
     steps: list = field(default_factory=list)
-    divergence_indices: list = field(default_factory=list)
 
     def dump_jsonl(self) -> str:
         return "\n".join(step.to_json() for step in self.steps)
@@ -80,7 +79,6 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
     """Run the 1/2- and alpha-expansions of x in [0, 1/2] side by side.
 
     Steps are recorded while both orbits are alive, at most N of them.
-    Divergence indices mark the first step of each non-coinciding run.
     """
     if compare(alpha.value, GOLDEN) == GT:
         raise OutOfRange("matched orbits need alpha <= (sqrt(5)-1)/2")
@@ -88,26 +86,21 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
         raise OutOfDomain("matched orbits start from x in [0, 1/2]")
     eh = expand(x, Alpha.half(), N)
     ea = expand(x, alpha, N)
-    n = min(N if e.period is not None else len(e.digits) for e in (eh, ea))
+    n = min(eh.depth(N), ea.depth(N))
     ch, ca = convergents(eh, n), convergents(ea, n)
     trace = MatchedTrace(x=x, alpha=alpha)
-    prev_event = "coincide"
     for j in range(1, n + 1):
         xh, xa = eh.orbit_at(j), ea.orbit_at(j)
-        event = _classify_state(xh, xa)
-        if event != "coincide" and prev_event == "coincide":
-            trace.divergence_indices.append(j)
         trace.steps.append(TraceStep(j=j, digit_half=eh.digit_at(j),
                                      digit_alpha=ea.digit_at(j), x_half=xh,
                                      x_alpha=xa, q_half=ch.q_of(j),
-                                     q_alpha=ca.q_of(j), event=event))
-        prev_event = event
+                                     q_alpha=ca.q_of(j),
+                                     event=_classify_state(xh, xa)))
     return trace
 
 
 @dataclass
 class ClassifyResult:
-    classes: list  # per recorded step: "zero" | "q_prev"
     violations: list  # human-readable violation records
     max_q_ratio_num: int  # max over j of q^(1/2)/q^(alpha) as a fraction
     max_q_ratio_den: int
@@ -124,24 +117,19 @@ def q_difference_classify(trace: MatchedTrace) -> ClassifyResult:
     next 1/2-digit to be (3,-1) or (2,+1)) and the log 2 bound on
     |log q_j^(1/2) - log q_j^(alpha)|, all in exact integer arithmetic.
     """
-    classes = []
     violations = []
     best_num, best_den = 1, 1  # running max of q_half/q_alpha
     q_half_prev = 1  # q_0
     for idx, step in enumerate(trace.steps):
         diff = step.q_half - step.q_alpha
-        if diff == 0:
-            classes.append("zero")
-        elif diff == q_half_prev:
-            classes.append("q_prev")
+        if diff == q_half_prev:  # q_half_prev >= 1, so diff != 0 here
             if idx + 1 < len(trace.steps):
                 nxt = trace.steps[idx + 1].digit_half
                 if nxt not in ((3, -1), (2, 1)):
                     violations.append(
                         f"j={step.j}: follow-up digit {nxt} after q_prev"
                     )
-        else:
-            classes.append("other")
+        elif diff:
             violations.append(
                 f"j={step.j}: q difference {diff} not in {{0, {q_half_prev}}}"
             )
@@ -158,7 +146,7 @@ def q_difference_classify(trace: MatchedTrace) -> ClassifyResult:
         if step.q_half * best_den > best_num * step.q_alpha:
             best_num, best_den = step.q_half, step.q_alpha
         q_half_prev = step.q_half
-    return ClassifyResult(classes=classes, violations=violations,
+    return ClassifyResult(violations=violations,
                           max_q_ratio_num=best_num, max_q_ratio_den=best_den)
 
 

@@ -206,11 +206,11 @@ def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
 
 
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
-                  prec: int, closed_form: bool, mode: str) -> SeriesValue:
+                  prec: int, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
     wp = prec + 32
     mode_k = ((k, signed),)
-    if closed_form and e.period is not None:
+    if e.period is not None:
         pre, length = e.period
         n_explicit = pre + length
         vals = _raw_orbit(e, n_explicit - 1, wp)
@@ -233,13 +233,8 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                            n_terms=n_explicit, tail_estimate=0.0,
                            rigorous_tail=True, mode=mode, exhausted=False)
 
-    if e.period is not None:
-        n_avail = terms
-    elif e.terminated:
-        n_avail = len(e.orbit) - 1
-    else:
-        n_avail = len(e.orbit)
-    n_max = min(terms, n_avail)
+    # _prepare rejects terminated orbits, so every stored point is a term
+    n_max = min(terms, len(e.orbit))
     vals = _raw_orbit(e, n_max - 1, wp)
     raw_tol = from_float(float(tol))
     total = fzero
@@ -272,8 +267,8 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
 
 
 def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERMS,
-             tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION,
-             closed_form: bool = True) -> SeriesValue:
+             tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION
+             ) -> SeriesValue:
     """k-Brjuno value at x over the alpha-CF orbit.
 
     Periodic (surd) inputs get their tail summed in closed form and come back
@@ -284,16 +279,16 @@ def brjuno_k(x: ExactNumber, alpha: Alpha, k: int = 1, terms: int = DEFAULT_TERM
         raise OutOfDomain("k must be >= 1")
     e = _prepare(x, alpha, terms)
     return _series_value(e, k, signed=False, terms=terms, tol=tol, prec=prec,
-                         closed_form=closed_form, mode=f"brjuno({k})")
+                         mode=f"brjuno({k})")
 
 
 def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
-           tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION,
-           closed_form: bool = True) -> SeriesValue:
+           tol: float = DEFAULT_TOL, prec: int = DEFAULT_PRECISION
+           ) -> SeriesValue:
     """Wilton value at x: the alternating-sign partner of the Brjuno series."""
     e = _prepare(x, alpha, terms)
     return _series_value(e, 1, signed=True, terms=terms, tol=tol, prec=prec,
-                         closed_form=closed_form, mode="wilton")
+                         mode="wilton")
 
 
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
@@ -337,7 +332,7 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     if is_zero(xn):
         raise SingularPoint("proxy sum of an integer point")
     e = expand(xn, alpha, N)
-    if not e.n_digits_available(N):
+    if e.depth(N) < N:
         raise ExpansionTooShort(
             f"{N} digits needed, expansion terminated after {len(e.digits)}"
         )
@@ -386,7 +381,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     if mode == "wilton":
         k = 1
     e = _prepare(x, alpha, N + 1)
-    if not e.n_digits_available(N):
+    if e.depth(N) < N:
         if e.exhausted:
             raise PrecisionExhausted(
                 f"only {len(e.digits)} digits certifiable, N = {N} requested"
@@ -408,29 +403,13 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     return mp.make_mpf(mpf_pos(res, prec, _RND))
 
 
-def truncation_bound_check(x: ExactNumber, r: int, k: int = 1,
-                           mode: str = "brjuno",
-                           prec: int = 192) -> TruncationReport:
-    """Check |finite value at p_r/q_r - r-term orbit sum| <= 2kC' x_r / q_r.
-
-    Stated for the regular continued fraction (alpha = 1); the Wilton variant
-    uses the k = 1 constant.  This is the r-th entry of truncation_audit.
-    """
-    if mode not in ("brjuno", "wilton"):
-        raise OutOfDomain(f"unknown mode {mode!r}")
-    wilton_mode = mode == "wilton"
-    report = truncation_audit(x, r, ks=() if wilton_mode else (k,),
-                              include_wilton=wilton_mode, prec=prec)[-1]
-    if report.r < r:
-        raise ExpansionTooShort(
-            f"r = {r} needs {r} digits, expansion has {report.r}"
-        )
-    return report
-
-
 # relative accuracy of a truncation audit's lhs: a float sum whose error
 # bound exceeds it is summed again in mp arithmetic
 _LHS_REL = 2.0 ** -32
+
+# the audit's modes, (k, signed): k-Brjuno at k = 1, 2, 3, then Wilton
+_AUDIT_MODES = ((1, False), (2, False), (3, False), (1, True))
+_AUDIT_KS = (1, 2, 3)
 
 
 def _reverse_continuants(a: Sequence[int]) -> tuple[list, list]:
@@ -448,8 +427,8 @@ def _reverse_continuants(a: Sequence[int]) -> tuple[list, list]:
     return big_k, big_l
 
 
-def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float,
-                          ks: Sequence[int]) -> dict:
+def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
+                          ) -> dict:
     """F_r - P_r for x = [0; a_1, .., a_r + t], summed from exact differences.
 
     F_r is the finite k-Brjuno value at p_r/q_r = [0; a_1..a_r] and P_r the
@@ -490,7 +469,7 @@ def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float,
     s_last = rows[-1][2]
     scale = t * inv_q * inv_q
     out = {}
-    for k in ks:
+    for k in _AUDIT_KS:
         top = max(0, (2 - k) * s_last)
         terms = []
         for sign, g, s, rho_log, psi, inv_yw, u, lp in rows:
@@ -515,7 +494,7 @@ def _split(v) -> tuple[float, int]:
 
 
 def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
-                             ks: Sequence[int], prec: int) -> dict:
+                             prec: int) -> dict:
     """``_finite_minus_partial`` in raw mpfs at prec, for sums that cancel.
 
     t is x_r as a raw mpf good to prec bits.  Each term is the same exact
@@ -528,7 +507,7 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
     big_k, big_l = _reverse_continuants(a)
     m0 = mpf_add(from_int(q_r), mpf_mul_int(t, big_l[0], prec, _RND), prec,
                  _RND)  # q_r + t q_{r-1}
-    sums = {k: [fzero, fzero] for k in ks}
+    sums = {k: [fzero, fzero] for k in _AUDIT_KS}
     for j in range(r):
         kj, kj1 = big_k[j], big_k[j + 1]
         m = mpf_add(from_int(kj), mpf_mul_int(t, big_l[j], prec, _RND), prec,
@@ -540,7 +519,7 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
         log_inv_y = mpf_log(from_rational(kj, kj1, prec, _RND), prec, _RND)
         u = mpf_mul(z, from_rational(q[j] * kj1, q_r, prec, _RND), prec, _RND)
         beta = mpf_div(m, m0, prec, _RND)  # beta_{j-1}(x)
-        for k in ks:
+        for k in _AUDIT_KS:
             # (1 + u)^k - 1 = u sum_i C(k, i) u^(i-1), with no cancellation
             poly = fzero
             for i in range(k, 0, -1):
@@ -554,7 +533,7 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
             acc[0] = mpf_add(acc[0], term, prec, _RND)
             acc[1] = mpf_add(acc[1], mpf_abs(term), prec, _RND)
     out = {}
-    for k in ks:
+    for k in _AUDIT_KS:
         total, total_abs = sums[k]
         m_abs, e = _split(total_abs)
         m, e_total = _split(total)
@@ -563,10 +542,13 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
     return out
 
 
-def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
-                     include_wilton: bool = True,
+def truncation_audit(x: ExactNumber, r_max: int,
                      prec: int = 160) -> list[TruncationReport]:
-    """All truncation checks for r = 1..r_max and every requested mode at once.
+    """Truncation checks |F_r - P_r| <= 2kC' x_r / q_r for r = 1..r_max.
+
+    Stated for the regular continued fraction (alpha = 1).  Each r is
+    checked for the k-Brjuno series at k = 1, 2, 3 and for the Wilton
+    series, which uses the k = 1 constant, in that order.
 
     The lhs |F_r - P_r| (finite value at p_r/q_r minus the r-term orbit sum
     of x) is summed from its exact term differences, which
@@ -583,18 +565,16 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
     alpha = Alpha.one()
     xn, _ = normalize(x, alpha)
     e = expand(xn, alpha, r_max + 1)
-    depth = r_max if e.n_digits_available(r_max) else len(e.digits)
+    depth = e.depth(r_max)
     if depth < 1:
         raise ExpansionTooShort("no expansion steps available")
     c = convergents(e, depth)
     digits = [e.digit_at(j)[0] for j in range(1, depth + 1)]
-    modes = [(k, False) for k in ks] + ([(1, True)] if include_wilton else [])
-    distinct_ks = sorted({k for k, _ in modes})
     wp = prec + 16
     vals = _raw_orbit(e, depth, wp)
     # 2kC' per k, so the bound below is (2kC' * x_r) / q_r
     cp = _c_prime(prec)
-    scale = {k: mpf_mul_int(cp, 2 * k, wp, _RND) for k in distinct_ks}
+    scale = {k: mpf_mul_int(cp, 2 * k, wp, _RND) for k in _AUDIT_KS}
     cp_float = to_float(cp, rnd=_RND)
     x_text = format_exact(x)
     reports = []
@@ -603,20 +583,19 @@ def truncation_audit(x: ExactNumber, r_max: int, ks: Sequence[int] = (1, 2, 3),
         q_bits = q_r.bit_length()
         x_r = vals[r] if len(vals) > r else fzero
         t = to_float(x_r, rnd=_RND)
-        diffs = _finite_minus_partial(digits[:r], c.q, t, distinct_ks)
+        diffs = _finite_minus_partial(digits[:r], c.q, t)
         sum_prec = q_bits + 128
         while (any(err > _LHS_REL * abs(total)
                    for total, _, err, _ in diffs.values())
                and sum_prec <= 8 * (q_bits + 128)):
             t_raw = _raw_orbit(e, r, sum_prec)[r]
-            diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw,
-                                             distinct_ks, sum_prec)
+            diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw, sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)
         bounds = {k: to_float(mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp,
                                       _RND), rnd=_RND)
                   for k, s in scale.items()}
-        for k, signed in modes:
+        for k, signed in _AUDIT_MODES:
             total, total_abs, err, e_sum = diffs[k]
             lhs = total_abs if signed else abs(total)
             # lhs/bound = lhs 2^e_sum q_r / (2kC' x_r)
@@ -644,7 +623,7 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     """Sup over samples and depths <= N of |partial series - proxy sum|.
 
     Reports both the same-alpha gap and the cross-alpha variant against the
-    regular-CF proxy.
+    regular-CF proxy; at alpha = 1 the two are the same pass.
     """
     signed = mode == "wilton"
     sup_gap = 0.0
@@ -653,7 +632,7 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     for x in samples:
         xa, _ = normalize(x, alpha)
         e = expand(xa, alpha, N + 1)
-        depth = N if e.n_digits_available(N) else len(e.digits)
+        depth = e.depth(N)
         if depth < 1:
             continue
         c = convergents(e, depth)
@@ -673,20 +652,19 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
             beta *= vals[j]
             series_partials.append(series)
             gap = max(gap, abs(series - proxy))
+        sup_gap = max(sup_gap, gap)
+        if alpha == one:  # the regular-CF proxy is this pass's own
+            sup_cross = sup_gap
+            continue
         # cross-alpha: same partial series vs regular-CF proxy of the same x
-        if alpha == one:
-            e1 = e
-        else:
-            x1, _ = normalize(x, one)
-            e1 = expand(x1, one, N + 1)
-        depth1 = min(depth, N if e1.n_digits_available(N) else len(e1.digits))
-        c1 = convergents(e1, depth1)
+        x1, _ = normalize(x, one)
+        e1 = expand(x1, one, N + 1)
+        c1 = convergents(e1, min(depth, e1.depth(N)))
         proxy1 = 0.0
         gap_cross = 0.0
         for j, pterm in enumerate(_proxy_terms(c1, k, signed)):
             proxy1 += pterm
             gap_cross = max(gap_cross, abs(series_partials[j] - proxy1))
-        sup_gap = max(sup_gap, gap)
         sup_cross = max(sup_cross, gap_cross)
     return GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross,
                           alpha=str(alpha), k=k, N=N, mode=mode)

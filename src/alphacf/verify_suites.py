@@ -112,8 +112,7 @@ def suite_lemma_trunc(seed: int = 0, fast: bool = False) -> CriterionResult:
     worst_ratio = 0.0
     for _ in range(n_samples):
         x = random_surd(rng)
-        for rep in series_eval.truncation_audit(x, 30, ks=(1, 2, 3),
-                                                include_wilton=True):
+        for rep in series_eval.truncation_audit(x, 30):
             checks += 1
             if not rep.passed:
                 violations += 1

@@ -14,7 +14,6 @@ from alphacf import numkit as nk
 from alphacf.cf_core import (
     Alpha,
     alpha_step,
-    beta_products,
     convergents,
     expand,
     normalize,
@@ -26,6 +25,37 @@ G = nk.GOLDEN
 
 unit_fractions = st.fractions(min_value=Fraction(1, 10**6), max_value=1,
                               max_denominator=10**6)
+
+
+def _parts(v):
+    """(a, b, c) with v = (a + b*sqrt(d))/c."""
+    if isinstance(v, nk.Surd):
+        return v.a, v.b, v.c
+    v = Fraction(v)
+    return v.numerator, 0, v.denominator
+
+
+def _times(u, v):
+    """Exact product of two values of one field Q(sqrt(d)).
+
+    Surd has no multiplication of its own: the alpha-CF step never needs it.
+    """
+    d = next((w.d for w in (u, v) if isinstance(w, nk.Surd)), 2)
+    (a, b, c), (p, q, r) = _parts(u), _parts(v)
+    return nk.make_surd(a * p + b * q * d, a * q + b * p, c * r, d)
+
+
+def _orbit_products(e, n):
+    """[1, x_0, x_0 x_1, ..., x_0 ... x_n] from the stored orbit."""
+    prods = [Fraction(1)]
+    for j in range(n + 1):
+        prods.append(_times(prods[-1], e.orbit_at(j)))
+    return prods
+
+
+def _convergent_gap(c, x, j):
+    """|q_j x - p_j|, exactly."""
+    return abs(_times(c.q_of(j), x) - c.p_of(j))
 
 
 def test_alpha_validation():
@@ -93,16 +123,16 @@ def test_convergents_examples():
 
 def test_beta_products_examples():
     e = expand(Fraction(2, 5), Alpha.one(), 10)
-    betas = beta_products(e, 1)
-    assert betas[0] == 1  # beta_{-1}
-    assert betas[2] == Fraction(1, 5)
-    c = convergents(e)
-    assert c.beta_of(1) == Fraction(1, 5)
+    prods = _orbit_products(e, 1)
+    assert prods[0] == 1  # beta_{-1}
+    assert prods[2] == Fraction(1, 5)
+    assert _convergent_gap(convergents(e), e.x0, 1) == Fraction(1, 5)
 
     eg = expand(G, Alpha.one(), 10)
-    bg = beta_products(eg, 4)
-    for j, b in enumerate(bg):
-        assert b == G ** j  # beta_{j-1}(g) = g^j
+    power = Fraction(1)
+    for b in _orbit_products(eg, 4):
+        assert b == power  # beta_{j-1}(g) = g^j
+        power = _times(power, G)
 
 
 def test_normalize_examples():
@@ -127,10 +157,10 @@ def test_rational_roundtrip_and_beta_identity(x, alpha_text):
     # terminated expansion reproduces x exactly
     assert Fraction(c.p_of(r), c.q_of(r)) == x
     assert math.gcd(c.p_of(r), c.q_of(r)) == 1
-    # the two beta formulas agree exactly
-    betas = beta_products(e, r - 1)
+    # |q_j x - p_j| = x_0 ... x_j exactly
+    prods = _orbit_products(e, r - 1)
     for j in range(-1, r):
-        assert betas[j + 1] == c.beta_of(j)
+        assert prods[j + 1] == _convergent_gap(c, x, j)
     # q strictly increasing from j = 1
     for j in range(1, r):
         assert c.q_of(j + 1) > c.q_of(j)
@@ -183,13 +213,15 @@ def test_gauss_orbit_product_contraction(x):
         return
     e = expand(x, Alpha.one(), 300)
     r = len(e.digits)
-    g = G
+    powers = [Fraction(1)]
+    while len(powers) < r:
+        powers.append(_times(powers[-1], G))
     for j in range(0, r - 1):
         prod = Fraction(1)
         for i in range(j + 1, r):
             prod *= e.orbit_at(i)
         # x_{j+1} ... x_{r-1} <= g^{r-j-1}
-        assert not (prod > g ** (r - j - 1))
+        assert not (prod > powers[r - j - 1])
 
 
 def test_ball_expansion_matches_exact_digits():
@@ -264,14 +296,14 @@ def test_surd_beta_identity_exact():
     # |q_j x - p_j| equals the orbit product exactly in surd arithmetic
     for x0, alpha in [(nk.make_surd(-3, 1, 4, 19), Alpha.one()),
                       (nk.make_surd(3, -1, 5, 7), Alpha.half()),
-                      (G * G, Alpha(Fraction(14, 25)))]:
+                      (_times(G, G), Alpha(Fraction(14, 25)))]:
         x, _ = normalize(x0, alpha)
         e = expand(x, alpha, 25)
         n = min(12, len(e.digits))
         c = convergents(e, n)
-        betas = beta_products(e, n - 1)
+        prods = _orbit_products(e, n - 1)
         for j in range(-1, n):
-            assert c.beta_of(j) == betas[j + 1]
+            assert _convergent_gap(c, x, j) == prods[j + 1]
 
 
 def test_orbit_convergent_consistency_alpha_one():
@@ -283,9 +315,9 @@ def test_orbit_convergent_consistency_alpha_one():
         c = convergents(e, n)
         for i in range(1, n + 1):
             xi = e.orbit_at(i)
-            recons = (c.p_of(i - 1) * xi + c.p_of(i)) / \
-                (c.q_of(i - 1) * xi + c.q_of(i))
-            assert recons == xn
+            num = _times(c.p_of(i - 1), xi) + c.p_of(i)
+            den = _times(c.q_of(i - 1), xi) + c.q_of(i)
+            assert num == _times(xn, den)
 
 
 def test_ball_expansion_escalates_then_exhausts():

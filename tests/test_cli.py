@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from alphacf import cli
+from alphacf import bmo_lab, cli
 from alphacf.fastgrid import DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, wilton_grid
 
 
@@ -57,6 +57,12 @@ def test_eval_out_writes_the_file(tmp_path, capsys):
     assert out == ""
     assert out_file.read_text() == printed
     assert len(printed.splitlines()) == 5
+
+
+def test_eval_without_x_or_grid_exit2(capsys):
+    code, _, err = run(["eval", "--fn", "brjuno"], capsys)
+    assert code == 2
+    assert "--x or --grid" in err
 
 
 def test_eval_rational_series_exit3(capsys):
@@ -164,15 +170,21 @@ def test_scan_interval_json_no_verdict(capsys):
     assert "evidence" in obj["note"]
 
 
-def test_scan_jobs_deterministic(tmp_path, capsys):
-    base = ["scan", "--fn", "wilton", "--alpha", "1", "--blowup", "8,16,32",
-            "--points", "2000"]
-    f1 = tmp_path / "a.csv"
-    f2 = tmp_path / "b.csv"
-    assert cli.main(base + ["--out", str(f1)]) == 0
-    assert cli.main(base + ["--jobs", "3", "--out", str(f2)]) == 0
+def test_scan_blowup_pool_matches_serial_rows(tmp_path, capsys):
+    # the rows run on a thread pool; the CSV holds one serial call's rows,
+    # in n order
+    out = tmp_path / "pool.csv"
+    assert cli.main(["scan", "--fn", "wilton", "--alpha", "1", "--blowup",
+                     "32,8,16", "--points", "2000", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert f1.read_bytes() == f2.read_bytes()
+    rows = bmo_lab.wilton_blowup_experiment([8, 16, 32], points=2000,
+                                            terms=DEFAULT_GRID_TERMS,
+                                            tol=DEFAULT_GRID_TOL)
+    want = ["n,mean_plus,mean_minus,oscillation,samples,quad_error,terms,tol"]
+    want += [",".join([str(r.n), repr(r.mean_plus), repr(r.mean_minus),
+                       repr(r.oscillation), str(r.samples), repr(r.quad_error),
+                       str(r.terms), repr(r.tol)]) for r in rows]
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_compare_summary_zero_violations(capsys):
@@ -210,6 +222,7 @@ def test_compare_dump_traces(tmp_path, capsys):
     ["expand", "--x", "2/5", "--alpha", "1", "--seed", "3"],
     ["eval", "--fn", "wilton-finite", "--x", "2/5", "--jobs", "2"],
     ["--seed", "3", "verify", "--suite", "ladders"],
+    ["scan", "--alpha", "1", "--blowup", "16", "--jobs", "2"],
 ])
 def test_option_the_command_does_not_read_exit2(argv, capsys):
     code, _, err = run(argv, capsys)

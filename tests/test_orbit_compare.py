@@ -22,9 +22,8 @@ ONE_MINUS_G = 1 - G
 
 def test_first_divergence_relations():
     tr = matched_orbits(Fraction(39, 100), Alpha(Fraction(3, 5)), 12)
-    assert tr.divergence_indices[0] == 1
     s = tr.steps[0]
-    assert s.event == "reflected"
+    assert s.event == "reflected"  # the orbits part at the first step
     assert s.x_half == 1 - s.x_alpha
     assert s.digit_half == (3, -1) and s.digit_alpha == (2, 1)
     assert s.digit_half[0] == s.digit_alpha[0] + 1
@@ -164,7 +163,6 @@ def _matched_orbits_stepwise(x, alpha, N):
     qh_prev, qh = 0, 1
     qa_prev, qa = 0, 1
     eps_h_prev = eps_a_prev = 1
-    prev_event = "coincide"
     for j in range(1, N + 1):
         if nk.is_zero(xh) or nk.is_zero(xa):
             break
@@ -173,14 +171,10 @@ def _matched_orbits_stepwise(x, alpha, N):
         qh_prev, qh = qh, ah * qh + eps_h_prev * qh_prev
         qa_prev, qa = qa, aa * qa + eps_a_prev * qa_prev
         eps_h_prev, eps_a_prev = eh, ea
-        event = _classify_state(xh, xa)
-        if event != "coincide" and prev_event == "coincide":
-            trace.divergence_indices.append(j)
         trace.steps.append(TraceStep(j=j, digit_half=(ah, eh),
                                      digit_alpha=(aa, ea), x_half=xh,
                                      x_alpha=xa, q_half=qh, q_alpha=qa,
-                                     event=event))
-        prev_event = event
+                                     event=_classify_state(xh, xa)))
     return trace
 
 
@@ -198,4 +192,3 @@ def test_matched_orbits_match_stepwise_reference():
                 want = _matched_orbits_stepwise(x, alpha, N)
                 got = matched_orbits(x, alpha, N)
                 assert got.dump_jsonl() == want.dump_jsonl()
-                assert got.divergence_indices == want.divergence_indices

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_float, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import from_float, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, alpha_step, convergents, expand, normalize
@@ -34,6 +34,14 @@ def random_surd_in_unit(rng, below_half=False):
         x, _ = normalize(v, Alpha.one())
         if isinstance(x, nk.Surd) and (not below_half or x < Fraction(1, 2)):
             return x
+
+
+def long_sum(x, alpha, k, signed, n, prec):
+    """The n-term orbit sum of x from the series kernel, with no tail."""
+    e = expand(normalize(x, alpha)[0], alpha, n)
+    wp = prec + 32
+    total, = se._orbit_sums(se._raw_orbit(e, n - 1, wp), ((k, signed),), wp)
+    return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
 
 # -- fixed-point closed forms ------------------------------------------------
@@ -73,20 +81,18 @@ def test_closed_form_matches_long_partial_sum():
     # period-1 surds: closed-form tail equals the limit of partial sums
     for x in (G, SQRT2M1):
         closed = se.brjuno_k(x, Alpha.one(), 2, prec=192)
-        partial = se.brjuno_k(x, Alpha.one(), 2, terms=400, tol=1e-55,
-                              prec=192, closed_form=False)
-        assert closed.rigorous_tail and not partial.rigorous_tail
-        assert abs(closed.value - partial.value) < 1e-50
+        partial = long_sum(x, Alpha.one(), 2, False, 400, 192)
+        assert closed.rigorous_tail
+        assert abs(closed.value - partial) < 1e-50
 
 
 def test_preperiodic_surd_closed_form():
     # a surd with nontrivial preperiod still sums its tail exactly
     x = normalize(nk.make_surd(-3, 1, 4, 19), Alpha.one())[0]
     closed = se.wilton(x, Alpha.one(), prec=192)
-    partial = se.wilton(x, Alpha.one(), terms=500, tol=1e-60, prec=192,
-                        closed_form=False)
+    partial = long_sum(x, Alpha.one(), 1, True, 500, 192)
     assert closed.rigorous_tail
-    assert abs(closed.value - partial.value) < 1e-45
+    assert abs(closed.value - partial) < 1e-45
 
 
 # -- finite (rational) truncations -------------------------------------------
@@ -157,10 +163,8 @@ def test_transfer_reproduces_series_recursion():
     alpha = Alpha.one()
     x = G
     depth = 12
-    f = lambda t: se.brjuno_k(t, alpha, 1, terms=depth - 1, tol=0.0,
-                              prec=192, closed_form=False).value
-    lhs = se.brjuno_k(x, alpha, 1, terms=depth, tol=0.0, prec=192,
-                      closed_form=False).value
+    f = lambda t: long_sum(t, alpha, 1, False, depth - 1, 192)
+    lhs = long_sum(x, alpha, 1, False, depth, 192)
     with mp.workprec(192):
         rhs = mp.log(1 / nk.to_mpf(x, 192)) + se.apply_transfer(
             f, 1, alpha, x, sign=1, prec=192)
@@ -236,28 +240,32 @@ def test_c_prime_value():
 
 
 def test_truncation_bound_golden():
-    tb = se.truncation_bound_check(G, 10, 1)
-    assert tb.passed and tb.lhs <= tb.bound
-    tbw = se.truncation_bound_check(G, 10, 1, mode="wilton")
-    assert tbw.passed
+    at_10 = [r for r in se.truncation_audit(G, 10) if r.r == 10]
+    assert [(r.k, r.mode) for r in at_10] == [
+        (1, "brjuno"), (2, "brjuno"), (3, "brjuno"), (1, "wilton")]
+    assert all(r.passed and r.lhs <= r.bound for r in at_10)
 
 
 def test_truncation_bound_short_expansion():
+    # the audit stops where the expansion does, and needs one step
+    reports = se.truncation_audit(Fraction(2, 5), 10)
+    assert [r.r for r in reports] == [1] * 4 + [2] * 4
     with pytest.raises(ExpansionTooShort):
-        se.truncation_bound_check(Fraction(2, 5), 10, 1)
+        se.truncation_audit(Fraction(3), 10)
 
 
 def test_truncation_audit_matches_single_checks():
+    # an audit that stops at r gives the r entries of a deeper audit, bit
+    # for bit; at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single
+    # check used to differ in the bits below its working precision
     rng = random.Random(5)
-    x = random_surd_in_unit(rng)
-    reports = se.truncation_audit(x, 8, ks=(1, 2), include_wilton=True)
-    assert len(reports) == 8 * 3
-    for rep in reports:
-        assert rep.passed
-    single = se.truncation_bound_check(x, 5, 2, prec=160)
-    batched = next(r for r in reports
-                   if r.r == 5 and r.k == 2 and r.mode == "brjuno")
-    assert single.lhs == pytest.approx(batched.lhs, rel=1e-10, abs=1e-30)
+    xs = [G, nk.parse_exact("(3+1*sqrt(11))/19"), random_surd_in_unit(rng)]
+    for x in xs:
+        deep = se.truncation_audit(x, 16, prec=192)
+        assert len(deep) == 16 * 4 and all(r.passed for r in deep)
+        for r in (4, 9, 16):
+            single = se.truncation_audit(x, r, prec=192)[-4:]
+            assert single == [rep for rep in deep if rep.r == r]
 
 
 def test_truncation_audit_precision_follows_denominators():
@@ -293,6 +301,40 @@ def test_gap_audit_batch_below_gate():
             assert res.sup_gap_cross < se.proof_constant_gate(1)
 
 
+def _gap_oracle(x, k, N, signed):
+    """The alpha = 1 gap, from its own expansion, series and proxy."""
+    e = expand(normalize(x, Alpha.one())[0], Alpha.one(), N + 1)
+    depth = e.depth(N)
+    c = convergents(e, depth)
+    vals = [float(v) for v in e.orbit_mpf(depth - 1, 96)]
+    beta, series, proxy, gap = 1.0, 0.0, 0.0, 0.0
+    for j in range(depth):
+        sterm = beta ** k * math.log(1 / vals[j])
+        pterm = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
+        if signed and j % 2:
+            sterm, pterm = -sterm, -pterm
+        series += sterm
+        proxy += pterm
+        beta *= vals[j]
+        gap = max(gap, abs(series - proxy))
+    return gap
+
+
+def test_gap_audit_cross_is_same_alpha_at_alpha_one():
+    # at alpha = 1 the regular-CF proxy is the same-alpha proxy, so the
+    # cross-alpha sup is the same-alpha sup, bit for bit
+    rng = random.Random(404)
+    xs = [random_surd_in_unit(rng) for _ in range(20)]
+    for mode in ("brjuno", "wilton"):
+        for k in (1, 2):
+            want = [_gap_oracle(x, k, 60, mode == "wilton") for x in xs]
+            for x, gap in zip(xs, want):
+                res = se.gap_audit([x], Alpha.one(), k, 60, mode=mode)
+                assert res.sup_gap == res.sup_gap_cross == gap
+            res = se.gap_audit(xs, Alpha.one(), k, 60, mode=mode)
+            assert res.sup_gap == res.sup_gap_cross == max(want)
+
+
 # -- assorted properties -------------------------------------------------------
 
 def test_k_monotonicity():
@@ -322,22 +364,27 @@ def test_tail_estimate_flags():
                   terms=40, tol=1e-30)
     assert not f.rigorous_tail and f.tail_estimate >= 0.0
     # exhausted only when the certified orbit, not tol or the cap, ended it
-    capped = se.brjuno_k(G, Alpha.one(), 1, terms=50, closed_form=False)
+    capped = se.wilton(nk.BallFloat("0.31830988618", prec=256), Alpha.one(),
+                       terms=20, tol=0.0)
+    assert capped.n_terms == 20
     assert not (v.exhausted or f.exhausted or capped.exhausted)
     short = se.brjuno_k(nk.parse_exact("0.3183098861837907", 64), Alpha.one(),
                         prec=64)
     assert short.exhausted and short.n_terms == 37
 
 
-def test_truncation_bound_check_precision_follows_denominator():
-    # at a flat 192 bits the single check read rounding (lhs 2.9e-58) as a
-    # violation of the 5.5e-59 bound at r = 30
+def test_truncation_audit_lhs_same_at_any_prec():
+    # at a flat 192 bits an mp subtraction read rounding (lhs 2.9e-58) as a
+    # violation of the 5.5e-59 bound at r = 30; prec sets only the bound
     x = nk.parse_exact("(3+1*sqrt(11))/19")
-    single = se.truncation_bound_check(x, 30, 1)
-    assert single.passed
-    batched = next(r for r in se.truncation_audit(x, 30)
-                   if r.r == 30 and r.k == 1 and r.mode == "brjuno")
-    assert single.lhs == pytest.approx(batched.lhs, rel=1e-12)
+    key = (30, 1, "brjuno")
+    at_192, at_160 = (next(r for r in se.truncation_audit(x, 30, prec=prec)
+                           if (r.r, r.k, r.mode) == key)
+                      for prec in (192, 160))
+    assert at_192.passed and at_192.lhs <= at_192.bound
+    assert at_192.lhs == pytest.approx(at_160.lhs, rel=1e-12, abs=0)
+    assert at_192.lhs == pytest.approx(1.0502931264083268e-59, rel=1e-12,
+                                       abs=0)
 
 
 # -- the orbit-series kernel, frozen --------------------------------------------
@@ -414,18 +461,6 @@ def test_kernel_modes_match_single_mode_calls():
     assert wilton1 == negated
 
 
-def test_truncation_bound_check_is_its_audit_entry():
-    # at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single check used
-    # to differ from the audit in the bits below its working precision
-    rng = random.Random(5)
-    xs = [G, nk.parse_exact("(3+1*sqrt(11))/19"), random_surd_in_unit(rng)]
-    for x in xs:
-        for r in (4, 9, 16):
-            for rep in se.truncation_audit(x, r, prec=192):
-                if rep.r == r:
-                    assert se.truncation_bound_check(x, r, rep.k, rep.mode) == rep
-
-
 # -- thread safety ---------------------------------------------------------------
 
 def test_series_values_same_in_threads_as_serial():
@@ -490,7 +525,7 @@ def _oracle_gauss_orbit(fr):
 def _oracle_truncation_audit(x, r_max, prec=160):
     # truncation_audit's reports as (r, k, mode, lhs, bound, passed)
     e = expand(x, Alpha.one(), r_max + 1)
-    depth = r_max if e.n_digits_available(r_max) else len(e.digits)
+    depth = e.depth(r_max)
     c = convergents(e, depth)
     prec = max(prec, c.q_of(depth).bit_length() + 64)
     modes = ORACLE_MODES
@@ -567,7 +602,7 @@ def test_truncation_audit_matches_mp_context_oracle():
     rng = random.Random(911)
     for _ in range(5):
         x = random_surd_in_unit(rng)
-        reports = se.truncation_audit(x, 30, ks=(1, 2, 3))
+        reports = se.truncation_audit(x, 30)
         got = [(r.r, r.k, r.mode, r.bound.hex(), r.passed) for r in reports]
         want = [(r, k, mode, bound.hex(), ok)
                 for r, k, mode, lhs, bound, ok in _oracle_truncation_audit(x, 30)]
