@@ -255,17 +255,17 @@ def test_truncation_bound_short_expansion():
 
 
 def test_truncation_audit_matches_single_checks():
-    # an audit that stops at r gives the r entries of a deeper audit, bit
-    # for bit; at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single
-    # check used to differ in the bits below its working precision
     rng = random.Random(5)
-    xs = [G, nk.parse_exact("(3+1*sqrt(11))/19"), random_surd_in_unit(rng)]
-    for x in xs:
-        deep = se.truncation_audit(x, 16, prec=192)
-        assert len(deep) == 16 * 4 and all(r.passed for r in deep)
-        for r in (4, 9, 16):
-            single = se.truncation_audit(x, r, prec=192)[-4:]
-            assert single == [rep for rep in deep if rep.r == r]
+    x = random_surd_in_unit(rng)
+    reports = se.truncation_audit(x, 8)
+    assert len(reports) == 8 * 4
+    for rep in reports:
+        assert rep.passed
+    single = next(r for r in se.truncation_audit(x, 5, prec=160)
+                  if r.r == 5 and r.k == 2 and r.mode == "brjuno")
+    batched = next(r for r in reports
+                   if r.r == 5 and r.k == 2 and r.mode == "brjuno")
+    assert single.lhs == pytest.approx(batched.lhs, rel=1e-10, abs=1e-30)
 
 
 def test_truncation_audit_precision_follows_denominators():
@@ -459,6 +459,20 @@ def test_kernel_modes_match_single_mode_calls():
     assert len(vals) > 10
     assert [list(col) for col in zip(*joint)] == singles
     assert wilton1 == negated
+
+
+def test_truncation_bound_check_is_its_audit_entry():
+    # an audit that stops at r gives the r entries of a deeper audit, bit
+    # for bit; at (3+sqrt(11))/19, r = 16, k = 2 and 3, a separate single
+    # check used to differ in the bits below its working precision
+    rng = random.Random(5)
+    xs = [G, nk.parse_exact("(3+1*sqrt(11))/19"), random_surd_in_unit(rng)]
+    for x in xs:
+        deep = se.truncation_audit(x, 16, prec=192)
+        assert len(deep) == 16 * 4 and all(r.passed for r in deep)
+        for r in (4, 9, 16):
+            single = se.truncation_audit(x, r, prec=192)[-4:]
+            assert single == [rep for rep in deep if rep.r == r]
 
 
 # -- thread safety ---------------------------------------------------------------
