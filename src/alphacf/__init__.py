@@ -5,12 +5,9 @@ from .numkit import (  # noqa: F401
     BallFloat,
     ExactNumber,
     Surd,
-    compare,
-    floor_of,
     format_exact,
     make_surd,
     parse_exact,
-    reciprocal,
     to_mpf,
 )
 

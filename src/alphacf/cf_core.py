@@ -12,6 +12,7 @@ to guess at branch boundaries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,21 +24,7 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .numkit import (
-    GT,
-    LT,
-    BallFloat,
-    ExactNumber,
-    Surd,
-    compare,
-    floor_of,
-    format_exact,
-    is_zero,
-    parse_exact,
-    reciprocal,
-    sign_of,
-    to_mpf,
-)
+from .numkit import BallFloat, ExactNumber, Surd, format_exact, parse_exact, to_mpf
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -56,7 +43,7 @@ class Alpha:
             v = self.value
         if not isinstance(v, (Fraction, Surd)):
             raise OutOfDomain("alpha must be an exact rational or surd")
-        if compare(v, _HALF) == LT or compare(v, _ONE) == GT:
+        if v < _HALF or v > _ONE:
             raise OutOfDomain(f"alpha = {format_exact(v)} outside [1/2, 1]")
 
     @classmethod
@@ -88,23 +75,25 @@ class Alpha:
 
 
 def alpha_step(x: ExactNumber, alpha: Alpha):
-    """One step of the alpha-CF algorithm on x in (0, alpha].
+    """One step of the alpha-CF map on x in (0, alpha].
 
     Returns (a, eps, x_next) with a = floor(1/x - alpha + 1),
-    x_next = |1/x - a| and eps the sign of 1/x - a.  An exact hit 1/x = a
-    terminates the expansion; its eps is recorded +1 (no successor digit
-    exists to be signed) and x_next is an exact zero.
+    x_next = A_alpha(x) = |1/x - a| and eps the sign of 1/x - a.  The step
+    uses only the operators every value family speaks, so it is exact for
+    Fraction and Surd, and a BallFloat raises AmbiguousComparison or
+    AmbiguousFloor where its interval cannot decide a branch.  An exact hit
+    1/x = a terminates the expansion; its eps is recorded +1 (no successor
+    digit exists to be signed) and x_next is an exact zero.
     """
-    if sign_of(x) <= 0 or compare(x, alpha.value) == GT:
+    if x <= 0 or x > alpha.value:
         raise OutOfDomain("alpha_step requires 0 < x <= alpha")
-    u = reciprocal(x)
-    a = floor_of(u - alpha.value + 1)
+    u = 1 / x
+    a = math.floor(u - alpha.value + 1)
     w = u - a
-    s = sign_of(w)
-    if s == 0:
+    if not w:
         zero = BallFloat(0, prec=x.prec) if isinstance(x, BallFloat) else Fraction(0)
         return a, 1, zero
-    return a, s, abs(w)
+    return (a, 1, w) if w > 0 else (a, -1, -w)
 
 
 @dataclass
@@ -194,7 +183,7 @@ def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
     seen = {x.key(): 0} if isinstance(x, Surd) else None
     cur = x
     while len(e.digits) < max_steps:
-        if is_zero(cur):
+        if not cur:
             e.terminated = True
             break
         try:
@@ -212,7 +201,7 @@ def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
                 break
             seen[cur.key()] = len(e.orbit) - 1
     else:
-        if is_zero(cur):
+        if not cur:
             e.terminated = True
     return e
 
@@ -231,7 +220,7 @@ def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
     """
     if max_steps < 0:
         raise OutOfDomain("max_steps must be >= 0")
-    if sign_of(x) < 0 or compare(x, alpha.value) == GT:
+    if x < 0 or x > alpha.value:
         raise OutOfDomain("expand requires 0 <= x <= alpha; apply normalize first")
     attempt = x
     while True:
@@ -291,7 +280,7 @@ def normalize(y: ExactNumber, alpha: Alpha):
     Returns (x, reflected): x = y mod 1 when that lands in [0, alpha],
     otherwise 1 - (y mod 1) with the reflection flagged.
     """
-    t = y - floor_of(y)
-    if compare(t, alpha.value) != GT:
+    t = y - math.floor(y)
+    if t <= alpha.value:
         return t, False
     return 1 - t, True

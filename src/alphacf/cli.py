@@ -23,7 +23,7 @@ from .cf_core import Alpha, expand, normalize
 from .errors import AlphaCFError, OutOfDomain
 from .fastgrid import (DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, brjuno_grid,
                        wilton_grid)
-from .numkit import BallFloat, compare, format_exact, parse_exact
+from .numkit import BallFloat, format_exact, parse_exact
 from .sampling import random_rational
 from .verify_suites import SUITES, run_suites
 
@@ -227,7 +227,7 @@ def cmd_scan(args) -> int:
     else:
         raise UsageError(f"--fn: scans support wilton/brjuno, got {args.fn!r}")
     if args.blowup:
-        if args.fn != "wilton" or compare(alpha.value, Fraction(1)) != 0:
+        if args.fn != "wilton" or alpha.value != 1:
             raise UsageError("--blowup is the alpha = 1 Wilton experiment")
         try:
             ns = sorted({int(tok) for tok in args.blowup.split(",")})
@@ -423,6 +423,8 @@ def main(argv=None) -> int:
             raise OutOfDomain("--precision must be >= 64")
         if getattr(args, "terms", 1) < 1:
             raise OutOfDomain("--terms must be >= 1")
+        if math.isnan(getattr(args, "tol", 0.0)):
+            raise OutOfDomain("--tol must be a number, not nan")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import OutOfDomain
+
 DEFAULT_GRID_TERMS = 72
 DEFAULT_GRID_TOL = 1e-13
 
@@ -39,6 +41,8 @@ def series_grid(xs, alpha: float = 1.0, k: int = 1, signed: bool = False,
     [0, alpha] first.  Elements whose orbit dies (rational hit) keep their
     partial sum; exact zeros yield +inf like the underlying singularity.
     """
+    if k < 1:
+        raise OutOfDomain("k must be >= 1")
     xs = np.asarray(xs, dtype=np.float64)
     out = np.full(xs.size, np.inf)
     # the live set: indices into out, the orbit point, beta_{n-1}^k, the sum

@@ -17,9 +17,11 @@ and every conversion to an mpf (``to_mpf``, ``Surd.mpf``, a ball's
 precision, so they give the same bits in threads as serially.  A
 conversion rounds to nearest with the raw calls mpmath's mpf operators
 make, so it gives the bits mp-context arithmetic gives at that precision.
-Mixed arithmetic between the families works through the usual operator
-protocol; surds with different radicands are rejected rather than
-approximated.
+Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``,
+``1 / x`` and truth work through the usual operator protocol, as for
+``Fraction``: a surd compared with a ball defers to the ball, whose order is
+certified or raises ``AmbiguousComparison``.  Surds with different radicands
+are rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ from .errors import (
 )
 
 DEFAULT_PRECISION = 256
-
-# Verdicts for compare().
-LT, EQ, GT = -1, 0, 1
 
 _RND = round_nearest  # every mpf conversion rounds to nearest
 
@@ -141,13 +140,40 @@ def make_surd(a: int, b: int, c: int, d: int):
     return Surd._raw(a, b, c, d)
 
 
-class Surd:
+class _Ordered:
+    """``<``, ``<=``, ``>``, ``>=`` from a three-way ``_cmp`` (-1, 0 or +1).
+
+    ``_cmp`` returns NotImplemented for a type it cannot order against, so
+    Python tries the other operand's reflected operator.
+    """
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
+
+    def __le__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
+
+    def __gt__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
+
+    def __ge__(self, other):
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
+
+
+class Surd(_Ordered):
     """Quadratic irrational (a + b*sqrt(d))/c in canonical form.
 
     Canonical means: d > 1 squarefree, b != 0, c > 0, gcd(a, b, c) = 1.
-    Use :func:`make_surd` to construct.  Surds add, subtract, negate and
-    invert (:func:`reciprocal`), which is all the alpha-CF step needs; each
-    result is canonical, or a plain Fraction when the irrational part cancels.
+    Use :func:`make_surd` to construct.  Surds add, subtract, negate, order,
+    floor and divide a rational (``1 / x``), which is all the alpha-CF step
+    needs; each result is canonical, or a plain Fraction when the irrational
+    part cancels.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -192,10 +218,7 @@ class Surd:
             return other.numerator, 0, other.denominator
         return None
 
-    def sign(self) -> int:
-        return _sign_lin(self.a, self.b, self.d)
-
-    def floor(self) -> int:
+    def __floor__(self) -> int:
         """Exact floor, via integer square-root bounds on b*sqrt(d)."""
         t = self.b * self.b * self.d
         s = isqrt(t)
@@ -234,22 +257,26 @@ class Surd:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _inverse(self):
-        # c/(a + b*sqrt(d)) rationalized by the conjugate.
-        den = self.a * self.a - self.b * self.b * self.d
-        if den == 0:
-            raise DivisionByZero("surd reciprocal")  # impossible canonically
-        return make_surd(self.c * self.a, -self.c * self.b, den, self.d)
+    def __rtruediv__(self, other):
+        # (p/r) c/(a + b*sqrt(d)), rationalized by the conjugate.
+        if isinstance(other, int):
+            p, r = other, 1
+        elif isinstance(other, Fraction):
+            p, r = other.numerator, other.denominator
+        else:
+            return NotImplemented
+        den = (self.a * self.a - self.b * self.b * self.d) * r
+        return make_surd(p * self.c * self.a, -p * self.c * self.b, den, self.d)
 
     def __abs__(self):
-        return self if self.sign() >= 0 else -self
+        return self if _sign_lin(self.a, self.b, self.d) > 0 else -self
 
     # -- comparisons -------------------------------------------------------
 
-    def _cmp(self, other) -> int:
+    def _cmp(self, other):
         po = self._coerce(other)
         if po is None:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+            return NotImplemented  # a ball orders itself against a surd
         p, q, r = po
         # sign of self - other; both denominators positive after canon.
         rr = abs(r)
@@ -266,18 +293,6 @@ class Surd:
 
     def __hash__(self):
         return hash(("Surd",) + self.key())
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __float__(self):
         return float(self.mpf(96))
@@ -302,7 +317,7 @@ class Surd:
 GOLDEN = Surd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
 
 
-class BallFloat:
+class BallFloat(_Ordered):
     """Arbitrary-precision float with a certified, outward-rounded error radius.
 
     Stored as a raw libmp interval ``_x = (lo, hi)`` of two mpf tuples plus
@@ -311,7 +326,9 @@ class BallFloat:
     arithmetic and decisions touch no global precision state.  ``value`` is
     the midpoint and ``radius`` half the width.  All arithmetic rounds
     outward, so a zero-width result is exact and interval tests (floor,
-    comparison, sign) are sound.
+    order, truth) are sound: ``<`` needs disjoint intervals, ``math.floor``
+    an interval inside one integer cell, and only the exact zero is false.
+    ``==`` is identity.
     """
 
     __slots__ = ("_x", "prec")
@@ -372,9 +389,6 @@ class BallFloat:
     def radius(self):
         return mp.make_mpf(self._radius())
 
-    def is_exact_zero(self) -> bool:
-        return self._x == _ZERO_IV
-
     def with_prec(self, prec: int) -> "BallFloat":
         """Same interval, different working precision (endpoints are exact)."""
         return _ball(self._x, prec)
@@ -415,7 +429,8 @@ class BallFloat:
         return self * ball._reciprocal()
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * other
+        r = self._reciprocal()
+        return r if other.__class__ is int and other == 1 else r * other
 
     def __neg__(self):
         return _ball(mpi_neg(self._x, self.prec), self.prec)
@@ -431,7 +446,7 @@ class BallFloat:
 
     # -- decisions ---------------------------------------------------------
 
-    def floor(self) -> int:
+    def __floor__(self) -> int:
         lo, hi = self._x
         n = _mpf_floor_exact(lo)
         if n != _mpf_floor_exact(hi):
@@ -441,15 +456,30 @@ class BallFloat:
             )
         return n
 
-    def sign(self) -> int:
+    def _cmp(self, other):
+        """-1, 0 or +1 for disjoint intervals or one and the same exact point."""
         lo, hi = self._x
-        if mpf_sign(lo) > 0:
-            return 1
-        if mpf_sign(hi) < 0:
-            return -1
-        if self._x == _ZERO_IV:
+        if other.__class__ is int and other == 0:  # the sign: no interval built
+            if mpf_sign(lo) > 0:
+                return 1
+            if mpf_sign(hi) < 0:
+                return -1
+            wa = wb = fzero
+        else:
+            y = _interval_of(other, self.prec)
+            if y is NotImplemented:
+                return NotImplemented
+            wa, wb = y
+            if mpf_lt(hi, wa):
+                return -1
+            if mpf_lt(wb, lo):
+                return 1
+        if lo == hi == wa == wb:
             return 0
-        raise AmbiguousComparison("interval contains zero with nonzero radius")
+        raise AmbiguousComparison("overlapping intervals")
+
+    def __bool__(self):
+        return self._x != _ZERO_IV
 
     def __repr__(self):
         return (f"BallFloat({to_str(self._mid(self.prec), 20)}, "
@@ -538,86 +568,6 @@ def _interval_of(v, prec: int):
 
 
 ExactNumber = Union[Fraction, Surd, BallFloat]
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations dispatching on the value family.
-# ---------------------------------------------------------------------------
-
-def sign_of(v: ExactNumber) -> int:
-    if isinstance(v, Fraction):
-        n = v.numerator
-        return (n > 0) - (n < 0)
-    if isinstance(v, int):
-        return (v > 0) - (v < 0)
-    if isinstance(v, (Surd, BallFloat)):
-        return v.sign()
-    raise TypeError(f"not an ExactNumber: {type(v).__name__}")
-
-
-def is_zero(v: ExactNumber) -> bool:
-    if isinstance(v, Fraction):
-        return v == 0
-    if isinstance(v, int):
-        return v == 0
-    if isinstance(v, Surd):
-        return False
-    if isinstance(v, BallFloat):
-        return v.is_exact_zero()
-    raise TypeError(f"not an ExactNumber: {type(v).__name__}")
-
-
-def floor_of(v: ExactNumber) -> int:
-    """Exact floor; for BallFloat the interval must not straddle an integer."""
-    if isinstance(v, Fraction):
-        return v.numerator // v.denominator
-    if isinstance(v, int):
-        return v
-    if isinstance(v, (Surd, BallFloat)):
-        return v.floor()
-    raise TypeError(f"not an ExactNumber: {type(v).__name__}")
-
-
-def reciprocal(v: ExactNumber) -> ExactNumber:
-    """Exact reciprocal within the same value family."""
-    if isinstance(v, Fraction):
-        if v == 0:
-            raise DivisionByZero("reciprocal of zero")
-        return 1 / v
-    if isinstance(v, int):
-        if v == 0:
-            raise DivisionByZero("reciprocal of zero")
-        return Fraction(1, v)
-    if isinstance(v, Surd):
-        return v._inverse()
-    if isinstance(v, BallFloat):
-        return v._reciprocal()
-    raise TypeError(f"not an ExactNumber: {type(v).__name__}")
-
-
-def compare(v: ExactNumber, w: ExactNumber) -> int:
-    """Total-order verdict LT/EQ/GT (-1/0/+1); exact whenever both sides are.
-
-    Ball comparisons need disjoint intervals or exact coincidence, otherwise
-    AmbiguousComparison is raised.
-    """
-    if isinstance(v, BallFloat) or isinstance(w, BallFloat):
-        prec = max(getattr(v, "prec", 0), getattr(w, "prec", 0)) or DEFAULT_PRECISION
-        va, vb = _interval_of(v, prec)
-        wa, wb = _interval_of(w, prec)
-        if mpf_lt(vb, wa):
-            return LT
-        if mpf_lt(wb, va):
-            return GT
-        if va == vb == wa == wb:
-            return EQ
-        raise AmbiguousComparison("overlapping intervals")
-    if isinstance(v, Surd):
-        return v._cmp(w)
-    if isinstance(w, Surd):
-        return -w._cmp(v)
-    diff = v - w
-    return (diff > 0) - (diff < 0)
 
 
 def to_mpf(v: ExactNumber, prec: int = DEFAULT_PRECISION):

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .cf_core import Alpha, convergents, expand
 from .errors import OutOfDomain, OutOfRange
-from .numkit import (
-    GOLDEN,
-    GT,
-    ExactNumber,
-    compare,
-    format_exact,
-    sign_of,
-)
+from .numkit import GOLDEN, ExactNumber, format_exact
 
 _HALF = Fraction(1, 2)
 
@@ -68,9 +61,11 @@ class MatchedTrace:
 
 
 def _classify_state(xh, xa) -> str:
-    if compare(xh, xa) == 0:
+    # equality read from the order, so balls certify it or raise
+    # AmbiguousComparison (a ball's == is identity)
+    if xh <= xa <= xh:
         return "coincide"
-    if compare(xh, 1 - xa) == 0:
+    if xh <= 1 - xa <= xh:
         return "reflected"
     return "drift"
 
@@ -80,9 +75,9 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
 
     Steps are recorded while both orbits are alive, at most N of them.
     """
-    if compare(alpha.value, GOLDEN) == GT:
+    if alpha.value > GOLDEN:
         raise OutOfRange("matched orbits need alpha <= (sqrt(5)-1)/2")
-    if sign_of(x) < 0 or compare(x, _HALF) == GT:
+    if x < 0 or x > _HALF:
         raise OutOfDomain("matched orbits start from x in [0, 1/2]")
     eh = expand(x, Alpha.half(), N)
     ea = expand(x, alpha, N)

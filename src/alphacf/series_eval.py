@@ -81,9 +81,6 @@ from .numkit import (
     DEFAULT_PRECISION,
     ExactNumber,
     format_exact,
-    is_zero,
-    reciprocal,
-    sign_of,
     to_mpf,
 )
 
@@ -146,7 +143,7 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
         raise DivergesAtRational(
             "series diverges at rationals; use the -finite variants"
         )
-    if is_zero(xn):
+    if not xn:
         raise SingularPoint("series evaluator at an exact zero")
     e = expand(xn, alpha, terms, best_effort=True)
     if e.terminated:
@@ -329,7 +326,7 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     if N == 0:
         return 0.0
     xn, _ = normalize(x, alpha)
-    if is_zero(xn):
+    if not xn:
         raise SingularPoint("proxy sum of an integer point")
     e = expand(xn, alpha, N)
     if e.depth(N) < N:
@@ -351,14 +348,11 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
     f is any mpf-valued evaluator defined on (0, alpha]; the periodic/even
     completion is applied here, so f never sees a point outside its domain.
     """
-    from .numkit import LT, compare
-
     if sign not in (1, -1):
         raise OutOfDomain("sign must be +1 or -1")
-    if sign_of(x) <= 0 or compare(x, alpha.value) != LT:
+    if x <= 0 or x >= alpha.value:
         raise OutOfDomain("apply_transfer requires 0 < x < alpha")
-    y = reciprocal(x)
-    t, _ = normalize(y, alpha)
+    t, _ = normalize(1 / x, alpha)
     # t may be an exact zero; evaluators that cannot take it raise SingularPoint
     xk = mpf_pow_int(to_mpf(x, prec)._mpf_, k, prec, _RND)
     return mp.make_mpf(mpf_mul(mpf_mul_int(xk, sign, prec, _RND), f(t)._mpf_,
@@ -588,7 +582,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
         while (any(err > _LHS_REL * abs(total)
                    for total, _, err, _ in diffs.values())
                and sum_prec <= 8 * (q_bits + 128)):
-            t_raw = _raw_orbit(e, r, sum_prec)[r]
+            t_raw = to_mpf(e.orbit_at(r), sum_prec)._mpf_
             diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw, sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)

@@ -127,6 +127,19 @@ def test_verify_report_deterministic(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_verify_report_matches_stored_bytes(tmp_path, capsys):
+    # exact integers and mpmath only (no libm, no numpy), so the bytes are
+    # the same on every platform; a change to them must be deliberate
+    stored = Path(__file__).parent / "data" / "verify_fast_report.json"
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "fixed-point", "--suite",
+                     "functional-eq", "--suite", "orbit-compare", "--suite",
+                     "ladders", "--fast", "--seed", "20260810", "--report",
+                     str(report)]) == 0
+    capsys.readouterr()
+    assert report.read_bytes() == stored.read_bytes()
+
+
 def test_verify_report_has_no_coverage_key(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert cli.main(["verify", "--suite", "ladders", "--report",
@@ -235,6 +248,13 @@ def test_option_the_command_does_not_read_exit2(argv, capsys):
     ["eval", "--fn", "wilton-finite", "--x", "2/5", "--precision", "63"],
     ["eval", "--fn", "wilton-finite", "--x", "2/5", "--terms", "0"],
     ["scan", "--alpha", "1", "--blowup", "16", "--terms", "0"],
+    ["scan", "--fn", "brjuno", "--k", "0", "--alpha", "1", "--interval=0:1",
+     "--depth", "2"],
+    ["scan", "--fn", "brjuno", "--k", "-1", "--alpha", "1", "--interval=0:1",
+     "--depth", "2"],
+    ["scan", "--fn", "wilton", "--alpha", "1", "--interval=0:1", "--depth",
+     "4", "--tol", "nan"],
+    ["eval", "--fn", "wilton", "--x", "(-1+1*sqrt(5))/2", "--tol", "nan"],
 ])
 def test_out_of_range_setting_exit3(argv, capsys):
     code, _, err = run(argv, capsys)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from alphacf.errors import OutOfDomain
 from alphacf.fastgrid import _TINY, _reduce_mod1, brjuno_grid, series_grid, wilton_grid
 
 
@@ -70,6 +71,12 @@ def test_series_grid_matches_masked_loop(alpha, k, signed, terms, tol):
 def test_series_grid_zeros_and_tiny_give_inf():
     got = series_grid(np.array([0.0, 1.0, -2.0, 1e-310, 0.3]))
     assert np.isinf(got[:4]).all() and np.isfinite(got[4])
+
+
+def test_series_grid_rejects_k_below_one():
+    for k in (0, -1):
+        with pytest.raises(OutOfDomain):
+            brjuno_grid(np.array([0.3]), k=k)
 
 
 def test_series_grid_empty_and_single():

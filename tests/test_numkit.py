@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -29,32 +30,41 @@ surd_parts = st.tuples(
 
 
 def test_floor_examples():
-    assert nk.floor_of(Fraction(7, 2)) == 3
-    assert nk.floor_of(G) == 0
+    assert math.floor(Fraction(7, 2)) == 3
+    assert math.floor(G) == 0
     phi = nk.make_surd(1, 1, 2, 5)
-    assert nk.floor_of(phi) == 1
+    assert math.floor(phi) == 1
 
 
 def test_reciprocal_examples():
-    assert nk.reciprocal(Fraction(2, 5)) == Fraction(5, 2)
-    assert nk.reciprocal(G) == nk.make_surd(1, 1, 2, 5)
+    assert 1 / Fraction(2, 5) == Fraction(5, 2)
+    assert 1 / G == nk.make_surd(1, 1, 2, 5)
     with pytest.raises(DivisionByZero):
-        nk.reciprocal(nk.BallFloat(0, radius="1e-40"))
-    with pytest.raises(DivisionByZero):
-        nk.reciprocal(Fraction(0))
+        1 / nk.BallFloat(0, radius="1e-40")
+    # Fraction's own error; DivisionByZero subclasses it
+    with pytest.raises(ZeroDivisionError):
+        1 / Fraction(0)
 
 
 def test_compare_examples():
-    assert nk.compare(Fraction(2, 5), Fraction(1, 2)) == nk.LT
-    assert nk.compare(G, Fraction(3, 5)) == nk.GT
-    assert nk.compare(Fraction(1, 3), Fraction(1, 3)) == nk.EQ
+    assert Fraction(2, 5) < Fraction(1, 2)
+    assert G > Fraction(3, 5)
+    assert Fraction(1, 3) == Fraction(1, 3)
+
+
+def test_surd_divides_rationals_only():
+    assert Fraction(2, 3) / G == nk.make_surd(1, 1, 3, 5)  # (2/3)(1 + g)
+    assert -4 / G == nk.make_surd(-2, -2, 1, 5)  # -4(1 + g)
+    assert 0 / G == 0
+    with pytest.raises(TypeError):
+        G / G
 
 
 @settings(max_examples=200, deadline=None)
 @given(rationals)
 def test_reciprocal_involution_rational(q):
     if q != 0:
-        assert nk.reciprocal(nk.reciprocal(q)) == q
+        assert 1 / (1 / q) == q
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,7 +73,7 @@ def test_surd_reciprocal_involution(parts):
     a, b, c, d = parts
     v = nk.make_surd(a, b, c, d)
     if isinstance(v, nk.Surd):
-        assert nk.reciprocal(nk.reciprocal(v)) == v
+        assert 1 / (1 / v) == v
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,7 +99,7 @@ def test_surd_arithmetic_closed_same_d(p1, p2):
             assert w.d == d if isinstance(u, nk.Surd) or isinstance(v, nk.Surd) else True
             assert nk.make_surd(w.a, w.b, w.c, w.d) == w
     if isinstance(u, nk.Surd):
-        assert isinstance(nk.reciprocal(u), (nk.Surd, Fraction))
+        assert isinstance(1 / u, (nk.Surd, Fraction))
 
 
 def test_floor_matches_integer_division_bulk():
@@ -97,7 +107,7 @@ def test_floor_matches_integer_division_bulk():
     for _ in range(10_000):
         q = rng.randrange(1, 10**6)
         p = rng.randrange(-10**7, 10**7)
-        assert nk.floor_of(Fraction(p, q)) == p // q
+        assert math.floor(Fraction(p, q)) == p // q
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,7 +118,7 @@ def test_surd_floor_against_highprec_float(parts):
     if isinstance(v, nk.Surd):
         with mp.workprec(120):
             approx = mp.floor(v.mpf(100))
-        assert nk.floor_of(v) == int(approx)
+        assert math.floor(v) == int(approx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,10 +126,9 @@ def test_surd_floor_against_highprec_float(parts):
 def test_surd_rational_order_consistent(parts, q):
     a, b, c, d = parts
     v = nk.make_surd(a, b, c, d)
-    verdict = nk.compare(v, q)
     gap = float(v) - float(q)
     if abs(gap) > 1e-9:
-        assert verdict == (nk.GT if gap > 0 else nk.LT)
+        assert (v > q, v < q, q < v, q > v) == ((gap > 0, gap < 0) * 2)
 
 
 def test_mixed_radicals_rejected():
@@ -128,7 +137,7 @@ def test_mixed_radicals_rejected():
     with pytest.raises(MixedRadicalError):
         _ = u + v
     with pytest.raises(MixedRadicalError):
-        nk.compare(u, v)
+        _ = u < v
     assert (u == v) is False
 
 
@@ -139,19 +148,20 @@ def test_surd_degrades_to_fraction():
 
 
 def test_ball_floor_and_ambiguity():
-    assert nk.floor_of(nk.BallFloat("1.39")) == 1
+    assert math.floor(nk.BallFloat("1.39")) == 1
     near3 = nk.BallFloat(3, radius="1e-30")
     with pytest.raises(AmbiguousFloor):
-        nk.floor_of(near3)
-    assert nk.floor_of(nk.BallFloat(3)) == 3  # exact integer, zero radius
+        math.floor(near3)
+    assert math.floor(nk.BallFloat(3)) == 3  # exact integer, zero radius
 
 
 def test_ball_comparison_soundness():
     a = nk.BallFloat("0.5")
-    assert nk.compare(a, nk.BallFloat("0.5")) == nk.EQ
+    b = nk.BallFloat("0.5")
+    assert a <= b <= a and not a < b and b is not a and a != b  # == is identity
     with pytest.raises(AmbiguousComparison):
-        nk.compare(nk.BallFloat("0.5", radius="1e-60"), a)
-    assert nk.compare(nk.BallFloat("0.25"), a) == nk.LT
+        _ = nk.BallFloat("0.5", radius="1e-60") < a
+    assert nk.BallFloat("0.25") < a
 
 
 def test_ball_radius_grows_outward():
@@ -175,19 +185,49 @@ def test_parse_format_roundtrip():
 
 
 def test_golden_identities():
-    assert nk.reciprocal(G) == 1 + G
+    assert 1 / G == 1 + G
     assert 1 - G == nk.make_surd(3, -1, 2, 5)  # g^2
-    assert nk.compare(G, Fraction(1, 2)) == nk.GT
-    assert nk.compare(G, Fraction(2, 3)) == nk.LT
+    assert G > Fraction(1, 2)
+    assert G < Fraction(2, 3)
 
 
 def test_compare_surd_against_ball():
     ball = nk.BallFloat("0.618", prec=192)
-    assert nk.compare(G, ball) == nk.GT
-    assert nk.compare(ball, G) == nk.LT
+    assert G > ball and G >= ball and not G < ball and not G <= ball
+    assert ball < G and ball <= G and not ball > G and not ball >= G
     near = nk.BallFloat(G, prec=192)  # enclosure of g itself
     with pytest.raises(AmbiguousComparison):
-        nk.compare(near, G)
+        _ = near < G
+    with pytest.raises(AmbiguousComparison):
+        _ = G < near  # the surd defers to the ball
+
+
+def test_ball_sign_against_zero():
+    straddle = nk.BallFloat(0, radius="1e-40")
+    for op in (lambda: 0 < straddle, lambda: straddle > 0,
+               lambda: straddle <= 0, lambda: 0 >= straddle):
+        with pytest.raises(AmbiguousComparison):
+            op()
+    assert nk.BallFloat("1e-70") > 0 and 0 > nk.BallFloat("-1e-70")
+    zero = nk.BallFloat(0)
+    assert zero <= 0 <= zero and not zero < 0
+
+
+def test_ball_truth_is_exact_nonzero():
+    assert not nk.BallFloat(0)
+    assert not nk.BallFloat(1) - 1
+    assert nk.BallFloat(0, radius="1e-40")  # holds zero but is not exactly 0
+    assert nk.BallFloat("1e-70") and nk.BallFloat(-3)
+
+
+def test_ball_reciprocal_of_one_is_bare_reciprocal():
+    rng = random.Random(11)
+    for prec in (64, 256):
+        for _ in range(20):
+            x = _random_ball(rng, prec)
+            if x.lower <= 0 <= x.upper:
+                continue
+            assert _ends(1 / x) == _ends(x._reciprocal())
 
 
 def test_ball_precision_escalation_roundtrip():
@@ -249,7 +289,7 @@ def test_ball_arithmetic_matches_iv_oracle(prec):
             for y in others:
                 iv.prec = 53  # ball arithmetic must not read it
                 got = [x + y, y + x, x - y, y - x, x * y, y * x, x / y, y / x,
-                       nk.reciprocal(x), abs(x), -x]
+                       1 / x, abs(x), -x]
                 iv.prec = prec
                 X, Y = _iv_of(x), _iv_of(y)
                 want = [X + Y, X + Y, X - Y, Y - X, X * Y, X * Y,

@@ -164,7 +164,7 @@ def _matched_orbits_stepwise(x, alpha, N):
     qa_prev, qa = 0, 1
     eps_h_prev = eps_a_prev = 1
     for j in range(1, N + 1):
-        if nk.is_zero(xh) or nk.is_zero(xa):
+        if not xh or not xa:
             break
         ah, eh, xh = alpha_step(xh, half)
         aa, ea, xa = alpha_step(xa, alpha)
