@@ -90,10 +90,7 @@ def alpha_step(x: ExactNumber, alpha: Alpha):
     u = 1 / x
     a = math.floor(u - alpha.value + 1)
     w = u - a
-    if not w:
-        zero = BallFloat(0, prec=x.prec) if isinstance(x, BallFloat) else Fraction(0)
-        return a, 1, zero
-    return (a, 1, w) if w > 0 else (a, -1, -w)
+    return (a, 1, w) if w >= 0 else (a, -1, -w)
 
 
 @dataclass
@@ -121,31 +118,27 @@ class CFExpansion:
         """How many of digits 1..n exist: n if periodic, else those stored."""
         return n if self.period is not None else min(n, len(self.digits))
 
+    def _at(self, stored: list, i: int, what: str):
+        """stored[i], or past the stored prefix the entry i cycles to."""
+        if i < len(stored):
+            return stored[i]
+        if self.period is None:
+            raise ExpansionTooShort(
+                f"{i + 1} {what} needed, only {len(stored)} stored")
+        pre, length = self.period
+        return stored[pre + (i - pre) % length]
+
     def digit_at(self, j: int):
         """(a_j, eps_j) for 1-based j, cycling through the period if any."""
         if j < 1:
             raise IndexError("digit indices start at 1")
-        if j <= len(self.digits):
-            return self.digits[j - 1]
-        if self.period is None:
-            raise ExpansionTooShort(
-                f"digit {j} requested, only {len(self.digits)} available"
-            )
-        pre, length = self.period
-        return self.digits[pre + (j - 1 - pre) % length]
+        return self._at(self.digits, j - 1, "digits")
 
     def orbit_at(self, j: int):
         """Exact orbit point x_j, cycling through the period if any."""
         if j < 0:
             raise IndexError("orbit indices start at 0")
-        if j < len(self.orbit):
-            return self.orbit[j]
-        if self.period is None:
-            raise ExpansionTooShort(
-                f"orbit point {j} requested, only {len(self.orbit)} stored"
-            )
-        pre, length = self.period
-        return self.orbit[pre + (j - pre) % length]
+        return self._at(self.orbit, j, "orbit points")
 
     def orbit_mpf(self, n: int, prec: int) -> list:
         """Orbit values x_0..x_n as mpf at working precision.
@@ -159,11 +152,9 @@ class CFExpansion:
         """
         if self.period is None:
             return [to_mpf(v, prec) for v in self.orbit[:n + 1]]
-        pre, length = self.period
-        vals = [to_mpf(v, prec) for v in self.orbit[:min(n + 1, pre + length)]]
-        while len(vals) <= n:
-            vals.append(vals[pre + (len(vals) - pre) % length])
-        return vals
+        m = min(n + 1, sum(self.period))  # the last stored point repeats x_pre
+        vals = [to_mpf(v, prec) for v in self.orbit[:m]]
+        return [self._at(vals, i, "orbit points") for i in range(n + 1)]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -180,29 +171,22 @@ class CFExpansion:
 
 def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    seen = {x.key(): 0} if isinstance(x, Surd) else None
+    seen = {x: 0} if isinstance(x, Surd) else None
     cur = x
-    while len(e.digits) < max_steps:
-        if not cur:
-            e.terminated = True
-            break
+    while cur and len(e.digits) < max_steps:
         try:
-            a, eps, nxt = alpha_step(cur, alpha)
+            a, eps, cur = alpha_step(cur, alpha)
         except (AmbiguousFloor, AmbiguousComparison):
             e.exhausted = True
             break
         e.digits.append((a, eps))
-        e.orbit.append(nxt)
-        cur = nxt
-        if seen is not None and isinstance(cur, Surd):
-            idx = seen.get(cur.key())
-            if idx is not None:
+        e.orbit.append(cur)
+        if seen is not None:
+            idx = seen.setdefault(cur, len(e.orbit) - 1)
+            if idx < len(e.orbit) - 1:
                 e.period = (idx, len(e.orbit) - 1 - idx)
                 break
-            seen[cur.key()] = len(e.orbit) - 1
-    else:
-        if not cur:
-            e.terminated = True
+    e.terminated = not cur
     return e
 
 

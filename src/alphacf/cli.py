@@ -287,14 +287,13 @@ def cmd_compare(args) -> int:
     rng = _random.Random(args.seed)
     dump_lines = []
     violations = []
-    worst_num, worst_den = 1, 1
+    worst = Fraction(1)
     for _ in range(args.samples):
         x = random_rational(rng, max_den=2 ** 64, half=True)
         tr = orbit_compare.matched_orbits(x, alpha, args.depth)
         res = orbit_compare.q_difference_classify(tr)
         violations.extend(f"x={x}: {v}" for v in res.violations)
-        if res.max_q_ratio_num * worst_den > worst_num * res.max_q_ratio_den:
-            worst_num, worst_den = res.max_q_ratio_num, res.max_q_ratio_den
+        worst = max(worst, res.max_q_ratio)
         if args.dump:
             dump_lines.append(tr.dump_jsonl())
     if args.dump:
@@ -307,7 +306,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "violations": violations[:20],
         "n_violations": len(violations),
-        "max_log_q_gap": math.log(worst_num / worst_den),
+        "max_log_q_gap": math.log(worst),
         "log2_bound": math.log(2),
     }
     _emit(json.dumps(summary, sort_keys=True, indent=1), args.out)

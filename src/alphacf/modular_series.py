@@ -11,37 +11,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-def _factorize(n: int):
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
+from .errors import OutOfDomain
+from .numkit import factorize
 
 
 def divisor_sigma(n: int, e: int = 1) -> int:
-    """sigma_e(n) = sum of d^e over divisors d of n, by trial factorization."""
+    """sigma_e(n) = sum of d^e over divisors d of n, from n's factorization."""
     if n < 1:
-        raise ValueError("divisor sums need n >= 1")
+        raise OutOfDomain("divisor sums need n >= 1")
     if e < 0:
-        raise ValueError("exponent must be >= 0")
+        raise OutOfDomain("exponent must be >= 0")
     out = 1
-    for p, a in _factorize(n):
-        if e == 0:
-            out *= a + 1
-        else:
-            pe = p ** e
-            out *= (pe ** (a + 1) - 1) // (pe - 1)
+    for p, a in factorize(n):
+        out *= sum(p ** (e * i) for i in range(a + 1))
     return out
 
 
@@ -82,9 +64,9 @@ def fourier_Fk_partial(x, k: int = 2, N: int = 1000) -> FkPartial:
     crude sum of sigma_{k-1}(n)/n^{k+1} <= 2 n^{-3/2} past N.
     """
     if k < 2 or k % 2:
-        raise ValueError("the sine series is defined for even k >= 2")
+        raise OutOfDomain("the sine series is defined for even k >= 2")
     if N < 0:
-        raise ValueError("N must be >= 0")
+        raise OutOfDomain("N must be >= 0")
     exact = isinstance(x, (int, Fraction))
     xf = None if exact else float(x)
     total = 0.0

@@ -11,8 +11,8 @@ package:
 
 Every value is immutable and every operation is pure, so values can be
 shared freely between concurrent workers.  Ball arithmetic and decisions,
-and every conversion to an mpf (``to_mpf``, ``Surd.mpf``, a ball's
-``value``, ``radius`` and ``mpf()`` views), pass their precision to
+and every conversion to an mpf (``raw_mpf``, which ``to_mpf`` boxes, and
+a ball's ``value`` and ``radius`` views), pass their precision to
 ``mpmath.libmp`` explicitly and never read or set mpmath's global
 precision, so they give the same bits in threads as serially.  A
 conversion rounds to nearest with the raw calls mpmath's mpf operators
@@ -81,11 +81,9 @@ DEFAULT_PRECISION = 256
 _RND = round_nearest  # every mpf conversion rounds to nearest
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = s**2 * f with f squarefree; return (s, f)."""
-    if n <= 0:
-        raise ValueError("radicand must be positive")
-    s, f = 1, 1
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1, by trial division."""
+    out = []
     m = n
     p = 2
     while p * p <= m:
@@ -94,11 +92,20 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             while m % p == 0:
                 m //= p
                 e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
+            out.append((p, e))
         p += 1 if p == 2 else 2
-    return s, f * m
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _squarefree_split(n: int) -> tuple[int, int]:
+    """Write n >= 1 as s**2 * f with f squarefree; return (s, f)."""
+    s, f = 1, 1
+    for p, e in factorize(n):
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
 
 
 def _sign_lin(A: int, B: int, d: int) -> int:
@@ -121,20 +128,27 @@ def _sign_lin(A: int, B: int, d: int) -> int:
 def make_surd(a: int, b: int, c: int, d: int):
     """Canonical (a + b*sqrt(d))/c, degrading to Fraction when it is rational.
 
-    The square part of d is folded into b; c is made positive and the gcd of
-    (a, b, c) removed, so equality of surds is structural.
+    The square part of d is folded into b (sqrt(8) = 2*sqrt(2)); the only
+    place a radicand is split, as surd arithmetic keeps its squarefree d.
     """
     if c == 0:
         raise DivisionByZero("surd denominator c = 0")
     if d < 0:
         raise ValueError("negative radicand not supported")
-    s, f = _squarefree_split(d) if d > 0 else (0, 0)
-    b, d = b * s, f
-    if b == 0 or d <= 1:
-        return Fraction(a + b * (1 if d == 1 else 0), c)
+    s, d = _squarefree_split(d) if d > 0 else (0, 1)
+    b *= s
+    if d == 1:
+        a, b = a + b, 0
+    return _canon(a, b, c, d)
+
+
+def _canon(a: int, b: int, c: int, d: int):
+    """(a + b*sqrt(d))/c, d > 1 squarefree: c > 0 and gcd 1, or a Fraction."""
+    if b == 0:
+        return Fraction(a, c)
     if c < 0:
         a, b, c = -a, -b, -c
-    g = gcd(gcd(abs(a), abs(b)), c)
+    g = gcd(a, b, c)
     if g > 1:
         a, b, c = a // g, b // g, c // g
     return Surd._raw(a, b, c, d)
@@ -170,22 +184,13 @@ class Surd(_Ordered):
     """Quadratic irrational (a + b*sqrt(d))/c in canonical form.
 
     Canonical means: d > 1 squarefree, b != 0, c > 0, gcd(a, b, c) = 1.
-    Use :func:`make_surd` to construct.  Surds add, subtract, negate, order,
+    Build one with :func:`make_surd`.  Surds add, subtract, negate, order,
     floor and divide a rational (``1 / x``), which is all the alpha-CF step
-    needs; each result is canonical, or a plain Fraction when the irrational
-    part cancels.
+    needs; each result keeps d and is canonical, or a plain Fraction when
+    the irrational part cancels.
     """
 
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        v = make_surd(a, b, c, d)
-        if not isinstance(v, Surd):
-            raise ValueError("value is rational; use make_surd or Fraction")
-        object.__setattr__(self, "a", v.a)
-        object.__setattr__(self, "b", v.b)
-        object.__setattr__(self, "c", v.c)
-        object.__setattr__(self, "d", v.d)
 
     @classmethod
     def _raw(cls, a, b, c, d):
@@ -198,9 +203,6 @@ class Surd(_Ordered):
 
     def __setattr__(self, *_):
         raise AttributeError("Surd is immutable")
-
-    def key(self):
-        return (self.a, self.b, self.c, self.d)
 
     # -- helpers ----------------------------------------------------------
 
@@ -238,8 +240,8 @@ class Surd(_Ordered):
         if po is None:
             return NotImplemented
         p, q, r = po
-        return make_surd(self.a * r + p * self.c, self.b * r + q * self.c,
-                         self.c * r, self.d)
+        return _canon(self.a * r + p * self.c, self.b * r + q * self.c,
+                      self.c * r, self.d)
 
     __radd__ = __add__
 
@@ -251,22 +253,20 @@ class Surd(_Ordered):
         if po is None:
             return NotImplemented
         p, q, r = po
-        return make_surd(self.a * r - p * self.c, self.b * r - q * self.c,
-                         self.c * r, self.d)
+        return _canon(self.a * r - p * self.c, self.b * r - q * self.c,
+                      self.c * r, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __rtruediv__(self, other):
         # (p/r) c/(a + b*sqrt(d)), rationalized by the conjugate.
-        if isinstance(other, int):
-            p, r = other, 1
-        elif isinstance(other, Fraction):
-            p, r = other.numerator, other.denominator
-        else:
+        po = self._coerce(other)  # never a surd: Surd / Surd is a TypeError
+        if po is None:
             return NotImplemented
+        p, _, r = po
         den = (self.a * self.a - self.b * self.b * self.d) * r
-        return make_surd(p * self.c * self.a, -p * self.c * self.b, den, self.d)
+        return _canon(p * self.c * self.a, -p * self.c * self.b, den, self.d)
 
     def __abs__(self):
         return self if _sign_lin(self.a, self.b, self.d) > 0 else -self
@@ -278,34 +278,23 @@ class Surd(_Ordered):
         if po is None:
             return NotImplemented  # a ball orders itself against a surd
         p, q, r = po
-        # sign of self - other; both denominators positive after canon.
-        rr = abs(r)
-        pp, qq = (p, q) if r > 0 else (-p, -q)
-        return _sign_lin(self.a * rr - pp * self.c,
-                         self.b * rr - qq * self.c, self.d)
+        # sign of self - other; both denominators are positive
+        return _sign_lin(self.a * r - p * self.c, self.b * r - q * self.c,
+                         self.d)
 
     def __eq__(self, other):
         if isinstance(other, Surd):
-            return self.key() == other.key()
+            return (self.a == other.a and self.b == other.b
+                    and self.c == other.c and self.d == other.d)
         if isinstance(other, (int, Fraction)):
             return False  # a canonical surd is irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Surd",) + self.key())
+        return hash(("Surd", self.a, self.b, self.c, self.d))
 
     def __float__(self):
-        return float(self.mpf(96))
-
-    def mpf(self, prec: int = DEFAULT_PRECISION):
-        """Value as an mpf; guard digits cover coefficient size and cancellation."""
-        guard = max(self.a.bit_length(), self.b.bit_length(),
-                    self.c.bit_length(), 16) + 32
-        wp = prec + guard
-        r = mpf_add(mpf_mul_int(_int_sqrt(self.d, wp), self.b, wp, _RND),
-                    from_int(self.a), wp, _RND)
-        r = mpf_div(r, from_int(self.c), wp, _RND)
-        return mp.make_mpf(mpf_pos(r, prec, _RND))
+        return float(to_mpf(self, 96))
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, {self.c}, {self.d})"
@@ -314,7 +303,7 @@ class Surd(_Ordered):
         return format_exact(self)
 
 
-GOLDEN = Surd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
+GOLDEN = make_surd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
 
 
 class BallFloat(_Ordered):
@@ -392,9 +381,6 @@ class BallFloat(_Ordered):
     def with_prec(self, prec: int) -> "BallFloat":
         """Same interval, different working precision (endpoints are exact)."""
         return _ball(self._x, prec)
-
-    def mpf(self, prec=None):
-        return mp.make_mpf(self._mid(prec or self.prec))
 
     def __float__(self):
         return float(self.value)
@@ -570,20 +556,30 @@ def _interval_of(v, prec: int):
 ExactNumber = Union[Fraction, Surd, BallFloat]
 
 
-def to_mpf(v: ExactNumber, prec: int = DEFAULT_PRECISION):
-    """Numeric value of v as an mpf rounded at prec."""
+def raw_mpf(v: ExactNumber, prec: int):
+    """Numeric value of v as a raw libmp mpf rounded to nearest at prec."""
     if isinstance(v, Fraction):
         wp = prec + 8
         r = mpf_div(from_int(v.numerator, wp, _RND),
                     from_int(v.denominator, wp, _RND), wp, _RND)
-        return mp.make_mpf(mpf_pos(r, prec, _RND))
+        return mpf_pos(r, prec, _RND)
     if isinstance(v, int):
-        return mp.make_mpf(from_int(v, prec, _RND))
+        return from_int(v, prec, _RND)
     if isinstance(v, Surd):
-        return v.mpf(prec)
+        wp = prec + max(v.a.bit_length(), v.b.bit_length(),
+                        v.c.bit_length(), 16) + 32
+        r = mpf_add(mpf_mul_int(_int_sqrt(v.d, wp), v.b, wp, _RND),
+                    from_int(v.a), wp, _RND)
+        r = mpf_div(r, from_int(v.c), wp, _RND)
+        return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
-        return v.mpf(prec)
+        return v._mid(prec)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
+
+
+def to_mpf(v: ExactNumber, prec: int = DEFAULT_PRECISION):
+    """Numeric value of v as an mpf rounded at prec (``raw_mpf`` boxed)."""
+    return mp.make_mpf(raw_mpf(v, prec))
 
 
 # ---------------------------------------------------------------------------

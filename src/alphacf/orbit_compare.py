@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .cf_core import Alpha, convergents, expand
 from .errors import OutOfDomain, OutOfRange
-from .numkit import GOLDEN, ExactNumber, format_exact
+from .numkit import GOLDEN, BallFloat, ExactNumber, format_exact
 
 _HALF = Fraction(1, 2)
 
@@ -61,22 +61,23 @@ class MatchedTrace:
 
 
 def _classify_state(xh, xa) -> str:
-    # equality read from the order, so balls certify it or raise
-    # AmbiguousComparison (a ball's == is identity)
-    if xh <= xa <= xh:
+    if xh == xa:
         return "coincide"
-    if xh <= 1 - xa <= xh:
+    if xh == 1 - xa:
         return "reflected"
     return "drift"
 
 
 def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
-    """Run the 1/2- and alpha-expansions of x in [0, 1/2] side by side.
+    """Run the 1/2- and alpha-expansions of an exact x in [0, 1/2] side by side.
 
-    Steps are recorded while both orbits are alive, at most N of them.
+    Steps are recorded while both orbits are alive, at most N of them.  A
+    ball is refused, as no ball certifies two equal states equal.
     """
     if alpha.value > GOLDEN:
         raise OutOfRange("matched orbits need alpha <= (sqrt(5)-1)/2")
+    if isinstance(x, BallFloat):
+        raise OutOfDomain("matched orbits need an exact x, not a ball")
     if x < 0 or x > _HALF:
         raise OutOfDomain("matched orbits start from x in [0, 1/2]")
     eh = expand(x, Alpha.half(), N)
@@ -97,8 +98,7 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
 @dataclass
 class ClassifyResult:
     violations: list  # human-readable violation records
-    max_q_ratio_num: int  # max over j of q^(1/2)/q^(alpha) as a fraction
-    max_q_ratio_den: int
+    max_q_ratio: Fraction  # max over j of q^(1/2)/q^(alpha), 1 if no steps
 
     @property
     def ok(self) -> bool:
@@ -142,7 +142,7 @@ def q_difference_classify(trace: MatchedTrace) -> ClassifyResult:
             best_num, best_den = step.q_half, step.q_alpha
         q_half_prev = step.q_half
     return ClassifyResult(violations=violations,
-                          max_q_ratio_num=best_num, max_q_ratio_den=best_den)
+                          max_q_ratio=Fraction(best_num, best_den))
 
 
 @dataclass

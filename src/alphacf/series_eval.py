@@ -81,7 +81,7 @@ from .numkit import (
     DEFAULT_PRECISION,
     ExactNumber,
     format_exact,
-    to_mpf,
+    raw_mpf,
 )
 
 DEFAULT_TERMS = 256
@@ -323,6 +323,8 @@ def _proxy_terms(c: ConvergentSeq, k: int, signed: bool) -> Iterator[float]:
 def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
               alternating: bool = False) -> float:
     """sum_{j<N} (+/-1)^j log(q_{j+1}) / q_j^k over the alpha-CF denominators."""
+    if k < 1:
+        raise OutOfDomain("k must be >= 1")
     if N == 0:
         return 0.0
     xn, _ = normalize(x, alpha)
@@ -354,7 +356,7 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
         raise OutOfDomain("apply_transfer requires 0 < x < alpha")
     t, _ = normalize(1 / x, alpha)
     # t may be an exact zero; evaluators that cannot take it raise SingularPoint
-    xk = mpf_pow_int(to_mpf(x, prec)._mpf_, k, prec, _RND)
+    xk = mpf_pow_int(raw_mpf(x, prec), k, prec, _RND)
     return mp.make_mpf(mpf_mul(mpf_mul_int(xk, sign, prec, _RND), f(t)._mpf_,
                                prec, _RND))
 
@@ -372,6 +374,8 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise OutOfDomain("N must be >= 1")
     if mode not in ("brjuno", "wilton"):
         raise OutOfDomain(f"unknown mode {mode!r}")
+    if k < 1:
+        raise OutOfDomain("k must be >= 1")
     if mode == "wilton":
         k = 1
     e = _prepare(x, alpha, N + 1)
@@ -582,7 +586,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
         while (any(err > _LHS_REL * abs(total)
                    for total, _, err, _ in diffs.values())
                and sum_prec <= 8 * (q_bits + 128)):
-            t_raw = to_mpf(e.orbit_at(r), sum_prec)._mpf_
+            t_raw = raw_mpf(e.orbit_at(r), sum_prec)
             diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw, sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)
@@ -619,6 +623,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     Reports both the same-alpha gap and the cross-alpha variant against the
     regular-CF proxy; at alpha = 1 the two are the same pass.
     """
+    if k < 1:
+        raise OutOfDomain("k must be >= 1")
+    if mode not in ("brjuno", "wilton"):
+        raise OutOfDomain(f"unknown mode {mode!r}")
     signed = mode == "wilton"
     sup_gap = 0.0
     sup_cross = 0.0

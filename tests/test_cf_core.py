@@ -19,7 +19,7 @@ from alphacf.cf_core import (
     normalize,
 )
 from alphacf.errors import ExpansionTooShort, OutOfDomain, PrecisionExhausted
-from alphacf.sampling import random_dyadic_ball
+from alphacf.sampling import random_dyadic_ball, random_surd
 
 G = nk.GOLDEN
 
@@ -248,6 +248,23 @@ def test_surd_orbit_periodic_and_bounded():
     assert e.period is not None
     pre, length = e.period
     assert e.orbit_at(pre) == e.orbit_at(pre + length)
+
+
+def test_surd_expansion_never_factorizes(monkeypatch):
+    # surd arithmetic keeps its squarefree radicand: only make_surd, on a
+    # new radicand, factorizes
+    rng = random.Random(1306)
+    xs = [random_surd(rng, half=True) for _ in range(60)]
+    calls = []
+    factorize = nk.factorize
+    monkeypatch.setattr(nk, "factorize",
+                        lambda n: calls.append(n) or factorize(n))
+    periods = [expand(x, alpha, 256).period
+               for x in xs for alpha in (Alpha.one(), Alpha.half())]
+    assert calls == []
+    assert sum(p is not None for p in periods) > 100  # periods were keyed
+    nk.make_surd(1, 1, 1, 12)
+    assert calls == [12]  # the count sees make_surd's split
 
 
 def test_json_roundtrip():

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from alphacf import bmo_lab, cli
 from alphacf.fastgrid import DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, wilton_grid
+from alphacf.modular_series import fourier_Fk_partial
 
 
 def run(argv, capsys):
@@ -57,6 +59,15 @@ def test_eval_out_writes_the_file(tmp_path, capsys):
     assert out == ""
     assert out_file.read_text() == printed
     assert len(printed.splitlines()) == 5
+
+
+def test_eval_fk_default_k_is_f2(capsys):
+    # eval's --k defaults to 1, and --fn Fk sums F_max(k, 2)
+    code, out, _ = run(["eval", "--fn", "Fk", "--x", "1/7", "--N", "50"],
+                       capsys)
+    assert code == 0
+    want = fourier_Fk_partial(Fraction(1, 7), 2, 50).value
+    assert out.splitlines()[0] == f"value {want}"
 
 
 def test_eval_without_x_or_grid_exit2(capsys):
@@ -138,6 +149,41 @@ def test_verify_report_matches_stored_bytes(tmp_path, capsys):
                      str(report)]) == 0
     capsys.readouterr()
     assert report.read_bytes() == stored.read_bytes()
+
+
+_SURD = "(3+1*sqrt(11))/19"
+_DYADIC = "11400714819323198485/18446744073709551616"  # 0x9E3779B97F4A7C15/2^64
+
+
+_STORED_RUNS = {
+    "expand_surd_half.json": ["expand", "--x", _SURD, "--alpha", "1/2"],
+    "expand_2_5_golden.json": ["expand", "--x", "2/5", "--alpha", "g"],
+    "expand_39_100_golden.json": ["expand", "--x", "39/100", "--alpha", "g"],
+    "eval_brjuno_surd.txt": ["eval", "--fn", "brjuno", "--x", _SURD,
+                             "--alpha", "1/2"],
+    "eval_wilton_surd.txt": ["eval", "--fn", "wilton", "--x", _SURD,
+                             "--alpha", "1/2"],
+    "eval_brjuno_finite_q.txt": ["eval", "--fn", "brjuno-finite", "--x",
+                                 _DYADIC],
+    "eval_wilton_finite_q.txt": ["eval", "--fn", "wilton-finite", "--x",
+                                 _DYADIC],
+    "compare_3_5_dump.jsonl": ["compare", "--alpha", "3/5", "--samples", "20",
+                               "--dump"],
+}
+
+
+@pytest.mark.parametrize("stored", list(_STORED_RUNS))
+def test_cli_outputs_match_stored_bytes(stored, tmp_path, capsys):
+    # exact integers and mpmath only (no libm), so the bytes are the same on
+    # every platform; the compare summary uses math.log, so only its JSONL
+    # dump is pinned
+    argv = _STORED_RUNS[stored]
+    out = tmp_path / "out"
+    flag = [] if argv[0] == "compare" else ["--out"]
+    assert cli.main(argv + flag + [str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (Path(__file__).parent / "data" /
+                                stored).read_bytes()
 
 
 def test_verify_report_has_no_coverage_key(tmp_path, capsys):
@@ -255,6 +301,9 @@ def test_option_the_command_does_not_read_exit2(argv, capsys):
     ["scan", "--fn", "wilton", "--alpha", "1", "--interval=0:1", "--depth",
      "4", "--tol", "nan"],
     ["eval", "--fn", "wilton", "--x", "(-1+1*sqrt(5))/2", "--tol", "nan"],
+    ["eval", "--fn", "proxy", "--x", "(-1+1*sqrt(5))/2", "--k", "0"],
+    ["eval", "--fn", "Fk", "--x", "1/3", "--k", "3"],
+    ["eval", "--fn", "Fk", "--x", "1/3", "--N", "-1"],
 ])
 def test_out_of_range_setting_exit3(argv, capsys):
     code, _, err = run(argv, capsys)

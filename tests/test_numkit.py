@@ -15,6 +15,7 @@ from alphacf.errors import (
     DivisionByZero,
     MixedRadicalError,
 )
+from alphacf.modular_series import divisor_sigma
 
 G = nk.GOLDEN
 
@@ -117,7 +118,7 @@ def test_surd_floor_against_highprec_float(parts):
     v = nk.make_surd(a, b, c, d)
     if isinstance(v, nk.Surd):
         with mp.workprec(120):
-            approx = mp.floor(v.mpf(100))
+            approx = mp.floor(nk.to_mpf(v, 100))
         assert math.floor(v) == int(approx)
 
 
@@ -129,6 +130,28 @@ def test_surd_rational_order_consistent(parts, q):
     gap = float(v) - float(q)
     if abs(gap) > 1e-9:
         assert (v > q, v < q, q < v, q > v) == ((gap > 0, gap < 0) * 2)
+
+
+def test_surd_has_no_public_constructor():
+    with pytest.raises(TypeError):
+        nk.Surd(1, 2, 3, 5)
+    assert nk.GOLDEN == nk.make_surd(-1, 1, 2, 5)
+
+
+def test_factorization_users_match_brute_force():
+    # divisor sums by a sieve over d, square parts by the largest s with
+    # s^2 | n; both read numkit.factorize
+    top = 5000
+    sigma = [[0] * (top + 1) for _ in range(4)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            for e in range(4):
+                sigma[e][m] += d ** e
+    for n in range(1, top + 1):
+        s = max(s for s in range(1, math.isqrt(n) + 1) if n % (s * s) == 0)
+        assert nk._squarefree_split(n) == (s, n // (s * s))
+        for e in range(4):
+            assert divisor_sigma(n, e) == sigma[e][n]
 
 
 def test_mixed_radicals_rejected():

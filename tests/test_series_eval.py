@@ -144,6 +144,20 @@ def test_proxy_sum_examples():
         se.proxy_sum(Fraction(2, 5), Alpha.one(), 1, 10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: se.gap_audit([G], Alpha.one(), 1, 10, mode="wiltn"),
+     "unknown mode 'wiltn'"),
+    (lambda: se.gap_audit([G], Alpha.one(), 0, 10), "k must be >= 1"),
+    (lambda: se.proxy_sum(G, Alpha.one(), 0, 5), "k must be >= 1"),
+    (lambda: se.proxy_sum(G, Alpha.one(), 0, 0), "k must be >= 1"),
+    (lambda: se.functional_eq_residual(G, Alpha.one(), "brjuno", 10, k=0),
+     "k must be >= 1"),
+], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0"])
+def test_series_parameters_checked_like_siblings(call, message):
+    with pytest.raises(OutOfDomain, match=message):
+        call()
+
+
 # -- transfer operator --------------------------------------------------------
 
 def test_apply_transfer_constants():
