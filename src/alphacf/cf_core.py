@@ -24,7 +24,8 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .numkit import BallFloat, ExactNumber, Surd, format_exact, parse_exact, to_mpf
+from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, format_exact,
+                     parse_exact, to_mpf)
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -56,8 +57,6 @@ class Alpha:
 
     @classmethod
     def golden(cls):
-        from .numkit import GOLDEN
-
         return cls(GOLDEN)
 
     @classmethod
@@ -83,8 +82,11 @@ def alpha_step(x: ExactNumber, alpha: Alpha):
     Fraction and Surd, and a BallFloat raises AmbiguousComparison or
     AmbiguousFloor where its interval cannot decide a branch.  An exact hit
     1/x = a terminates the expansion; its eps is recorded +1 (no successor
-    digit exists to be signed) and x_next is an exact zero.
+    digit exists to be signed) and x_next is an exact zero.  An int x is
+    stepped as a Fraction, so its orbit stays exact.
     """
+    if isinstance(x, int):
+        x = Fraction(x)
     if x <= 0 or x > alpha.value:
         raise OutOfDomain("alpha_step requires 0 < x <= alpha")
     u = 1 / x

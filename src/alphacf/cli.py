@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .cf_core import Alpha, expand, normalize
 from .errors import AlphaCFError, OutOfDomain
 from .fastgrid import (DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, brjuno_grid,
                        wilton_grid)
-from .numkit import BallFloat, format_exact, parse_exact
+from .numkit import DEFAULT_PRECISION, BallFloat, format_exact, parse_exact
 from .sampling import random_rational
 from .verify_suites import SUITES, run_suites
 
@@ -281,10 +282,8 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
-    import random as _random
-
     alpha = _parse_alpha(args.alpha, "--alpha")
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     dump_lines = []
     violations = []
     worst = Fraction(1)
@@ -329,7 +328,7 @@ def _add_series_limits(p, terms: int, tol: float):
 
 
 def _add_precision(p):
-    p.add_argument("--precision", type=int, default=256,
+    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="working precision in mantissa bits, >= 64 "
                         "(default %(default)s)")
 
@@ -367,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="a:b:n sweep emitted as CSV; write a "
                                   "negative start as --grid=-1:1:8")
     _add_precision(p)
-    _add_series_limits(p, 256, 1e-40)
+    _add_series_limits(p, series_eval.DEFAULT_TERMS, series_eval.DEFAULT_TOL)
     _add_out(p)
 
     p = sub.add_parser("verify", help="run acceptance criteria suites")

@@ -43,6 +43,8 @@ def series_grid(xs, alpha: float = 1.0, k: int = 1, signed: bool = False,
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
+    if terms < 1:
+        raise OutOfDomain("terms must be >= 1")
     xs = np.asarray(xs, dtype=np.float64)
     out = np.full(xs.size, np.inf)
     # the live set: indices into out, the orbit point, beta_{n-1}^k, the sum

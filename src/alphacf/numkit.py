@@ -20,8 +20,10 @@ make, so it gives the bits mp-context arithmetic gives at that precision.
 Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``,
 ``1 / x`` and truth work through the usual operator protocol, as for
 ``Fraction``: a surd compared with a ball defers to the ball, whose order is
-certified or raises ``AmbiguousComparison``.  Surds with different radicands
-are rejected rather than approximated.
+certified or raises ``AmbiguousComparison``.  Balls do only what the
+alpha-CF step asks of them: ``+``, ``-``, negation, ``1 / x``, order,
+``math.floor`` and truth.  Surds with different radicands are rejected
+rather than approximated.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from mpmath.libmp import (
     round_ceiling,
     round_floor,
     round_nearest,
+    to_int,
     to_str,
 )
 
@@ -313,10 +316,11 @@ class BallFloat(_Ordered):
     the working precision ``prec``.  Every operation calls
     ``mpmath.libmp.libmpi`` with that precision passed explicitly, so ball
     arithmetic and decisions touch no global precision state.  ``value`` is
-    the midpoint and ``radius`` half the width.  All arithmetic rounds
-    outward, so a zero-width result is exact and interval tests (floor,
-    order, truth) are sound: ``<`` needs disjoint intervals, ``math.floor``
-    an interval inside one integer cell, and only the exact zero is false.
+    the midpoint and ``radius`` half the width.  The operations are ``+``,
+    ``-``, negation and ``1 / x``, which all round outward, so a zero-width
+    result is exact, and the decisions order, ``math.floor`` and truth,
+    which are sound: ``<`` needs disjoint intervals, ``math.floor`` an
+    interval inside one integer cell, and only the exact zero is false.
     ``==`` is identity.
     """
 
@@ -405,37 +409,23 @@ class BallFloat(_Ordered):
     def __rsub__(self, other):
         return self._binop(other, mpi_sub, reflected=True)
 
-    def __mul__(self, other):
-        return self._binop(other, mpi_mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        ball = other if isinstance(other, BallFloat) else BallFloat(other, prec=self.prec)
-        return self * ball._reciprocal()
-
     def __rtruediv__(self, other):
-        r = self._reciprocal()
-        return r if other.__class__ is int and other == 1 else r * other
-
-    def __neg__(self):
-        return _ball(mpi_neg(self._x, self.prec), self.prec)
-
-    def __abs__(self):
-        return _ball(mpi_abs(self._x, self.prec), self.prec)
-
-    def _reciprocal(self):
+        if other.__class__ is not int or other != 1:
+            return NotImplemented  # the alpha-CF step divides nothing else
         lo, hi = self._x
         if mpf_sign(lo) <= 0 <= mpf_sign(hi):
             raise DivisionByZero("reciprocal of an interval containing zero")
         return _ball(mpi_div(_ONE_IV, self._x, self.prec), self.prec)
 
+    def __neg__(self):
+        return _ball(mpi_neg(self._x, self.prec), self.prec)
+
     # -- decisions ---------------------------------------------------------
 
     def __floor__(self) -> int:
         lo, hi = self._x
-        n = _mpf_floor_exact(lo)
-        if n != _mpf_floor_exact(hi):
+        n = int(to_int(lo, round_floor))  # gmpy2 backend hands out mpz
+        if n != to_int(hi, round_floor):
             raise AmbiguousFloor(
                 f"interval [{to_str(lo, _MSG_DIGITS)}, {to_str(hi, _MSG_DIGITS)}]"
                 " straddles an integer"
@@ -484,24 +474,6 @@ def _ball(x, prec) -> BallFloat:
     object.__setattr__(b, "_x", x)
     object.__setattr__(b, "prec", prec)
     return b
-
-
-def _mpf_floor_exact(t) -> int:
-    """Exact floor of a raw mpf tuple."""
-    sign, man, exp, _ = t
-    man = int(man)  # gmpy2 backend hands out mpz
-    exp = int(exp)
-    if man == 0:
-        if t == fzero:
-            return 0
-        raise ValueError(f"floor of non-finite value {to_str(t, _MSG_DIGITS)}")
-    if exp >= 0:
-        v = man << exp
-        return -v if sign else v
-    if sign == 0:
-        return man >> -exp
-    q, r = divmod(man, 1 << -exp)
-    return -q - (1 if r else 0)
 
 
 def _int_interval(n: int, prec: int):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cf_core import Alpha, normalize
-from .numkit import Surd, make_surd
+from .numkit import BallFloat, Surd, make_surd
 
 _SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26]
 
@@ -38,8 +38,6 @@ def random_surd(rng: random.Random, half: bool = False) -> Surd:
 
 def random_dyadic_ball(rng: random.Random, bits: int = 256, prec: int = 288):
     """Random full-entropy dyadic in (0, 1) as a BallFloat."""
-    from .numkit import BallFloat
-
     return BallFloat(Fraction(rng.getrandbits(bits) | 1, 2 ** bits), prec=prec)
 
 

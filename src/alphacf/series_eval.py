@@ -8,10 +8,10 @@ eventually periodic (quadratic surd) orbits.  Rational points diverge; the
 sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
-Every mp-precision sum over an orbit runs through one kernel:
-``_orbit_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an orbit, one
-log per point for all requested modes, and applies the Wilton sign (-1)^n
-itself to the signed ones; ``_orbit_sums`` adds them up left to right.
+Every mp-precision sum over an orbit runs through one kernel, one series
+per pass: ``_orbit_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
+orbit, one log per point, and applies the Wilton sign (-1)^n itself when
+the series is signed; ``_orbit_sum`` adds them up left to right.
 ``_gauss_orbit`` supplies the terminating orbit of a rational for the finite
 truncations.
 
@@ -47,6 +47,7 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_frexp,
     mpf_gt,
     mpf_log,
     mpf_lt,
@@ -118,9 +119,6 @@ class SeriesValue:
     mode: str
     exhausted: bool
 
-    def __float__(self):
-        return float(self.value)
-
 
 @dataclass
 class TruncationReport:
@@ -136,6 +134,8 @@ class TruncationReport:
 
 
 def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
+    if terms < 1:
+        raise OutOfDomain("terms must be >= 1")
     xn, _ = normalize(x, alpha)
     if isinstance(xn, Fraction):
         if xn == 0:
@@ -151,41 +151,33 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
-def _orbit_terms(vals: Iterable, modes: Sequence[tuple[int, bool]], prec: int,
-                 logs: Sequence | None = None) -> Iterator[tuple]:
-    """Per orbit point x_n, the tuple of beta_{n-1}^k * log(1/x_n) over modes.
+def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
+                 logs: Sequence | None = None) -> Iterator:
+    """Per orbit point x_n, the term beta_{n-1}^k * log(1/x_n) of one series.
 
-    vals are raw mpf tuples, and every term is rounded to nearest at prec.
-    Each mode is a pair (k, signed); a signed (Wilton) term is negated at odd
-    n.  Each distinct k is computed once per point, so modes that share a k
-    share its product.  Lazy, so a caller that stops early takes no further
-    logs.  A caller that already holds log(1/x_n) for each point passes them
-    as `logs`.
+    vals are raw mpf tuples, and every term is a raw mpf rounded to nearest
+    at prec.  A signed (Wilton) term is negated at odd n.  Lazy, so a caller
+    that stops early takes no further logs.  A caller that already holds
+    log(1/x_n) for each point passes them as `logs`.
     """
-    ks = sorted({k for k, _ in modes})
-    slots = [(ks.index(k), signed) for k, signed in modes]
     beta = fone
     for n, v in enumerate(vals):
         if logs is None:
             lg = mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
         else:
             lg = logs[n]
-        by_k = [mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
-                for k in ks]
-        odd = n % 2
-        yield tuple([mpf_neg(by_k[i], prec, _RND) if signed and odd else by_k[i]
-                     for i, signed in slots])
+        term = mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
+        yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
         beta = mpf_mul(beta, v, prec, _RND)
 
 
-def _orbit_sums(vals: Iterable, modes: Sequence[tuple[int, bool]], prec: int,
-                logs: Sequence | None = None) -> list:
-    """Left-to-right totals of the ``_orbit_terms`` terms, one per mode."""
-    totals = [fzero] * len(modes)
-    for terms in _orbit_terms(vals, modes, prec, logs):
-        totals = [mpf_add(total, t, prec, _RND)
-                  for total, t in zip(totals, terms)]
-    return totals
+def _orbit_sum(vals: Iterable, k: int, signed: bool, prec: int,
+               logs: Sequence | None = None):
+    """Left-to-right total of the ``_orbit_terms`` terms."""
+    total = fzero
+    for term in _orbit_terms(vals, k, signed, prec, logs):
+        total = mpf_add(total, term, prec, _RND)
+    return total
 
 
 def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
@@ -206,14 +198,13 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
     wp = prec + 32
-    mode_k = ((k, signed),)
     if e.period is not None:
         pre, length = e.period
         n_explicit = pre + length
         vals = _raw_orbit(e, n_explicit - 1, wp)
         total = fzero
         block = fzero
-        for n, (term,) in enumerate(_orbit_terms(vals, mode_k, wp)):
+        for n, term in enumerate(_orbit_terms(vals, k, signed, wp)):
             total = mpf_add(total, term, wp, _RND)
             if n >= pre:
                 block = mpf_add(block, term, wp, _RND)
@@ -240,7 +231,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     prev_abs = finf
     monotone = True
     exhausted = False
-    for n, (term,) in enumerate(_orbit_terms(vals, mode_k, wp)):
+    for n, term in enumerate(_orbit_terms(vals, k, signed, wp)):
         total = mpf_add(total, term, wp, _RND)
         used = n + 1
         last = term
@@ -291,7 +282,7 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     wp = prec + 16
-    total, = _orbit_sums(_gauss_orbit(fr, wp), ((k, signed),), wp)
+    total = _orbit_sum(_gauss_orbit(fr, wp), k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, _RND))
 
 
@@ -388,9 +379,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     wp = prec + 16
     vals = _raw_orbit(e, N - 1, wp)
     logs = [mpf_log(mpf_rdiv_int(1, v, wp, _RND), wp, _RND) for v in vals]
-    modes = ((k, mode == "wilton"),)
-    s_n, = _orbit_sums(vals, modes, wp, logs)
-    s_shift, = _orbit_sums(vals[1:], modes, wp, logs[1:])
+    signed = mode == "wilton"
+    s_n = _orbit_sum(vals, k, signed, wp, logs)
+    s_shift = _orbit_sum(vals[1:], k, signed, wp, logs[1:])
     x0 = vals[0]
     head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
     if mode == "brjuno":
@@ -483,14 +474,6 @@ def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
     return out
 
 
-def _split(v) -> tuple[float, int]:
-    """A raw mpf as (m, e) with v = m 2^e and 0.5 <= |m| < 1 (or m = 0)."""
-    if v == fzero:
-        return 0.0, 0
-    sign, man, exp, bc = v
-    return to_float((sign, man, -bc, bc), rnd=_RND), exp + bc
-
-
 def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
                              prec: int) -> dict:
     """``_finite_minus_partial`` in raw mpfs at prec, for sums that cancel.
@@ -533,8 +516,9 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
     out = {}
     for k in _AUDIT_KS:
         total, total_abs = sums[k]
-        m_abs, e = _split(total_abs)
-        m, e_total = _split(total)
+        m_abs, e = mpf_frexp(total_abs)
+        m, e_total = mpf_frexp(total)
+        m_abs, m = to_float(m_abs, rnd=_RND), to_float(m, rnd=_RND)
         out[k] = (math.ldexp(m, e_total - e), m_abs,
                   math.ldexp((r + 8 * k + 64) * m_abs, 1 - prec), e)
     return out
@@ -579,7 +563,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     for r in range(1, depth + 1):
         q_r = c.q_of(r)
         q_bits = q_r.bit_length()
-        x_r = vals[r] if len(vals) > r else fzero
+        x_r = vals[r]
         t = to_float(x_r, rnd=_RND)
         diffs = _finite_minus_partial(digits[:r], c.q, t)
         sum_prec = q_bits + 128
@@ -625,6 +609,8 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
+    if N < 1:
+        raise OutOfDomain("N must be >= 1")
     if mode not in ("brjuno", "wilton"):
         raise OutOfDomain(f"unknown mode {mode!r}")
     signed = mode == "wilton"

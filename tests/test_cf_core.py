@@ -79,6 +79,15 @@ def test_alpha_step_examples():
         alpha_step(Fraction(0), Alpha.one())
 
 
+def test_integer_is_stepped_as_fraction():
+    assert alpha_step(1, Alpha.one()) == (1, 1, Fraction(0))
+    e = expand(1, Alpha.one(), 5)
+    assert e.orbit == [1, Fraction(0)] and isinstance(e.orbit[1], Fraction)
+    assert e.terminated and e.digits == [(1, 1)]
+    assert [nk.format_exact(v) for v in e.orbit] == ["1/1", "0/1"]
+    assert e.orbit_mpf(1, 64) == [1, 0]
+
+
 def test_branch_boundary_convention():
     # x = 1/(k+alpha) exactly belongs to the next branch: digit k+1, eps -1.
     alpha = Alpha(Fraction(3, 5))

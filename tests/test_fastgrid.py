@@ -77,6 +77,9 @@ def test_series_grid_rejects_k_below_one():
     for k in (0, -1):
         with pytest.raises(OutOfDomain):
             brjuno_grid(np.array([0.3]), k=k)
+    for terms in (0, -1):
+        with pytest.raises(OutOfDomain, match="terms must be >= 1"):
+            wilton_grid(np.array([0.3, 0.7]), terms=terms)
 
 
 def test_series_grid_empty_and_single():

@@ -58,3 +58,33 @@ def test_series_and_numkit_read_no_global_precision(name):
     # precision every other mp function reads; make_mpf only wraps a raw mpf
     path = Path(alphacf.__file__).parent / name
     assert _mp_attributes(path.read_text(encoding="utf-8")) == ["make_mpf"]
+
+
+def _private_definitions(tree) -> list:
+    """Single-underscore module-level functions and methods, by name."""
+    names = []
+    for node in tree.body:
+        defs = node.body if isinstance(node, ast.ClassDef) else [node]
+        names += [d.name for d in defs
+                  if isinstance(d, ast.FunctionDef)
+                  and d.name.startswith("_") and not d.name.startswith("__")]
+    return names
+
+
+def test_private_helpers_have_a_caller_in_src():
+    # a helper whose last caller in the package is deleted goes with it,
+    # even where a test still calls it
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = [(name, helper) for name, tree in trees.items()
+               for helper in _private_definitions(tree)]
+    assert len(defined) > 40
+    assert [f"{name}: {helper}" for name, helper in defined
+            if helper not in read] == []

@@ -40,7 +40,7 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the series kernel, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    total, = se._orbit_sums(se._raw_orbit(e, n - 1, wp), ((k, signed),), wp)
+    total = se._orbit_sum(se._raw_orbit(e, n - 1, wp), k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
 
@@ -152,7 +152,12 @@ def test_proxy_sum_examples():
     (lambda: se.proxy_sum(G, Alpha.one(), 0, 0), "k must be >= 1"),
     (lambda: se.functional_eq_residual(G, Alpha.one(), "brjuno", 10, k=0),
      "k must be >= 1"),
-], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0"])
+    (lambda: se.brjuno_k(G, Alpha.one(), terms=0), "terms must be >= 1"),
+    (lambda: se.wilton(G, Alpha.one(), terms=0), "terms must be >= 1"),
+    (lambda: se.gap_audit([G], Alpha.one(), 1, 0), "N must be >= 1"),
+    (lambda: se.gap_audit([G], Alpha.one(), 1, -1), "N must be >= 1"),
+], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0",
+        "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1"])
 def test_series_parameters_checked_like_siblings(call, message):
     with pytest.raises(OutOfDomain, match=message):
         call()
@@ -462,16 +467,12 @@ def test_kernel_values_frozen():
                                                    rel=1e-12)
 
 
-def test_kernel_modes_match_single_mode_calls():
-    # one call over several modes yields each mode's own terms bit for bit
-    modes = [(1, False), (2, False), (1, True)]
+def test_wilton_terms_negate_brjuno_terms_at_odd_n():
     vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160))
-    joint = list(se._orbit_terms(vals, modes, 160))
-    singles = [[t for (t,) in se._orbit_terms(vals, [m], 160)] for m in modes]
-    brjuno1, _, wilton1 = singles
+    brjuno1 = list(se._orbit_terms(vals, 1, False, 160))
+    wilton1 = list(se._orbit_terms(vals, 1, True, 160))
     negated = [mpf_neg(t) if n % 2 else t for n, t in enumerate(brjuno1)]
     assert len(vals) > 10
-    assert [list(col) for col in zip(*joint)] == singles
     assert wilton1 == negated
 
 
@@ -591,6 +592,13 @@ def _oracle_inputs():
     return orbits, rationals
 
 
+def _assert_kernel_matches(raw, want, prec):
+    # each oracle mode through the single-series kernel, term for term
+    for i, (k, signed) in enumerate(ORACLE_MODES):
+        got = list(se._orbit_terms(raw, k, signed, prec))
+        assert got == [terms[i] for terms in want]
+
+
 @pytest.mark.parametrize("prec", [176, 272, 600])
 def test_raw_kernel_matches_mp_context_oracle(prec):
     orbits, rationals = _oracle_inputs()
@@ -600,8 +608,7 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
         with mp.workprec(prec):
             want = [tuple(t._mpf_ for t in terms)
                     for terms in _oracle_orbit_terms(vals, ORACLE_MODES)]
-        raw = [v._mpf_ for v in vals]
-        assert list(se._orbit_terms(raw, ORACLE_MODES, prec)) == want
+        _assert_kernel_matches([v._mpf_ for v in vals], want, prec)
         cases += len(want)
     for fr in rationals:
         with mp.workprec(prec):
@@ -610,7 +617,7 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
                     _oracle_orbit_terms(_oracle_gauss_orbit(fr), ORACLE_MODES)]
         vals = list(se._gauss_orbit(fr, prec))
         assert vals == want_vals
-        assert list(se._orbit_terms(vals, ORACLE_MODES, prec)) == want
+        _assert_kernel_matches(vals, want, prec)
         cases += len(want)
     assert cases > 500
 
