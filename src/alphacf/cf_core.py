@@ -4,9 +4,12 @@ The map A_alpha(x) = |1/x - floor(1/x - alpha + 1)| on (0, alpha] drives
 everything: digit extraction, orbits and signed convergents.  The series
 layer forms the beta products x_0 x_1 ... x_j from the orbit itself.
 ``alpha = 1`` is the regular (Gauss) continued fraction, ``alpha = 1/2`` the
-nearest-integer one.  All state is immutable and arithmetic is exact for
-Fraction and Surd inputs; BallFloat inputs carry certified radii and refuse
-to guess at branch boundaries.
+nearest-integer one.  All state is immutable.  Fraction and Surd inputs are
+stepped exactly on int states, (a + b*sqrt(d))/c as the ints (a, b, c) with
+b = 0 for a rational, and stored as Fraction and Surd orbit points.
+BallFloat inputs step through ``alpha_step``, carry certified radii and
+refuse to guess at branch boundaries; ``alpha_step`` is also the reference
+the exact steps are tested against.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .errors import (
     OutOfDomain,
     PrecisionExhausted,
 )
-from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, format_exact,
-                     parse_exact, to_mpf)
+from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, _floor_lin,
+                     _sign_lin, format_exact, parse_exact, to_mpf)
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -83,7 +86,8 @@ def alpha_step(x: ExactNumber, alpha: Alpha):
     AmbiguousFloor where its interval cannot decide a branch.  An exact hit
     1/x = a terminates the expansion; its eps is recorded +1 (no successor
     digit exists to be signed) and x_next is an exact zero.  An int x is
-    stepped as a Fraction, so its orbit stays exact.
+    stepped as a Fraction, so its orbit stays exact.  ``expand`` steps balls
+    through it and exact values on ints; the tests compare the two.
     """
     if isinstance(x, int):
         x = Fraction(x)
@@ -171,9 +175,61 @@ class CFExpansion:
         )
 
 
-def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
+def _lin(v) -> tuple:
+    """(a, b, c, d) with v = (a + b*sqrt(d))/c and c > 0; b = d = 0 if rational."""
+    if isinstance(v, Surd):
+        return v.a, v.b, v.c, v.d
+    return v.numerator, 0, v.denominator, 0
+
+
+def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
+    """The orbit of an exact x, stepped on int states as alpha_step steps it.
+
+    The state is (a + b*sqrt(d))/c with c > 0, and b = 0 if it is rational;
+    alpha is (A + B*sqrt(d))/C.  By the conjugate 1/x = (U + V*sqrt(d))/W
+    with W > 0, the digit is floor((UC + W(C - A) + (VC - WB)*sqrt(d))/(WC))
+    and x_next = |1/x - digit|, whose sign is eps.  A surd state is reduced
+    by one gcd to the canonical form make_surd gives; a rational one stays
+    coprime, as gcd(U - digit*W, W) = gcd(c, a) = 1.
+    """
+    a, b, c, d = _lin(x)
+    A, B, C, d_alpha = _lin(alpha.value)
+    # a surd x and a surd alpha share d: expand's x > alpha check raised
+    # MixedRadicalError otherwise
+    d = d or d_alpha
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    seen = {x: 0} if isinstance(x, Surd) else None
+    seen = {(a, b, c): 0} if b else None
+    while (a or b) and len(e.digits) < max_steps:
+        if b:
+            n = a * a - b * b * d
+            U, V, W = (c * a, -c * b, n) if n > 0 else (-c * a, c * b, -n)
+        else:
+            U, V, W = c, 0, a
+        k = _floor_lin(U * C + W * (C - A), V * C - W * B, W * C, d)
+        r = U - k * W
+        eps = 1 if _sign_lin(r, V, d) >= 0 else -1
+        e.digits.append((k, eps))
+        r, V = r * eps, V * eps
+        if not V:  # rational; an exact hit r = 0 ends the orbit
+            a, c = r, W
+            e.orbit.append(Fraction(a, c))
+            continue
+        g = math.gcd(r, V, W)
+        a, b, c = r // g, V // g, W // g
+        e.orbit.append(Surd._raw(a, b, c, d))
+        idx = seen.setdefault((a, b, c), len(e.digits))
+        if idx < len(e.digits):
+            e.period = (idx, len(e.digits) - idx)
+            break
+    e.terminated = not (a or b)
+    return e
+
+
+def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
+    """Exact x steps on int states; a ball steps through alpha_step."""
+    if not isinstance(x, BallFloat):
+        return _expand_exact(x, alpha, max_steps)
+    e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
     cur = x
     while cur and len(e.digits) < max_steps:
         try:
@@ -183,11 +239,6 @@ def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
             break
         e.digits.append((a, eps))
         e.orbit.append(cur)
-        if seen is not None:
-            idx = seen.setdefault(cur, len(e.orbit) - 1)
-            if idx < len(e.orbit) - 1:
-                e.period = (idx, len(e.orbit) - 1 - idx)
-                break
     e.terminated = not cur
     return e
 

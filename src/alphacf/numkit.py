@@ -112,7 +112,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 
 def _sign_lin(A: int, B: int, d: int) -> int:
-    """Exact sign of A + B*sqrt(d) for integers A, B and squarefree d > 1."""
+    """Exact sign of A + B*sqrt(d) for integers A, B and squarefree d > 1.
+
+    d is not read when B = 0.
+    """
     if B == 0:
         return (A > 0) - (A < 0)
     if A == 0:
@@ -126,6 +129,20 @@ def _sign_lin(A: int, B: int, d: int) -> int:
         return (t > 0) - (t < 0)
     # A < 0, B > 0: positive iff B^2 d > A^2
     return (t < 0) - (t > 0)
+
+
+def _floor_lin(N: int, M: int, D: int, d: int) -> int:
+    """Exact floor((N + M*sqrt(d))/D) for integers, D > 0 and squarefree d > 1.
+
+    M*sqrt(d) is irrational unless M = 0, so floor(N + M*sqrt(d)) is N plus
+    isqrt(M^2 d) for M > 0 and N - isqrt(M^2 d) - 1 for M < 0; and
+    floor(t/D) = floor(floor(t)/D) for any real t.  d is not read when M = 0.
+    """
+    if M > 0:
+        return (N + isqrt(M * M * d)) // D
+    if M < 0:
+        return (N - isqrt(M * M * d) - 1) // D
+    return N // D
 
 
 def make_surd(a: int, b: int, c: int, d: int):
@@ -187,10 +204,12 @@ class Surd(_Ordered):
     """Quadratic irrational (a + b*sqrt(d))/c in canonical form.
 
     Canonical means: d > 1 squarefree, b != 0, c > 0, gcd(a, b, c) = 1.
-    Build one with :func:`make_surd`.  Surds add, subtract, negate, order,
-    floor and divide a rational (``1 / x``), which is all the alpha-CF step
-    needs; each result keeps d and is canonical, or a plain Fraction when
-    the irrational part cancels.
+    Build one with :func:`make_surd`.  Surds add (a surd on the left of
+    ``+``), subtract, negate, take ``abs``, order, floor and divide a
+    rational (``1 / x``): what ``alpha_step``, ``normalize`` and the ladder
+    audit use.  Each result keeps d and is canonical, or a plain Fraction
+    when the irrational part cancels.  ``expand`` steps surd orbits on the
+    ints themselves, through ``_floor_lin`` and ``_sign_lin``.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -224,17 +243,7 @@ class Surd(_Ordered):
         return None
 
     def __floor__(self) -> int:
-        """Exact floor, via integer square-root bounds on b*sqrt(d)."""
-        t = self.b * self.b * self.d
-        s = isqrt(t)
-        sf = s if self.b > 0 else -s - 1  # floor(b*sqrt(d)); irrational
-        n = (self.a + sf) // self.c
-        # n is within one of the true floor; fix up with exact comparisons.
-        while _sign_lin(self.a - (n + 1) * self.c, self.b, self.d) >= 0:
-            n += 1
-        while _sign_lin(self.a - n * self.c, self.b, self.d) < 0:
-            n -= 1
-        return n
+        return _floor_lin(self.a, self.b, self.c, self.d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -245,8 +254,6 @@ class Surd(_Ordered):
         p, q, r = po
         return _canon(self.a * r + p * self.c, self.b * r + q * self.c,
                       self.c * r, self.d)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Surd._raw(-self.a, -self.b, self.c, self.d)

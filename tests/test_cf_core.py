@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from alphacf import cf_core
 from alphacf import numkit as nk
 from alphacf.cf_core import (
     Alpha,
@@ -18,8 +19,9 @@ from alphacf.cf_core import (
     expand,
     normalize,
 )
-from alphacf.errors import ExpansionTooShort, OutOfDomain, PrecisionExhausted
-from alphacf.sampling import random_dyadic_ball, random_surd
+from alphacf.errors import (ExpansionTooShort, MixedRadicalError, OutOfDomain,
+                            PrecisionExhausted)
+from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
 
 G = nk.GOLDEN
 
@@ -274,6 +276,77 @@ def test_surd_expansion_never_factorizes(monkeypatch):
     assert sum(p is not None for p in periods) > 100  # periods were keyed
     nk.make_surd(1, 1, 1, 12)
     assert calls == [12]  # the count sees make_surd's split
+
+
+def _stepped(x, alpha, max_steps):
+    """digits, orbit, terminated and period of x from alpha_step alone."""
+    digits, orbit, period, seen = [], [x], None, {x: 0}
+    while orbit[-1] and len(digits) < max_steps and period is None:
+        a, eps, nxt = alpha_step(orbit[-1], alpha)
+        digits.append((a, eps))
+        orbit.append(nxt)
+        if isinstance(nxt, nk.Surd):
+            i = seen.setdefault(nxt, len(digits))
+            if i < len(digits):
+                period = (i, len(digits) - i)
+    return digits, orbit, not orbit[-1], period
+
+
+def _golden_field_surd(rng):
+    """A surd of Q(sqrt(5)) in (0, g]."""
+    while True:
+        v = nk.make_surd(rng.randrange(-40, 40), rng.randrange(1, 12),
+                         rng.randrange(1, 40), 5)
+        if isinstance(v, nk.Surd):
+            x, _ = normalize(v, Alpha.golden())
+            if isinstance(x, nk.Surd):
+                return x
+
+
+def test_expand_matches_alpha_step():
+    # expand steps exact states on ints; alpha_step is its reference
+    rng = random.Random(1517)
+    cases = []
+    for alpha in [Alpha.one(), Alpha.half(), Alpha(Fraction(3, 5)),
+                  Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)),
+                  Alpha.golden()]:
+        xs = [random_rational(rng, 2 ** 64, half=True) for _ in range(20)]
+        xs += [random_surd(rng, half=True) for _ in range(20)]
+        if alpha == Alpha.golden():  # one radicand per orbit
+            xs = [x for x in xs if getattr(x, "d", 5) == 5]
+            xs += [_golden_field_surd(rng) for _ in range(20)]
+        # edge cases: zero, alpha itself, 1/2, and the exact hit 1/x = 3
+        xs += [Fraction(0), alpha.value, Fraction(1, 2), Fraction(1, 3)]
+        cases += [(x, alpha) for x in xs]
+    cases.append((1, Alpha.one()))
+    for x, alpha in cases:
+        e = expand(x, alpha, 256)
+        digits, orbit, terminated, period = _stepped(x, alpha, 256)
+        assert e.digits == digits
+        assert e.orbit == orbit
+        assert [type(v) for v in e.orbit] == [type(v) for v in orbit]
+        assert (e.terminated, e.period) == (terminated, period)
+    kinds = {(type(x), type(alpha.value)) for x, alpha in cases}
+    assert {(Fraction, Fraction), (Fraction, nk.Surd), (nk.Surd, Fraction),
+            (nk.Surd, nk.Surd), (int, Fraction)} <= kinds
+    with pytest.raises(MixedRadicalError):
+        expand(nk.make_surd(-1, 1, 1, 2), Alpha.golden(), 10)  # sqrt(2) - 1
+
+
+def test_exact_expansion_never_calls_alpha_step(monkeypatch):
+    # the int-state loop must not fall back to the operator path unnoticed
+    rng = random.Random(1518)
+    xs = [random_rational(rng, 2 ** 64, half=True) for _ in range(20)]
+    xs += [random_surd(rng, half=True) for _ in range(20)]
+    calls = []
+    step = cf_core.alpha_step
+    monkeypatch.setattr(cf_core, "alpha_step",
+                        lambda x, alpha: calls.append(x) or step(x, alpha))
+    digits = sum(len(expand(x, alpha, 256).digits)
+                 for x in xs for alpha in (Alpha.one(), Alpha.half()))
+    assert calls == [] and digits > 1000
+    expand(nk.BallFloat("0.3"), Alpha.one(), 1)
+    assert len(calls) == 1  # the count sees a ball step
 
 
 def test_json_roundtrip():

