@@ -7,9 +7,11 @@ layer forms the beta products x_0 x_1 ... x_j from the orbit itself.
 nearest-integer one.  All state is immutable.  Fraction and Surd inputs are
 stepped exactly on int states, (a + b*sqrt(d))/c as the ints (a, b, c) with
 b = 0 for a rational, and stored as Fraction and Surd orbit points.
-BallFloat inputs step through ``alpha_step``, carry certified radii and
-refuse to guess at branch boundaries; ``alpha_step`` is also the reference
-the exact steps are tested against.
+A BallFloat input is an interval with exact Fraction ends: both ends are
+stepped exactly, and the ball's orbit is the prefix on which their digits
+agree, each point the interval between the ends' states.  ``alpha_step``,
+which steps any value through its operators, is the reference these exact
+steps are tested against.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (
-    AmbiguousComparison,
-    AmbiguousFloor,
     ExpansionTooShort,
     OutOfDomain,
     PrecisionExhausted,
@@ -86,8 +86,9 @@ def alpha_step(x: ExactNumber, alpha: Alpha):
     AmbiguousFloor where its interval cannot decide a branch.  An exact hit
     1/x = a terminates the expansion; its eps is recorded +1 (no successor
     digit exists to be signed) and x_next is an exact zero.  An int x is
-    stepped as a Fraction, so its orbit stays exact.  ``expand`` steps balls
-    through it and exact values on ints; the tests compare the two.
+    stepped as a Fraction, so its orbit stays exact.  ``expand`` steps
+    exact values and the ends of balls on ints; the tests compare it with
+    this step.
     """
     if isinstance(x, int):
         x = Fraction(x)
@@ -116,7 +117,7 @@ class CFExpansion:
     orbit: list = field(default_factory=list)
     terminated: bool = False
     period: Optional[tuple] = None
-    # float orbit stopped early at an uncertifiable branch (runtime-only flag,
+    # float orbit certified to fewer digits than asked (runtime-only flag,
     # not part of the JSON schema)
     exhausted: bool = False
 
@@ -225,21 +226,30 @@ def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
     return e
 
 
-def _expand_once(x: ExactNumber, alpha: Alpha, max_steps: int) -> CFExpansion:
-    """Exact x steps on int states; a ball steps through alpha_step."""
-    if not isinstance(x, BallFloat):
-        return _expand_exact(x, alpha, max_steps)
+def _expand_ball(x: BallFloat, alpha: Alpha, max_steps: int) -> CFExpansion:
+    """The certified prefix of a ball's orbit, from the orbits of its ends.
+
+    On one (digit, eps) cylinder the map is a monotone Mobius map, so while
+    both ends take the same digit every point between them does, and the
+    image of the ball is the interval between the images of its ends.  The
+    prefix stops at the first digit the ends disagree on, and one digit
+    before either end hits an exact zero: a float input is never certified
+    rational, so a zero-width ball stops one digit before its exact hit.
+    """
+    lo, hi = x.ends
+    e_lo = _expand_exact(lo, alpha, max_steps)
+    e_hi = e_lo if hi == lo else _expand_exact(hi, alpha, max_steps)
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    cur = x
-    while cur and len(e.digits) < max_steps:
-        try:
-            a, eps, cur = alpha_step(cur, alpha)
-        except (AmbiguousFloor, AmbiguousComparison):
-            e.exhausted = True
+    for d_lo, d_hi, u, v in zip(e_lo.digits, e_hi.digits, e_lo.orbit[1:],
+                                e_hi.orbit[1:]):
+        if d_lo != d_hi or not (u and v):
             break
-        e.digits.append((a, eps))
-        e.orbit.append(cur)
-    e.terminated = not cur
+        if v < u:
+            u, v = v, u
+        e.digits.append(d_lo)
+        e.orbit.append(BallFloat._raw(u, v, x.prec))
+    e.terminated = not x
+    e.exhausted = not e.terminated and len(e.digits) < max_steps
     return e
 
 
@@ -248,31 +258,24 @@ def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
     """Expand x in [0, alpha] to at most max_steps digits.
 
     Rational inputs terminate at an exact zero; Surd inputs stop early when
-    an orbit state repeats (period detected).  BallFloat orbits that hit an
-    undecidable branch boundary are retried at escalated working precision
-    (the interval endpoints are exact, so this is lossless).  If ambiguity
-    survives the escalation, the certified prefix is returned with the
-    ``exhausted`` flag when best_effort is set, else PrecisionExhausted is
-    raised.
+    an orbit state repeats (period detected).  A BallFloat orbit keeps the
+    digits both of its ends certify (see ``_expand_ball``); no precision is
+    raised, as the ends are exact.  A prefix shorter than max_steps is
+    returned with the ``exhausted`` flag when best_effort is set, else
+    PrecisionExhausted is raised.
     """
     if max_steps < 0:
         raise OutOfDomain("max_steps must be >= 0")
     if x < 0 or x > alpha.value:
         raise OutOfDomain("expand requires 0 <= x <= alpha; apply normalize first")
-    attempt = x
-    while True:
-        e = _expand_once(attempt, alpha, max_steps)
-        if not e.exhausted:
-            return e
-        if isinstance(attempt, BallFloat) and attempt.prec * 2 <= x.prec * 8 + 512:
-            attempt = attempt.with_prec(attempt.prec * 2)
-            continue
-        if best_effort:
-            return e
+    if not isinstance(x, BallFloat):
+        return _expand_exact(x, alpha, max_steps)
+    e = _expand_ball(x, alpha, max_steps)
+    if e.exhausted and not best_effort:
         raise PrecisionExhausted(
-            f"float orbit undecidable at step {len(e.digits) + 1} "
-            f"(working precision {getattr(attempt, 'prec', 'exact')})"
-        )
+            f"float orbit certified to {len(e.digits)} of {max_steps} digits "
+            f"({x.prec}-bit input)")
+    return e
 
 
 @dataclass

@@ -91,7 +91,7 @@ def cmd_expand(args) -> int:
     obj["input"] = format_exact(x_raw)
     obj["reflected"] = reflected
     if e.exhausted:
-        obj["exhausted"] = True  # float orbit stopped at an uncertifiable branch
+        obj["exhausted"] = True  # float orbit certified to fewer digits
     _emit(json.dumps(obj, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -329,8 +329,8 @@ def _add_series_limits(p, terms: int, tol: float):
 
 def _add_precision(p):
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                   help="working precision in mantissa bits, >= 64 "
-                        "(default %(default)s)")
+                   help="bits a decimal --x is rounded to, >= 64; eval also "
+                        "sums its series at it (default %(default)s)")
 
 
 def _add_seed(p):

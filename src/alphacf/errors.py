@@ -6,7 +6,7 @@ class AlphaCFError(Exception):
 
 
 class AmbiguousFloor(AlphaCFError):
-    """A float interval straddles an integer; raise precision and retry."""
+    """A ball straddles an integer, so its floor is undecided."""
 
 
 class AmbiguousComparison(AlphaCFError):
@@ -30,7 +30,7 @@ class OutOfRange(AlphaCFError):
 
 
 class PrecisionExhausted(AlphaCFError):
-    """A float orbit hit a branch boundary it cannot resolve at this precision."""
+    """A ball's orbit is certified to fewer digits than were requested."""
 
 
 class SingularPoint(AlphaCFError):

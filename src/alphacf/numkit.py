@@ -5,18 +5,19 @@ package:
 
 * ``fractions.Fraction`` -- exact rationals,
 * ``Surd``               -- quadratic irrationals (a + b*sqrt(d))/c,
-* ``BallFloat``          -- arbitrary-precision floats carrying a certified
-                            error radius: a raw libmp interval (two mpf
-                            tuples, rounded outward) plus its own precision.
+* ``BallFloat``          -- certified enclosures: a closed interval with two
+                            exact Fraction ends, plus the precision in bits
+                            its inputs and its mpf views are rounded to.
 
 Every value is immutable and every operation is pure, so values can be
-shared freely between concurrent workers.  Ball arithmetic and decisions,
-and every conversion to an mpf (``raw_mpf``, which ``to_mpf`` boxes, and
-a ball's ``value`` and ``radius`` views), pass their precision to
-``mpmath.libmp`` explicitly and never read or set mpmath's global
-precision, so they give the same bits in threads as serially.  A
-conversion rounds to nearest with the raw calls mpmath's mpf operators
-make, so it gives the bits mp-context arithmetic gives at that precision.
+shared freely between concurrent workers.  Ball arithmetic and decisions
+are exact on the Fraction ends, and every conversion to an mpf
+(``raw_mpf``, which ``to_mpf`` boxes, and a ball's views) passes its
+precision to ``mpmath.libmp`` explicitly and never reads or sets mpmath's
+global precision, so all of them give the same bits in threads as
+serially.  A conversion of a value rounds to nearest with the raw calls
+mpmath's mpf operators make, so it gives the bits mp-context arithmetic
+gives at that precision.
 Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``,
 ``1 / x`` and truth work through the usual operator protocol, as for
 ``Fraction``: a surd compared with a ball defers to the ball, whose order is
@@ -31,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 from typing import Union
 
 from mpmath import mp
@@ -39,36 +40,19 @@ from mpmath.libmp import (
     finf,
     fnan,
     fninf,
-    fnone,
-    fone,
     from_float,
     from_int,
+    from_rational,
     from_str,
-    fzero,
-    mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_gt,
-    mpf_lt,
-    mpf_mul,
     mpf_mul_int,
     mpf_pos,
-    mpf_shift,
-    mpf_sign,
     mpf_sqrt,
-    mpf_sub,
-    mpi_abs,
-    mpi_add,
-    mpi_div,
-    mpi_from_str,
-    mpi_mul,
-    mpi_neg,
-    mpi_sqrt,
-    mpi_sub,
     round_ceiling,
     round_floor,
     round_nearest,
-    to_int,
+    to_rational,
     to_str,
 )
 
@@ -317,219 +301,195 @@ GOLDEN = make_surd(-1, 1, 2, 5)  # (sqrt(5) - 1)/2
 
 
 class BallFloat(_Ordered):
-    """Arbitrary-precision float with a certified, outward-rounded error radius.
+    """A real number known to lie in a closed interval with exact ends.
 
-    Stored as a raw libmp interval ``_x = (lo, hi)`` of two mpf tuples plus
-    the working precision ``prec``.  Every operation calls
-    ``mpmath.libmp.libmpi`` with that precision passed explicitly, so ball
-    arithmetic and decisions touch no global precision state.  ``value`` is
-    the midpoint and ``radius`` half the width.  The operations are ``+``,
-    ``-``, negation and ``1 / x``, which all round outward, so a zero-width
-    result is exact, and the decisions order, ``math.floor`` and truth,
-    which are sound: ``<`` needs disjoint intervals, ``math.floor`` an
+    ``ends`` is the pair (lo, hi) of Fraction endpoints, and ``prec`` the
+    precision in bits the constructor rounds its input to and the
+    ``lower``, ``upper``, ``value`` and ``radius`` views round to.  A
+    decimal string is rounded to the nearest float of prec bits, a
+    zero-width ball; any other value, widened by the radius, is rounded
+    outward, so a constructed ball has dyadic ends.  ``+``, ``-``, negation
+    and ``1 / x`` are exact on the ends, after a surd operand is rounded
+    outward at prec.  The decisions are exact and sound: ``<`` needs
+    disjoint intervals (a surd is compared exactly), ``math.floor`` an
     interval inside one integer cell, and only the exact zero is false.
     ``==`` is identity.
     """
 
-    __slots__ = ("_x", "prec")
+    __slots__ = ("ends", "prec")
 
     def __init__(self, value=0, radius=0, prec: int = DEFAULT_PRECISION):
         if isinstance(value, str):
             # decimal text is parsed AT the requested precision: the value is
-            # the nearest representable float, radius 0; radii then track
-            # arithmetic error only (exact inputs go through Fraction/Surd).
+            # the nearest representable float, a zero-width ball (exact
+            # inputs go through Fraction/Surd).
             value = mp.make_mpf(from_str(value, prec, _RND))
-        x = _interval_of(value, prec)
+        x = _ends(value, prec)
         if x is NotImplemented:
             raise TypeError(f"cannot make a BallFloat from {type(value).__name__}")
+        lo, hi = x
         if radius:
-            r = mpi_abs(_interval_of(radius, prec), prec)
-            x = mpi_add(x, mpi_mul(_UNIT_IV, r, prec), prec)
-        object.__setattr__(self, "_x", x)
+            r = _ends(Fraction(radius) if isinstance(radius, str) else radius,
+                      prec)
+            r = max(-r[0], r[1])  # |radius|
+            lo, hi = lo - r, hi + r
+        object.__setattr__(self, "ends", (_dyadic(lo, prec, round_floor),
+                                          _dyadic(hi, prec, round_ceiling)))
         object.__setattr__(self, "prec", prec)
+
+    @classmethod
+    def _raw(cls, lo: Fraction, hi: Fraction, prec: int) -> "BallFloat":
+        """The ball [lo, hi], lo <= hi, with its ends kept as given."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ends", (lo, hi))
+        object.__setattr__(self, "prec", prec)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("BallFloat is immutable")
 
-    # -- interval views ----------------------------------------------------
-    # endpoints as plain mpf rounded at own precision + 4 (exact whenever
-    # they fit in prec bits, as every arithmetic result does).
+    # -- views, rounded at prec ----------------------------------------------
 
     @property
     def lower(self):
-        return mp.make_mpf(self._end(0))
+        return mp.make_mpf(_mpf(self.ends[0], self.prec, round_floor))
 
     @property
     def upper(self):
-        return mp.make_mpf(self._end(1))
-
-    def _end(self, i: int):
-        return mpf_pos(self._x[i], self.prec + 4, _RND)
-
-    def _mid(self, prec: int):
-        """(lower + upper)/2 rounded to nearest at prec, as a raw mpf."""
-        s = mpf_add(self._end(0), self._end(1), prec, _RND)
-        return mpf_div(s, from_int(2), prec, _RND)
-
-    def _radius(self):
-        p = self.prec
-        lo = self._end(0)
-        r = mpf_div(mpf_sub(self._end(1), lo, p, _RND), from_int(2), p, _RND)
-        # one ulp of slack: the midpoint itself was rounded
-        scale = mpf_abs(lo, p, _RND)
-        if mpf_gt(fone, scale):
-            scale = fone
-        return mpf_add(r, mpf_mul(mpf_shift(fone, -p), scale, p, _RND), p, _RND)
+        return mp.make_mpf(_mpf(self.ends[1], self.prec, round_ceiling))
 
     @property
     def value(self):
-        return mp.make_mpf(self._mid(self.prec))
+        """The midpoint rounded to nearest, as ``raw_mpf`` rounds it."""
+        return mp.make_mpf(raw_mpf(self, self.prec))
 
     @property
     def radius(self):
-        return mp.make_mpf(self._radius())
-
-    def with_prec(self, prec: int) -> "BallFloat":
-        """Same interval, different working precision (endpoints are exact)."""
-        return _ball(self._x, prec)
+        """Half the width plus the rounding of ``value``, rounded up."""
+        lo, hi = self.ends
+        r = (hi - lo) / 2 + max(-lo, hi) / 2 ** (self.prec - 1)
+        return mp.make_mpf(_mpf(r, self.prec, round_ceiling))
 
     def __float__(self):
         return float(self.value)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binop(self, other, f, reflected=False):
-        y = _interval_of(other, self.prec)
+    def __add__(self, other):
+        y = _ends(other, self.prec)
         if y is NotImplemented:
             return NotImplemented
-        x = f(y, self._x, self.prec) if reflected else f(self._x, y, self.prec)
-        return _ball(x, self.prec)
-
-    def __add__(self, other):
-        return self._binop(other, mpi_add)
+        lo, hi = self.ends
+        return BallFloat._raw(lo + y[0], hi + y[1], self.prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, mpi_sub)
+        return self + -other  # a surd's bracket is symmetric under negation
 
     def __rsub__(self, other):
-        return self._binop(other, mpi_sub, reflected=True)
+        return -self + other
 
     def __rtruediv__(self, other):
         if other.__class__ is not int or other != 1:
             return NotImplemented  # the alpha-CF step divides nothing else
-        lo, hi = self._x
-        if mpf_sign(lo) <= 0 <= mpf_sign(hi):
+        lo, hi = self.ends
+        if lo <= 0 <= hi:
             raise DivisionByZero("reciprocal of an interval containing zero")
-        return _ball(mpi_div(_ONE_IV, self._x, self.prec), self.prec)
+        return BallFloat._raw(1 / hi, 1 / lo, self.prec)
 
     def __neg__(self):
-        return _ball(mpi_neg(self._x, self.prec), self.prec)
+        lo, hi = self.ends
+        return BallFloat._raw(-hi, -lo, self.prec)
 
     # -- decisions ---------------------------------------------------------
 
     def __floor__(self) -> int:
-        lo, hi = self._x
-        n = int(to_int(lo, round_floor))  # gmpy2 backend hands out mpz
-        if n != to_int(hi, round_floor):
+        lo, hi = self.ends
+        n = floor(lo)
+        if n != floor(hi):
             raise AmbiguousFloor(
-                f"interval [{to_str(lo, _MSG_DIGITS)}, {to_str(hi, _MSG_DIGITS)}]"
-                " straddles an integer"
-            )
+                f"interval [{float(lo):.15g}, {float(hi):.15g}]"
+                " straddles an integer")
         return n
 
     def _cmp(self, other):
         """-1, 0 or +1 for disjoint intervals or one and the same exact point."""
-        lo, hi = self._x
-        if other.__class__ is int and other == 0:  # the sign: no interval built
-            if mpf_sign(lo) > 0:
-                return 1
-            if mpf_sign(hi) < 0:
-                return -1
-            wa = wb = fzero
+        if isinstance(other, Surd):
+            a = b = other
         else:
-            y = _interval_of(other, self.prec)
+            y = _ends(other, self.prec)
             if y is NotImplemented:
                 return NotImplemented
-            wa, wb = y
-            if mpf_lt(hi, wa):
-                return -1
-            if mpf_lt(wb, lo):
-                return 1
-        if lo == hi == wa == wb:
+            a, b = y
+        lo, hi = self.ends
+        if hi < a:
+            return -1
+        if b < lo:
+            return 1
+        if lo == hi == a == b:
             return 0
         raise AmbiguousComparison("overlapping intervals")
 
     def __bool__(self):
-        return self._x != _ZERO_IV
+        return self.ends != (0, 0)
 
     def __repr__(self):
-        return (f"BallFloat({to_str(self._mid(self.prec), 20)}, "
-                f"radius={to_str(self._radius(), 3)}, prec={self.prec})")
+        return (f"BallFloat({to_str(raw_mpf(self, self.prec), 20)}, "
+                f"radius={to_str(self.radius._mpf_, 3)}, prec={self.prec})")
 
 
-_ZERO_IV = (fzero, fzero)
-_ONE_IV = (fone, fone)
-_UNIT_IV = (fnone, fone)  # [-1, 1]
-_MSG_DIGITS = 15  # endpoint digits in messages, as str(mpf) at 53 bits
+def _mpf(q: Fraction, prec: int, rnd):
+    """The rational q as a raw mpf rounded in direction rnd at prec."""
+    return from_rational(q.numerator, q.denominator, prec, rnd)
 
 
-def _ball(x, prec) -> BallFloat:
-    """Wrap a libmp interval without conversion."""
-    b = object.__new__(BallFloat)
-    object.__setattr__(b, "_x", x)
-    object.__setattr__(b, "prec", prec)
-    return b
+def _dyadic(q: Fraction, prec: int, rnd) -> Fraction:
+    """q rounded in direction rnd to a dyadic rational of prec bits."""
+    return Fraction(*to_rational(_mpf(q, prec, rnd)))
 
 
-def _int_interval(n: int, prec: int):
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+def _ends(v, prec: int):
+    """Exact Fraction ends (lo, hi) of an interval around v, or NotImplemented.
+
+    A ball gives its own ends and a rational, float or mpf itself twice; a
+    surd is rounded outward to prec bits.  NaN and infinities are refused.
+    """
+    if isinstance(v, BallFloat):
+        return v.ends
+    if isinstance(v, (int, Fraction)):
+        return v, v
+    if isinstance(v, Surd):
+        return _surd_ends(v, prec)
+    if isinstance(v, float):
+        v = from_float(v)
+    elif hasattr(v, "_mpf_"):
+        v = v._mpf_
+    else:
+        return NotImplemented
+    if v in (finf, fninf, fnan):
+        raise ValueError("a ball needs a finite value")
+    v = Fraction(*to_rational(v))
+    return v, v
+
+
+def _surd_ends(v: Surd, prec: int):
+    """Dyadic ends of prec bits around the irrational v, from one exact floor.
+
+    |a^2 - b^2 d| >= 1, so |v| >= 1/(2c max(|a|, |b| sqrt d)), and s bits
+    past the binary point hold at least prec significant bits of v.
+    """
+    s = prec + v.c.bit_length() + 2 + max(v.a.bit_length(),
+                                          v.b.bit_length() + v.d.bit_length())
+    m = _floor_lin(v.a << s, v.b << s, v.c, v.d)
+    return (_dyadic(Fraction(m, 1 << s), prec, round_floor),
+            _dyadic(Fraction(m + 1, 1 << s), prec, round_ceiling))
 
 
 @lru_cache(maxsize=256)
 def _int_sqrt(d: int, prec: int):
     """sqrt(d) rounded to nearest at prec; memoised, as radicands recur."""
     return mpf_sqrt(from_int(d), prec, _RND)
-
-
-@lru_cache(maxsize=256)
-def _exact_interval(v, prec: int):
-    """Enclosure of a Fraction or Surd; memoised, as alpha recurs every step."""
-    if isinstance(v, Fraction):
-        # two int intervals divided, not one from_rational rounding: big
-        # ints round before the division, and orbits depend on it bit for bit
-        return mpi_div(_int_interval(v.numerator, prec),
-                       _int_interval(v.denominator, prec), prec)
-    root = mpi_sqrt(_int_interval(v.d, prec), prec)
-    num = mpi_add(_int_interval(v.a, prec),
-                  mpi_mul(_int_interval(v.b, prec), root, prec), prec)
-    return mpi_div(num, _int_interval(v.c, prec), prec)
-
-
-def _interval_of(v, prec: int):
-    """Outward-rounded libmp interval enclosing v at prec, or NotImplemented.
-
-    Conversions round exactly as mpmath's ``iv`` context does at
-    ``iv.prec = prec``, so results are bit-identical to it.
-    """
-    if isinstance(v, BallFloat):
-        return v._x
-    if isinstance(v, int):
-        return _int_interval(v, prec)
-    if isinstance(v, (Fraction, Surd)):
-        return _exact_interval(v, prec)
-    if isinstance(v, str):
-        return mpi_from_str(v, prec)
-    if isinstance(v, float):
-        a, b = from_float(v, prec, round_floor), from_float(v, prec, round_ceiling)
-    elif hasattr(v, "_mpf_"):
-        a = b = v._mpf_
-    else:
-        return NotImplemented
-    if a == fnan or b == fnan:
-        return fninf, finf
-    return a, b
 
 
 ExactNumber = Union[Fraction, Surd, BallFloat]
@@ -552,7 +512,8 @@ def raw_mpf(v: ExactNumber, prec: int):
         r = mpf_div(r, from_int(v.c), wp, _RND)
         return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
-        return v._mid(prec)
+        lo, hi = v.ends
+        return raw_mpf((lo + hi) / 2, prec)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 
@@ -604,5 +565,5 @@ def format_exact(v: ExactNumber) -> str:
         sgn = "+" if v.b >= 0 else "-"
         return f"({v.a}{sgn}{abs(v.b)}*sqrt({v.d}))/{v.c}"
     if isinstance(v, BallFloat):
-        return to_str(v._mid(v.prec), int(v.prec / 3.32) + 2)
+        return to_str(raw_mpf(v, v.prec), int(v.prec / 3.32) + 2)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import to_rational
 
 from alphacf import cf_core
 from alphacf import numkit as nk
@@ -334,19 +335,21 @@ def test_expand_matches_alpha_step():
 
 
 def test_exact_expansion_never_calls_alpha_step(monkeypatch):
-    # the int-state loop must not fall back to the operator path unnoticed
+    # the int-state loop, on exact values and on the ends of balls, must not
+    # fall back to the operator path unnoticed
     rng = random.Random(1518)
     xs = [random_rational(rng, 2 ** 64, half=True) for _ in range(20)]
     xs += [random_surd(rng, half=True) for _ in range(20)]
+    xs += [nk.BallFloat(x, prec=128) for x in xs[20:30]]
     calls = []
     step = cf_core.alpha_step
     monkeypatch.setattr(cf_core, "alpha_step",
                         lambda x, alpha: calls.append(x) or step(x, alpha))
-    digits = sum(len(expand(x, alpha, 256).digits)
+    digits = sum(len(expand(x, alpha, 256, best_effort=True).digits)
                  for x in xs for alpha in (Alpha.one(), Alpha.half()))
     assert calls == [] and digits > 1000
-    expand(nk.BallFloat("0.3"), Alpha.one(), 1)
-    assert len(calls) == 1  # the count sees a ball step
+    cf_core.alpha_step(Fraction(1, 3), Alpha.one())
+    assert len(calls) == 1  # the count sees a step
 
 
 def test_json_roundtrip():
@@ -419,13 +422,17 @@ def test_orbit_convergent_consistency_alpha_one():
             assert num == _times(xn, den)
 
 
-def test_ball_expansion_escalates_then_exhausts():
-    # a 64-bit decimal: escalation stops at 1024 bits with 36 certified digits
+def test_ball_expansion_stops_before_exact_hit():
+    # a 64-bit decimal is a zero-width ball whose exact orbit ends at an
+    # exact hit after 37 digits: the ball certifies the 36 before it
     x = nk.parse_exact("0.3183098861837907", 64)
     e = expand(x, Alpha.one(), 256, best_effort=True)
     assert len(e.digits) == 36
     assert e.exhausted and not e.terminated
-    assert e.orbit[0].prec == 1024
+    assert e.orbit[0].prec == 64
+    exact = expand(x.ends[0], Alpha.one(), 256)
+    assert exact.terminated and exact.digits[:36] == e.digits
+    assert len(exact.digits) == 37
 
 
 def test_ball_expansion_same_in_threads_as_serial():
@@ -457,3 +464,83 @@ def test_ball_expansion_same_in_threads_as_serial():
         sys.setswitchinterval(switch)
     assert sum(a != b for a, b in zip(serial, threaded)) == 0
     assert any(r[2] for r in serial) and any(len(r[0]) > 50 for r in serial)
+
+
+# -- ball orbits against an mpmath.iv oracle ----------------------------------
+# The oracle steps the alpha-map on a whole box with iv's outward rounding at
+# 2048 bits and stops where a floor or a sign is undecided.  Each iv box
+# holds the true image of the ball, so it must hold the exact interval
+# ``expand`` stores; and as the exact ends certify every digit a box can,
+# the exact prefix is never shorter.
+
+def _q(v):
+    """A raw mpf as a Fraction."""
+    return Fraction(*to_rational(v))
+
+
+def _iv_orbit(x, alpha, max_steps):
+    """Digits and iv boxes of the ball x under A_alpha, at the current iv.prec."""
+    v = alpha.value
+    if isinstance(v, nk.Surd):
+        A = (iv.mpf(v.a) + iv.mpf(v.b) * iv.sqrt(iv.mpf(v.d))) / iv.mpf(v.c)
+    else:
+        A = iv.mpf(v.numerator) / iv.mpf(v.denominator)
+    X = iv.mpf([x.lower, x.upper])
+    digits, boxes = [], [X]
+    while len(digits) < max_steps and _q(X._mpi_[0]) > 0:
+        U = 1 / X
+        a, b = (math.floor(_q(t)) for t in (U - A + 1)._mpi_)
+        if a != b:
+            break
+        W = U - a
+        if _q(W._mpi_[0]) > 0:
+            digits.append((a, 1))
+        elif _q(W._mpi_[1]) < 0:
+            digits.append((a, -1))
+            W = -W
+        else:
+            break
+        boxes.append(W)
+        X = W
+    return digits, boxes
+
+
+def test_ball_orbit_matches_iv_oracle():
+    rng = random.Random(1616)
+    cases = []
+    for alpha in (Alpha.one(), Alpha.half(), Alpha(Fraction(3, 5)),
+                  Alpha.golden()):
+        for _ in range(4):
+            balls = [nk.BallFloat(random_surd(rng, half=True), prec=256),
+                     random_dyadic_ball(rng, bits=256, prec=256),
+                     nk.parse_exact(f"0.{rng.randrange(10 ** 77):077d}", 256)]
+            cases += [(normalize(b, alpha)[0], alpha) for b in balls]
+    old = iv.prec
+    iv.prec = 2048
+    try:
+        oracle = [_iv_orbit(x, alpha, 256) for x, alpha in cases]
+    finally:
+        iv.prec = old
+    zero_width = 0
+    for (x, alpha), (digits, boxes) in zip(cases, oracle):
+        e = expand(x, alpha, 256, best_effort=True)
+        assert len(e.digits) >= len(digits)
+        assert e.digits[:len(digits)] == digits
+        for box, ball in zip(boxes, e.orbit):
+            a, b = box._mpi_
+            assert _q(a) <= ball.ends[0] <= ball.ends[1] <= _q(b)
+        lo, hi = x.ends
+        if lo == hi:  # stops exactly one digit before the exact hit
+            exact = expand(lo, alpha, 256)
+            assert exact.terminated and e.exhausted
+            assert e.digits == exact.digits[:-1]
+            zero_width += 1
+        # alpha_step on the balls themselves takes the same digits through
+        # the same intervals
+        cur, orbit = x, [x]
+        for d in e.digits:
+            a, eps, cur = alpha_step(cur, alpha)
+            assert (a, eps) == d
+            orbit.append(cur)
+        assert [v.ends for v in orbit] == [v.ends for v in e.orbit]
+    assert zero_width == 32 and sum(len(d) for d, _ in oracle) > 3000

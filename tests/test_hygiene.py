@@ -40,10 +40,38 @@ def _calls(source: str, name: str) -> bool:
 
 
 def test_only_cf_core_steps_the_map():
-    # every orbit outside cf_core is read from expand, not stepped by hand
+    # every orbit is read from expand, which steps exact states and ball
+    # ends on ints; alpha_step is the reference the tests compare it with
     callers = [p.name for p in MODULES
                if _calls(p.read_text(encoding="utf-8"), "alpha_step")]
-    assert callers == ["cf_core.py"]
+    assert callers == []
+
+
+def _interval_names(source: str) -> list:
+    """libmpi modules and mpi_* names a source imports or reads."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+    return sorted({n for n in names if "libmpi" in n
+                   or n.rsplit(".", 1)[-1].startswith("mpi_")})
+
+
+def test_no_module_uses_the_libmpi_interval_layer():
+    # a ball is an interval with exact Fraction ends; mpmath's outward-
+    # rounding interval kernels would bring back a second ball arithmetic
+    found = {p.name: _interval_names(p.read_text(encoding="utf-8"))
+             for p in Path(alphacf.__file__).parent.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert _interval_names("from mpmath.libmp import mpi_add, to_str\n"
+                           "import mpmath.libmp.libmpi\n") == \
+        ["mpi_add", "mpmath.libmp.libmpi"]
 
 
 def _mp_attributes(source: str) -> list:

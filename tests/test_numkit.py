@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import mpf_neg, to_rational
 
 from alphacf import numkit as nk
 from alphacf.errors import (
@@ -202,7 +202,7 @@ def test_ball_radius_grows_outward():
     x = 1 / nk.BallFloat(3)
     assert x.radius > 0
     y = 1 / x
-    # enclosure of 3 after outward rounding
+    # the ends are exact, so 1/(1/3) is 3 again
     assert y.lower <= 3 <= y.upper
 
 
@@ -263,13 +263,6 @@ def test_ball_truth_is_exact_nonzero():
     assert nk.BallFloat("1e-70") and nk.BallFloat(-3)
 
 
-def test_ball_precision_escalation_roundtrip():
-    x = nk.BallFloat("0.125", prec=128)
-    wide = x.with_prec(512)
-    assert wide.prec == 512
-    assert wide.lower == x.lower and wide.upper == x.upper
-
-
 def _ends(v):
     return (v.lower._mpf_, v.upper._mpf_)
 
@@ -286,10 +279,10 @@ def test_ball_negation_is_exact(prec):
     assert (-nk.BallFloat(Fraction(1, 3), prec=256)).radius < mp.mpf(2) ** -250
 
 
-# -- BallFloat against mpmath.iv ------------------------------------------------
-# BallFloat calls the libmp interval kernels that mpmath's iv context calls,
-# with the ball's own precision; the oracle runs the same expressions through
-# iv at iv.prec = prec.
+# -- BallFloat against exact Fractions and mpmath.iv --------------------------
+# Ball arithmetic is exact on the ends, after a surd operand is rounded
+# outward to its tightest prec-bit bracket; the iv context at iv.prec = prec,
+# which rounds each operation outward, must enclose every result.
 
 def _iv_of(v):
     if isinstance(v, nk.BallFloat):
@@ -301,10 +294,35 @@ def _iv_of(v):
     return iv.mpf(v)
 
 
+def _exact_ends(v, prec):
+    """Ends a ball operation uses for v: a surd's prec-bit outward bracket."""
+    if isinstance(v, nk.BallFloat):
+        return v.ends
+    if isinstance(v, nk.Surd):
+        lo, hi = nk.BallFloat(v, prec=prec).ends
+        assert lo < v < hi and hi - lo <= abs(lo) / 2 ** (prec - 1)
+        for q in (lo, hi):  # dyadics of at most prec significant bits
+            n = abs(q.numerator)
+            assert q.denominator & (q.denominator - 1) == 0
+            assert (n // (n & -n)).bit_length() <= prec
+        return lo, hi
+    return Fraction(v), Fraction(v)
+
+
 def _random_ball(rng, prec):
     mid = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
     rad = rng.choice([0, Fraction(1, 2 ** rng.randint(prec // 2, prec + 8))])
-    return nk.BallFloat(mid, radius=rad, prec=prec)
+    ball = nk.BallFloat(mid, radius=rad, prec=prec)
+    lo, hi = ball.ends  # rounded outward on both sides
+    assert lo <= mid - rad and mid + rad <= hi
+    assert hi - lo <= 2 * rad + (abs(mid) + rad) / 2 ** (prec - 2)
+    return ball
+
+
+def _contains(box, ball):
+    a, b = box._mpi_
+    lo, hi = ball.ends
+    return Fraction(*to_rational(a)) <= lo and hi <= Fraction(*to_rational(b))
 
 
 @pytest.mark.parametrize("prec", [64, 256, 2048])
@@ -313,19 +331,36 @@ def test_ball_arithmetic_matches_iv_oracle(prec):
     surd = nk.make_surd(3, 1, 19, 11)
     old = iv.prec
     try:
+        iv.prec = prec
         for _ in range(25):
             x = _random_ball(rng, prec)
             others = [rng.randint(-50, 50) or 7,
                       Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6)),
                       G, surd, _random_ball(rng, prec)]
             for y in others:
-                iv.prec = 53  # ball arithmetic must not read it
                 got = [x + y, y + x, x - y, y - x, 1 / x, -x]
-                iv.prec = prec
+                (xa, xb), (ya, yb) = x.ends, _exact_ends(y, prec)
+                want = [(xa + ya, xb + yb), (xa + ya, xb + yb),
+                        (xa - yb, xb - ya), (ya - xb, yb - xa),
+                        (1 / xb, 1 / xa), (-xb, -xa)]
                 X, Y = _iv_of(x), _iv_of(y)
-                want = [X + Y, X + Y, X - Y, Y - X, 1 / X, -X]
-                for g, w in zip(got, want):
+                boxes = [X + Y, X + Y, X - Y, Y - X, 1 / X, -X]
+                for g, w, box in zip(got, want, boxes):
                     assert g.prec == prec
-                    assert _ends(g) == w._mpi_
+                    assert g.ends == w
+                    assert _contains(box, g)
     finally:
         iv.prec = old
+
+
+def test_ball_refuses_non_finite_values():
+    # Fraction ends cannot hold NaN or an infinity, and a ball around one
+    # would certify nothing
+    for v in (float("nan"), float("inf"), -float("inf"), mp.nan, mp.inf,
+              -mp.inf, "nan", "-inf"):
+        with pytest.raises(ValueError):
+            nk.BallFloat(v)
+    with pytest.raises(ValueError):
+        nk.BallFloat("0.5", radius=float("inf"))
+    with pytest.raises(ValueError):
+        _ = nk.BallFloat("0.5") + float("nan")
