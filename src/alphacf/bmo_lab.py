@@ -91,7 +91,7 @@ def _integrate(f, a: float, b: float, n: int):
     """Fine and coarse passes on graded meshes, the integral's error bar, and
     the number of samples zero-filled in both passes.
 
-    Each pass is (integral, n_points, weights, values, nodes), its values
+    Each pass is (integral, n_points, weights, values), its values
     gated and zero-filled by the non-finite policy.
     """
     results = []
@@ -100,7 +100,7 @@ def _integrate(f, a: float, b: float, n: int):
         pts, w = _graded_mesh(a, b, budget)
         vals, bad = _finite_samples(f, pts, w, a, b)
         nonfinite += bad
-        results.append(((w * vals).sum(), len(pts), w, vals, pts))
+        results.append(((w * vals).sum(), len(pts), w, vals))
     fine, coarse = results
     err = abs(fine[0] - coarse[0]) + 1e-12 * (1 + abs(fine[0]))
     return fine, coarse, err, nonfinite
@@ -115,8 +115,7 @@ def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats
     """Mean of f over [a, b] on a graded mesh, with a refinement error bar."""
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
-    (integral, used, _, _, _), _, err, nonfinite = _integrate(
-        f, a, b, n_samples)
+    (integral, used, _, _), _, err, nonfinite = _integrate(f, a, b, n_samples)
     width = b - a
     return IntervalStats(interval=(fa, fb), mean=float(integral / width),
                          oscillation=None, samples=used,
@@ -132,7 +131,7 @@ def mean_oscillation(f: Callable, interval, n_samples: int = 4096) -> IntervalSt
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
     width = b - a
-    ((integral, used, w, vals, _), (_, _, w2, vals2, _), mean_err,
+    ((integral, used, w, vals), (_, _, w2, vals2), mean_err,
      nonfinite) = _integrate(f, a, b, n_samples)
     mean = integral / width
     osc_fine = (w * np.abs(vals - mean)).sum() / width
@@ -246,9 +245,9 @@ def wilton_blowup_experiment(n_list: Sequence[int], points: int = 100_000,
         if n < 2:
             raise DegenerateInterval("blow-up rows need n >= 2")
         width = 1.0 / n
-        (int_p, used_p, w_p, v_p, _), _, err_p, _ = _integrate(
+        (int_p, used_p, w_p, v_p), _, err_p, _ = _integrate(
             f, 0.0, width, points)
-        (int_m, used_m, w_m, v_m, _), _, err_m, _ = _integrate(
+        (int_m, used_m, w_m, v_m), _, err_m, _ = _integrate(
             f, -width, 0.0, points)
         mean_p = int_p / width
         mean_m = int_m / width

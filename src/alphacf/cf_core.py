@@ -8,10 +8,10 @@ nearest-integer one.  All state is immutable.  Fraction and Surd inputs are
 stepped exactly on int states, (a + b*sqrt(d))/c as the ints (a, b, c) with
 b = 0 for a rational, and stored as Fraction and Surd orbit points.
 A BallFloat input is an interval with exact Fraction ends: both ends are
-stepped exactly, and the ball's orbit is the prefix on which their digits
-agree, each point the interval between the ends' states.  ``alpha_step``,
-which steps any value through its operators, is the reference these exact
-steps are tested against.
+stepped exactly in lockstep, and the ball's orbit is the prefix on which
+their digits agree, each point the interval between the ends' states.
+``alpha_step``, which steps any value through its operators, is the
+reference these exact steps are tested against.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .errors import (
@@ -86,9 +87,7 @@ def alpha_step(x: ExactNumber, alpha: Alpha):
     AmbiguousFloor where its interval cannot decide a branch.  An exact hit
     1/x = a terminates the expansion; its eps is recorded +1 (no successor
     digit exists to be signed) and x_next is an exact zero.  An int x is
-    stepped as a Fraction, so its orbit stays exact.  ``expand`` steps
-    exact values and the ends of balls on ints; the tests compare it with
-    this step.
+    stepped as a Fraction, so its orbit stays exact.
     """
     if isinstance(x, int):
         x = Fraction(x)
@@ -153,8 +152,8 @@ class CFExpansion:
         Every stored orbit point is converted on its own, cycling through
         the period where one was detected.  Exact states are rounded once;
         float orbits are read from the certified ball orbit that ``expand``
-        stored, each ball by its midpoint, so a value lies within its ball's
-        radius plus one rounding.  A list shorter than n + 1 means the stored
+        stored, each ball by its midpoint, so a value lies between its ball's
+        ends up to one rounding.  A list shorter than n + 1 means the stored
         orbit ran out first.
         """
         if self.period is None:
@@ -183,8 +182,8 @@ def _lin(v) -> tuple:
     return v.numerator, 0, v.denominator, 0
 
 
-def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
-    """The orbit of an exact x, stepped on int states as alpha_step steps it.
+def _walk(x, alpha: Alpha):
+    """Yield (digit, x_next) along the orbit of an exact x, up to an exact hit.
 
     The state is (a + b*sqrt(d))/c with c > 0, and b = 0 if it is rational;
     alpha is (A + B*sqrt(d))/C.  By the conjugate 1/x = (U + V*sqrt(d))/W
@@ -198,9 +197,7 @@ def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
     # a surd x and a surd alpha share d: expand's x > alpha check raised
     # MixedRadicalError otherwise
     d = d or d_alpha
-    e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    seen = {(a, b, c): 0} if b else None
-    while (a or b) and len(e.digits) < max_steps:
+    while a or b:
         if b:
             n = a * a - b * b * d
             U, V, W = (c * a, -c * b, n) if n > 0 else (-c * a, c * b, -n)
@@ -209,45 +206,50 @@ def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
         k = _floor_lin(U * C + W * (C - A), V * C - W * B, W * C, d)
         r = U - k * W
         eps = 1 if _sign_lin(r, V, d) >= 0 else -1
-        e.digits.append((k, eps))
         r, V = r * eps, V * eps
-        if not V:  # rational; an exact hit r = 0 ends the orbit
+        if V:
+            g = math.gcd(r, V, W)
+            a, b, c = r // g, V // g, W // g
+            yield (k, eps), Surd._raw(a, b, c, d)
+        else:
             a, c = r, W
-            e.orbit.append(Fraction(a, c))
-            continue
-        g = math.gcd(r, V, W)
-        a, b, c = r // g, V // g, W // g
-        e.orbit.append(Surd._raw(a, b, c, d))
-        idx = seen.setdefault((a, b, c), len(e.digits))
-        if idx < len(e.digits):
-            e.period = (idx, len(e.digits) - idx)
-            break
-    e.terminated = not (a or b)
+            yield (k, eps), Fraction(a, c)
+
+
+def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
+    """At most max_steps digits of an exact x; a surd stops at a repeat."""
+    e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
+    seen = {x: 0} if isinstance(x, Surd) else None
+    for digit, y in islice(_walk(x, alpha), max_steps):
+        e.digits.append(digit)
+        e.orbit.append(y)
+        if seen is not None:
+            idx = seen.setdefault(y, len(e.digits))
+            if idx < len(e.digits):
+                e.period = (idx, len(e.digits) - idx)
+                break
+    e.terminated = not e.orbit[-1]
     return e
 
 
 def _expand_ball(x: BallFloat, alpha: Alpha, max_steps: int) -> CFExpansion:
-    """The certified prefix of a ball's orbit, from the orbits of its ends.
+    """The certified prefix of a ball's orbit, its two ends walked in lockstep.
 
     On one (digit, eps) cylinder the map is a monotone Mobius map, so while
     both ends take the same digit every point between them does, and the
     image of the ball is the interval between the images of its ends.  The
-    prefix stops at the first digit the ends disagree on, and one digit
+    walk stops at the first digit the ends disagree on, and one digit
     before either end hits an exact zero: a float input is never certified
     rational, so a zero-width ball stops one digit before its exact hit.
     """
-    lo, hi = x.ends
-    e_lo = _expand_exact(lo, alpha, max_steps)
-    e_hi = e_lo if hi == lo else _expand_exact(hi, alpha, max_steps)
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    for d_lo, d_hi, u, v in zip(e_lo.digits, e_hi.digits, e_lo.orbit[1:],
-                                e_hi.orbit[1:]):
-        if d_lo != d_hi or not (u and v):
+    walks = zip(*(_walk(end, alpha) for end in set(x.ends)))
+    for steps in islice(walks, max_steps):
+        (digit, u), (other, v) = steps[0], steps[-1]
+        if digit != other or not (u and v):
             break
-        if v < u:
-            u, v = v, u
-        e.digits.append(d_lo)
-        e.orbit.append(BallFloat._raw(u, v, x.prec))
+        e.digits.append(digit)
+        e.orbit.append(BallFloat._raw(*sorted((u, v)), x.prec))
     e.terminated = not x
     e.exhausted = not e.terminated and len(e.digits) < max_steps
     return e

@@ -7,12 +7,12 @@ package:
 * ``Surd``               -- quadratic irrationals (a + b*sqrt(d))/c,
 * ``BallFloat``          -- certified enclosures: a closed interval with two
                             exact Fraction ends, plus the precision in bits
-                            its inputs and its mpf views are rounded to.
+                            its inputs are rounded to.
 
 Every value is immutable and every operation is pure, so values can be
 shared freely between concurrent workers.  Ball arithmetic and decisions
 are exact on the Fraction ends, and every conversion to an mpf
-(``raw_mpf``, which ``to_mpf`` boxes, and a ball's views) passes its
+(``raw_mpf``, which ``to_mpf`` boxes) passes its
 precision to ``mpmath.libmp`` explicitly and never reads or sets mpmath's
 global precision, so all of them give the same bits in threads as
 serially.  A conversion of a value rounds to nearest with the raw calls
@@ -304,37 +304,28 @@ class BallFloat(_Ordered):
     """A real number known to lie in a closed interval with exact ends.
 
     ``ends`` is the pair (lo, hi) of Fraction endpoints, and ``prec`` the
-    precision in bits the constructor rounds its input to and the
-    ``lower``, ``upper``, ``value`` and ``radius`` views round to.  A
-    decimal string is rounded to the nearest float of prec bits, a
-    zero-width ball; any other value, widened by the radius, is rounded
-    outward, so a constructed ball has dyadic ends.  ``+``, ``-``, negation
-    and ``1 / x`` are exact on the ends, after a surd operand is rounded
-    outward at prec.  The decisions are exact and sound: ``<`` needs
-    disjoint intervals (a surd is compared exactly), ``math.floor`` an
-    interval inside one integer cell, and only the exact zero is false.
-    ``==`` is identity.
+    precision in bits the constructor rounds its input to.  A decimal
+    string is rounded to the nearest float of prec bits, a zero-width ball;
+    any other value is rounded outward, so a constructed ball has dyadic
+    ends.  ``+``, ``-``, negation and ``1 / x`` are exact on the ends, after
+    a surd operand is rounded outward at prec.  The decisions are exact and
+    sound: ``<`` needs disjoint intervals (a surd is compared exactly),
+    ``math.floor`` an interval inside one integer cell, and only the exact
+    zero is false.  ``==`` is identity.  ``float`` and ``repr`` read the
+    midpoint, as ``raw_mpf`` rounds it at prec.
     """
 
     __slots__ = ("ends", "prec")
 
-    def __init__(self, value=0, radius=0, prec: int = DEFAULT_PRECISION):
+    def __init__(self, value, prec: int = DEFAULT_PRECISION):
         if isinstance(value, str):
-            # decimal text is parsed AT the requested precision: the value is
-            # the nearest representable float, a zero-width ball (exact
-            # inputs go through Fraction/Surd).
+            # decimal text is parsed AT the requested precision
             value = mp.make_mpf(from_str(value, prec, _RND))
         x = _ends(value, prec)
         if x is NotImplemented:
             raise TypeError(f"cannot make a BallFloat from {type(value).__name__}")
-        lo, hi = x
-        if radius:
-            r = _ends(Fraction(radius) if isinstance(radius, str) else radius,
-                      prec)
-            r = max(-r[0], r[1])  # |radius|
-            lo, hi = lo - r, hi + r
-        object.__setattr__(self, "ends", (_dyadic(lo, prec, round_floor),
-                                          _dyadic(hi, prec, round_ceiling)))
+        object.__setattr__(self, "ends", (_dyadic(x[0], prec, round_floor),
+                                          _dyadic(x[1], prec, round_ceiling)))
         object.__setattr__(self, "prec", prec)
 
     @classmethod
@@ -348,30 +339,8 @@ class BallFloat(_Ordered):
     def __setattr__(self, *_):
         raise AttributeError("BallFloat is immutable")
 
-    # -- views, rounded at prec ----------------------------------------------
-
-    @property
-    def lower(self):
-        return mp.make_mpf(_mpf(self.ends[0], self.prec, round_floor))
-
-    @property
-    def upper(self):
-        return mp.make_mpf(_mpf(self.ends[1], self.prec, round_ceiling))
-
-    @property
-    def value(self):
-        """The midpoint rounded to nearest, as ``raw_mpf`` rounds it."""
-        return mp.make_mpf(raw_mpf(self, self.prec))
-
-    @property
-    def radius(self):
-        """Half the width plus the rounding of ``value``, rounded up."""
-        lo, hi = self.ends
-        r = (hi - lo) / 2 + max(-lo, hi) / 2 ** (self.prec - 1)
-        return mp.make_mpf(_mpf(r, self.prec, round_ceiling))
-
     def __float__(self):
-        return float(self.value)
+        return float(to_mpf(self, self.prec))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -435,8 +404,9 @@ class BallFloat(_Ordered):
         return self.ends != (0, 0)
 
     def __repr__(self):
-        return (f"BallFloat({to_str(raw_mpf(self, self.prec), 20)}, "
-                f"radius={to_str(self.radius._mpf_, 3)}, prec={self.prec})")
+        half = _mpf((self.ends[1] - self.ends[0]) / 2, 10, round_ceiling)
+        return (f"BallFloat({to_str(raw_mpf(self, self.prec), 20)} "
+                f"+/- {to_str(half, 3)}, prec={self.prec})")
 
 
 def _mpf(q: Fraction, prec: int, rnd):

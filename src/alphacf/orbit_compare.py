@@ -76,6 +76,8 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
     """
     if alpha.value > GOLDEN:
         raise OutOfRange("matched orbits need alpha <= (sqrt(5)-1)/2")
+    if N < 1:
+        raise OutOfDomain("N must be >= 1")
     if isinstance(x, BallFloat):
         raise OutOfDomain("matched orbits need an exact x, not a ball")
     if x < 0 or x > _HALF:

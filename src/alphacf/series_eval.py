@@ -316,19 +316,17 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     """sum_{j<N} (+/-1)^j log(q_{j+1}) / q_j^k over the alpha-CF denominators."""
     if k < 1:
         raise OutOfDomain("k must be >= 1")
+    if N < 0:
+        raise OutOfDomain("N must be >= 0")
     if N == 0:
         return 0.0
     xn, _ = normalize(x, alpha)
     if not xn:
         raise SingularPoint("proxy sum of an integer point")
-    e = expand(xn, alpha, N)
-    if e.depth(N) < N:
-        raise ExpansionTooShort(
-            f"{N} digits needed, expansion terminated after {len(e.digits)}"
-        )
+    c = convergents(expand(xn, alpha, N), N)  # ExpansionTooShort if it ends
     total = 0.0
     # plain float adds, in order: sum() compensates on Python 3.12 and later
-    for term in _proxy_terms(convergents(e, N), k, alternating):
+    for term in _proxy_terms(c, k, alternating):
         total += term
     return total
 
@@ -544,6 +542,8 @@ def truncation_audit(x: ExactNumber, r_max: int,
     bits.  An entry passes only if lhs/bound plus the sum's error bound
     over bound stays <= 1, so a near-tie reads as a violation.
     """
+    if r_max < 1:
+        raise OutOfDomain("r_max must be >= 1")
     alpha = Alpha.one()
     xn, _ = normalize(x, alpha)
     e = expand(xn, alpha, r_max + 1)
@@ -619,10 +619,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     one = Alpha.one()
     for x in samples:
         xa, _ = normalize(x, alpha)
+        if not xa:
+            raise SingularPoint("gap audit of an integer point")
         e = expand(xa, alpha, N + 1)
         depth = e.depth(N)
-        if depth < 1:
-            continue
         c = convergents(e, depth)
         vals = [float(v) for v in e.orbit_mpf(depth - 1, 96)]
         # partial series and proxy, cumulatively

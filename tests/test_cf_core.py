@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from alphacf import cf_core
 from alphacf import numkit as nk
@@ -247,8 +247,9 @@ def test_ball_expansion_matches_exact_digits():
 
 
 def test_ball_expansion_precision_exhausted_near_boundary():
-    # 1/2 with a tiny radius cannot decide the terminal Gauss branch.
-    x = nk.BallFloat("0.5", radius="1e-70", prec=256)
+    # 1/2 widened by a tiny radius cannot decide the terminal Gauss branch.
+    r = Fraction(1, 10 ** 70)
+    x = nk.BallFloat._raw(Fraction(1, 2) - r, Fraction(1, 2) + r, 256)
     with pytest.raises(PrecisionExhausted):
         expand(x, Alpha.one(), 10)
 
@@ -389,9 +390,9 @@ def test_orbit_mpf_inside_stored_balls(x, alpha, prec):
     vals = e.orbit_mpf(len(e.orbit) - 1, prec)
     assert len(vals) == len(e.orbit)
     for v, ball in zip(vals, e.orbit):
-        with mp.workprec(ball.prec + 64):
-            assert abs(v - ball.value) <= \
-                ball.radius + mp.ldexp(abs(v), 1 - prec)
+        q = _q(v._mpf_)
+        tol = abs(q) / 2 ** (prec - 1)  # one rounding to nearest at prec
+        assert ball.ends[0] - tol <= q <= ball.ends[1] + tol
 
 
 def test_surd_beta_identity_exact():
@@ -435,6 +436,28 @@ def test_ball_expansion_stops_before_exact_hit():
     assert len(exact.digits) == 37
 
 
+def test_ball_ends_step_no_further_than_they_agree(monkeypatch):
+    # the two ends are walked in lockstep: each takes at most one step past
+    # the certified prefix, the step whose digits disagree
+    rng = random.Random(1717)
+    calls = []
+    floor_lin = cf_core._floor_lin
+    monkeypatch.setattr(cf_core, "_floor_lin",
+                        lambda *args: calls.append(1) or floor_lin(*args))
+    digits = 0
+    for alpha in (Alpha.one(), Alpha.half(), Alpha(Fraction(3, 5)),
+                  Alpha.golden()):
+        for _ in range(6):
+            x, _ = normalize(nk.BallFloat(random_surd(rng, half=True),
+                                          prec=256), alpha)
+            calls.clear()
+            e = expand(x, alpha, 256, best_effort=True)
+            assert x.ends[0] < x.ends[1] and e.exhausted
+            assert len(calls) <= 2 * (len(e.digits) + 1)
+            digits += len(e.digits)
+    assert digits > 1000
+
+
 def test_ball_expansion_same_in_threads_as_serial():
     # ball arithmetic carries its precision itself, so concurrent expansions
     # at different precisions cannot disturb each other
@@ -452,7 +475,7 @@ def test_ball_expansion_same_in_threads_as_serial():
     def run(case):
         e = expand(case[0], case[1], 100, best_effort=True)
         return (e.digits, e.terminated, e.exhausted, e.period,
-                [(v.lower, v.upper, v.prec) for v in e.orbit])
+                [(v.ends, v.prec) for v in e.orbit])
 
     serial = [run(c) for c in cases]
     switch = sys.getswitchinterval()
@@ -485,7 +508,11 @@ def _iv_orbit(x, alpha, max_steps):
         A = (iv.mpf(v.a) + iv.mpf(v.b) * iv.sqrt(iv.mpf(v.d))) / iv.mpf(v.c)
     else:
         A = iv.mpf(v.numerator) / iv.mpf(v.denominator)
-    X = iv.mpf([x.lower, x.upper])
+    lo, hi = x.ends
+    X = iv.mpf([mp.make_mpf(from_rational(lo.numerator, lo.denominator,
+                                          iv.prec, round_floor)),
+                mp.make_mpf(from_rational(hi.numerator, hi.denominator,
+                                          iv.prec, round_ceiling))])
     digits, boxes = [], [X]
     while len(digits) < max_steps and _q(X._mpi_[0]) > 0:
         U = 1 / X

@@ -262,6 +262,13 @@ def test_compare_alpha_above_g_exit3(capsys):
     assert "OutOfRange" in err
 
 
+def test_compare_depth_zero_exit3(capsys):
+    code, _, err = run(["compare", "--alpha", "3/5", "--samples", "3",
+                        "--depth", "0"], capsys)
+    assert code == 3
+    assert "N must be >= 1" in err
+
+
 def test_compare_dump_traces(tmp_path, capsys):
     dump = tmp_path / "trace.jsonl"
     code, _, _ = run(["compare", "--alpha", "3/5", "--samples", "3",

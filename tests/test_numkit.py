@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import mpf_neg, to_rational
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from alphacf import numkit as nk
 from alphacf.errors import (
@@ -30,6 +30,12 @@ surd_parts = st.tuples(
 )
 
 
+def _wide(value, rad, prec=256):
+    """The ball of value at prec, each end moved out by rad."""
+    lo, hi = nk.BallFloat(value, prec=prec).ends
+    return nk.BallFloat._raw(lo - rad, hi + rad, prec)
+
+
 def test_floor_examples():
     assert math.floor(Fraction(7, 2)) == 3
     assert math.floor(G) == 0
@@ -41,7 +47,7 @@ def test_reciprocal_examples():
     assert 1 / Fraction(2, 5) == Fraction(5, 2)
     assert 1 / G == nk.make_surd(1, 1, 2, 5)
     with pytest.raises(DivisionByZero):
-        1 / nk.BallFloat(0, radius="1e-40")
+        1 / _wide(0, Fraction(1, 10 ** 40))
     # Fraction's own error; DivisionByZero subclasses it
     with pytest.raises(ZeroDivisionError):
         1 / Fraction(0)
@@ -172,10 +178,10 @@ def test_surd_degrades_to_fraction():
 
 def test_ball_floor_and_ambiguity():
     assert math.floor(nk.BallFloat("1.39")) == 1
-    near3 = nk.BallFloat(3, radius="1e-30")
+    near3 = _wide(3, Fraction(1, 10 ** 30))
     with pytest.raises(AmbiguousFloor):
         math.floor(near3)
-    assert math.floor(nk.BallFloat(3)) == 3  # exact integer, zero radius
+    assert math.floor(nk.BallFloat(3)) == 3  # exact integer, zero width
     # exact dyadic balls of both signs, from 2^-300 to 2^300 in scale
     rng = random.Random(31)
     prec = 256
@@ -185,7 +191,7 @@ def test_ball_floor_and_ambiguity():
         values.append(man * Fraction(2) ** rng.randint(-300, 300))
     for v in values:
         ball = nk.BallFloat(v, prec=prec)
-        assert ball.lower == ball.upper  # the dyadic fits: no radius
+        assert ball.ends == (v, v)  # the dyadic fits: zero width
         assert math.floor(ball) == math.floor(v)
 
 
@@ -194,16 +200,17 @@ def test_ball_comparison_soundness():
     b = nk.BallFloat("0.5")
     assert a <= b <= a and not a < b and b is not a and a != b  # == is identity
     with pytest.raises(AmbiguousComparison):
-        _ = nk.BallFloat("0.5", radius="1e-60") < a
+        _ = _wide("0.5", Fraction(1, 10 ** 60)) < a
     assert nk.BallFloat("0.25") < a
 
 
 def test_ball_radius_grows_outward():
-    x = 1 / nk.BallFloat(3)
-    assert x.radius > 0
-    y = 1 / x
-    # the ends are exact, so 1/(1/3) is 3 again
-    assert y.lower <= 3 <= y.upper
+    assert (1 / nk.BallFloat(3)).ends == (Fraction(1, 3), Fraction(1, 3))
+    r = Fraction(1, 10 ** 30)
+    x = 1 / _wide(3, r)
+    assert x.ends == (1 / (3 + r), 1 / (3 - r))
+    # the ends are exact, so 1/(1/x) is x again
+    assert (1 / x).ends == (3 - r, 3 + r)
 
 
 def test_ball_does_not_multiply_divide_or_take_abs():
@@ -246,7 +253,7 @@ def test_compare_surd_against_ball():
 
 
 def test_ball_sign_against_zero():
-    straddle = nk.BallFloat(0, radius="1e-40")
+    straddle = _wide(0, Fraction(1, 10 ** 40))
     for op in (lambda: 0 < straddle, lambda: straddle > 0,
                lambda: straddle <= 0, lambda: 0 >= straddle):
         with pytest.raises(AmbiguousComparison):
@@ -259,24 +266,20 @@ def test_ball_sign_against_zero():
 def test_ball_truth_is_exact_nonzero():
     assert not nk.BallFloat(0)
     assert not nk.BallFloat(1) - 1
-    assert nk.BallFloat(0, radius="1e-40")  # holds zero but is not exactly 0
+    assert _wide(0, Fraction(1, 10 ** 40))  # holds zero but is not exactly 0
     assert nk.BallFloat("1e-70") and nk.BallFloat(-3)
-
-
-def _ends(v):
-    return (v.lower._mpf_, v.upper._mpf_)
 
 
 @pytest.mark.parametrize("prec", [64, 256, 2048])
 def test_ball_negation_is_exact(prec):
     for x in [nk.BallFloat(Fraction(1, 3), prec=prec),
-              nk.BallFloat(G, radius=Fraction(1, 2**40), prec=prec),
+              _wide(G, Fraction(1, 2**40), prec=prec),
               nk.BallFloat("-2.71828", prec=prec)]:
         y = -x
         assert y.prec == prec
-        assert _ends(y) == (mpf_neg(x.upper._mpf_), mpf_neg(x.lower._mpf_))
-        assert y.radius == x.radius
-    assert (-nk.BallFloat(Fraction(1, 3), prec=256)).radius < mp.mpf(2) ** -250
+        assert y.ends == (-x.ends[1], -x.ends[0])
+    lo, hi = (-nk.BallFloat(Fraction(1, 3), prec=256)).ends
+    assert lo < Fraction(-1, 3) < hi and hi - lo < Fraction(1, 2 ** 250)
 
 
 # -- BallFloat against exact Fractions and mpmath.iv --------------------------
@@ -286,7 +289,11 @@ def test_ball_negation_is_exact(prec):
 
 def _iv_of(v):
     if isinstance(v, nk.BallFloat):
-        return iv.mpf([v.lower, v.upper])
+        (a, b), c = v.ends, iv.prec  # rounded outward at iv.prec
+        return iv.mpf([mp.make_mpf(from_rational(a.numerator, a.denominator,
+                                                 c, round_floor)),
+                       mp.make_mpf(from_rational(b.numerator, b.denominator,
+                                                 c, round_ceiling))])
     if isinstance(v, Fraction):
         return iv.mpf(v.numerator) / iv.mpf(v.denominator)
     if isinstance(v, nk.Surd):
@@ -312,7 +319,7 @@ def _exact_ends(v, prec):
 def _random_ball(rng, prec):
     mid = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
     rad = rng.choice([0, Fraction(1, 2 ** rng.randint(prec // 2, prec + 8))])
-    ball = nk.BallFloat(mid, radius=rad, prec=prec)
+    ball = _wide(mid, rad, prec)
     lo, hi = ball.ends  # rounded outward on both sides
     assert lo <= mid - rad and mid + rad <= hi
     assert hi - lo <= 2 * rad + (abs(mid) + rad) / 2 ** (prec - 2)
@@ -360,7 +367,5 @@ def test_ball_refuses_non_finite_values():
               -mp.inf, "nan", "-inf"):
         with pytest.raises(ValueError):
             nk.BallFloat(v)
-    with pytest.raises(ValueError):
-        nk.BallFloat("0.5", radius=float("inf"))
     with pytest.raises(ValueError):
         _ = nk.BallFloat("0.5") + float("nan")

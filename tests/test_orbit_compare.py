@@ -49,13 +49,20 @@ def test_alpha_above_golden_rejected():
     matched_orbits(Fraction(1, 3), Alpha.golden(), 5)
 
 
+def test_matched_orbits_need_one_step():
+    # no step would make an empty trace that classifies as no violation
+    for N in (0, -2):
+        with pytest.raises(OutOfDomain, match="N must be >= 1"):
+            matched_orbits(Fraction(1, 3), Alpha(Fraction(3, 5)), N)
+
+
 def test_x_domain_check():
     with pytest.raises(OutOfDomain):
         matched_orbits(Fraction(3, 4), Alpha(Fraction(3, 5)), 5)
 
 
 def test_ball_x_is_refused():
-    # both orbits of a ball with a radius reach one shared interval, whose
+    # both orbits of a ball of positive width reach one shared interval, whose
     # equality no ball can certify, so a ball is refused up front
     with pytest.raises(OutOfDomain):
         matched_orbits(nk.BallFloat("0.3"), Alpha.half(), 3)
@@ -195,7 +202,7 @@ def test_matched_orbits_match_stepwise_reference():
         for alpha in alphas:
             if isinstance(x, nk.Surd) and alpha == Alpha.golden():
                 continue  # surds of another radicand do not compare with g
-            for N in (0, 1, 7, 40):
+            for N in (1, 7, 40):
                 want = _matched_orbits_stepwise(x, alpha, N)
                 got = matched_orbits(x, alpha, N)
                 assert got.dump_jsonl() == want.dump_jsonl()

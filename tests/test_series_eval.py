@@ -156,8 +156,12 @@ def test_proxy_sum_examples():
     (lambda: se.wilton(G, Alpha.one(), terms=0), "terms must be >= 1"),
     (lambda: se.gap_audit([G], Alpha.one(), 1, 0), "N must be >= 1"),
     (lambda: se.gap_audit([G], Alpha.one(), 1, -1), "N must be >= 1"),
+    (lambda: se.proxy_sum(G, Alpha.one(), 1, -1), "N must be >= 0"),
+    (lambda: se.truncation_audit(G, 0), "r_max must be >= 1"),
+    (lambda: se.truncation_audit(G, -3), "r_max must be >= 1"),
 ], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0",
-        "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1"])
+        "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1", "proxy-N-1",
+        "trunc-r0", "trunc-r-3"])
 def test_series_parameters_checked_like_siblings(call, message):
     with pytest.raises(OutOfDomain, match=message):
         call()
@@ -308,6 +312,14 @@ def test_gap_audit_golden_stable():
 
 def test_gap_audit_empty():
     assert se.gap_audit([], Alpha.one()).sup_gap == 0.0
+
+
+def test_gap_audit_integer_sample_is_singular():
+    # like proxy_sum: an integer point has no orbit, so no gap to bound
+    with pytest.raises(SingularPoint):
+        se.gap_audit([G, Fraction(2)], Alpha.one())
+    with pytest.raises(SingularPoint):
+        se.gap_audit([Fraction(1), Fraction(2)], Alpha(Fraction(3, 5)))
 
 
 def test_gap_audit_batch_below_gate():
