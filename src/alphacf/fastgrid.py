@@ -6,11 +6,14 @@ paths iterate the alpha-CF map on whole arrays in double precision.  They are
 *not* certified: orbit digits drift after ~20 steps, but the series weights
 those steps by beta ~ g^n.  Against exact surd values the Wilton error at
 alpha = 1 has a median of 1.4e-8 and a max of 4.8e-7, far below any
-quadrature tolerance used here.  Each step works on the live points
-only: a point leaves the arrays once its orbit hits zero (a rational) or its
-weight beta^k falls below the tolerance, keeping its partial sum, so late
-steps cost what their few survivors cost.  Callers avoid sampling rationals
-by using irrational node offsets.
+quadrature tolerance used here.  A point dies once its orbit hits zero (a
+rational) or its weight beta^k falls below the tolerance, and its partial
+sum is written out at that step.  Dead points ride along in the arrays,
+stepped under np.errstate so their inf/NaN values warn nothing and are never
+read, until half of the slots are dead; only then are the arrays compacted
+to the live points.  So only a compacting step gathers, and late steps
+cost what their few survivors cost.  Callers avoid sampling rationals by
+using irrational node offsets.
 """
 
 from __future__ import annotations
@@ -39,36 +42,52 @@ def series_grid(xs, alpha: float = 1.0, k: int = 1, signed: bool = False,
 
     Inputs are reduced by Z-periodicity and the even reflection into
     [0, alpha] first.  Elements whose orbit dies (rational hit) keep their
-    partial sum; exact zeros yield +inf like the underlying singularity.
+    partial sum; inputs that reduce to at most 1e-300, integers among them,
+    yield +inf like the underlying singularity, and non-finite inputs NaN.
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
     if terms < 1:
         raise OutOfDomain("terms must be >= 1")
     xs = np.asarray(xs, dtype=np.float64)
-    out = np.full(xs.size, np.inf)
-    # the live set: indices into out, the orbit point, beta_{n-1}^k, the sum
-    c = _reduce_mod1(xs.ravel(), alpha)
-    idx = np.flatnonzero(c > _TINY)
-    c = c[idx]
-    beta = np.ones_like(c)
-    acc = np.zeros_like(c)
-    sign = 1.0
-    for _ in range(terms):
-        if not idx.size:
-            break
-        inv = 1.0 / c
-        acc += sign * beta * np.log(inv)
-        beta *= c if k == 1 else c ** k
-        c = np.abs(inv - np.floor(inv - alpha + 1.0))
-        live = (c > _TINY) & (beta > tol)
-        if not live.all():
-            dead = ~live
-            out[idx[dead]] = acc[dead]
-            idx, c, beta, acc = idx[live], c[live], beta[live], acc[live]
-        if signed:
-            sign = -sign
-    out[idx] = acc
+    out = np.where(np.isfinite(xs), np.inf, np.nan).ravel()
+    # the slots: indices into out, the orbit point, beta_{n-1}^k, the sum;
+    # dead slots step on until compaction, their inf/NaN values never read
+    with np.errstate(all="ignore"):
+        c = _reduce_mod1(xs.ravel(), alpha)
+        idx = np.flatnonzero(c > _TINY)
+        c = c[idx]
+        beta = np.ones_like(c)
+        acc = np.zeros_like(c)
+        live = np.ones(c.size, dtype=bool)
+        n_live = c.size
+        for step in range(terms):
+            if not n_live:
+                break
+            inv = 1.0 / c
+            t = np.log(inv)
+            t *= beta
+            if signed and step % 2:
+                acc -= t
+            else:
+                acc += t
+            beta *= c if k == 1 else c ** k
+            np.subtract(inv, alpha, out=t)
+            t += 1.0
+            np.floor(t, out=t)
+            np.subtract(inv, t, out=c)
+            np.abs(c, out=c)
+            # a slot counted dead never comes back
+            alive = (c > _TINY) & (beta > tol) & live
+            died = np.flatnonzero(live ^ alive)
+            if died.size:
+                out[idx[died]] = acc[died]
+                live, n_live = alive, n_live - died.size
+                if 2 * n_live < live.size:
+                    keep = np.flatnonzero(live)
+                    idx, c, beta = idx[keep], c[keep], beta[keep]
+                    acc, live = acc[keep], live[keep]
+        out[idx[live]] = acc[live]
     return out.reshape(xs.shape)
 
 

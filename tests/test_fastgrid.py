@@ -1,8 +1,13 @@
+import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from alphacf.bmo_lab import _gl_cells, _graded_mesh
 from alphacf.errors import OutOfDomain
 from alphacf.fastgrid import _TINY, _reduce_mod1, brjuno_grid, series_grid, wilton_grid
 
@@ -96,3 +101,96 @@ def test_series_grid_leaves_input_and_shape():
     assert np.array_equal(xs, before)
     assert_same_bits(got, masked_series_grid(xs, alpha=0.5, signed=True))
     assert_same_bits(brjuno_grid(xs, k=2), masked_series_grid(xs, k=2))
+
+
+def test_series_grid_non_finite_inputs_give_nan_without_warning():
+    xs = np.array([np.nan, np.inf, -np.inf, 0.0, -2.0, 1e-310, 1e-300, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = series_grid(xs)
+    assert np.isnan(got[:3]).all()
+    assert np.isposinf(got[3:7]).all() and np.isfinite(got[7])
+
+
+@pytest.mark.parametrize("alpha", [1.0, float(Fraction(11, 20)), 0.5])
+def test_series_grid_raises_nothing_and_keeps_fp_state(alpha):
+    # these orbits hit an exact zero mid-run, so dead slots step on inf/NaN
+    xs = np.concatenate([np.arange(40) / 9.0, [1 / 3, 1 / 2, 0.3, 0.7]])
+    want = masked_series_grid(xs, alpha=alpha, signed=True)
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            raised = np.geterr()
+            got = series_grid(xs, alpha=alpha, signed=True)
+            assert np.geterr() == raised
+    assert np.geterr() == state
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 16, 4096])
+@pytest.mark.parametrize("side", [1, -1])
+def test_series_grid_matches_masked_loop_on_blowup_meshes(n, side):
+    a, b = sorted((0.0, side / n))
+    pts, _ = _graded_mesh(a, b, 100_000)
+    assert_same_bits(wilton_grid(pts), masked_series_grid(pts, signed=True))
+
+
+def test_series_grid_matches_masked_loop_on_scan_leaf_mesh():
+    edges = np.arange(2049) / 2048  # bmo_seminorm_scan of [0, 1], depth 11
+    pts, _ = _gl_cells(edges[:-1], edges[1:], 16)
+    for alpha in (1.0, float(Fraction(11, 20))):
+        assert_same_bits(wilton_grid(pts, alpha=alpha),
+                         masked_series_grid(pts, alpha=alpha, signed=True))
+
+
+def _zero_hit_step(x, cap=10):
+    """The step at which x's alpha = 1 orbit hits zero in float64, or None."""
+    c = x - math.floor(x)
+    for step in range(1, cap + 1):
+        inv = 1.0 / c
+        c = abs(inv - math.floor(inv))
+        if c == 0.0:
+            return step
+    return None
+
+
+def test_series_grid_compacts_only_once_half_the_slots_are_dead():
+    # step 1 kills 3 of 13 slots, which stay in the arrays; step 2 kills 8
+    # of the 10 left, and the 2 survivors are compacted
+    first = [0.5, 0.25, 0.125]
+    second = [1 / (m + 0.5) for m in range(2, 10)]
+    survivors = [2 ** -0.5, math.pi - 3]
+    xs = np.array(first + second + survivors)
+    assert [_zero_hit_step(x) for x in xs] == [1] * 3 + [2] * 8 + [None] * 2
+    for terms in (1, 2, 3, 72):
+        for signed in (False, True):
+            assert_same_bits(
+                series_grid(xs, signed=signed, terms=terms),
+                masked_series_grid(xs, signed=signed, terms=terms))
+
+
+def test_series_grid_same_in_threads_as_serial():
+    inputs = [_inputs(5000, seed) for seed in range(4)]
+    serial = [wilton_grid(xs, alpha=0.5 + 0.125 * i)
+              for i, xs in enumerate(inputs)]
+
+    def run(i):
+        # a thread that raises on any floating-point error would see the
+        # kernel's dead slots if its errstate leaked across threads
+        with np.errstate(all="raise"):
+            got = [wilton_grid(inputs[i], alpha=0.5 + 0.125 * i)
+                   for _ in range(5)]
+            assert np.geterr()["invalid"] == "raise"
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, results):
+        for one in got:
+            assert_same_bits(one, want)

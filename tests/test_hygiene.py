@@ -116,3 +116,39 @@ def test_private_helpers_have_a_caller_in_src():
     assert len(defined) > 40
     assert [f"{name}: {helper}" for name, helper in defined
             if helper not in read] == []
+
+
+def _imported_modules(source: str) -> set:
+    """Top-level names a source imports; package-relative ones start with '.'."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            found |= {"." + (node.module or a.name).split(".")[0]
+                      for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_grid_path_imports_no_mpmath():
+    # the float64 grids and their quadratures run without mpmath; follow
+    # their imports through the package
+    pkg = Path(alphacf.__file__).parent
+    todo, seen, outside = ["fastgrid", "bmo_lab"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for mod in _imported_modules((pkg / f"{name}.py").read_text(
+                    encoding="utf-8")):
+                if mod.startswith("."):
+                    todo.append(mod[1:])
+                else:
+                    outside.add(mod)
+    assert seen >= {"fastgrid", "bmo_lab"} and "mpmath" not in outside
+    assert _imported_modules("import mpmath.libmp\nfrom mpmath import mp\n"
+                             "from .numkit import to_mpf\n"
+                             "from . import cf_core\n") == \
+        {"mpmath", ".numkit", ".cf_core"}
