@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInterval, QuadratureFailure
+from .errors import DegenerateInterval, OutOfDomain, QuadratureFailure
 from .fastgrid import DEFAULT_GRID_TERMS, DEFAULT_GRID_TOL, wilton_grid
 
 _TAU_GL = (1.0 - 1.0 / math.sqrt(3.0)) / 2.0  # irrational 2-point GL offset
@@ -53,6 +53,8 @@ def _gl_cells(u, v, cells: int):
 
 def _graded_mesh(a: float, b: float, n: int):
     """Mesh of ~n GL nodes graded toward both endpoints of [a, b]."""
+    if n < 1:
+        raise OutOfDomain("the sample budget must be >= 1")
     if not b > a:
         raise DegenerateInterval(f"[{a}, {b}]")
     half = (b - a) / 2.0
@@ -188,6 +190,8 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
     """
     if depth < 0:
         raise DegenerateInterval("depth must be >= 0")
+    if n_samples < 1:
+        raise OutOfDomain("the sample budget must be >= 1")
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
     if not b > a:

@@ -15,7 +15,7 @@ from alphacf.bmo_lab import (
     mean_oscillation,
     wilton_blowup_experiment,
 )
-from alphacf.errors import DegenerateInterval, QuadratureFailure
+from alphacf.errors import DegenerateInterval, OutOfDomain, QuadratureFailure
 from alphacf.fastgrid import wilton_grid
 from alphacf.sampling import random_piecewise_linear
 
@@ -88,6 +88,22 @@ def test_degenerate_interval():
         interval_mean(ident, (Fraction(1), Fraction(1)), 128)
     with pytest.raises(DegenerateInterval):
         concat_oscillation(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("budget", [0, -4])
+def test_sample_budget_below_one_is_out_of_domain(budget):
+    # a budget below 1 used to be coerced to a small mesh without a word
+    ident = lambda xs: np.asarray(xs, dtype=float)
+    with pytest.raises(OutOfDomain, match="budget must be >= 1"):
+        interval_mean(ident, UNIT, budget)
+    with pytest.raises(OutOfDomain, match="budget must be >= 1"):
+        mean_oscillation(ident, UNIT, budget)
+    with pytest.raises(OutOfDomain, match="budget must be >= 1"):
+        wilton_blowup_experiment([16], points=budget)
+    with pytest.raises(OutOfDomain, match="budget must be >= 1"):
+        bmo_seminorm_scan(ident, UNIT, 3, budget)
+    assert interval_mean(ident, UNIT, 1).mean == pytest.approx(0.5)
+    assert bmo_seminorm_scan(ident, UNIT, 3, 1).leaf_samples == 2
 
 
 def test_concat_oscillation_step_case():

@@ -186,6 +186,18 @@ def test_cli_outputs_match_stored_bytes(stored, tmp_path, capsys):
                                 stored).read_bytes()
 
 
+def test_scan_blowup_rows_match_stored_bytes(tmp_path, capsys):
+    # full 100 000-point rows, which the --fast report does not cover; the
+    # float64 grid reads numpy's log, so these bytes are pinned for one
+    # platform's libm, unlike the exact runs above
+    out = tmp_path / "out"
+    assert cli.main(["scan", "--fn", "wilton", "--alpha", "1", "--blowup",
+                     "16,1000", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (Path(__file__).parent / "data" /
+                                "scan_blowup_16_1000.csv").read_bytes()
+
+
 def test_verify_report_has_no_coverage_key(tmp_path, capsys):
     report = tmp_path / "r.json"
     assert cli.main(["verify", "--suite", "ladders", "--report",
@@ -307,6 +319,10 @@ def test_option_the_command_does_not_read_exit2(argv, capsys):
      "--depth", "2"],
     ["scan", "--fn", "wilton", "--alpha", "1", "--interval=0:1", "--depth",
      "4", "--tol", "nan"],
+    ["scan", "--fn", "wilton", "--alpha", "1", "--blowup", "16", "--points",
+     "0"],
+    ["scan", "--fn", "wilton", "--alpha", "1", "--interval=0:1", "--depth",
+     "3", "--leaf-samples", "-4"],
     ["eval", "--fn", "wilton", "--x", "(-1+1*sqrt(5))/2", "--tol", "nan"],
     ["eval", "--fn", "proxy", "--x", "(-1+1*sqrt(5))/2", "--k", "0"],
     ["eval", "--fn", "Fk", "--x", "1/3", "--k", "3"],

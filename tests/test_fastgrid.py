@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 from alphacf.bmo_lab import _gl_cells, _graded_mesh
 from alphacf.errors import OutOfDomain
-from alphacf.fastgrid import _TINY, _reduce_mod1, brjuno_grid, series_grid, wilton_grid
+from alphacf.fastgrid import (_BLOCK, _TINY, _reduce_mod1, brjuno_grid,
+                              series_grid, wilton_grid)
 
 
 def masked_series_grid(xs, alpha=1.0, k=1, signed=False, terms=72, tol=1e-13):
@@ -85,6 +87,10 @@ def test_series_grid_rejects_k_below_one():
     for terms in (0, -1):
         with pytest.raises(OutOfDomain, match="terms must be >= 1"):
             wilton_grid(np.array([0.3, 0.7]), terms=terms)
+    # beta > nan is false, so a NaN tol would end every sum after one term
+    for grid in (wilton_grid, brjuno_grid):
+        with pytest.raises(OutOfDomain, match="tol must be a number"):
+            grid(np.array([0.3, 0.7]), tol=math.nan)
 
 
 def test_series_grid_empty_and_single():
@@ -194,3 +200,63 @@ def test_series_grid_same_in_threads_as_serial():
     for want, got in zip(serial, results):
         for one in got:
             assert_same_bits(one, want)
+
+
+# around each block edge: non-finite, tiny, zero, rational and irrational
+# inputs, so points that die at once or mid-run sit on both sides of it
+EDGE_MIX = [np.nan, 0.3, np.inf, 1e-300, -np.inf, 1 / 3, 1e-310, 2.0, 0.4,
+            -0.25, 2 ** -0.5, 5 / 7]
+
+
+def _blocked_inputs(n, seed):
+    xs = _inputs(n, seed)
+    for edge in range(_BLOCK, n + 1, _BLOCK):
+        around = xs[edge - 6:edge + 6]
+        around[:] = EDGE_MIX[:around.size]
+    return xs
+
+
+def _masked_with_nan(xs, **kw):
+    """The oracle, with the NaN that series_grid gives non-finite inputs."""
+    with np.errstate(invalid="ignore"):  # the oracle reduces inf to NaN
+        want = masked_series_grid(xs, **kw)
+    want[~np.isfinite(xs)] = np.nan
+    return want
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+@pytest.mark.parametrize("alpha", [1.0, float(Fraction(11, 20)), 0.5])
+@pytest.mark.parametrize("signed", [False, True])
+def test_series_grid_blocks_match_masked_loop(n, alpha, signed):
+    xs = _blocked_inputs(n, seed=n % 97)
+    assert_same_bits(series_grid(xs, alpha=alpha, signed=signed),
+                     _masked_with_nan(xs, alpha=alpha, signed=signed))
+
+
+def test_series_grid_blocks_keep_rows_that_straddle_an_edge():
+    xs = _blocked_inputs(3 * (_BLOCK // 2 + 3), seed=8).reshape(3, -1)
+    assert xs.shape[1] < _BLOCK < 2 * xs.shape[1]  # row 1 holds an edge
+    for alpha, k, signed in ((1.0, 1, True), (0.5, 2, False)):
+        got = series_grid(xs, alpha=alpha, k=k, signed=signed)
+        assert_same_bits(got, _masked_with_nan(xs, alpha=alpha, k=k,
+                                               signed=signed))
+
+
+def _traced_peak(f, xs):
+    tracemalloc.start()
+    try:
+        f(xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("which", ["blowup-row", "400k"])
+def test_series_grid_peak_memory_stays_near_the_input(which):
+    # the working arrays live one block at a time; only out is full-length
+    if which == "blowup-row":
+        xs, _ = _graded_mesh(0.0, 1 / 1000, 100_000)
+    else:
+        xs = _inputs(400_000, seed=9)
+    wilton_grid(xs[:10])  # warm up numpy's lazily built state
+    assert _traced_peak(wilton_grid, xs) <= 2 * xs.nbytes + (2 << 20)

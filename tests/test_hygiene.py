@@ -1,11 +1,13 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import alphacf
+from alphacf import fastgrid
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
@@ -152,3 +154,22 @@ def test_grid_path_imports_no_mpmath():
                              "from .numkit import to_mpf\n"
                              "from . import cf_core\n") == \
         {"mpmath", ".numkit", ".cf_core"}
+
+
+def test_grid_block_size_is_no_knob():
+    # the block size is a module constant: the grids take exactly the
+    # series' own settings, and nothing in the module reassigns _BLOCK
+    params = {fastgrid.series_grid: ["xs", "alpha", "k", "signed", "terms",
+                                     "tol"],
+              fastgrid.wilton_grid: ["xs", "alpha", "terms", "tol"],
+              fastgrid.brjuno_grid: ["xs", "alpha", "k", "terms", "tol"]}
+    for grid, names in params.items():
+        assert list(inspect.signature(grid).parameters) == names
+    tree = ast.parse(Path(fastgrid.__file__).read_text(encoding="utf-8"))
+    stores = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_BLOCK"
+              and not isinstance(node.ctx, ast.Load)]
+    assert len(stores) == 1 and any(
+        isinstance(stmt, ast.Assign) and stmt.targets[0] is stores[0]
+        for stmt in tree.body)
+    assert isinstance(fastgrid._BLOCK, int) and fastgrid._BLOCK > 0
