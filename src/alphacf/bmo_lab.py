@@ -4,7 +4,9 @@ Quadrature is composite two-point Gauss-Legendre on a mesh graded
 geometrically toward interval endpoints: the integrands carry integrable log
 singularities at rationals, and the irrational GL node offsets double as
 protection against sampling the singular points themselves.  Error estimates
-come from comparing against a half-resolution mesh.
+come from comparing against a half-resolution mesh, so a sample budget whose
+check mesh would be no coarser than its fine one (every budget below 30) is
+refused rather than reported as converged.
 """
 
 from __future__ import annotations
@@ -51,15 +53,23 @@ def _gl_cells(u, v, cells: int):
     return pts.ravel(), w
 
 
-def _graded_mesh(a: float, b: float, n: int):
-    """Mesh of ~n GL nodes graded toward both endpoints of [a, b]."""
+def _mesh_shape(n: int) -> tuple:
+    """(levels, cells per block) of the graded mesh for a budget of n nodes.
+
+    The mesh has 2 (levels + 1) blocks of that many two-node cells.
+    """
     if n < 1:
         raise OutOfDomain("the sample budget must be >= 1")
+    levels = int(max(2, min(_MAX_LEVELS, n // 6)))
+    return levels, max(1, n // (4 * (levels + 1)))
+
+
+def _graded_mesh(a: float, b: float, n: int):
+    """Mesh of ~n GL nodes graded toward both endpoints of [a, b]."""
+    levels, cells_per_block = _mesh_shape(n)
     if not b > a:
         raise DegenerateInterval(f"[{a}, {b}]")
     half = (b - a) / 2.0
-    levels = int(max(2, min(_MAX_LEVELS, n // 6)))
-    cells_per_block = max(1, n // (4 * (levels + 1)))
     # left half: blocks [a + half*s^{i+1}, a + half*s^i], innermost touches a;
     # each left block is followed by its mirror [b - half*s^i, b - half*s^{i+1}]
     bounds = [half * _GRADING ** i for i in range(levels + 1)]
@@ -94,11 +104,21 @@ def _integrate(f, a: float, b: float, n: int):
     the number of samples zero-filled in both passes.
 
     Each pass is (integral, n_points, weights, values), its values
-    gated and zero-filled by the non-finite policy.
+    gated and zero-filled by the non-finite policy.  The coarse pass takes
+    half the budget, at least 24; a budget whose coarse mesh has no fewer
+    nodes than its fine one would report a converged error bar for a
+    quadrature that was never refined, so it raises OutOfDomain.
     """
+    budgets = (n, max(n // 2, 24))
+    fine_nodes, coarse_nodes = (4 * (levels + 1) * cells
+                                for levels, cells in map(_mesh_shape, budgets))
+    if coarse_nodes >= fine_nodes:
+        raise OutOfDomain(
+            f"a sample budget of {n} is too small: its check pass has "
+            f"{coarse_nodes} nodes, no fewer than the fine pass's {fine_nodes}")
     results = []
     nonfinite = 0
-    for budget in (n, max(n // 2, 24)):
+    for budget in budgets:
         pts, w = _graded_mesh(a, b, budget)
         vals, bad = _finite_samples(f, pts, w, a, b)
         nonfinite += bad

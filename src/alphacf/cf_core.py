@@ -12,6 +12,12 @@ stepped exactly in lockstep, and the ball's orbit is the prefix on which
 their digits agree, each point the interval between the ends' states.
 ``alpha_step``, which steps any value through its operators, is the
 reference these exact steps are tested against.
+
+Exact expansions are shared: ``expand`` keeps the last few exact
+(x, alpha, max_steps) expansions, so callers that ask several questions of
+one point walk its orbit once, and every caller must treat the returned
+``CFExpansion`` as read-only.  ``orbit_mpf`` likewise keeps its conversions,
+one list per precision.  Ball expansions are built afresh on every call.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Optional, Union
 
@@ -33,6 +40,9 @@ from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, _floor_lin,
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
+# exact expansions kept across calls; the questions asked of one point touch
+# a handful of (x, alpha, max_steps) keys
+_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,10 @@ class CFExpansion:
     inputs, by exact repetition of canonical orbit states.  For periodic
     expansions digit/orbit access transparently cycles beyond the stored
     prefix.
+
+    An exact expansion may be shared between callers (see ``expand``), so
+    it is read-only.  ``orbit_mpf`` keeps the conversions it makes, one
+    list of the stored orbit's prefix per precision.
     """
 
     x0: ExactNumber
@@ -119,6 +133,10 @@ class CFExpansion:
     # float orbit certified to fewer digits than asked (runtime-only flag,
     # not part of the JSON schema)
     exhausted: bool = False
+    # prec -> converted stored-orbit prefix; replaced, never extended, so a
+    # thread reading the old list sees it whole
+    _converted: dict = field(default_factory=dict, init=False, compare=False,
+                             repr=False)
 
     def depth(self, n: int) -> int:
         """How many of digits 1..n exist: n if periodic, else those stored."""
@@ -154,12 +172,18 @@ class CFExpansion:
         float orbits are read from the certified ball orbit that ``expand``
         stored, each ball by its midpoint, so a value lies between its ball's
         ends up to one rounding.  A list shorter than n + 1 means the stored
-        orbit ran out first.
+        orbit ran out first.  Each stored point is converted once per
+        precision, however many calls ask for it.
         """
+        # the last stored point of a periodic orbit repeats x_pre
+        m = min(n + 1, len(self.orbit) if self.period is None
+                else sum(self.period))
+        vals = self._converted.get(prec, [])
+        if len(vals) < m:
+            vals = vals + [to_mpf(v, prec) for v in self.orbit[len(vals):m]]
+            self._converted[prec] = vals
         if self.period is None:
-            return [to_mpf(v, prec) for v in self.orbit[:n + 1]]
-        m = min(n + 1, sum(self.period))  # the last stored point repeats x_pre
-        vals = [to_mpf(v, prec) for v in self.orbit[:m]]
+            return vals[:m]
         return [self._at(vals, i, "orbit points") for i in range(n + 1)]
 
     def to_json(self) -> str:
@@ -216,8 +240,13 @@ def _walk(x, alpha: Alpha):
             yield (k, eps), Fraction(a, c)
 
 
+@lru_cache(maxsize=_MEMO, typed=True)
 def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
-    """At most max_steps digits of an exact x; a surd stops at a repeat."""
+    """At most max_steps digits of an exact x; a surd stops at a repeat.
+
+    Memoised on (x, alpha, max_steps), so a hit is the expansion a fresh
+    walk would build; typed, so 0 and Fraction(0) stay apart.
+    """
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
     seen = {x: 0} if isinstance(x, Surd) else None
     for digit, y in islice(_walk(x, alpha), max_steps):
@@ -260,11 +289,14 @@ def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
     """Expand x in [0, alpha] to at most max_steps digits.
 
     Rational inputs terminate at an exact zero; Surd inputs stop early when
-    an orbit state repeats (period detected).  A BallFloat orbit keeps the
-    digits both of its ends certify (see ``_expand_ball``); no precision is
-    raised, as the ends are exact.  A prefix shorter than max_steps is
-    returned with the ``exhausted`` flag when best_effort is set, else
-    PrecisionExhausted is raised.
+    an orbit state repeats (period detected).  An exact expansion is shared
+    with every caller that asks for the same (x, alpha, max_steps) while it
+    stays among the last few asked for, so it must not be modified.  A
+    BallFloat orbit keeps the digits both of its ends certify (see
+    ``_expand_ball``); no precision is raised, as the ends are exact.  A
+    fresh ball expansion is built on every call.  A prefix shorter than
+    max_steps is returned with the ``exhausted`` flag when best_effort is
+    set, else PrecisionExhausted is raised.
     """
     if max_steps < 0:
         raise OutOfDomain("max_steps must be >= 0")

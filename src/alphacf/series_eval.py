@@ -13,7 +13,9 @@ per pass: ``_orbit_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
 orbit, one log per point, and applies the Wilton sign (-1)^n itself when
 the series is signed; ``_orbit_sum`` adds them up left to right.
 ``_gauss_orbit`` supplies the terminating orbit of a rational for the finite
-truncations.
+truncations, and the finite truncations share one log list: the last few
+rationals' orbits are kept with log(1/x_n) of each point, so B_k at every k
+and the Wilton value of one rational take one log per point between them.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from mpmath import mp
@@ -90,6 +93,8 @@ DEFAULT_TOL = 1e-40
 
 _GOLDEN_F = (5 ** 0.5 - 1) / 2
 _RND = round_nearest
+# rationals whose Gauss orbit and logs are kept across calls
+_MEMO = 16
 
 
 def _c_prime(prec: int):
@@ -151,6 +156,11 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
     return e
 
 
+def _log_inv(v, prec: int):
+    """log(1/v) of a raw mpf v, rounded to nearest at prec."""
+    return mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
+
+
 def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
                  logs: Sequence | None = None) -> Iterator:
     """Per orbit point x_n, the term beta_{n-1}^k * log(1/x_n) of one series.
@@ -162,10 +172,7 @@ def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
     """
     beta = fone
     for n, v in enumerate(vals):
-        if logs is None:
-            lg = mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
-        else:
-            lg = logs[n]
+        lg = _log_inv(v, prec) if logs is None else logs[n]
         term = mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
         yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
         beta = mpf_mul(beta, v, prec, _RND)
@@ -187,6 +194,17 @@ def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
         yield mpf_div(from_int(num, prec, _RND), from_int(den, prec, _RND),
                       prec, _RND)
         num, den = den % num, num
+
+
+@lru_cache(maxsize=_MEMO)
+def _gauss_logs(fr: Fraction, prec: int) -> tuple:
+    """(vals, logs): fr's ``_gauss_orbit`` and log(1/x_n) of each point.
+
+    Memoised on (fr, prec), so every finite truncation of fr at one
+    precision sums the same logs; both are tuples, read-only.
+    """
+    vals = tuple(_gauss_orbit(fr, prec))
+    return vals, tuple(_log_inv(v, prec) for v in vals)
 
 
 def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
@@ -282,7 +300,8 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     wp = prec + 16
-    total = _orbit_sum(_gauss_orbit(fr, wp), k, signed, wp)
+    vals, logs = _gauss_logs(fr, wp)
+    total = _orbit_sum(vals, k, signed, wp, logs)
     return mp.make_mpf(mpf_pos(total, prec, _RND))
 
 
@@ -376,7 +395,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise DivergesAtRational("orbit too short for the requested N")
     wp = prec + 16
     vals = _raw_orbit(e, N - 1, wp)
-    logs = [mpf_log(mpf_rdiv_int(1, v, wp, _RND), wp, _RND) for v in vals]
+    logs = [_log_inv(v, wp) for v in vals]
     signed = mode == "wilton"
     s_n = _orbit_sum(vals, k, signed, wp, logs)
     s_shift = _orbit_sum(vals[1:], k, signed, wp, logs[1:])

@@ -102,8 +102,47 @@ def test_sample_budget_below_one_is_out_of_domain(budget):
         wilton_blowup_experiment([16], points=budget)
     with pytest.raises(OutOfDomain, match="budget must be >= 1"):
         bmo_seminorm_scan(ident, UNIT, 3, budget)
-    assert interval_mean(ident, UNIT, 1).mean == pytest.approx(0.5)
+    # a budget of 1 has no coarser check pass; the dyadic scan has none
+    with pytest.raises(OutOfDomain, match="check pass"):
+        interval_mean(ident, UNIT, 1)
     assert bmo_seminorm_scan(ident, UNIT, 3, 1).leaf_samples == 2
+
+
+def _nodes(n):
+    return len(bmo_lab._graded_mesh(0.0, 1.0, n)[0])
+
+
+def test_every_accepted_budget_has_a_coarser_check_pass():
+    # the coarse pass takes max(n // 2, 24); below 30 its mesh is at least
+    # as large as the fine one, so the error bar would only be its floor
+    ident = lambda xs: np.asarray(xs, dtype=float)
+    accepted = []
+    for n in range(1, 4097):
+        try:
+            bmo_lab._integrate(ident, 0.0, 1.0, n)
+        except OutOfDomain:
+            assert _nodes(max(n // 2, 24)) >= _nodes(n)
+            continue
+        accepted.append(n)
+        assert _nodes(max(n // 2, 24)) < _nodes(n)
+    assert accepted == list(range(30, 4097))
+
+
+@pytest.mark.parametrize("budget", [1, 16, 24, 29])
+def test_budget_without_a_coarser_check_pass_is_refused(budget):
+    seen = []
+
+    def f(xs):
+        seen.append(len(xs))
+        return np.asarray(xs, dtype=float)
+
+    for call in (lambda: interval_mean(f, UNIT, budget),
+                 lambda: mean_oscillation(f, UNIT, budget),
+                 lambda: wilton_blowup_experiment([16], points=budget)):
+        with pytest.raises(OutOfDomain, match="too small"):
+            call()
+    assert seen == []  # refused before f is sampled
+    assert interval_mean(f, UNIT, 30).samples == _nodes(30)
 
 
 def test_concat_oscillation_step_case():

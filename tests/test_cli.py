@@ -321,6 +321,8 @@ def test_option_the_command_does_not_read_exit2(argv, capsys):
      "4", "--tol", "nan"],
     ["scan", "--fn", "wilton", "--alpha", "1", "--blowup", "16", "--points",
      "0"],
+    ["scan", "--fn", "wilton", "--alpha", "1", "--blowup", "16", "--points",
+     "29"],
     ["scan", "--fn", "wilton", "--alpha", "1", "--interval=0:1", "--depth",
      "3", "--leaf-samples", "-4"],
     ["eval", "--fn", "wilton", "--x", "(-1+1*sqrt(5))/2", "--tol", "nan"],

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import alphacf
-from alphacf import fastgrid
+from alphacf import cf_core, fastgrid, orbit_compare, series_eval
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
@@ -173,3 +173,29 @@ def test_grid_block_size_is_no_knob():
         isinstance(stmt, ast.Assign) and stmt.targets[0] is stores[0]
         for stmt in tree.body)
     assert isinstance(fastgrid._BLOCK, int) and fastgrid._BLOCK > 0
+
+
+def test_orbit_memos_are_bounded_by_module_constants():
+    # the expansion and Gauss-log memos hold a few recent orbits, bounded by
+    # a module constant, never by a setting
+    for memo, bound in ((cf_core._expand_exact, cf_core._MEMO),
+                        (series_eval._gauss_logs, series_eval._MEMO)):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize == bound and 0 < maxsize <= 64
+
+
+@pytest.mark.parametrize("fn,names", [
+    (cf_core.expand, ["x", "alpha", "max_steps", "best_effort"]),
+    (series_eval.brjuno_k, ["x", "alpha", "k", "terms", "tol", "prec"]),
+    (series_eval.wilton, ["x", "alpha", "terms", "tol", "prec"]),
+    (series_eval.truncation_audit, ["x", "r_max", "prec"]),
+    (series_eval.gap_audit, ["samples", "alpha", "k", "N", "mode"]),
+    (series_eval.functional_eq_residual,
+     ["x", "alpha", "mode", "N", "k", "prec"]),
+    (orbit_compare.matched_orbits, ["x", "alpha", "N"]),
+    (series_eval.brjuno_finite_rational, ["p_over_q", "k", "prec"]),
+    (series_eval.wilton_finite_rational, ["p_over_q", "prec"]),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_orbit_callers_take_no_memo_parameter(fn, names):
+    # orbits are shared behind the public calls; no caller passes one in
+    assert list(inspect.signature(fn).parameters) == names

@@ -1,0 +1,288 @@
+"""Orbits walked once across calls: the expansion, conversion and log memos.
+
+Exact expansions, their per-precision mpf conversions and the Gauss-orbit
+logs of a rational are kept across calls.  These tests count the orbit
+walks and logs of call sequences shaped like the benchmark's ops, check
+that shared memos give the same bits in threads as serially, and compare
+the memoised values with unmemoised copies of the code they replaced.
+"""
+
+import inspect
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+from mpmath import mp
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_rdiv_int, round_nearest)
+
+from alphacf import cf_core, orbit_compare, series_eval
+from alphacf.cf_core import Alpha, expand
+from alphacf.numkit import BallFloat, make_surd, to_mpf
+from alphacf.sampling import random_rational, random_surd
+
+ONE, HALF = Alpha.one(), Alpha.half()
+ORBIT_ALPHAS = (Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)),
+                Alpha.golden())
+CAP = 256
+PRECS = (96, 176, 288)
+
+
+def _clear_memos():
+    cf_core._expand_exact.cache_clear()
+    series_eval._gauss_logs.cache_clear()
+
+
+def _count(monkeypatch, module, name) -> list:
+    """Record every call of module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _gauss_points(fr: Fraction) -> int:
+    """Points of the Gauss orbit of fr in (0, 1), counted by Euclid."""
+    num, den, n = fr.numerator, fr.denominator, 0
+    while num:
+        num, den, n = den % num, num, n + 1
+    return n
+
+
+def _exact_audit(x):
+    """One exact-audit op: an expansion, two values and the audits."""
+    expand(x, ONE, CAP)
+    series_eval.brjuno_k(x, ONE)
+    series_eval.wilton(x, ONE)
+    series_eval.truncation_audit(x, 30)
+    for alpha in (ONE, HALF):
+        for mode in ("brjuno", "wilton"):
+            series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
+
+
+# -- walk counts ---------------------------------------------------------------
+
+def test_exact_audit_walks_each_orbit_once(monkeypatch):
+    # (x, 1, 256), (x, 1, 31), (x, 1, 61) and (x, 1/2, 61): the values share
+    # the op's own expansion, and the gap audits at 1/2 their cross pass
+    # with the audits at 1; without the memo this takes 10 walks
+    rng = random.Random(1)
+    for _ in range(4):
+        x = random_surd(rng, half=True)
+        _clear_memos()
+        walks = _count(monkeypatch, cf_core, "_walk")
+        _exact_audit(x)
+        assert len(walks) == 4
+        monkeypatch.undo()
+
+
+def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
+        monkeypatch):
+    # (x, 1/2, 40) is shared by the three matched traces: 4 walks, not 6;
+    # the finite pair reads one log list, so one log per Gauss-orbit point
+    rng = random.Random(1)
+    for _ in range(4):
+        x = random_rational(rng, 2 ** 64, half=True)
+        _clear_memos()
+        walks = _count(monkeypatch, cf_core, "_walk")
+        for alpha in ORBIT_ALPHAS:
+            orbit_compare.matched_orbits(x, alpha, 40)
+        logs = _count(monkeypatch, series_eval, "mpf_log")
+        series_eval.brjuno_finite_rational(x)
+        series_eval.wilton_finite_rational(x)
+        assert len(walks) == 4
+        assert len(logs) == _gauss_points(x) > 10
+        monkeypatch.undo()
+
+
+def test_memo_hits_are_the_fresh_expansion():
+    # a hit returns the very object the first call built; keys are typed, so
+    # an int and a Fraction of one value stay apart
+    x, _ = cf_core.normalize(make_surd(0, 1, 1, 7), HALF)
+    _clear_memos()
+    e = expand(x, HALF, 40)
+    assert expand(x, HALF, 40) is e
+    assert expand(x, HALF, 41) is not e
+    assert cf_core._expand_exact.__wrapped__(x, HALF, 40) == e
+    zero = expand(0, ONE, 5)
+    assert expand(Fraction(0), ONE, 5) is not zero
+    assert type(expand(Fraction(0), ONE, 5).x0) is Fraction
+
+
+def test_balls_are_not_memoised():
+    b = BallFloat(random_surd(random.Random(3), half=True), prec=256)
+    _clear_memos()
+    assert expand(b, ONE, 20, best_effort=True) is not \
+        expand(b, ONE, 20, best_effort=True)
+    assert cf_core._expand_exact.cache_info().currsize == 0
+
+
+# -- same bits against the unmemoised code -----------------------------------
+
+def _orbit_mpf_fresh(e, n, prec):
+    """``CFExpansion.orbit_mpf`` before it kept its conversions."""
+    if e.period is None:
+        return [to_mpf(v, prec) for v in e.orbit[:n + 1]]
+    m = min(n + 1, sum(e.period))
+    vals = [to_mpf(v, prec) for v in e.orbit[:m]]
+    return [e._at(vals, i, "orbit points") for i in range(n + 1)]
+
+
+def _finite_rational_fresh(fr, k, signed, prec):
+    """``series_eval._finite_rational`` before it shared its logs."""
+    rnd = round_nearest
+    wp = prec + 16
+    num, den = fr.numerator % fr.denominator, fr.denominator
+    total, beta, n = fzero, fone, 0
+    while num:
+        v = mpf_div(from_int(num, wp, rnd), from_int(den, wp, rnd), wp, rnd)
+        lg = mpf_log(mpf_rdiv_int(1, v, wp, rnd), wp, rnd)
+        term = mpf_mul(mpf_pow_int(beta, k, wp, rnd), lg, wp, rnd)
+        total = mpf_add(total, mpf_neg(term, wp, rnd) if signed and n % 2
+                        else term, wp, rnd)
+        beta = mpf_mul(beta, v, wp, rnd)
+        num, den, n = den % num, num, n + 1
+    return mp.make_mpf(mpf_pos(total, prec, rnd))
+
+
+def _over_cap_surds():
+    """Seeded surds whose period at alpha = 1 is longer than the cap."""
+    rng = random.Random(1)
+    found = []
+    while len(found) < 2:
+        x = random_surd(rng, half=True)
+        if cf_core._expand_exact.__wrapped__(x, ONE, CAP).period is None:
+            found.append(x)
+    root = make_surd(0, 1, 1, 1000003)  # sqrt(1000003), period past 256
+    return found + [root - 1000]
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+def test_orbit_mpf_keeps_the_bits_of_fresh_conversions():
+    surds = _over_cap_surds()
+    surds.append(make_surd(-1, 1, 2, 5))  # periodic, so the list cycles
+    for x in surds:
+        for alpha in (ONE, HALF):
+            xa, _ = cf_core.normalize(x, alpha)
+            _clear_memos()
+            e = expand(xa, alpha, CAP)
+            # short, long, short again, past the stored orbit
+            for n in (5, 60, 20, CAP, 3 * CAP):
+                for prec in PRECS:
+                    got = e.orbit_mpf(n, prec)
+                    assert _bits(got) == _bits(_orbit_mpf_fresh(e, n, prec))
+            assert set(e._converted) == set(PRECS)
+    assert any(expand(cf_core.normalize(x, ONE)[0], ONE, CAP).period is None
+               for x in surds)
+
+
+def test_finite_values_keep_the_bits_of_the_unshared_sum():
+    rng = random.Random(7)
+    rationals = [random_rational(rng, 2 ** 64) for _ in range(6)]
+    rationals += [Fraction(5, 3), Fraction(-7, 2 ** 64 + 1), Fraction(3)]
+    _clear_memos()
+    for fr in rationals:
+        for prec in (53, 128, 256):
+            for k in (1, 2, 3):
+                assert series_eval.brjuno_finite_rational(fr, k, prec) == \
+                    _finite_rational_fresh(fr, k, False, prec)
+            assert series_eval.wilton_finite_rational(fr, prec) == \
+                _finite_rational_fresh(fr, 1, True, prec)
+
+
+def test_values_keep_their_bits_when_the_memo_is_warm():
+    # a warm memo hands back the cold run's expansion and conversions
+    xs = _over_cap_surds() + [make_surd(-1, 1, 2, 5)]
+
+    def values():
+        out = []
+        for x in xs:
+            for alpha in (ONE, HALF):
+                out += [series_eval.brjuno_k(x, alpha, 2).value,
+                        series_eval.wilton(x, alpha).value,
+                        series_eval.functional_eq_residual(x, alpha, N=40)]
+        return _bits(out)
+
+    _clear_memos()
+    cold = values()
+    assert values() == cold
+    assert cf_core._expand_exact.cache_info().hits > 0
+
+
+# -- threads -----------------------------------------------------------------
+
+def _tasks(surds, rationals) -> list:
+    tasks = []
+    for x in surds:
+        tasks += [(series_eval.brjuno_k, x, ONE), (series_eval.wilton, x, ONE),
+                  (series_eval.brjuno_k, x, HALF)]
+        for alpha in (ONE, HALF):
+            for mode in ("brjuno", "wilton"):
+                tasks.append((series_eval.gap_audit, x, alpha, mode))
+        for n in (10, 80, CAP):
+            for prec in PRECS:
+                tasks.append(("orbit_mpf", x, n, prec))
+    for fr in rationals:
+        tasks += [(series_eval.brjuno_finite_rational, fr),
+                  (series_eval.wilton_finite_rational, fr)]
+    return tasks
+
+
+def _run(task):
+    fn, *args = task
+    if fn == "orbit_mpf":
+        x, n, prec = args
+        return _bits(expand(x, ONE, CAP).orbit_mpf(n, prec))
+    if fn is series_eval.gap_audit:
+        x, alpha, mode = args
+        return fn([x], alpha, 1, 60, mode=mode)
+    got = fn(*args)
+    return got if isinstance(got, series_eval.SeriesValue) else got._mpf_
+
+
+def test_shared_memos_give_serial_bits_in_threads():
+    rng = random.Random(11)
+    surds = [random_surd(rng, half=True) for _ in range(4)]
+    surds += _over_cap_surds()[:1]
+    rationals = [random_rational(rng, 2 ** 64, half=True) for _ in range(4)]
+    tasks = _tasks(surds, rationals)
+    _clear_memos()
+    serial = [_run(t) for t in tasks]
+
+    def worker(shift):
+        # each thread walks the same tasks from its own starting point, so
+        # the threads race to fill the same cold memo entries
+        order = tasks[shift:] + tasks[:shift]
+        got = [_run(t) for t in order]
+        return got[-shift:] + got[:-shift] if shift else got
+
+    _clear_memos()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            shifts = [0, len(tasks) // 4, len(tasks) // 2, 3 * len(tasks) // 4]
+            results = list(pool.map(worker, shifts, timeout=300))
+    finally:
+        sys.setswitchinterval(switch)
+    for got in results:
+        assert got == serial
+
+
+def test_expansion_constructor_takes_no_memo():
+    fields = inspect.signature(cf_core.CFExpansion).parameters
+    assert "_converted" not in fields
+    e = expand(Fraction(2, 5), ONE, 8)
+    e.orbit_mpf(3, 96)
+    assert "_converted" not in repr(e)
+    assert e == cf_core._expand_exact.__wrapped__(Fraction(2, 5), ONE, 8)
