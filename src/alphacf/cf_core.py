@@ -10,8 +10,7 @@ b = 0 for a rational, and stored as Fraction and Surd orbit points.
 A BallFloat input is an interval with exact Fraction ends: both ends are
 stepped exactly in lockstep, and the ball's orbit is the prefix on which
 their digits agree, each point the interval between the ends' states.
-``alpha_step``, which steps any value through its operators, is the
-reference these exact steps are tested against.
+No value is divided: every 1/x is taken on an int state, by the conjugate.
 
 Exact expansions are shared: ``expand`` keeps the last few exact
 (x, alpha, max_steps) expansions, so callers that ask several questions of
@@ -85,28 +84,6 @@ class Alpha:
 
     def __str__(self):
         return format_exact(self.value)
-
-
-def alpha_step(x: ExactNumber, alpha: Alpha):
-    """One step of the alpha-CF map on x in (0, alpha].
-
-    Returns (a, eps, x_next) with a = floor(1/x - alpha + 1),
-    x_next = A_alpha(x) = |1/x - a| and eps the sign of 1/x - a.  The step
-    uses only the operators every value family speaks, so it is exact for
-    Fraction and Surd, and a BallFloat raises AmbiguousComparison or
-    AmbiguousFloor where its interval cannot decide a branch.  An exact hit
-    1/x = a terminates the expansion; its eps is recorded +1 (no successor
-    digit exists to be signed) and x_next is an exact zero.  An int x is
-    stepped as a Fraction, so its orbit stays exact.
-    """
-    if isinstance(x, int):
-        x = Fraction(x)
-    if x <= 0 or x > alpha.value:
-        raise OutOfDomain("alpha_step requires 0 < x <= alpha")
-    u = 1 / x
-    a = math.floor(u - alpha.value + 1)
-    w = u - a
-    return (a, 1, w) if w >= 0 else (a, -1, -w)
 
 
 @dataclass

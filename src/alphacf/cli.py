@@ -152,7 +152,8 @@ def cmd_eval(args) -> int:
         pts = _grid_points(args.grid)
         rows = []
         for p in pts:
-            if args.fn in ("brjuno", "wilton"):
+            if args.fn in ("brjuno", "wilton", "proxy"):
+                # as --x reads it: a rational cut of p ends too soon
                 x = BallFloat(repr(p), prec=args.precision)
                 v, n, tail, rig, exh = _eval_one(args.fn, x, alpha, args)
             else:

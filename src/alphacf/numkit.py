@@ -18,13 +18,13 @@ global precision, so all of them give the same bits in threads as
 serially.  A conversion of a value rounds to nearest with the raw calls
 mpmath's mpf operators make, so it gives the bits mp-context arithmetic
 gives at that precision.
-Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``,
-``1 / x`` and truth work through the usual operator protocol, as for
-``Fraction``: a surd compared with a ball defers to the ball, whose order is
-certified or raises ``AmbiguousComparison``.  Balls do only what the
-alpha-CF step asks of them: ``+``, ``-``, negation, ``1 / x``, order,
-``math.floor`` and truth.  Surds with different radicands are rejected
-rather than approximated.
+Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``
+and truth work through the usual operator protocol, as for ``Fraction``: a
+surd compared with a ball defers to the ball, whose order is certified or
+raises ``AmbiguousComparison``.  Surds and balls do not divide, as
+``expand`` takes every 1/x on int states.  Balls do only what ``normalize``
+asks of them: ``+``, ``-``, negation, order, ``math.floor`` and truth.
+Surds with different radicands are rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ class Surd(_Ordered):
 
     Canonical means: d > 1 squarefree, b != 0, c > 0, gcd(a, b, c) = 1.
     Build one with :func:`make_surd`.  Surds add (a surd on the left of
-    ``+``), subtract, negate, take ``abs``, order, floor and divide a
-    rational (``1 / x``): what ``alpha_step``, ``normalize`` and the ladder
-    audit use.  Each result keeps d and is canonical, or a plain Fraction
-    when the irrational part cancels.  ``expand`` steps surd orbits on the
-    ints themselves, through ``_floor_lin`` and ``_sign_lin``.
+    ``+``), subtract, negate, take ``abs``, order and floor: what
+    ``normalize`` and the ladder audit use.  Each result keeps d and is
+    canonical, or a plain Fraction when the irrational part cancels.  Surds
+    do not divide: ``expand`` steps surd orbits on the ints themselves,
+    through ``_floor_lin`` and ``_sign_lin``.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -253,15 +253,6 @@ class Surd(_Ordered):
     def __rsub__(self, other):
         return (-self) + other
 
-    def __rtruediv__(self, other):
-        # (p/r) c/(a + b*sqrt(d)), rationalized by the conjugate.
-        po = self._coerce(other)  # never a surd: Surd / Surd is a TypeError
-        if po is None:
-            return NotImplemented
-        p, _, r = po
-        den = (self.a * self.a - self.b * self.b * self.d) * r
-        return _canon(p * self.c * self.a, -p * self.c * self.b, den, self.d)
-
     def __abs__(self):
         return self if _sign_lin(self.a, self.b, self.d) > 0 else -self
 
@@ -307,8 +298,9 @@ class BallFloat(_Ordered):
     precision in bits the constructor rounds its input to.  A decimal
     string is rounded to the nearest float of prec bits, a zero-width ball;
     any other value is rounded outward, so a constructed ball has dyadic
-    ends.  ``+``, ``-``, negation and ``1 / x`` are exact on the ends, after
-    a surd operand is rounded outward at prec.  The decisions are exact and
+    ends.  ``+``, ``-`` and negation are exact on the ends, after a surd
+    operand is rounded outward at prec; a ball does not divide, as
+    ``expand`` steps its ends on ints.  The decisions are exact and
     sound: ``<`` needs disjoint intervals (a surd is compared exactly),
     ``math.floor`` an interval inside one integer cell, and only the exact
     zero is false.  ``==`` is identity.  ``float`` and ``repr`` read the
@@ -358,14 +350,6 @@ class BallFloat(_Ordered):
 
     def __rsub__(self, other):
         return -self + other
-
-    def __rtruediv__(self, other):
-        if other.__class__ is not int or other != 1:
-            return NotImplemented  # the alpha-CF step divides nothing else
-        lo, hi = self.ends
-        if lo <= 0 <= hi:
-            raise DivisionByZero("reciprocal of an interval containing zero")
-        return BallFloat._raw(1 / hi, 1 / lo, self.prec)
 
     def __neg__(self):
         lo, hi = self.ends

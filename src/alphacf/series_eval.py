@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -348,25 +348,6 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     for term in _proxy_terms(c, k, alternating):
         total += term
     return total
-
-
-def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
-                   x: ExactNumber, sign: int = 1,
-                   prec: int = DEFAULT_PRECISION):
-    """(+/-) x^k f(1/x), with 1/x reduced by Z-periodicity and evenness.
-
-    f is any mpf-valued evaluator defined on (0, alpha]; the periodic/even
-    completion is applied here, so f never sees a point outside its domain.
-    """
-    if sign not in (1, -1):
-        raise OutOfDomain("sign must be +1 or -1")
-    if x <= 0 or x >= alpha.value:
-        raise OutOfDomain("apply_transfer requires 0 < x < alpha")
-    t, _ = normalize(1 / x, alpha)
-    # t may be an exact zero; evaluators that cannot take it raise SingularPoint
-    xk = mpf_pow_int(raw_mpf(x, prec), k, prec, _RND)
-    return mp.make_mpf(mpf_mul(mpf_mul_int(xk, sign, prec, _RND), f(t)._mpf_,
-                               prec, _RND))
 
 
 def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",

@@ -37,10 +37,6 @@ class CriterionResult:
     budget: float
     details: dict = field(default_factory=dict)
 
-    @property
-    def within_budget(self) -> bool:
-        return self.elapsed <= self.budget
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"[AC{self.number}] {self.name}: {status} "
@@ -137,13 +133,16 @@ def suite_gap_audit(seed: int = 0, fast: bool = False) -> CriterionResult:
     samples = [random_surd(rng, half=True) for _ in range(n_samples)]
     gate = series_eval.proof_constant_gate(1)
     sups = {}
-    ok = True
-    for alpha, tag in ((Alpha.one(), "alpha=1"), (Alpha.half(), "alpha=1/2")):
-        for mode in ("brjuno", "wilton"):
-            res = series_eval.gap_audit(samples, alpha, 1, 60, mode=mode)
-            sups[f"sup_{mode}_{tag}"] = res.sup_gap
-            sups[f"sup_cross_{mode}_{tag}"] = res.sup_gap_cross
-            ok = ok and res.sup_gap < gate and res.sup_gap_cross < gate
+    # sample by sample, so the four audits of one x share its expansions;
+    # a max over floats does not depend on the order it is taken in
+    for x in samples:
+        for alpha, tag in ((Alpha.one(), "alpha=1"), (Alpha.half(), "alpha=1/2")):
+            for mode in ("brjuno", "wilton"):
+                res = series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
+                for key, gap in ((f"sup_{mode}_{tag}", res.sup_gap),
+                                 (f"sup_cross_{mode}_{tag}", res.sup_gap_cross)):
+                    sups[key] = max(sups.get(key, 0.0), gap)
+    ok = all(v < gate for v in sups.values())
     details = {
         "samples": n_samples,
         "depth": 60,

@@ -27,7 +27,7 @@ SEED = 20260810
 
 def _check(result, extra=""):
     print(result.line() + extra)
-    assert result.within_budget, (
+    assert result.elapsed <= result.budget, (
         f"budget exceeded: {result.elapsed:.1f}s > {result.budget:.0f}s"
     )
     assert result.passed, result.details
@@ -79,7 +79,7 @@ def test_ac8_concatenation_identity_as_stated():
           + f"/{r.details['functions']}; upper bound held for "
           + f"{r.details['upper_bound_held']}, lower for "
           + f"{r.details['lower_bound_held']}")
-    assert r.within_budget
+    assert r.elapsed <= r.budget
     # literal criterion: direct union oscillation equals the merge formula
     # within twice the quadrature error for random piecewise-linear f
     assert r.passed, (

@@ -15,7 +15,6 @@ from alphacf import cf_core
 from alphacf import numkit as nk
 from alphacf.cf_core import (
     Alpha,
-    alpha_step,
     convergents,
     expand,
     normalize,
@@ -23,6 +22,7 @@ from alphacf.cf_core import (
 from alphacf.errors import (ExpansionTooShort, MixedRadicalError, OutOfDomain,
                             PrecisionExhausted)
 from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
+from oracles import alpha_step
 
 G = nk.GOLDEN
 
@@ -333,24 +333,6 @@ def test_expand_matches_alpha_step():
             (nk.Surd, nk.Surd), (int, Fraction)} <= kinds
     with pytest.raises(MixedRadicalError):
         expand(nk.make_surd(-1, 1, 1, 2), Alpha.golden(), 10)  # sqrt(2) - 1
-
-
-def test_exact_expansion_never_calls_alpha_step(monkeypatch):
-    # the int-state loop, on exact values and on the ends of balls, must not
-    # fall back to the operator path unnoticed
-    rng = random.Random(1518)
-    xs = [random_rational(rng, 2 ** 64, half=True) for _ in range(20)]
-    xs += [random_surd(rng, half=True) for _ in range(20)]
-    xs += [nk.BallFloat(x, prec=128) for x in xs[20:30]]
-    calls = []
-    step = cf_core.alpha_step
-    monkeypatch.setattr(cf_core, "alpha_step",
-                        lambda x, alpha: calls.append(x) or step(x, alpha))
-    digits = sum(len(expand(x, alpha, 256, best_effort=True).digits)
-                 for x in xs for alpha in (Alpha.one(), Alpha.half()))
-    assert calls == [] and digits > 1000
-    cf_core.alpha_step(Fraction(1, 3), Alpha.one())
-    assert len(calls) == 1  # the count sees a step
 
 
 def test_json_roundtrip():

@@ -115,6 +115,21 @@ def test_eval_grid_csv(capsys):
     assert len(lines) == 9
 
 
+def test_eval_proxy_grid_reads_each_point_as_x_does(capsys):
+    # a point cut to a rational of denominator <= 10^12 ends after about 26
+    # digits, short of the default N = 40; the grid reads the decimal as a
+    # ball, as --x does
+    code, out, _ = run(["eval", "--fn", "proxy", "--grid", "0:1:4"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        code, single, _ = run(["eval", "--fn", "proxy", "--x", row[0]], capsys)
+        assert code == 0
+        assert float(row[1]) == float(single.splitlines()[0].split()[1])
+        assert row[2] == "40"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(["verify", "--suite", "ladders"], capsys)
     assert code == 0

@@ -34,19 +34,24 @@ def test_no_unread_imports(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _calls(source: str, name: str) -> bool:
-    return any(isinstance(node, ast.Call)
-               and name in (getattr(node.func, "id", None),
-                            getattr(node.func, "attr", None))
-               for node in ast.walk(ast.parse(source)))
+def _defined(source: str) -> list:
+    """Names of the functions and methods a source defines."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
-def test_only_cf_core_steps_the_map():
+def test_package_keeps_no_reference_step():
     # every orbit is read from expand, which steps exact states and ball
-    # ends on ints; alpha_step is the reference the tests compare it with
-    callers = [p.name for p in MODULES
-               if _calls(p.read_text(encoding="utf-8"), "alpha_step")]
-    assert callers == []
+    # ends on ints; the operator-level step, the transfer operator and the
+    # 1 / x they needed are test oracles (tests/oracles.py), not package code
+    found = [f"{p.name}: {name}"
+             for p in Path(alphacf.__file__).parent.glob("*.py")
+             for name in _defined(p.read_text(encoding="utf-8"))
+             if name in ("alpha_step", "apply_transfer", "__rtruediv__")]
+    assert found == []
+    assert _defined("def alpha_step(x):\n    pass\n"
+                    "class B:\n    def __rtruediv__(self, o):\n"
+                    "        pass\n") == ["alpha_step", "__rtruediv__"]
 
 
 def _interval_names(source: str) -> list:

@@ -16,6 +16,7 @@ from alphacf.errors import (
     MixedRadicalError,
 )
 from alphacf.modular_series import divisor_sigma
+from oracles import recip
 
 G = nk.GOLDEN
 
@@ -44,13 +45,17 @@ def test_floor_examples():
 
 
 def test_reciprocal_examples():
-    assert 1 / Fraction(2, 5) == Fraction(5, 2)
-    assert 1 / G == nk.make_surd(1, 1, 2, 5)
+    # 1 / x of a surd or a ball is the test oracle's; the values do not divide
+    assert recip(Fraction(2, 5)) == Fraction(5, 2)
+    assert recip(G) == nk.make_surd(1, 1, 2, 5)
     with pytest.raises(DivisionByZero):
-        1 / _wide(0, Fraction(1, 10 ** 40))
+        recip(_wide(0, Fraction(1, 10 ** 40)))
     # Fraction's own error; DivisionByZero subclasses it
     with pytest.raises(ZeroDivisionError):
-        1 / Fraction(0)
+        recip(Fraction(0))
+    for v in (G, nk.BallFloat("0.3")):
+        with pytest.raises(TypeError):
+            1 / v
 
 
 def test_compare_examples():
@@ -59,12 +64,15 @@ def test_compare_examples():
     assert Fraction(1, 3) == Fraction(1, 3)
 
 
-def test_surd_divides_rationals_only():
-    assert Fraction(2, 3) / G == nk.make_surd(1, 1, 3, 5)  # (2/3)(1 + g)
-    assert -4 / G == nk.make_surd(-2, -2, 1, 5)  # -4(1 + g)
-    assert 0 / G == 0
-    with pytest.raises(TypeError):
-        G / G
+def test_surd_divides_nothing():
+    # the oracle inverts by the conjugate: 1/((3/2) g) = (2/3)(1 + g) and
+    # 1/(-g/4) = -4(1 + g)
+    assert recip(nk.make_surd(-3, 3, 4, 5)) == nk.make_surd(1, 1, 3, 5)
+    assert recip(nk.make_surd(1, -1, 8, 5)) == nk.make_surd(-2, -2, 1, 5)
+    for op in (lambda: Fraction(2, 3) / G, lambda: -4 / G, lambda: 0 / G,
+               lambda: 1 / G, lambda: G / G, lambda: G / 2):
+        with pytest.raises(TypeError):
+            op()
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,7 +88,7 @@ def test_surd_reciprocal_involution(parts):
     a, b, c, d = parts
     v = nk.make_surd(a, b, c, d)
     if isinstance(v, nk.Surd):
-        assert 1 / (1 / v) == v
+        assert recip(recip(v)) == v
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +114,7 @@ def test_surd_arithmetic_closed_same_d(p1, p2):
             assert w.d == d if isinstance(u, nk.Surd) or isinstance(v, nk.Surd) else True
             assert nk.make_surd(w.a, w.b, w.c, w.d) == w
     if isinstance(u, nk.Surd):
-        assert isinstance(1 / u, (nk.Surd, Fraction))
+        assert isinstance(recip(u), nk.Surd)
 
 
 def test_floor_matches_integer_division_bulk():
@@ -205,12 +213,12 @@ def test_ball_comparison_soundness():
 
 
 def test_ball_radius_grows_outward():
-    assert (1 / nk.BallFloat(3)).ends == (Fraction(1, 3), Fraction(1, 3))
+    assert recip(nk.BallFloat(3)).ends == (Fraction(1, 3), Fraction(1, 3))
     r = Fraction(1, 10 ** 30)
-    x = 1 / _wide(3, r)
+    x = recip(_wide(3, r))
     assert x.ends == (1 / (3 + r), 1 / (3 - r))
     # the ends are exact, so 1/(1/x) is x again
-    assert (1 / x).ends == (3 - r, 3 + r)
+    assert recip(x).ends == (3 - r, 3 + r)
 
 
 def test_ball_does_not_multiply_divide_or_take_abs():
@@ -235,7 +243,7 @@ def test_parse_format_roundtrip():
 
 
 def test_golden_identities():
-    assert 1 / G == G + 1  # a surd adds on the left only
+    assert recip(G) == G + 1  # a surd adds on the left only
     assert 1 - G == nk.make_surd(3, -1, 2, 5)  # g^2
     assert G > Fraction(1, 2)
     assert G < Fraction(2, 3)
@@ -345,7 +353,7 @@ def test_ball_arithmetic_matches_iv_oracle(prec):
                       Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6)),
                       G, surd, _random_ball(rng, prec)]
             for y in others:
-                got = [x + y, y + x, x - y, y - x, 1 / x, -x]
+                got = [x + y, y + x, x - y, y - x, recip(x), -x]
                 (xa, xb), (ya, yb) = x.ends, _exact_ends(y, prec)
                 want = [(xa + ya, xb + yb), (xa + ya, xb + yb),
                         (xa - yb, xb - ya), (ya - xb, yb - xa),

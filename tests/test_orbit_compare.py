@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from alphacf import numkit as nk
-from alphacf.cf_core import Alpha, alpha_step
+from alphacf.cf_core import Alpha
 from alphacf.errors import OutOfDomain, OutOfRange
 from alphacf.orbit_compare import (
     MatchedTrace,
@@ -15,6 +15,7 @@ from alphacf.orbit_compare import (
     q_difference_classify,
 )
 from alphacf.sampling import random_rational, random_surd
+from oracles import alpha_step
 
 G = nk.GOLDEN
 ONE_MINUS_G = 1 - G

@@ -18,7 +18,7 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
                           mpf_rdiv_int, round_nearest)
 
-from alphacf import cf_core, orbit_compare, series_eval
+from alphacf import cf_core, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
 from alphacf.numkit import BallFloat, make_surd, to_mpf
 from alphacf.sampling import random_rational, random_surd
@@ -100,6 +100,16 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         assert len(walks) == 4
         assert len(logs) == _gauss_points(x) > 10
         monkeypatch.undo()
+
+
+def test_gap_audit_suite_walks_each_orbit_once(monkeypatch):
+    # AC4 audits one sample at a time, so its four audits share (x, 1, 61)
+    # and (x, 1/2, 61): two walks per distinct sample, not six, over the 99
+    # distinct ones among the 100 --fast samples
+    _clear_memos()
+    walks = _count(monkeypatch, cf_core, "_walk")
+    assert verify_suites.suite_gap_audit(fast=True).passed
+    assert len(walks) == 198
 
 
 def test_memo_hits_are_the_fresh_expansion():
