@@ -12,11 +12,13 @@ stepped exactly in lockstep, and the ball's orbit is the prefix on which
 their digits agree, each point the interval between the ends' states.
 No value is divided: every 1/x is taken on an int state, by the conjugate.
 
-Exact expansions are shared: ``expand`` keeps the last few exact
-(x, alpha, max_steps) expansions, so callers that ask several questions of
+Expansions are shared: ``expand`` keeps the last few (x, alpha, max_steps)
+expansions, exact and ball alike, so callers that ask several questions of
 one point walk its orbit once, and every caller must treat the returned
-``CFExpansion`` as read-only.  ``orbit_mpf`` likewise keeps its conversions,
-one list per precision.  Ball expansions are built afresh on every call.
+``CFExpansion`` as read-only.  A ball is known by its exact ends and its
+precision, so equal balls built apart share one expansion.  ``orbit_mpf``
+likewise keeps its conversions, and the series layer the logs of the
+orbit, one list per precision.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, _floor_lin,
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
-# exact expansions kept across calls; the questions asked of one point touch
-# a handful of (x, alpha, max_steps) keys
+# expansions kept across calls; the questions asked of one point touch a
+# handful of (x, alpha, max_steps) keys
 _MEMO = 16
 
 
@@ -96,9 +98,11 @@ class CFExpansion:
     expansions digit/orbit access transparently cycles beyond the stored
     prefix.
 
-    An exact expansion may be shared between callers (see ``expand``), so
-    it is read-only.  ``orbit_mpf`` keeps the conversions it makes, one
-    list of the stored orbit's prefix per precision.
+    An expansion may be shared between callers (see ``expand``), so it is
+    read-only.  ``orbit_mpf`` keeps the conversions it makes, one list of
+    the stored orbit's prefix per precision, and ``_logs`` holds the raw
+    log(1/x_n) that ``series_eval`` takes of x_0, x_1, .., one list per
+    precision.
     """
 
     x0: ExactNumber
@@ -110,10 +114,13 @@ class CFExpansion:
     # float orbit certified to fewer digits than asked (runtime-only flag,
     # not part of the JSON schema)
     exhausted: bool = False
-    # prec -> converted stored-orbit prefix; replaced, never extended, so a
-    # thread reading the old list sees it whole
+    # prec -> converted stored-orbit prefix, and prec -> log(1/x_n) for
+    # n = 0, 1, ..; each list is replaced, never extended, so a thread
+    # reading the old list sees it whole
     _converted: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
+    _logs: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def depth(self, n: int) -> int:
         """How many of digits 1..n exist: n if periodic, else those stored."""
@@ -217,13 +224,8 @@ def _walk(x, alpha: Alpha):
             yield (k, eps), Fraction(a, c)
 
 
-@lru_cache(maxsize=_MEMO, typed=True)
 def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:
-    """At most max_steps digits of an exact x; a surd stops at a repeat.
-
-    Memoised on (x, alpha, max_steps), so a hit is the expansion a fresh
-    walk would build; typed, so 0 and Fraction(0) stay apart.
-    """
+    """At most max_steps digits of an exact x; a surd stops at a repeat."""
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
     seen = {x: 0} if isinstance(x, Surd) else None
     for digit, y in islice(_walk(x, alpha), max_steps):
@@ -247,6 +249,8 @@ def _expand_ball(x: BallFloat, alpha: Alpha, max_steps: int) -> CFExpansion:
     walk stops at the first digit the ends disagree on, and one digit
     before either end hits an exact zero: a float input is never certified
     rational, so a zero-width ball stops one digit before its exact hit.
+    Only x's ends and precision are read, so balls equal in those have one
+    expansion.
     """
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
     walks = zip(*(_walk(end, alpha) for end in set(x.ends)))
@@ -261,17 +265,32 @@ def _expand_ball(x: BallFloat, alpha: Alpha, max_steps: int) -> CFExpansion:
     return e
 
 
+@lru_cache(maxsize=_MEMO, typed=True)
+def _expansion(key, alpha: Alpha, max_steps: int) -> CFExpansion:
+    """The expansion ``expand`` returns, memoised on (key, alpha, max_steps).
+
+    key is an exact x itself, typed, so 0 and Fraction(0) stay apart, or a
+    ball's (lo, hi, prec): a ball compares by identity and normalize builds
+    a new one on every call, so a ball is keyed on the exact ends it is
+    walked from, and its expansion starts from a ball rebuilt from them.  A
+    hit is the expansion a fresh walk would build.
+    """
+    if isinstance(key, tuple):
+        return _expand_ball(BallFloat._raw(*key), alpha, max_steps)
+    return _expand_exact(key, alpha, max_steps)
+
+
 def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
            best_effort: bool = False) -> CFExpansion:
     """Expand x in [0, alpha] to at most max_steps digits.
 
     Rational inputs terminate at an exact zero; Surd inputs stop early when
-    an orbit state repeats (period detected).  An exact expansion is shared
-    with every caller that asks for the same (x, alpha, max_steps) while it
-    stays among the last few asked for, so it must not be modified.  A
-    BallFloat orbit keeps the digits both of its ends certify (see
-    ``_expand_ball``); no precision is raised, as the ends are exact.  A
-    fresh ball expansion is built on every call.  A prefix shorter than
+    an orbit state repeats (period detected).  A BallFloat orbit keeps the
+    digits both of its ends certify (see ``_expand_ball``); no precision is
+    raised, as the ends are exact.  An expansion is shared with every
+    caller that asks for the same (x, alpha, max_steps) while it stays
+    among the last few asked for, so it must not be modified; a ball is the
+    same x as another with equal ends and precision.  A prefix shorter than
     max_steps is returned with the ``exhausted`` flag when best_effort is
     set, else PrecisionExhausted is raised.
     """
@@ -279,9 +298,8 @@ def expand(x: ExactNumber, alpha: Alpha, max_steps: int,
         raise OutOfDomain("max_steps must be >= 0")
     if x < 0 or x > alpha.value:
         raise OutOfDomain("expand requires 0 <= x <= alpha; apply normalize first")
-    if not isinstance(x, BallFloat):
-        return _expand_exact(x, alpha, max_steps)
-    e = _expand_ball(x, alpha, max_steps)
+    key = (*x.ends, x.prec) if isinstance(x, BallFloat) else x
+    e = _expansion(key, alpha, max_steps)
     if e.exhausted and not best_effort:
         raise PrecisionExhausted(
             f"float orbit certified to {len(e.digits)} of {max_steps} digits "

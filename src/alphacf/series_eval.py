@@ -16,6 +16,10 @@ the series is signed; ``_orbit_sum`` adds them up left to right.
 truncations, and the finite truncations share one log list: the last few
 rationals' orbits are kept with log(1/x_n) of each point, so B_k at every k
 and the Wilton value of one rational take one log per point between them.
+Sums over an expansion's orbit likewise read the logs ``_orbit_logs`` keeps
+on the shared expansion, one list per precision, so the Brjuno and Wilton
+values of one point take one log per point read between them, and so do
+the residual's two modes.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -162,24 +166,26 @@ def _log_inv(v, prec: int):
 
 
 def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
-                 logs: Sequence | None = None) -> Iterator:
+                 logs: Iterable | None = None) -> Iterator:
     """Per orbit point x_n, the term beta_{n-1}^k * log(1/x_n) of one series.
 
     vals are raw mpf tuples, and every term is a raw mpf rounded to nearest
     at prec.  A signed (Wilton) term is negated at odd n.  Lazy, so a caller
     that stops early takes no further logs.  A caller that already holds
-    log(1/x_n) for each point passes them as `logs`.
+    log(1/x_n) for each point, or a lazy source of them, passes them as
+    `logs`; one is read per term.
     """
     beta = fone
+    logs = None if logs is None else iter(logs)
     for n, v in enumerate(vals):
-        lg = _log_inv(v, prec) if logs is None else logs[n]
+        lg = _log_inv(v, prec) if logs is None else next(logs)
         term = mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
         yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
         beta = mpf_mul(beta, v, prec, _RND)
 
 
 def _orbit_sum(vals: Iterable, k: int, signed: bool, prec: int,
-               logs: Sequence | None = None):
+               logs: Iterable | None = None):
     """Left-to-right total of the ``_orbit_terms`` terms."""
     total = fzero
     for term in _orbit_terms(vals, k, signed, prec, logs):
@@ -212,6 +218,22 @@ def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
     return [v._mpf_ for v in e.orbit_mpf(n, prec)]
 
 
+def _orbit_logs(e: CFExpansion, vals: Sequence, prec: int) -> Iterator:
+    """log(1/x_n) for vals = ``_raw_orbit(e, .., prec)``, in order, lazily.
+
+    The logs are kept on e, one list per precision, so every sum over e's
+    orbit at prec takes the log of a point once, and only of the points
+    some sum has read.  The list is replaced, never extended in place, so a
+    thread reading the old list sees it whole.
+    """
+    for n in range(len(vals)):
+        logs = e._logs.get(prec, [])
+        if len(logs) <= n:
+            logs = logs + [_log_inv(v, prec) for v in vals[len(logs):n + 1]]
+            e._logs[prec] = logs
+        yield logs[n]
+
+
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
@@ -220,9 +242,10 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
         pre, length = e.period
         n_explicit = pre + length
         vals = _raw_orbit(e, n_explicit - 1, wp)
+        logs = _orbit_logs(e, vals, wp)
         total = fzero
         block = fzero
-        for n, term in enumerate(_orbit_terms(vals, k, signed, wp)):
+        for n, term in enumerate(_orbit_terms(vals, k, signed, wp, logs)):
             total = mpf_add(total, term, wp, _RND)
             if n >= pre:
                 block = mpf_add(block, term, wp, _RND)
@@ -242,6 +265,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     # _prepare rejects terminated orbits, so every stored point is a term
     n_max = min(terms, len(e.orbit))
     vals = _raw_orbit(e, n_max - 1, wp)
+    logs = _orbit_logs(e, vals, wp)
     raw_tol = from_float(float(tol))
     total = fzero
     used = 0
@@ -249,7 +273,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     prev_abs = finf
     monotone = True
     exhausted = False
-    for n, term in enumerate(_orbit_terms(vals, k, signed, wp)):
+    for n, term in enumerate(_orbit_terms(vals, k, signed, wp, logs)):
         total = mpf_add(total, term, wp, _RND)
         used = n + 1
         last = term
@@ -357,7 +381,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
 
     residual = S_N(x) + log x -/+ x^k S_{N-1}(A_alpha x); algebraically zero,
     so the returned value measures only arithmetic rounding.  Both partial
-    sums are evaluated over one shared orbit, with one log per point.
+    sums are evaluated over one shared orbit and read one log list, kept on
+    the expansion, so the residuals of both modes at one precision take
+    one log per point between them.
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -376,7 +402,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise DivergesAtRational("orbit too short for the requested N")
     wp = prec + 16
     vals = _raw_orbit(e, N - 1, wp)
-    logs = [_log_inv(v, wp) for v in vals]
+    logs = list(_orbit_logs(e, vals, wp))
     signed = mode == "wilton"
     s_n = _orbit_sum(vals, k, signed, wp, logs)
     s_shift = _orbit_sum(vals[1:], k, signed, wp, logs[1:])

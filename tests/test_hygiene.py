@@ -2,12 +2,14 @@
 
 import ast
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import alphacf
 from alphacf import cf_core, fastgrid, orbit_compare, series_eval
+from alphacf.numkit import BallFloat
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
@@ -181,12 +183,26 @@ def test_grid_block_size_is_no_knob():
 
 
 def test_orbit_memos_are_bounded_by_module_constants():
-    # the expansion and Gauss-log memos hold a few recent orbits, bounded by
-    # a module constant, never by a setting
-    for memo, bound in ((cf_core._expand_exact, cf_core._MEMO),
-                        (series_eval._gauss_logs, series_eval._MEMO)):
+    # the expansion memo, which holds exact points and balls alike, and the
+    # Gauss-log memo hold a few recent orbits, bounded by a module constant,
+    # never by a setting; the orbit layers keep no other memo
+    memos = {(module.__name__, name): (memo, module._MEMO)
+             for module in (cf_core, series_eval)
+             for name, memo in vars(module).items()
+             if hasattr(memo, "cache_info")}
+    assert memos == {
+        ("alphacf.cf_core", "_expansion"): (cf_core._expansion, cf_core._MEMO),
+        ("alphacf.series_eval", "_gauss_logs"): (series_eval._gauss_logs,
+                                                 series_eval._MEMO)}
+    for memo, bound in memos.values():
         maxsize = memo.cache_info().maxsize
         assert maxsize == bound and 0 < maxsize <= 64
+    # balls fill the same bounded memo, however many distinct ones are asked
+    cf_core._expansion.cache_clear()
+    for i in range(3 * cf_core._MEMO):
+        cf_core.expand(BallFloat(Fraction(1, i + 3), 64), cf_core.Alpha.one(),
+                       5, best_effort=True)
+    assert cf_core._expansion.cache_info().currsize == cf_core._MEMO
 
 
 @pytest.mark.parametrize("fn,names", [

@@ -1,10 +1,11 @@
 """Orbits walked once across calls: the expansion, conversion and log memos.
 
-Exact expansions, their per-precision mpf conversions and the Gauss-orbit
-logs of a rational are kept across calls.  These tests count the orbit
-walks and logs of call sequences shaped like the benchmark's ops, check
-that shared memos give the same bits in threads as serially, and compare
-the memoised values with unmemoised copies of the code they replaced.
+Expansions of exact points and of balls, their per-precision mpf
+conversions and orbit logs, and the Gauss-orbit logs of a rational are kept
+across calls.  These tests count the orbit walks and logs of call sequences
+shaped like the benchmark's ops, check that shared memos give the same bits
+in threads as serially, and compare the memoised values with unmemoised
+copies of the code they replaced.
 """
 
 import inspect
@@ -12,7 +13,9 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
+import pytest
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
@@ -20,10 +23,12 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
 
 from alphacf import cf_core, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
-from alphacf.numkit import BallFloat, make_surd, to_mpf
+from alphacf.errors import PrecisionExhausted
+from alphacf.numkit import BallFloat, make_surd, parse_exact, to_mpf
 from alphacf.sampling import random_rational, random_surd
 
 ONE, HALF = Alpha.one(), Alpha.half()
+BALL_ALPHAS = (ONE, HALF, Alpha(Fraction(3, 5)))
 ORBIT_ALPHAS = (Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)),
                 Alpha.golden())
 CAP = 256
@@ -31,7 +36,7 @@ PRECS = (96, 176, 288)
 
 
 def _clear_memos():
-    cf_core._expand_exact.cache_clear()
+    cf_core._expansion.cache_clear()
     series_eval._gauss_logs.cache_clear()
 
 
@@ -54,6 +59,25 @@ def _gauss_points(fr: Fraction) -> int:
     while num:
         num, den, n = den % num, num, n + 1
     return n
+
+
+def _surd_ball(rng):
+    return BallFloat(random_surd(rng, half=True), prec=256)
+
+
+def _text_ball(rng):
+    return parse_exact(f"0.{rng.randrange(10 ** 77):077d}", 256)
+
+
+def _ball_eval(x, alpha):
+    """One ball-eval op: an expansion, two values and both residuals."""
+    xn, _ = cf_core.normalize(x, alpha)
+    e = expand(xn, alpha, CAP, best_effort=True)
+    values = [series_eval.brjuno_k(x, alpha), series_eval.wilton(x, alpha)]
+    n = min(50, len(e.digits) - 1)
+    for mode in ("brjuno", "wilton"):
+        series_eval.functional_eq_residual(x, alpha, mode, n)
+    return values, n
 
 
 def _exact_audit(x):
@@ -102,6 +126,44 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("make,walks", [(_surd_ball, 4), (_text_ball, 2)],
+                         ids=["surd-ball", "text-ball"])
+def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
+        monkeypatch, make, walks):
+    # the op's expansion and both values share (x, alpha, 256), the two
+    # residuals (x, alpha, N + 1): two ball walks, each one _walk per
+    # distinct end (10 and 5 _walk calls without the memo).  The values
+    # read one log list at prec + 32 and the residuals one at prec + 16,
+    # each residual adding log x_0 for its head
+    rng = random.Random(5)
+    for i in range(6):
+        x = make(rng)
+        _clear_memos()
+        walk_calls = _count(monkeypatch, cf_core, "_walk")
+        logs = _count(monkeypatch, series_eval, "mpf_log")
+        (b, w), n = _ball_eval(x, BALL_ALPHAS[i % 3])
+        assert len(walk_calls) == walks
+        assert len(logs) == max(b.n_terms, w.n_terms) + n + 2
+        monkeypatch.undo()
+
+
+def test_values_of_one_surd_log_each_point_once(monkeypatch):
+    # the exact-audit op's two values read one log list; a sum that stops
+    # at tol takes no log past the last term it read
+    rng = random.Random(3)
+    xs = [random_surd(rng, half=True) for _ in range(4)] + _over_cap_surds()
+    stopped = 0
+    for x in xs:
+        _clear_memos()
+        expand(x, ONE, CAP)
+        logs = _count(monkeypatch, series_eval, "mpf_log")
+        b, w = series_eval.brjuno_k(x, ONE), series_eval.wilton(x, ONE)
+        assert len(logs) == max(b.n_terms, w.n_terms)
+        stopped += not b.rigorous_tail and b.n_terms < CAP
+        monkeypatch.undo()
+    assert stopped >= 2
+
+
 def test_gap_audit_suite_walks_each_orbit_once(monkeypatch):
     # AC4 audits one sample at a time, so its four audits share (x, 1, 61)
     # and (x, 1/2, 61): two walks per distinct sample, not six, over the 99
@@ -120,18 +182,53 @@ def test_memo_hits_are_the_fresh_expansion():
     e = expand(x, HALF, 40)
     assert expand(x, HALF, 40) is e
     assert expand(x, HALF, 41) is not e
-    assert cf_core._expand_exact.__wrapped__(x, HALF, 40) == e
+    assert cf_core._expansion.__wrapped__(x, HALF, 40) == e
     zero = expand(0, ONE, 5)
     assert expand(Fraction(0), ONE, 5) is not zero
     assert type(expand(Fraction(0), ONE, 5).x0) is Fraction
 
 
-def test_balls_are_not_memoised():
-    b = BallFloat(random_surd(random.Random(3), half=True), prec=256)
+def _ball_fields(e):
+    """Every field of a ball expansion, each ball by its ends and prec."""
+    return (e.digits, [(v.ends, v.prec) for v in e.orbit], e.terminated,
+            e.period, e.exhausted, e.alpha)
+
+
+def test_equal_balls_share_one_expansion():
+    # a ball is keyed on its exact ends and prec, never on the object, which
+    # compares by identity
+    s = random_surd(random.Random(3), half=True)
     _clear_memos()
-    assert expand(b, ONE, 20, best_effort=True) is not \
-        expand(b, ONE, 20, best_effort=True)
-    assert cf_core._expand_exact.cache_info().currsize == 0
+    b = BallFloat(s, prec=256)
+    twin = BallFloat._raw(*b.ends, 256)
+    assert twin is not b and twin != b
+    e = expand(b, ONE, CAP, best_effort=True)
+    assert expand(twin, ONE, CAP, best_effort=True) is e
+    assert expand(cf_core.normalize(BallFloat(s, prec=256), ONE)[0], ONE,
+                  CAP, best_effort=True) is e
+    # another prec, alpha or max_steps is another expansion
+    wide = BallFloat._raw(*b.ends, 512)
+    misses = [expand(wide, ONE, CAP, best_effort=True),
+              expand(b, HALF, CAP, best_effort=True),
+              expand(b, ONE, 20, best_effort=True)]
+    assert all(m is not e for m in misses)
+    assert misses[0].digits == e.digits and misses[0].orbit[1].prec == 512
+    assert cf_core._expansion.cache_info().currsize == 4
+    # a hit is the expansion a fresh walk builds
+    for got, key in ((e, (ONE, CAP)), (misses[1], (HALF, CAP)),
+                     (misses[2], (ONE, 20))):
+        fresh = cf_core._expansion.__wrapped__((*b.ends, 256), *key)
+        assert _ball_fields(got) == _ball_fields(fresh)
+    text = parse_exact("0.3183098861837907", 64)
+    assert expand(text, ONE, 30) is expand(parse_exact("0.3183098861837907",
+                                                       64), ONE, 30)
+    # best_effort is read on every call, not kept with the expansion
+    assert e.exhausted and len(e.digits) < CAP
+    hits = cf_core._expansion.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted):
+            expand(twin, ONE, CAP)
+    assert cf_core._expansion.cache_info().hits == hits + 2
 
 
 # -- same bits against the unmemoised code -----------------------------------
@@ -162,13 +259,46 @@ def _finite_rational_fresh(fr, k, signed, prec):
     return mp.make_mpf(mpf_pos(total, prec, rnd))
 
 
+def _expand_ball_fresh(x, alpha, max_steps):
+    """``cf_core._expand_ball`` as it was when each call walked afresh."""
+    e = cf_core.CFExpansion(x0=x, alpha=alpha, orbit=[x])
+    walks = zip(*(cf_core._walk(end, alpha) for end in set(x.ends)))
+    for steps in islice(walks, max_steps):
+        (digit, u), (other, v) = steps[0], steps[-1]
+        if digit != other or not (u and v):
+            break
+        e.digits.append(digit)
+        e.orbit.append(BallFloat._raw(*sorted((u, v)), x.prec))
+    e.terminated = not x
+    e.exhausted = not e.terminated and len(e.digits) < max_steps
+    return e
+
+
+def _expansion_fresh(key, alpha, max_steps):
+    """The expansion memo's walk, unmemoised, balls by the frozen copy."""
+    if isinstance(key, tuple):
+        return _expand_ball_fresh(BallFloat._raw(*key), alpha, max_steps)
+    return cf_core._expand_exact(key, alpha, max_steps)
+
+
+def _orbit_terms_fresh(vals, k, signed, prec, logs=None):
+    """``series_eval._orbit_terms`` taking its own log of every point."""
+    rnd = round_nearest
+    beta = fone
+    for n, v in enumerate(vals):
+        lg = mpf_log(mpf_rdiv_int(1, v, prec, rnd), prec, rnd)
+        term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
+        yield mpf_neg(term, prec, rnd) if signed and n % 2 else term
+        beta = mpf_mul(beta, v, prec, rnd)
+
+
 def _over_cap_surds():
     """Seeded surds whose period at alpha = 1 is longer than the cap."""
     rng = random.Random(1)
     found = []
     while len(found) < 2:
         x = random_surd(rng, half=True)
-        if cf_core._expand_exact.__wrapped__(x, ONE, CAP).period is None:
+        if cf_core._expansion.__wrapped__(x, ONE, CAP).period is None:
             found.append(x)
     root = make_surd(0, 1, 1, 1000003)  # sqrt(1000003), period past 256
     return found + [root - 1000]
@@ -210,6 +340,42 @@ def test_finite_values_keep_the_bits_of_the_unshared_sum():
                 _finite_rational_fresh(fr, 1, True, prec)
 
 
+def _value_bits(v):
+    return (v.value._mpf_, v.n_terms, v.tail_estimate, v.rigorous_tail,
+            v.mode, v.exhausted)
+
+
+def _ball_values(x, alpha):
+    """Values and residuals of one ball, in an order that extends the logs.
+
+    The last value and residual read the same expansions at another
+    precision, which keeps its own logs.
+    """
+    xn, _ = cf_core.normalize(x, alpha)
+    n = min(50, len(expand(xn, alpha, CAP, best_effort=True).digits) - 1)
+    out = [_value_bits(series_eval.brjuno_k(x, alpha, k)) for k in (3, 1)]
+    out.append(_value_bits(series_eval.wilton(x, alpha)))
+    out.append(_value_bits(series_eval.brjuno_k(x, alpha, prec=160)))
+    for mode, m, prec in (("brjuno", n // 2, 256), ("wilton", n, 256),
+                          ("brjuno", n, 256), ("wilton", n, 160)):
+        out.append(series_eval.functional_eq_residual(x, alpha, mode, m,
+                                                      prec=prec)._mpf_)
+    return out
+
+
+def test_ball_values_keep_the_bits_of_fresh_walks_and_logs(monkeypatch):
+    rng = random.Random(17)
+    cases = [(_surd_ball(rng), BALL_ALPHAS[i % 3]) for i in range(120)]
+    cases += [(_text_ball(rng), BALL_ALPHAS[i % 3]) for i in range(30)]
+    _clear_memos()
+    memo = [_ball_values(x, alpha) for x, alpha in cases]
+    assert cf_core._expansion.cache_info().hits >= 3 * len(cases)
+    monkeypatch.setattr(cf_core, "_expansion", _expansion_fresh)
+    monkeypatch.setattr(series_eval, "_orbit_terms", _orbit_terms_fresh)
+    fresh = [_ball_values(x, alpha) for x, alpha in cases]
+    assert memo == fresh
+
+
 def test_values_keep_their_bits_when_the_memo_is_warm():
     # a warm memo hands back the cold run's expansion and conversions
     xs = _over_cap_surds() + [make_surd(-1, 1, 2, 5)]
@@ -226,13 +392,23 @@ def test_values_keep_their_bits_when_the_memo_is_warm():
     _clear_memos()
     cold = values()
     assert values() == cold
-    assert cf_core._expand_exact.cache_info().hits > 0
+    assert cf_core._expansion.cache_info().hits > 0
 
 
 # -- threads -----------------------------------------------------------------
 
-def _tasks(surds, rationals) -> list:
+def _tasks(surds, rationals, balls) -> list:
     tasks = []
+    for x, alpha in balls:
+        xn, _ = cf_core.normalize(x, alpha)
+        e = cf_core._expansion.__wrapped__((*xn.ends, xn.prec), alpha, CAP)
+        n = min(50, len(e.digits) - 1)
+        tasks += [(series_eval.brjuno_k, x, alpha),
+                  (series_eval.wilton, x, alpha),
+                  (series_eval.brjuno_k, x, alpha, 2)]
+        for mode in ("brjuno", "wilton"):
+            tasks.append((series_eval.functional_eq_residual, x, alpha, mode,
+                          n))
     for x in surds:
         tasks += [(series_eval.brjuno_k, x, ONE), (series_eval.wilton, x, ONE),
                   (series_eval.brjuno_k, x, HALF)]
@@ -257,7 +433,9 @@ def _run(task):
         x, alpha, mode = args
         return fn([x], alpha, 1, 60, mode=mode)
     got = fn(*args)
-    return got if isinstance(got, series_eval.SeriesValue) else got._mpf_
+    if isinstance(got, series_eval.SeriesValue):
+        return _value_bits(got)
+    return got._mpf_
 
 
 def test_shared_memos_give_serial_bits_in_threads():
@@ -265,7 +443,9 @@ def test_shared_memos_give_serial_bits_in_threads():
     surds = [random_surd(rng, half=True) for _ in range(4)]
     surds += _over_cap_surds()[:1]
     rationals = [random_rational(rng, 2 ** 64, half=True) for _ in range(4)]
-    tasks = _tasks(surds, rationals)
+    balls = [(_surd_ball(rng), BALL_ALPHAS[i % 3]) for i in range(3)]
+    balls += [(_text_ball(rng), BALL_ALPHAS[i % 3]) for i in range(3)]
+    tasks = _tasks(surds, rationals, balls)
     _clear_memos()
     serial = [_run(t) for t in tasks]
 
@@ -291,8 +471,11 @@ def test_shared_memos_give_serial_bits_in_threads():
 
 def test_expansion_constructor_takes_no_memo():
     fields = inspect.signature(cf_core.CFExpansion).parameters
-    assert "_converted" not in fields
-    e = expand(Fraction(2, 5), ONE, 8)
+    assert "_converted" not in fields and "_logs" not in fields
+    x = make_surd(-1, 1, 2, 5)
+    e = expand(x, ONE, 8)
     e.orbit_mpf(3, 96)
-    assert "_converted" not in repr(e)
-    assert e == cf_core._expand_exact.__wrapped__(Fraction(2, 5), ONE, 8)
+    series_eval.brjuno_k(x, ONE, terms=8)
+    assert e._converted and e._logs
+    assert "_converted" not in repr(e) and "_logs" not in repr(e)
+    assert e == cf_core._expansion.__wrapped__(x, ONE, 8)
