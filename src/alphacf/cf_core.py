@@ -249,17 +249,25 @@ def _expand_ball(x: BallFloat, alpha: Alpha, max_steps: int) -> CFExpansion:
     walk stops at the first digit the ends disagree on, and one digit
     before either end hits an exact zero: a float input is never certified
     rational, so a zero-width ball stops one digit before its exact hit.
+    lo is walked first and hi second, once if they are equal.  A step with
+    eps = +1 is x -> 1/x - a, which reverses order, and one with eps = -1
+    is x -> a - 1/x, which keeps it, so lo's state is the lower end after
+    an even number of eps = +1 steps and the upper end after an odd one.
     Only x's ends and precision are read, so balls equal in those have one
     expansion.
     """
     e = CFExpansion(x0=x, alpha=alpha, orbit=[x])
-    walks = zip(*(_walk(end, alpha) for end in set(x.ends)))
-    for steps in islice(walks, max_steps):
-        (digit, u), (other, v) = steps[0], steps[-1]
+    lo, hi = x.ends
+    walks = zip(_walk(lo, alpha), _walk(hi, alpha)) if lo != hi else (
+        (step, step) for step in _walk(lo, alpha))
+    flipped = False
+    for (digit, u), (other, v) in islice(walks, max_steps):
         if digit != other or not (u and v):
             break
+        flipped ^= digit[1] > 0
         e.digits.append(digit)
-        e.orbit.append(BallFloat._raw(*sorted((u, v)), x.prec))
+        e.orbit.append(BallFloat._raw(v, u, x.prec) if flipped
+                       else BallFloat._raw(u, v, x.prec))
     e.terminated = not x
     e.exhausted = not e.terminated and len(e.digits) < max_steps
     return e

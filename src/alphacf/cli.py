@@ -13,10 +13,8 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bmo_lab, modular_series, orbit_compare, series_eval
@@ -235,12 +233,8 @@ def cmd_scan(args) -> int:
             ns = sorted({int(tok) for tok in args.blowup.split(",")})
         except ValueError as exc:
             raise UsageError(f"--blowup expects integers, got {args.blowup!r}") from exc
-        def one(n):
-            return bmo_lab.wilton_blowup_experiment(
-                [n], points=args.points, terms=args.terms, tol=args.tol)[0]
-        workers = min(len(ns), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, ns))
+        rows = bmo_lab.wilton_blowup_experiment(
+            ns, points=args.points, terms=args.terms, tol=args.tol)
         text = _csv_text(
             ["n", "mean_plus", "mean_minus", "oscillation", "samples",
              "quad_error", "terms", "tol"],

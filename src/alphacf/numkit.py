@@ -304,10 +304,12 @@ class BallFloat(_Ordered):
     sound: ``<`` needs disjoint intervals (a surd is compared exactly),
     ``math.floor`` an interval inside one integer cell, and only the exact
     zero is false.  ``==`` is identity.  ``float`` and ``repr`` read the
-    midpoint, as ``raw_mpf`` rounds it at prec.
+    midpoint, as ``raw_mpf`` rounds it at prec.  The exact midpoint is
+    formed on first use and kept in ``_mid``, so a ball converted at
+    several precisions forms it once.
     """
 
-    __slots__ = ("ends", "prec")
+    __slots__ = ("ends", "prec", "_mid")
 
     def __init__(self, value, prec: int = DEFAULT_PRECISION):
         if isinstance(value, str):
@@ -330,6 +332,15 @@ class BallFloat(_Ordered):
 
     def __setattr__(self, *_):
         raise AttributeError("BallFloat is immutable")
+
+    def _midpoint(self) -> Fraction:
+        """(lo + hi)/2, formed on the first call and kept."""
+        try:
+            return self._mid
+        except AttributeError:
+            lo, hi = self.ends
+            object.__setattr__(self, "_mid", (lo + hi) / 2)
+            return self._mid
 
     def __float__(self):
         return float(to_mpf(self, self.prec))
@@ -450,7 +461,11 @@ ExactNumber = Union[Fraction, Surd, BallFloat]
 
 
 def raw_mpf(v: ExactNumber, prec: int):
-    """Numeric value of v as a raw libmp mpf rounded to nearest at prec."""
+    """Numeric value of v as a raw libmp mpf rounded to nearest at prec.
+
+    A ball's value is its exact midpoint rounded at prec; the ball forms
+    that midpoint once, however many precisions it is converted at.
+    """
     if isinstance(v, Fraction):
         wp = prec + 8
         r = mpf_div(from_int(v.numerator, wp, _RND),
@@ -466,8 +481,7 @@ def raw_mpf(v: ExactNumber, prec: int):
         r = mpf_div(r, from_int(v.c), wp, _RND)
         return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
-        lo, hi = v.ends
-        return raw_mpf((lo + hi) / 2, prec)
+        return raw_mpf(v._midpoint(), prec)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 

@@ -383,7 +383,11 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     so the returned value measures only arithmetic rounding.  Both partial
     sums are evaluated over one shared orbit and read one log list, kept on
     the expansion, so the residuals of both modes at one precision take
-    one log per point between them.
+    one log per point between them.  The orbit is expanded to
+    max(N + 1, DEFAULT_TERMS) digits, the values' default cap, so after
+    ``brjuno_k`` or ``wilton`` at x it is the expansion they read.  Any cap
+    of at least N + 1 gives the same points x_0..x_N, ball or exact, so the
+    cap sets only how far past them the orbit is walked.
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -393,7 +397,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise OutOfDomain("k must be >= 1")
     if mode == "wilton":
         k = 1
-    e = _prepare(x, alpha, N + 1)
+    e = _prepare(x, alpha, max(N + 1, DEFAULT_TERMS))
     if e.depth(N) < N:
         if e.exhausted:
             raise PrecisionExhausted(

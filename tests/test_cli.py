@@ -257,8 +257,8 @@ def test_scan_interval_json_no_verdict(capsys):
 
 
 def test_scan_blowup_pool_matches_serial_rows(tmp_path, capsys):
-    # the rows run on a thread pool; the CSV holds one serial call's rows,
-    # in n order
+    # the rows run serially in n order, whatever order --blowup lists them
+    # in: the CSV holds one serial call's rows
     out = tmp_path / "pool.csv"
     assert cli.main(["scan", "--fn", "wilton", "--alpha", "1", "--blowup",
                      "32,8,16", "--points", "2000", "--out", str(out)]) == 0

@@ -56,6 +56,29 @@ def test_package_keeps_no_reference_step():
                     "        pass\n") == ["alpha_step", "__rtruediv__"]
 
 
+def _thread_imports(source: str) -> list:
+    """concurrent.* and threading modules a source imports."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] in ("concurrent", "threading")]
+
+
+def test_package_starts_no_threads():
+    # every call runs on its caller's thread: the float64 kernel holds the
+    # GIL between numpy calls, so a pool of blow-up rows gained nothing
+    found = [f"{p.name}: {name}"
+             for p in Path(alphacf.__file__).parent.glob("*.py")
+             for name in _thread_imports(p.read_text(encoding="utf-8"))]
+    assert found == []
+    assert _thread_imports("import threading\nimport os\n"
+                           "from concurrent.futures import ThreadPoolExecutor"
+                           "\n") == ["threading", "concurrent.futures"]
+
+
 def _interval_names(source: str) -> list:
     """libmpi modules and mpi_* names a source imports or reads."""
     names = []

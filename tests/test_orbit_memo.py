@@ -19,13 +19,14 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_rdiv_int, round_nearest)
+                          mpf_rdiv_int, mpf_sub, round_nearest)
 
 from alphacf import cf_core, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
 from alphacf.errors import PrecisionExhausted
-from alphacf.numkit import BallFloat, make_surd, parse_exact, to_mpf
-from alphacf.sampling import random_rational, random_surd
+from alphacf.numkit import (DEFAULT_PRECISION, BallFloat, make_surd,
+                            parse_exact, to_mpf)
+from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
 
 ONE, HALF = Alpha.one(), Alpha.half()
 BALL_ALPHAS = (ONE, HALF, Alpha(Fraction(3, 5)))
@@ -126,15 +127,15 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("make,walks", [(_surd_ball, 4), (_text_ball, 2)],
+@pytest.mark.parametrize("make,walks", [(_surd_ball, 2), (_text_ball, 1)],
                          ids=["surd-ball", "text-ball"])
 def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
         monkeypatch, make, walks):
-    # the op's expansion and both values share (x, alpha, 256), the two
-    # residuals (x, alpha, N + 1): two ball walks, each one _walk per
-    # distinct end (10 and 5 _walk calls without the memo).  The values
-    # read one log list at prec + 32 and the residuals one at prec + 16,
-    # each residual adding log x_0 for its head
+    # the op's expansion, both values and both residuals share
+    # (x, alpha, 256): one ball walk, one _walk per distinct end (10 and 5
+    # _walk calls without the memo).  The values read one log list at
+    # prec + 32 and the residuals one at prec + 16, each residual adding
+    # log x_0 for its head
     rng = random.Random(5)
     for i in range(6):
         x = make(rng)
@@ -393,6 +394,82 @@ def test_values_keep_their_bits_when_the_memo_is_warm():
     cold = values()
     assert values() == cold
     assert cf_core._expansion.cache_info().hits > 0
+
+
+def test_ball_walk_orders_its_ends_by_eps_parity():
+    # _expand_ball tells the lower end from the parity of the eps = +1
+    # steps; the frozen copy sorts the two states it stored at every step
+    rng = random.Random(23)
+    balls = [BallFloat(random_surd(rng, half=True), prec=prec)
+             for prec in (64, 256, 1024) for _ in range(40)]
+    balls += [_text_ball(rng) for _ in range(45)]
+    balls += [random_dyadic_ball(rng) for _ in range(45)]
+    widths = 0
+    for x in balls:
+        for alpha in BALL_ALPHAS + (Alpha.golden(),):
+            xn, _ = cf_core.normalize(x, alpha)
+            got = cf_core._expand_ball(xn, alpha, CAP)
+            assert _ball_fields(got) == _ball_fields(
+                _expand_ball_fresh(xn, alpha, CAP))
+            assert all(lo <= hi for lo, hi in (v.ends for v in got.orbit))
+            widths += len(got.orbit) > 1 and got.orbit[1].ends[0] < \
+                got.orbit[1].ends[1]
+    assert widths >= 400
+
+
+def _residual_fresh(x, alpha, mode, N, prec=DEFAULT_PRECISION):
+    """``functional_eq_residual`` at k = 1 when it expanded to N + 1 digits."""
+    rnd = round_nearest
+    wp = prec + 16
+    e = series_eval._prepare(x, alpha, N + 1)
+    assert e.depth(N) == N
+    vals = _bits(_orbit_mpf_fresh(e, N - 1, wp))
+    signed = mode == "wilton"
+
+    def total(vs):
+        t = fzero
+        for term in _orbit_terms_fresh(vs, 1, signed, wp):
+            t = mpf_add(t, term, wp, rnd)
+        return t
+
+    x0 = vals[0]
+    head = mpf_add(total(vals), mpf_log(x0, wp, rnd), wp, rnd)
+    if signed:
+        res = mpf_add(head, mpf_mul(x0, total(vals[1:]), wp, rnd), wp, rnd)
+    else:
+        res = mpf_sub(head, mpf_mul(mpf_pow_int(x0, 1, wp, rnd),
+                                    total(vals[1:]), wp, rnd), wp, rnd)
+    return mpf_pos(res, prec, rnd)
+
+
+def test_residual_reads_the_values_expansion():
+    # after brjuno_k and wilton the residuals of both modes find their
+    # expansion in the memo, for a ball and for a surd
+    rng = random.Random(9)
+    for x, alpha in ((_surd_ball(rng), HALF),
+                     (random_surd(rng, half=True), ONE)):
+        _clear_memos()
+        series_eval.brjuno_k(x, alpha)
+        series_eval.wilton(x, alpha)
+        misses = cf_core._expansion.cache_info().misses
+        for mode in ("brjuno", "wilton"):
+            series_eval.functional_eq_residual(x, alpha, mode, 50)
+        assert cf_core._expansion.cache_info().misses == misses
+
+
+def test_residual_keeps_the_bits_of_an_n_plus_1_expansion():
+    # the 256-digit cap walks a surd past N + 1 and finds a period of 44
+    # that a 2-digit cap does not; neither moves a point the residual reads
+    xs = _over_cap_surds() + [make_surd(10, 7, 38, 7),
+                              make_surd(0, 1, 1, 604) - 24]
+    assert cf_core._expansion.__wrapped__(xs[-2], ONE, CAP).period is None
+    assert cf_core._expansion.__wrapped__(xs[-1], ONE, CAP).period == (0, 44)
+    for x in xs:
+        for N in (1, 50, 300):
+            for mode in ("brjuno", "wilton"):
+                _clear_memos()
+                got = series_eval.functional_eq_residual(x, ONE, mode, N)
+                assert got._mpf_ == _residual_fresh(x, ONE, mode, N)
 
 
 # -- threads -----------------------------------------------------------------
