@@ -17,8 +17,8 @@ expansions, exact and ball alike, so callers that ask several questions of
 one point walk its orbit once, and every caller must treat the returned
 ``CFExpansion`` as read-only.  A ball is known by its exact ends and its
 precision, so equal balls built apart share one expansion.  ``orbit_mpf``
-likewise keeps its conversions, and the series layer the logs of the
-orbit, one list per precision.
+likewise keeps its conversions, the series layer the logs of the orbit,
+one list per precision, and ``convergents`` its p and q lists.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ class CFExpansion:
 
     An expansion may be shared between callers (see ``expand``), so it is
     read-only.  ``orbit_mpf`` keeps the conversions it makes, one list of
-    the stored orbit's prefix per precision, and ``_logs`` holds the raw
-    log(1/x_n) that ``series_eval`` takes of x_0, x_1, .., one list per
-    precision.
+    the stored orbit's prefix per precision, ``convergents`` keeps the p and
+    q lists it has formed in ``_pq``, and ``_logs`` holds the raw log(1/x_n)
+    that ``series_eval`` takes of x_0, x_1, .., one list per precision.
     """
 
     x0: ExactNumber
@@ -114,39 +114,43 @@ class CFExpansion:
     # float orbit certified to fewer digits than asked (runtime-only flag,
     # not part of the JSON schema)
     exhausted: bool = False
-    # prec -> converted stored-orbit prefix, and prec -> log(1/x_n) for
-    # n = 0, 1, ..; each list is replaced, never extended, so a thread
-    # reading the old list sees it whole
+    # prec -> converted stored-orbit prefix, prec -> log(1/x_n) for n = 0,
+    # 1, .., and the convergents' (p, q) from index -1; each list is
+    # replaced, never extended, so a thread reading the old list sees it whole
     _converted: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
     _logs: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
+    _pq: tuple = field(default_factory=lambda: ([1, 0], [0, 1]), init=False,
+                       compare=False, repr=False)
 
     def depth(self, n: int) -> int:
         """How many of digits 1..n exist: n if periodic, else those stored."""
         return n if self.period is not None else min(n, len(self.digits))
 
-    def _at(self, stored: list, i: int, what: str):
-        """stored[i], or past the stored prefix the entry i cycles to."""
-        if i < len(stored):
-            return stored[i]
+    def cycled(self, stored: list, start: int, stop: int) -> list:
+        """stored[start:stop] of digits or orbit points, past the stored
+        prefix cycling through the period, or ExpansionTooShort if none."""
+        n = len(stored)
+        if stop <= n:
+            return stored[start:stop]
         if self.period is None:
-            raise ExpansionTooShort(
-                f"{i + 1} {what} needed, only {len(stored)} stored")
+            raise ExpansionTooShort(f"{stop} entries needed, only {n} stored")
         pre, length = self.period
-        return stored[pre + (i - pre) % length]
+        return [stored[i] if i < n else stored[pre + (i - pre) % length]
+                for i in range(start, stop)]
 
     def digit_at(self, j: int):
         """(a_j, eps_j) for 1-based j, cycling through the period if any."""
         if j < 1:
             raise IndexError("digit indices start at 1")
-        return self._at(self.digits, j - 1, "digits")
+        return self.cycled(self.digits, j - 1, j)[0]
 
     def orbit_at(self, j: int):
         """Exact orbit point x_j, cycling through the period if any."""
         if j < 0:
             raise IndexError("orbit indices start at 0")
-        return self._at(self.orbit, j, "orbit points")
+        return self.cycled(self.orbit, j, j + 1)[0]
 
     def orbit_mpf(self, n: int, prec: int) -> list:
         """Orbit values x_0..x_n as mpf at working precision.
@@ -166,9 +170,7 @@ class CFExpansion:
         if len(vals) < m:
             vals = vals + [to_mpf(v, prec) for v in self.orbit[len(vals):m]]
             self._converted[prec] = vals
-        if self.period is None:
-            return vals[:m]
-        return [self._at(vals, i, "orbit points") for i in range(n + 1)]
+        return self.cycled(vals, 0, m if self.period is None else n + 1)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -321,6 +323,7 @@ class ConvergentSeq:
 
     Seeds (p_-1, q_-1) = (1, 0), (p_0, q_0) = (0, 1) and eps_0 := +1, so a
     terminated expansion reproduces its rational exactly at the last index.
+    The lists may be the expansion's own, so they are read-only.
     """
 
     n: int
@@ -334,20 +337,30 @@ class ConvergentSeq:
         return self.q[j + 1]
 
 
+def _recur(e: CFExpansion, n: int) -> tuple:
+    """e's kept (p, q) run on to index n by the recurrence, as new lists."""
+    p, q = map(list, e._pq)
+    m = len(p) - 2
+    eps_prev = e.digit_at(m)[1] if m else 1  # eps_0 := +1
+    for a, eps in e.cycled(e.digits, m, n):
+        p.append(a * p[-1] + eps_prev * p[-2])
+        q.append(a * q[-1] + eps_prev * q[-2])
+        eps_prev = eps
+    return p, q
+
+
 def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
-    """Convergents up to index n (default: every stored digit)."""
+    """Convergents up to index n (default: every stored digit), read from
+    the p and q lists kept on e, run on only past the longest n asked."""
     if n is None:
         n = len(e.digits)
     if e.depth(n) < n:
         raise ExpansionTooShort(f"{n} digits requested, {len(e.digits)} available")
-    p = [1, 0]
-    q = [0, 1]
-    eps_prev = 1  # eps_0 := +1
-    for j in range(1, n + 1):
-        a, eps = e.digit_at(j)
-        p.append(a * p[-1] + eps_prev * p[-2])
-        q.append(a * q[-1] + eps_prev * q[-2])
-        eps_prev = eps
+    p, q = e._pq
+    if len(p) < n + 2:
+        p, q = e._pq = _recur(e, n)
+    elif len(p) > n + 2:
+        p, q = p[:n + 2], q[:n + 2]
     return ConvergentSeq(n=n, p=p, q=q)
 
 

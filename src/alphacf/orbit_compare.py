@@ -1,12 +1,14 @@
 """Matched nearest-integer vs alpha expansions and their ladder identities.
 
 Reads the 1/2- and alpha-expansions of one starting point, with their
-signed convergents, from ``cf_core.expand`` and ``convergents``.  Labels
-every index by whether the two orbit states coincide, are exact mirror
-images (x' = 1 - x), or sit inside a Moebius bridge between those events,
-and classifies the convergent-denominator differences.  Valid for alpha up
-to the golden constant g; beyond g the map grows an extra branch and the
-matching breaks down.
+signed convergents, from ``cf_core.expand`` and ``convergents``, and walks
+their stored lists in lockstep, cycling through a period where there is
+one.  Labels every index by whether the two orbit states coincide, are
+exact mirror images (x' = 1 - x), or sit inside a Moebius bridge between
+those events, rational states by their ints alone, and classifies the
+convergent-denominator differences.  Valid for alpha up to the golden
+constant g; beyond g the map grows an extra branch and the matching breaks
+down.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ class MatchedTrace:
 
 
 def _classify_state(xh, xa) -> str:
+    if type(xh) is type(xa) is Fraction:  # reduced, as is 1 - n/d = (d-n)/d
+        d, nh, na = xh.denominator, xh.numerator, xa.numerator
+        if d == xa.denominator and nh in (na, d - na):
+            return "coincide" if nh == na else "reflected"
+        return "drift"
     if xh == xa:
         return "coincide"
     if xh == 1 - xa:
@@ -86,15 +93,12 @@ def matched_orbits(x: ExactNumber, alpha: Alpha, N: int) -> MatchedTrace:
     ea = expand(x, alpha, N)
     n = min(eh.depth(N), ea.depth(N))
     ch, ca = convergents(eh, n), convergents(ea, n)
-    trace = MatchedTrace(x=x, alpha=alpha)
-    for j in range(1, n + 1):
-        xh, xa = eh.orbit_at(j), ea.orbit_at(j)
-        trace.steps.append(TraceStep(j=j, digit_half=eh.digit_at(j),
-                                     digit_alpha=ea.digit_at(j), x_half=xh,
-                                     x_alpha=xa, q_half=ch.q_of(j),
-                                     q_alpha=ca.q_of(j),
-                                     event=_classify_state(xh, xa)))
-    return trace
+    rows = zip(range(1, n + 1), eh.cycled(eh.digits, 0, n),
+               ea.cycled(ea.digits, 0, n), eh.cycled(eh.orbit, 1, n + 1),
+               ea.cycled(ea.orbit, 1, n + 1), ch.q[2:], ca.q[2:])
+    return MatchedTrace(x=x, alpha=alpha, steps=[
+        TraceStep(j, dh, da, xh, xa, qh, qa, _classify_state(xh, xa))
+        for j, dh, da, xh, xa, qh, qa in rows])
 
 
 @dataclass

@@ -9,17 +9,16 @@ sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
 Every mp-precision sum over an orbit runs through one kernel, one series
-per pass: ``_orbit_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
-orbit, one log per point, and applies the Wilton sign (-1)^n itself when
-the series is signed; ``_orbit_sum`` adds them up left to right.
-``_gauss_orbit`` supplies the terminating orbit of a rational for the finite
-truncations, and the finite truncations share one log list: the last few
-rationals' orbits are kept with log(1/x_n) of each point, so B_k at every k
-and the Wilton value of one rational take one log per point between them.
-Sums over an expansion's orbit likewise read the logs ``_orbit_logs`` keeps
-on the shared expansion, one list per precision, so the Brjuno and Wilton
-values of one point take one log per point read between them, and so do
-the residual's two modes.
+per pass: ``_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
+orbit, one log per point, ``_signed`` applies the Wilton sign (-1)^n, the
+one place any sum takes it from, and ``_orbit_sum`` adds them up left to
+right.  The finite truncations of the last few rationals share one entry
+per precision: the ``_gauss_orbit`` points, log(1/x_n) of each and the
+unsigned terms at each k asked, so one rational's B_k and W take one log
+per point between them, and W signs B_1's terms.  Sums over an expansion's
+orbit likewise read the logs ``_orbit_logs`` keeps on the shared expansion,
+one list per precision, so the Brjuno and Wilton values of one point take
+one log per point read between them, and so do the residual's two modes.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -165,30 +164,39 @@ def _log_inv(v, prec: int):
     return mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
 
 
-def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
-                 logs: Iterable | None = None) -> Iterator:
-    """Per orbit point x_n, the term beta_{n-1}^k * log(1/x_n) of one series.
+def _terms(vals: Iterable, k: int, prec: int,
+           logs: Iterable | None = None) -> Iterator:
+    """Per orbit point x_n, the unsigned term beta_{n-1}^k * log(1/x_n).
 
     vals are raw mpf tuples, and every term is a raw mpf rounded to nearest
-    at prec.  A signed (Wilton) term is negated at odd n.  Lazy, so a caller
-    that stops early takes no further logs.  A caller that already holds
-    log(1/x_n) for each point, or a lazy source of them, passes them as
-    `logs`; one is read per term.
+    at prec.  Lazy, so a caller that stops early takes no further logs.  A
+    caller that already holds log(1/x_n) for each point, or a lazy source
+    of them, passes them as `logs`; one is read per term.
     """
     beta = fone
     logs = None if logs is None else iter(logs)
-    for n, v in enumerate(vals):
+    for v in vals:
         lg = _log_inv(v, prec) if logs is None else next(logs)
-        term = mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
-        yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
+        yield mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
         beta = mpf_mul(beta, v, prec, _RND)
 
 
-def _orbit_sum(vals: Iterable, k: int, signed: bool, prec: int,
-               logs: Iterable | None = None):
-    """Left-to-right total of the ``_orbit_terms`` terms."""
+def _signed(terms: Iterable, signed: bool, prec: int) -> Iterator:
+    """The terms, each negated at odd n if signed: the Wilton sign."""
+    for n, term in enumerate(terms):
+        yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
+
+
+def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
+                 logs: Iterable | None = None) -> Iterator:
+    """The ``_terms`` of one series, with the Wilton sign if signed."""
+    return _signed(_terms(vals, k, prec, logs), signed, prec)
+
+
+def _orbit_sum(terms: Iterable, prec: int):
+    """Left-to-right total of raw mpf terms."""
     total = fzero
-    for term in _orbit_terms(vals, k, signed, prec, logs):
+    for term in terms:
         total = mpf_add(total, term, prec, _RND)
     return total
 
@@ -204,13 +212,14 @@ def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
 
 @lru_cache(maxsize=_MEMO)
 def _gauss_logs(fr: Fraction, prec: int) -> tuple:
-    """(vals, logs): fr's ``_gauss_orbit`` and log(1/x_n) of each point.
+    """(vals, logs, terms): fr's ``_gauss_orbit``, log(1/x_n) of each point
+    and k -> its unsigned ``_terms``, filled as sums ask.
 
     Memoised on (fr, prec), so every finite truncation of fr at one
-    precision sums the same logs; both are tuples, read-only.
+    precision sums the same logs, and B_1 and W the same terms; read-only.
     """
     vals = tuple(_gauss_orbit(fr, prec))
-    return vals, tuple(_log_inv(v, prec) for v in vals)
+    return vals, tuple(_log_inv(v, prec) for v in vals), {}
 
 
 def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
@@ -324,8 +333,10 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     wp = prec + 16
-    vals, logs = _gauss_logs(fr, wp)
-    total = _orbit_sum(vals, k, signed, wp, logs)
+    vals, logs, terms = _gauss_logs(fr, wp)
+    if k not in terms:
+        terms[k] = tuple(_terms(vals, k, wp, logs))
+    total = _orbit_sum(_signed(terms[k], signed, wp), wp)
     return mp.make_mpf(mpf_pos(total, prec, _RND))
 
 
@@ -408,8 +419,8 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     vals = _raw_orbit(e, N - 1, wp)
     logs = list(_orbit_logs(e, vals, wp))
     signed = mode == "wilton"
-    s_n = _orbit_sum(vals, k, signed, wp, logs)
-    s_shift = _orbit_sum(vals[1:], k, signed, wp, logs[1:])
+    s_n = _orbit_sum(_orbit_terms(vals, k, signed, wp, logs), wp)
+    s_shift = _orbit_sum(_orbit_terms(vals[1:], k, signed, wp, logs[1:]), wp)
     x0 = vals[0]
     head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
     if mode == "brjuno":
@@ -581,7 +592,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     if depth < 1:
         raise ExpansionTooShort("no expansion steps available")
     c = convergents(e, depth)
-    digits = [e.digit_at(j)[0] for j in range(1, depth + 1)]
+    digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
     vals = _raw_orbit(e, depth, wp)
     # 2kC' per k, so the bound below is (2kC' * x_r) / q_r

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from alphacf import numkit as nk
-from alphacf.cf_core import Alpha
+from alphacf.cf_core import Alpha, expand
 from alphacf.errors import OutOfDomain, OutOfRange
 from alphacf.orbit_compare import (
     MatchedTrace,
@@ -170,6 +171,15 @@ def test_trace_jsonl_roundtrippable():
     assert rec["x_half"] == "17/39"
 
 
+def _classify_by_value(xh, xa):
+    """Reference: the labels from exact value comparisons alone."""
+    if xh == xa:
+        return "coincide"
+    if xh == 1 - xa:
+        return "reflected"
+    return "drift"
+
+
 def _matched_orbits_stepwise(x, alpha, N):
     """Reference: both expansions and their q recurrences stepped by hand."""
     half = Alpha.half()
@@ -189,7 +199,7 @@ def _matched_orbits_stepwise(x, alpha, N):
         trace.steps.append(TraceStep(j=j, digit_half=(ah, eh),
                                      digit_alpha=(aa, ea), x_half=xh,
                                      x_alpha=xa, q_half=qh, q_alpha=qa,
-                                     event=_classify_state(xh, xa)))
+                                     event=_classify_by_value(xh, xa)))
     return trace
 
 
@@ -207,3 +217,81 @@ def test_matched_orbits_match_stepwise_reference():
                 want = _matched_orbits_stepwise(x, alpha, N)
                 got = matched_orbits(x, alpha, N)
                 assert got.dump_jsonl() == want.dump_jsonl()
+
+
+ORBIT_ALPHAS = (Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)), Alpha.golden())
+
+
+def _short_period_surds(d, N):
+    """Seeded surds of radicand d in [0, 1/2] whose 1/2- and alpha-orbits
+    at each of ORBIT_ALPHAS repeat within N steps."""
+    rng = random.Random(d)
+    found = []
+    while len(found) < 6:
+        v = nk.make_surd(rng.randrange(-20, 20), rng.randrange(1, 6),
+                         rng.randrange(1, 20), d)
+        if not isinstance(v, nk.Surd):
+            continue
+        x = v - math.floor(v)
+        x = x if x <= Fraction(1, 2) else 1 - x
+        periods = [expand(x, a, N).period for a in (Alpha.half(),) + ORBIT_ALPHAS
+                   if d == 5 or a != Alpha.golden()]
+        if all(p is not None and sum(p) < N for p in periods):
+            found.append(x)
+    return found
+
+
+def test_lockstep_traces_match_the_stepwise_reference():
+    # the lockstep read of the stored lists, the kept convergents and the
+    # integer classification give the reference's trace and verdicts,
+    # also where a short period is cycled through to reach N steps
+    rng = random.Random(24)
+    N = 40
+    rationals = [random_rational(rng, max_den=2 ** 64, half=True)
+                 for _ in range(30)]
+    rationals += [Fraction(39, 100), Fraction(9, 20), Fraction(1, 2)]
+    surds = _short_period_surds(5, N) + _short_period_surds(7, N)
+    cycled = 0
+    for x in rationals + surds:
+        for alpha in ORBIT_ALPHAS:
+            if isinstance(x, nk.Surd) and x.d != 5 and alpha == Alpha.golden():
+                continue
+            want = _matched_orbits_stepwise(x, alpha, N)
+            got = matched_orbits(x, alpha, N)
+            assert got.dump_jsonl() == want.dump_jsonl()
+            assert q_difference_classify(got) == q_difference_classify(want)
+            cycled += isinstance(x, nk.Surd) and len(got.steps) == N
+    assert cycled >= 10
+
+
+def _states():
+    """Fraction state pairs of every label, from traces and by construction."""
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(40):
+        x = random_rational(rng, max_den=2 ** 64, half=True)
+        for alpha in ORBIT_ALPHAS:
+            pairs += [(s.x_half, s.x_alpha)
+                      for s in matched_orbits(x, alpha, 40).steps]
+    for _ in range(200):
+        d = rng.randrange(2, 2 ** 40)
+        a = rng.randrange(0, d)
+        x = Fraction(a, d)
+        y = Fraction(rng.randrange(0, d), d)  # most often equal-d drift
+        pairs += [(x, x), (x, 1 - x), (1 - x, x), (x, y), (y, x),
+                  (x, Fraction(a, d + 1))]
+    pairs += [(Fraction(1, 2), Fraction(1, 2)), (Fraction(0), Fraction(1)),
+              (Fraction(0), Fraction(0))]
+    return pairs
+
+
+def test_integer_classification_agrees_with_value_comparison():
+    labels = {"coincide": 0, "reflected": 0, "drift": 0}
+    same_den_drift = 0
+    for xh, xa in _states():
+        want = _classify_by_value(xh, xa)
+        assert _classify_state(xh, xa) == want
+        labels[want] += 1
+        same_den_drift += (want == "drift"
+                           and xh.denominator == xa.denominator)
+    assert min(labels.values()) >= 100 and same_den_drift >= 100

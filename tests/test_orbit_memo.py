@@ -1,11 +1,12 @@
 """Orbits walked once across calls: the expansion, conversion and log memos.
 
 Expansions of exact points and of balls, their per-precision mpf
-conversions and orbit logs, and the Gauss-orbit logs of a rational are kept
-across calls.  These tests count the orbit walks and logs of call sequences
-shaped like the benchmark's ops, check that shared memos give the same bits
-in threads as serially, and compare the memoised values with unmemoised
-copies of the code they replaced.
+conversions, orbit logs and convergent lists, and the Gauss-orbit logs and
+terms of a rational are kept across calls.  These tests count the orbit
+walks, recurrences, logs and terms of call sequences shaped like the
+benchmark's ops, check that shared memos give the same bits in threads as
+serially, and compare the memoised values with unmemoised copies of the
+code they replaced.
 """
 
 import inspect
@@ -127,6 +128,57 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         monkeypatch.undo()
 
 
+def test_rational_orbits_op_runs_each_convergent_recurrence_once(
+        monkeypatch):
+    # the three traces share (x, 1/2, 40) and its kept p, q lists: 4
+    # recurrences, one per expansion, where each trace ran two (6)
+    rng = random.Random(2)
+    for _ in range(6):
+        x = random_rational(rng, 2 ** 64, half=True)
+        _clear_memos()
+        runs = _count(monkeypatch, cf_core, "_recur")
+        for alpha in ORBIT_ALPHAS:
+            orbit_compare.matched_orbits(x, alpha, 40)
+        assert len(runs) == 4
+        assert len({id(e) for e, _ in runs}) == 4
+        monkeypatch.undo()
+
+
+def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
+    # W signs the terms B_1 kept, so the pair takes one beta^k per point
+    rng = random.Random(4)
+    for _ in range(6):
+        x = random_rational(rng, 2 ** 64, half=True)
+        _clear_memos()
+        powers = _count(monkeypatch, series_eval, "mpf_pow_int")
+        series_eval.brjuno_finite_rational(x)
+        series_eval.wilton_finite_rational(x)
+        assert len(powers) == _gauss_points(x) > 10
+        # B_2 forms its own terms, once, and a second call forms none
+        series_eval.brjuno_finite_rational(x, 2)
+        series_eval.brjuno_finite_rational(x, 2)
+        series_eval.wilton_finite_rational(x)
+        assert len(powers) == 2 * _gauss_points(x)
+        monkeypatch.undo()
+
+
+def test_exact_audit_gap_audits_run_one_recurrence_per_expansion(
+        monkeypatch):
+    # the four audits read (x, 1, 61) and (x, 1/2, 61), the cross passes at
+    # 1/2 cut their lists from the kept (x, 1, 61) ones
+    rng = random.Random(6)
+    for _ in range(4):
+        x = random_surd(rng, half=True)
+        _clear_memos()
+        runs = _count(monkeypatch, cf_core, "_recur")
+        for alpha in (ONE, HALF):
+            for mode in ("brjuno", "wilton"):
+                series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
+        assert len(runs) == 2
+        assert {e.alpha for e, _ in runs} == {ONE, HALF}
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("make,walks", [(_surd_ball, 2), (_text_ball, 1)],
                          ids=["surd-ball", "text-ball"])
 def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
@@ -238,9 +290,10 @@ def _orbit_mpf_fresh(e, n, prec):
     """``CFExpansion.orbit_mpf`` before it kept its conversions."""
     if e.period is None:
         return [to_mpf(v, prec) for v in e.orbit[:n + 1]]
-    m = min(n + 1, sum(e.period))
-    vals = [to_mpf(v, prec) for v in e.orbit[:m]]
-    return [e._at(vals, i, "orbit points") for i in range(n + 1)]
+    pre, length = e.period
+    vals = [to_mpf(v, prec) for v in e.orbit[:pre + length]]
+    return [vals[i if i < pre + length else pre + (i - pre) % length]
+            for i in range(n + 1)]
 
 
 def _finite_rational_fresh(fr, k, signed, prec):
@@ -305,6 +358,20 @@ def _over_cap_surds():
     return found + [root - 1000]
 
 
+def _convergents_fresh(e, n):
+    """``cf_core.convergents`` as it was before it kept its lists, with the
+    digits past a periodic prefix indexed here."""
+    pre, length = e.period or (0, 1)
+    p, q, eps_prev = [1, 0], [0, 1], 1
+    for i in range(n):
+        a, eps = e.digits[i if i < len(e.digits)
+                          else pre + (i - pre) % length]
+        p.append(a * p[-1] + eps_prev * p[-2])
+        q.append(a * q[-1] + eps_prev * q[-2])
+        eps_prev = eps
+    return cf_core.ConvergentSeq(n=n, p=p, q=q)
+
+
 def _bits(values):
     return [v._mpf_ for v in values]
 
@@ -339,6 +406,36 @@ def test_finite_values_keep_the_bits_of_the_unshared_sum():
                     _finite_rational_fresh(fr, k, False, prec)
             assert series_eval.wilton_finite_rational(fr, prec) == \
                 _finite_rational_fresh(fr, 1, True, prec)
+
+
+def test_kept_convergents_equal_a_fresh_recurrence():
+    # every n, whether a longer or a shorter call came first: rationals,
+    # balls, and periodic surds read past their stored prefix
+    rng = random.Random(13)
+    cases = [(random_rational(rng, 2 ** 64, half=True), a, 40)
+             for a in ORBIT_ALPHAS + (HALF, ONE)]
+    cases += [(_surd_ball(rng), a, CAP) for a in BALL_ALPHAS]
+    cases += [(_text_ball(rng), a, CAP) for a in BALL_ALPHAS]
+    periodic = [make_surd(-1, 1, 2, 5), make_surd(-1, 1, 1, 2),
+                make_surd(0, 1, 1, 604) - 24]
+    cases += [(cf_core.normalize(x, a)[0], a, CAP) for x in periodic
+              for a in (ONE, HALF)]
+    past = 0
+    for x, alpha, cap in cases:
+        key = (*x.ends, x.prec) if isinstance(x, BallFloat) else x
+        e = cf_core._expansion.__wrapped__(key, alpha, cap)
+        depth = e.depth(3 * cap)
+        full = _convergents_fresh(e, depth)
+        past += depth > len(e.digits)
+        ns = list(range(depth + 1))
+        for order in (ns, ns[::-1], rng.sample(ns, len(ns)),
+                      [depth // 2, 0, depth, depth // 3]):
+            e = cf_core._expansion.__wrapped__(key, alpha, cap)
+            for n in order + [None]:
+                m = len(e.digits) if n is None else n
+                assert cf_core.convergents(e, n) == cf_core.ConvergentSeq(
+                    n=m, p=full.p[:m + 2], q=full.q[:m + 2])
+    assert past == 6
 
 
 def _value_bits(v):
@@ -495,9 +592,17 @@ def _tasks(surds, rationals, balls) -> list:
         for n in (10, 80, CAP):
             for prec in PRECS:
                 tasks.append(("orbit_mpf", x, n, prec))
+        for n in (30, 5, CAP):
+            tasks.append(("convergents", x, ONE, CAP, n))
     for fr in rationals:
-        tasks += [(series_eval.brjuno_finite_rational, fr),
-                  (series_eval.wilton_finite_rational, fr)]
+        tasks += [(series_eval.brjuno_finite_rational, fr, k)
+                  for k in (1, 2, 3)]
+        tasks.append((series_eval.wilton_finite_rational, fr))
+        for alpha in ORBIT_ALPHAS:
+            tasks.append((orbit_compare.matched_orbits, fr, alpha))
+            depth = cf_core._expansion.__wrapped__(fr, alpha, 40).depth(40)
+            tasks += [("convergents", fr, alpha, 40, n)
+                      for n in (depth, depth // 2)]
     return tasks
 
 
@@ -506,9 +611,16 @@ def _run(task):
     if fn == "orbit_mpf":
         x, n, prec = args
         return _bits(expand(x, ONE, CAP).orbit_mpf(n, prec))
+    if fn == "convergents":
+        x, alpha, cap, n = args
+        c = cf_core.convergents(expand(x, alpha, cap), n)
+        return c.p, c.q
     if fn is series_eval.gap_audit:
         x, alpha, mode = args
         return fn([x], alpha, 1, 60, mode=mode)
+    if fn is orbit_compare.matched_orbits:
+        trace = fn(*args, 40)
+        return trace.dump_jsonl(), orbit_compare.q_difference_classify(trace)
     got = fn(*args)
     if isinstance(got, series_eval.SeriesValue):
         return _value_bits(got)
@@ -547,12 +659,16 @@ def test_shared_memos_give_serial_bits_in_threads():
 
 
 def test_expansion_constructor_takes_no_memo():
+    memos = ("_converted", "_logs", "_pq")
     fields = inspect.signature(cf_core.CFExpansion).parameters
-    assert "_converted" not in fields and "_logs" not in fields
+    assert not set(memos) & set(fields)
     x = make_surd(-1, 1, 2, 5)
     e = expand(x, ONE, 8)
     e.orbit_mpf(3, 96)
     series_eval.brjuno_k(x, ONE, terms=8)
-    assert e._converted and e._logs
-    assert "_converted" not in repr(e) and "_logs" not in repr(e)
-    assert e == cf_core._expansion.__wrapped__(x, ONE, 8)
+    cf_core.convergents(e, 12)
+    assert e._converted and e._logs and len(e._pq[0]) == 14
+    assert not any(name in repr(e) for name in memos)
+    fresh = cf_core._expansion.__wrapped__(x, ONE, 8)
+    assert len(fresh._pq[0]) == 2 and e == fresh
+    assert repr(e) == repr(fresh)

@@ -41,7 +41,8 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the series kernel, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    total = se._orbit_sum(se._raw_orbit(e, n - 1, wp), k, signed, wp)
+    total = se._orbit_sum(
+        se._orbit_terms(se._raw_orbit(e, n - 1, wp), k, signed, wp), wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
 
