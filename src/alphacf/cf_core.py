@@ -17,8 +17,8 @@ expansions, exact and ball alike, so callers that ask several questions of
 one point walk its orbit once, and every caller must treat the returned
 ``CFExpansion`` as read-only.  A ball is known by its exact ends and its
 precision, so equal balls built apart share one expansion.  ``orbit_mpf``
-likewise keeps its conversions, the series layer the logs of the orbit,
-one list per precision, and ``convergents`` its p and q lists.
+likewise keeps its conversions, the series layer the orbit's logs and
+float tables, and ``convergents`` its p and q lists.
 """
 
 from __future__ import annotations
@@ -102,7 +102,9 @@ class CFExpansion:
     read-only.  ``orbit_mpf`` keeps the conversions it makes, one list of
     the stored orbit's prefix per precision, ``convergents`` keeps the p and
     q lists it has formed in ``_pq``, and ``_logs`` holds the raw log(1/x_n)
-    that ``series_eval`` takes of x_0, x_1, .., one list per precision.
+    that ``series_eval`` takes of x_0, x_1, .., one list per precision, as
+    ``_floats`` does their floats and ``_proxy`` the gap audit's unsigned
+    proxy terms log(q_{j+1})/q_j^k, one list per k.
     """
 
     x0: ExactNumber
@@ -115,14 +117,19 @@ class CFExpansion:
     # not part of the JSON schema)
     exhausted: bool = False
     # prec -> converted stored-orbit prefix, prec -> log(1/x_n) for n = 0,
-    # 1, .., and the convergents' (p, q) from index -1; each list is
-    # replaced, never extended, so a thread reading the old list sees it whole
+    # 1, .., the convergents' (p, q) from index -1, prec -> float x_n and
+    # k -> proxy term j = 0, 1, ..; each list is replaced, never extended,
+    # so a thread reading the old list sees it whole
     _converted: dict = field(default_factory=dict, init=False, compare=False,
                              repr=False)
     _logs: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
     _pq: tuple = field(default_factory=lambda: ([1, 0], [0, 1]), init=False,
                        compare=False, repr=False)
+    _floats: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+    _proxy: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def depth(self, n: int) -> int:
         """How many of digits 1..n exist: n if periodic, else those stored."""

@@ -27,11 +27,15 @@ arithmetic at that precision; results become ``mp.mpf`` only when returned.
 Nothing reads or sets mpmath's global precision, so series values are the
 same in threads as serially.
 
-The truncation audit sums no orbit at all: it never forms the finite value
-at p_r/q_r or the r-term partial sum, whose difference is about 1/q_r^2.
-It sums that difference from exact term differences written in integer
-continuants, in floats whose binary exponents are carried as ints, and
-re-sums in raw mpfs only an r whose terms cancel.
+The audits read the values' expansion of x and its conversion at the
+values' working precision, so one point's orbit is walked and converted
+once.  The truncation audit sums no orbit at all: it never forms the
+finite value at p_r/q_r or the r-term partial sum, whose difference is
+about 1/q_r^2.  It sums that difference from exact term differences written
+in integer continuants, the k = 1, 2, 3 terms of a row in one pass, in
+floats whose binary exponents are carried as ints, and re-sums in raw mpfs
+only an r whose terms cancel.  The gap audit sums floats: the orbit's and
+the unsigned proxy terms', both kept on the expansion.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from mpmath import mp
@@ -63,6 +68,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow_int,
     mpf_rdiv_int,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -72,7 +78,6 @@ from mpmath.libmp import (
 from .cf_core import (
     Alpha,
     CFExpansion,
-    ConvergentSeq,
     convergents,
     expand,
     normalize,
@@ -98,6 +103,13 @@ _GOLDEN_F = (5 ** 0.5 - 1) / 2
 _RND = round_nearest
 # rationals whose Gauss orbit and logs are kept across calls
 _MEMO = 16
+# the values' working precision at the default prec: the audits' orbit points
+_VALUES_WP = DEFAULT_PRECISION + 32
+
+
+def _check_prec(prec: int) -> None:
+    if prec < 1:
+        raise OutOfDomain("prec must be >= 1")
 
 
 def _c_prime(prec: int):
@@ -108,6 +120,7 @@ def _c_prime(prec: int):
 
 def c_prime(prec: int = DEFAULT_PRECISION):
     """C' = sum of g^j = 1/(1 - g) = (3 + sqrt(5))/2, the contraction constant."""
+    _check_prec(prec)
     return mp.make_mpf(_c_prime(prec))
 
 
@@ -141,9 +154,8 @@ class TruncationReport:
     passed: bool
 
 
-def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
-    if terms < 1:
-        raise OutOfDomain("terms must be >= 1")
+def _irrational(x: ExactNumber, alpha: Alpha):
+    """x reduced into [0, alpha]; rational and integer points raise."""
     xn, _ = normalize(x, alpha)
     if isinstance(xn, Fraction):
         if xn == 0:
@@ -153,9 +165,26 @@ def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
         )
     if not xn:
         raise SingularPoint("series evaluator at an exact zero")
-    e = expand(xn, alpha, terms, best_effort=True)
-    if e.terminated:
-        raise DivergesAtRational("orbit hit zero exactly; the point is rational")
+    return xn
+
+
+def _prepare(x: ExactNumber, alpha: Alpha, terms: int):
+    if terms < 1:
+        raise OutOfDomain("terms must be >= 1")
+    # the orbit of an irrational point never hits zero
+    return expand(_irrational(x, alpha), alpha, terms, best_effort=True)
+
+
+def _expand_to(xn: ExactNumber, alpha: Alpha, need: int) -> CFExpansion:
+    """xn's expansion to max(need, DEFAULT_TERMS) digits, the values' cap,
+    so after ``brjuno_k`` or ``wilton`` at xn it is the one they read.  Any
+    cap of at least need gives the same first need digits and points, and
+    a ball certified to fewer than need digits raises PrecisionExhausted."""
+    e = expand(xn, alpha, max(need, DEFAULT_TERMS), best_effort=True)
+    if e.exhausted and len(e.digits) < need:
+        raise PrecisionExhausted(
+            f"float orbit certified to {len(e.digits)} of {need} digits "
+            f"({xn.prec}-bit input)")
     return e
 
 
@@ -243,9 +272,42 @@ def _orbit_logs(e: CFExpansion, vals: Sequence, prec: int) -> Iterator:
         yield logs[n]
 
 
+def _kept(memo: dict, key, n: int, more) -> list:
+    """The first n entries of memo[key], a table kept on an expansion and
+    run on by more(start, n); replaced, never extended in place."""
+    table = memo.get(key, [])
+    if len(table) < n:
+        table = memo[key] = table + more(len(table), n)
+    return table[:n]
+
+
+def _orbit_floats(e: CFExpansion, n: int) -> list:
+    """x_0..x_{n-1} of e as floats, from the values' conversion."""
+    return _kept(e._floats, _VALUES_WP, n, lambda start, stop: [
+        to_float(v._mpf_, rnd=_RND)
+        for v in e.orbit_mpf(stop - 1, _VALUES_WP)[start:]])
+
+
+def _proxy(e: CFExpansion, k: int, n: int) -> list:
+    """log(q_{j+1}) / q_j^k for j = 0..n-1 over e's convergents, unsigned;
+    ExpansionTooShort if e has fewer than n digits."""
+    def more(start, stop):
+        q = convergents(e, stop).q  # q[j + 1] = q_j
+        return [math.log(q[j + 2]) / q[j + 1] ** k for j in range(start, stop)]
+    return _kept(e._proxy, k, n, more)
+
+
+def _partial_sums(terms: Sequence[float], signed: bool) -> list:
+    """Running totals of float terms, each negated at odd j if signed, in
+    plain adds left to right: sum() compensates on Python 3.12 and later."""
+    return list(accumulate(-t if signed and j % 2 else t
+                           for j, t in enumerate(terms)))
+
+
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
+    _check_prec(prec)
     wp = prec + 32
     if e.period is not None:
         pre, length = e.period
@@ -271,7 +333,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                            n_terms=n_explicit, tail_estimate=0.0,
                            rigorous_tail=True, mode=mode, exhausted=False)
 
-    # _prepare rejects terminated orbits, so every stored point is a term
+    # the orbit never hits zero, so every stored point is a term
     n_max = min(terms, len(e.orbit))
     vals = _raw_orbit(e, n_max - 1, wp)
     logs = _orbit_logs(e, vals, wp)
@@ -332,6 +394,7 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
 
 def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
+    _check_prec(prec)
     wp = prec + 16
     vals, logs, terms = _gauss_logs(fr, wp)
     if k not in terms:
@@ -358,13 +421,6 @@ def wilton_finite_rational(p_over_q: Fraction, prec: int = DEFAULT_PRECISION):
     return _finite_rational(Fraction(p_over_q), 1, signed=True, prec=prec)
 
 
-def _proxy_terms(c: ConvergentSeq, k: int, signed: bool) -> Iterator[float]:
-    """log(q_{j+1}) / q_j^k for j = 0..c.n-1, with the Wilton sign if signed."""
-    for j in range(c.n):
-        term = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
-        yield -term if (signed and j % 2) else term
-
-
 def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
               alternating: bool = False) -> float:
     """sum_{j<N} (+/-1)^j log(q_{j+1}) / q_j^k over the alpha-CF denominators."""
@@ -377,12 +433,8 @@ def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
     xn, _ = normalize(x, alpha)
     if not xn:
         raise SingularPoint("proxy sum of an integer point")
-    c = convergents(expand(xn, alpha, N), N)  # ExpansionTooShort if it ends
-    total = 0.0
-    # plain float adds, in order: sum() compensates on Python 3.12 and later
-    for term in _proxy_terms(c, k, alternating):
-        total += term
-    return total
+    # ExpansionTooShort if the expansion ends
+    return _partial_sums(_proxy(expand(xn, alpha, N), k, N), alternating)[-1]
 
 
 def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
@@ -394,11 +446,8 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     so the returned value measures only arithmetic rounding.  Both partial
     sums are evaluated over one shared orbit and read one log list, kept on
     the expansion, so the residuals of both modes at one precision take
-    one log per point between them.  The orbit is expanded to
-    max(N + 1, DEFAULT_TERMS) digits, the values' default cap, so after
-    ``brjuno_k`` or ``wilton`` at x it is the expansion they read.  Any cap
-    of at least N + 1 gives the same points x_0..x_N, ball or exact, so the
-    cap sets only how far past them the orbit is walked.
+    one log per point between them, and after ``brjuno_k`` or ``wilton``
+    at x the orbit is the one they read (see ``_expand_to``).
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -406,15 +455,10 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         raise OutOfDomain(f"unknown mode {mode!r}")
     if k < 1:
         raise OutOfDomain("k must be >= 1")
+    _check_prec(prec)
     if mode == "wilton":
         k = 1
-    e = _prepare(x, alpha, max(N + 1, DEFAULT_TERMS))
-    if e.depth(N) < N:
-        if e.exhausted:
-            raise PrecisionExhausted(
-                f"only {len(e.digits)} digits certifiable, N = {N} requested"
-            )
-        raise DivergesAtRational("orbit too short for the requested N")
+    e = _expand_to(_irrational(x, alpha), alpha, N)
     wp = prec + 16
     vals = _raw_orbit(e, N - 1, wp)
     logs = list(_orbit_logs(e, vals, wp))
@@ -480,7 +524,10 @@ def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
     big_k, big_l = _reverse_continuants(a)
     q_bits = q_r.bit_length()
     inv_q = (1 << q_bits) / q_r  # 1/q_r = inv_q 2^-q_bits
-    rows = []
+    # 2^((2-k) s_j) peaks at j = 0 (s_0 = 0) for k >= 2, and for k = 1 at
+    # j = r-1, where K_{r-1} = a_r
+    top = q_bits - a[-1].bit_length()
+    terms1, terms2, terms3 = [], [], []
     for j in range(r):
         kj, kj1 = big_k[j], big_k[j + 1]
         s = q_bits - kj.bit_length()
@@ -490,22 +537,27 @@ def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
         z = sign * t * (1 / (kj * kj1)) / w
         rho = q[j] * kj1 / q_r
         u = z * rho
-        rows.append((sign, (kj << s) / q_r, s, rho * math.log(inv_y),
-                     math.log1p(z) / z if z else 1.0, inv_y / w, u,
-                     math.log1p(u)))
-    # 2^((2-k) s_j) peaks at j = 0 (s_0 = 0) for k >= 2, at j = r-1 for k = 1
-    s_last = rows[-1][2]
+        g = (kj << s) / q_r
+        rho_log = rho * math.log(inv_y)
+        psi = math.log1p(z) / z if z else 1.0
+        inv_yw = inv_y / w
+        lp = math.log1p(u)
+        # k = 1, 2, 3 in turn, with em = (1 + u)^k - 1 and phi = em/u; at
+        # k = 2 the factors g^0 and 2^0 are 1
+        em = math.expm1(lp)
+        terms1.append(sign * math.ldexp(
+            ((em / u if u else 1) * rho_log + psi) * inv_yw / (em + 1.0)
+            * g ** -1, s - top))
+        em = math.expm1(2 * lp)
+        terms2.append(sign * (((em / u if u else 2) * rho_log + psi) * inv_yw
+                              / (em + 1.0)))
+        em = math.expm1(3 * lp)
+        terms3.append(sign * math.ldexp(
+            ((em / u if u else 3) * rho_log + psi) * inv_yw / (em + 1.0) * g,
+            -s))
     scale = t * inv_q * inv_q
     out = {}
-    for k in _AUDIT_KS:
-        top = max(0, (2 - k) * s_last)
-        terms = []
-        for sign, g, s, rho_log, psi, inv_yw, u, lp in rows:
-            em = math.expm1(k * lp)
-            phi = em / u if u else k
-            terms.append(sign * math.ldexp(
-                (phi * rho_log + psi) * inv_yw / (em + 1.0) * g ** (k - 2),
-                (2 - k) * s - top))
+    for k, top, terms in ((1, top, terms1), (2, 0, terms2), (3, 0, terms3)):
         total_abs = math.fsum(map(abs, terms)) * scale
         # each term rounds about 30 + 3k times; fsum rounds once
         err = (8 * k + 64) * 2.0 ** -52 * total_abs
@@ -580,24 +632,28 @@ def truncation_audit(x: ExactNumber, r_max: int,
     passes 2^-32 of it, that r is summed again in mp arithmetic at a
     precision that resolves it, so every lhs is good to about 2^-32
     relative.  The bound 2kC' x_r / q_r is rounded to nearest at prec + 16
-    bits.  An entry passes only if lhs/bound plus the sum's error bound
-    over bound stays <= 1, so a near-tie reads as a violation.
+    bits, from x_r as the values convert it (``_VALUES_WP``) or at prec +
+    16 where that is higher; the orbit is the values' (see ``_expand_to``).
+    An entry passes only if lhs/bound plus the sum's error bound over bound
+    stays <= 1, so a near-tie reads as a violation.
     """
     if r_max < 1:
         raise OutOfDomain("r_max must be >= 1")
+    _check_prec(prec)
     alpha = Alpha.one()
     xn, _ = normalize(x, alpha)
-    e = expand(xn, alpha, r_max + 1)
+    e = _expand_to(xn, alpha, r_max + 1)
     depth = e.depth(r_max)
     if depth < 1:
         raise ExpansionTooShort("no expansion steps available")
     c = convergents(e, depth)
     digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
-    vals = _raw_orbit(e, depth, wp)
-    # 2kC' per k, so the bound below is (2kC' * x_r) / q_r
+    vals = _raw_orbit(e, depth, max(wp, _VALUES_WP))
+    # 2kC' at k = 1 and 3, so a bound below is (2kC' * x_r) / q_r; 4C' is
+    # 2C' doubled, exactly, and so is the k = 2 bound
     cp = _c_prime(prec)
-    scale = {k: mpf_mul_int(cp, 2 * k, wp, _RND) for k in _AUDIT_KS}
+    scale = {k: mpf_mul_int(cp, 2 * k, wp, _RND) for k in (1, 3)}
     cp_float = to_float(cp, rnd=_RND)
     x_text = format_exact(x)
     reports = []
@@ -615,9 +671,10 @@ def truncation_audit(x: ExactNumber, r_max: int,
             diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw, sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)
-        bounds = {k: to_float(mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp,
-                                      _RND), rnd=_RND)
-                  for k, s in scale.items()}
+        b1, b3 = (mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp, _RND)
+                  for s in scale.values())
+        bounds = {k: to_float(b, rnd=_RND)
+                  for k, b in ((1, b1), (2, mpf_shift(b1, 1)), (3, b3))}
         for k, signed in _AUDIT_MODES:
             total, total_abs, err, e_sum = diffs[k]
             lhs = total_abs if signed else abs(total)
@@ -646,7 +703,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
     """Sup over samples and depths <= N of |partial series - proxy sum|.
 
     Reports both the same-alpha gap and the cross-alpha variant against the
-    regular-CF proxy; at alpha = 1 the two are the same pass.
+    regular-CF proxy; at alpha = 1 the two are the same pass.  After the
+    values at x it reads their expansion (see ``_expand_to``), and the
+    orbit floats and unsigned proxy terms it keeps there, so the Brjuno and
+    Wilton audits and the cross pass form each of them once.
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
@@ -662,39 +722,24 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         xa, _ = normalize(x, alpha)
         if not xa:
             raise SingularPoint("gap audit of an integer point")
-        e = expand(xa, alpha, N + 1)
+        e = _expand_to(xa, alpha, N + 1)
         depth = e.depth(N)
-        c = convergents(e, depth)
-        vals = [float(v) for v in e.orbit_mpf(depth - 1, 96)]
-        # partial series and proxy, cumulatively
-        beta = 1.0
-        series = 0.0
-        proxy = 0.0
-        gap = 0.0
-        series_partials = []
-        for j, pterm in enumerate(_proxy_terms(c, k, signed)):
-            sterm = (beta ** k) * math.log(1 / vals[j])
-            if signed and j % 2:
-                sterm = -sterm
-            series += sterm
-            proxy += pterm
-            beta *= vals[j]
-            series_partials.append(series)
-            gap = max(gap, abs(series - proxy))
-        sup_gap = max(sup_gap, gap)
+        beta, terms = 1.0, []
+        for v in _orbit_floats(e, depth):
+            terms.append(beta ** k * math.log(1 / v))
+            beta *= v
+        # partial series and proxy sums, depth by depth
+        series = _partial_sums(terms, signed)
+        proxy = _partial_sums(_proxy(e, k, depth), signed)
+        sup_gap = max(sup_gap, *(abs(s - p) for s, p in zip(series, proxy)))
         if alpha == one:  # the regular-CF proxy is this pass's own
             sup_cross = sup_gap
             continue
         # cross-alpha: same partial series vs regular-CF proxy of the same x
-        x1, _ = normalize(x, one)
-        e1 = expand(x1, one, N + 1)
-        c1 = convergents(e1, min(depth, e1.depth(N)))
-        proxy1 = 0.0
-        gap_cross = 0.0
-        for j, pterm in enumerate(_proxy_terms(c1, k, signed)):
-            proxy1 += pterm
-            gap_cross = max(gap_cross, abs(series_partials[j] - proxy1))
-        sup_cross = max(sup_cross, gap_cross)
+        e1 = _expand_to(normalize(x, one)[0], one, N + 1)
+        proxy = _partial_sums(_proxy(e1, k, min(depth, e1.depth(N))), signed)
+        sup_cross = max(sup_cross,
+                        *(abs(s - p) for s, p in zip(series, proxy)))
     return GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross,
                           alpha=str(alpha), k=k, N=N, mode=mode)
 

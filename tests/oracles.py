@@ -5,19 +5,30 @@ and ``apply_transfer`` applies the transfer operator (+/-) x^k f(1/x).  The
 package computes neither: ``cf_core._walk`` steps exact states and ball
 ends on ints, and nothing evaluates the transfer operator.  Their ``1 / x``
 is ``recip``, as the package's values do not divide.
+
+``finite_minus_partial``, ``truncation_audit`` and ``gap_audit`` are the
+audits as they were before they read the values' expansion and kept
+tables: each audit walks its own expansion to r_max + 1 (N + 1) digits,
+converts the orbit at its own precision and forms every float afresh, and
+the truncation kernel builds its rows in one pass and sums each k in
+another.
 """
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
-from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pow_int, round_nearest
+from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_mul_int,
+                          mpf_pow_int, round_nearest, to_float)
 
-from alphacf.cf_core import Alpha, normalize
-from alphacf.errors import DivisionByZero, OutOfDomain
+from alphacf import series_eval as se
+from alphacf.cf_core import (Alpha, ConvergentSeq, convergents, expand,
+                             normalize)
+from alphacf.errors import (DivisionByZero, ExpansionTooShort, OutOfDomain,
+                            SingularPoint)
 from alphacf.numkit import (DEFAULT_PRECISION, BallFloat, ExactNumber, Surd,
-                            make_surd, raw_mpf)
+                            format_exact, make_surd, raw_mpf)
 
 
 def recip(x):
@@ -73,3 +84,146 @@ def apply_transfer(f: Callable[[ExactNumber], object], k: int, alpha: Alpha,
     xk = mpf_pow_int(raw_mpf(x, prec), k, prec, round_nearest)
     return mp.make_mpf(mpf_mul(mpf_mul_int(xk, sign, prec, round_nearest),
                                f(t)._mpf_, prec, round_nearest))
+
+
+def finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
+                         ) -> dict:
+    """``series_eval._finite_minus_partial`` in two passes: the rows of
+    per-j factors first, then each k's terms from the rows."""
+    r = len(a)
+    q_r = q[r + 1]
+    big_k, big_l = se._reverse_continuants(a)
+    q_bits = q_r.bit_length()
+    inv_q = (1 << q_bits) / q_r
+    rows = []
+    for j in range(r):
+        kj, kj1 = big_k[j], big_k[j + 1]
+        s = q_bits - kj.bit_length()
+        inv_y = kj / kj1
+        w = 1 + t * (big_l[j] / kj)
+        sign = -1.0 if (r - j) % 2 else 1.0
+        z = sign * t * (1 / (kj * kj1)) / w
+        rho = q[j] * kj1 / q_r
+        u = z * rho
+        rows.append((sign, (kj << s) / q_r, s, rho * math.log(inv_y),
+                     math.log1p(z) / z if z else 1.0, inv_y / w, u,
+                     math.log1p(u)))
+    s_last = rows[-1][2]
+    scale = t * inv_q * inv_q
+    out = {}
+    for k in (1, 2, 3):
+        top = max(0, (2 - k) * s_last)
+        terms = []
+        for sign, g, s, rho_log, psi, inv_yw, u, lp in rows:
+            em = math.expm1(k * lp)
+            phi = em / u if u else k
+            terms.append(sign * math.ldexp(
+                (phi * rho_log + psi) * inv_yw / (em + 1.0) * g ** (k - 2),
+                (2 - k) * s - top))
+        total_abs = math.fsum(map(abs, terms)) * scale
+        err = (8 * k + 64) * 2.0 ** -52 * total_abs
+        out[k] = (math.fsum(terms) * scale, total_abs, err, top - 2 * q_bits)
+    return out
+
+
+def truncation_audit(x: ExactNumber, r_max: int,
+                     prec: int = 160) -> list:
+    """``series_eval.truncation_audit`` on its own (x, 1, r_max + 1)
+    expansion, its orbit converted at prec + 16 bits."""
+    rnd = round_nearest
+    alpha = Alpha.one()
+    xn, _ = normalize(x, alpha)
+    e = expand(xn, alpha, r_max + 1)
+    depth = e.depth(r_max)
+    if depth < 1:
+        raise ExpansionTooShort("no expansion steps available")
+    c = convergents(e, depth)
+    digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
+    wp = prec + 16
+    vals = [v._mpf_ for v in e.orbit_mpf(depth, wp)]
+    cp = se._c_prime(prec)
+    scale = {k: mpf_mul_int(cp, 2 * k, wp, rnd) for k in (1, 2, 3)}
+    cp_float = to_float(cp, rnd=rnd)
+    x_text = format_exact(x)
+    reports = []
+    for r in range(1, depth + 1):
+        q_r = c.q_of(r)
+        q_bits = q_r.bit_length()
+        x_r = vals[r]
+        t = to_float(x_r, rnd=rnd)
+        diffs = finite_minus_partial(digits[:r], c.q, t)
+        sum_prec = q_bits + 128
+        while (any(err > se._LHS_REL * abs(total)
+                   for total, _, err, _ in diffs.values())
+               and sum_prec <= 8 * (q_bits + 128)):
+            t_raw = raw_mpf(e.orbit_at(r), sum_prec)
+            diffs = se._finite_minus_partial_mp(digits[:r], c.q, t_raw,
+                                                sum_prec)
+            sum_prec *= 2
+        raw_q = from_int(q_r)
+        bounds = {k: to_float(mpf_div(mpf_mul(s, x_r, wp, rnd), raw_q, wp,
+                                      rnd), rnd=rnd)
+                  for k, s in scale.items()}
+        for k, signed in ((1, False), (2, False), (3, False), (1, True)):
+            total, total_abs, err, e_sum = diffs[k]
+            lhs = total_abs if signed else abs(total)
+            passed = t == 0 or math.ldexp(
+                (lhs + err) * (q_r / (1 << q_bits)) / (2 * k * cp_float * t),
+                e_sum + q_bits) <= 1
+            reports.append(se.TruncationReport(
+                x=x_text, r=r, k=k, mode="wilton" if signed else "brjuno",
+                lhs=math.ldexp(lhs, e_sum), bound=bounds[k], passed=passed))
+    return reports
+
+
+def _proxy_terms(c: ConvergentSeq, k: int, signed: bool) -> Iterator[float]:
+    for j in range(c.n):
+        term = math.log(c.q_of(j + 1)) / c.q_of(j) ** k
+        yield -term if (signed and j % 2) else term
+
+
+def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
+              N: int = 60, mode: str = "brjuno"):
+    """``series_eval.gap_audit`` on its own (x, alpha, N + 1) expansions,
+    its orbit converted at 96 bits and every proxy term formed afresh."""
+    signed = mode == "wilton"
+    sup_gap = 0.0
+    sup_cross = 0.0
+    one = Alpha.one()
+    for x in samples:
+        xa, _ = normalize(x, alpha)
+        if not xa:
+            raise SingularPoint("gap audit of an integer point")
+        e = expand(xa, alpha, N + 1)
+        depth = e.depth(N)
+        c = convergents(e, depth)
+        vals = [float(v) for v in e.orbit_mpf(depth - 1, 96)]
+        beta = 1.0
+        series = 0.0
+        proxy = 0.0
+        gap = 0.0
+        series_partials = []
+        for j, pterm in enumerate(_proxy_terms(c, k, signed)):
+            sterm = (beta ** k) * math.log(1 / vals[j])
+            if signed and j % 2:
+                sterm = -sterm
+            series += sterm
+            proxy += pterm
+            beta *= vals[j]
+            series_partials.append(series)
+            gap = max(gap, abs(series - proxy))
+        sup_gap = max(sup_gap, gap)
+        if alpha == one:
+            sup_cross = sup_gap
+            continue
+        x1, _ = normalize(x, one)
+        e1 = expand(x1, one, N + 1)
+        c1 = convergents(e1, min(depth, e1.depth(N)))
+        proxy1 = 0.0
+        gap_cross = 0.0
+        for j, pterm in enumerate(_proxy_terms(c1, k, signed)):
+            proxy1 += pterm
+            gap_cross = max(gap_cross, abs(series_partials[j] - proxy1))
+        sup_cross = max(sup_cross, gap_cross)
+    return se.GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross,
+                             alpha=str(alpha), k=k, N=N, mode=mode)

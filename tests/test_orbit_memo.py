@@ -96,17 +96,42 @@ def _exact_audit(x):
 # -- walk counts ---------------------------------------------------------------
 
 def test_exact_audit_walks_each_orbit_once(monkeypatch):
-    # (x, 1, 256), (x, 1, 31), (x, 1, 61) and (x, 1/2, 61): the values share
+    # (x, 1, 256) and (x, 1/2, 256): the values and both audits at 1 share
     # the op's own expansion, and the gap audits at 1/2 their cross pass
-    # with the audits at 1; without the memo this takes 10 walks
+    # with the audits at 1 (4 walks when the audits expanded to r_max + 1
+    # and N + 1 digits, 10 without the memo)
     rng = random.Random(1)
     for _ in range(4):
         x = random_surd(rng, half=True)
         _clear_memos()
         walks = _count(monkeypatch, cf_core, "_walk")
         _exact_audit(x)
-        assert len(walks) == 4
+        assert len(walks) == 2
         monkeypatch.undo()
+
+
+def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
+    # the values, the truncation audit and the gap audits read one
+    # conversion of the alpha = 1 orbit, at the values' working precision
+    # (three, at 288, 176 and 96 bits, when each audit converted its own);
+    # the seeds include orbits past 31 and 61 digits, which every reader
+    # used to convert again.  Points by value, leaving out those the
+    # alpha = 1/2 orbit shares
+    rng = random.Random(1)
+    longest = 0
+    for _ in range(24):
+        x = random_surd(rng, half=True)
+        _clear_memos()
+        converted = _count(monkeypatch, cf_core, "to_mpf")
+        _exact_audit(x)
+        e = expand(x, ONE, CAP)
+        points = set(e.orbit) - set(expand(x, HALF, CAP).orbit)
+        ours = [v for v, _ in converted if v in points]
+        assert len(ours) == len(set(ours))
+        assert set(e._converted) == {series_eval._VALUES_WP}
+        longest = max(longest, len(ours))
+        monkeypatch.undo()
+    assert longest > 61
 
 
 def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
@@ -164,8 +189,8 @@ def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
 
 def test_exact_audit_gap_audits_run_one_recurrence_per_expansion(
         monkeypatch):
-    # the four audits read (x, 1, 61) and (x, 1/2, 61), the cross passes at
-    # 1/2 cut their lists from the kept (x, 1, 61) ones
+    # the four audits read (x, 1, 256) and (x, 1/2, 256), the cross passes
+    # at 1/2 read the proxy terms kept on (x, 1, 256)
     rng = random.Random(6)
     for _ in range(4):
         x = random_surd(rng, half=True)
@@ -218,8 +243,8 @@ def test_values_of_one_surd_log_each_point_once(monkeypatch):
 
 
 def test_gap_audit_suite_walks_each_orbit_once(monkeypatch):
-    # AC4 audits one sample at a time, so its four audits share (x, 1, 61)
-    # and (x, 1/2, 61): two walks per distinct sample, not six, over the 99
+    # AC4 audits one sample at a time, so its four audits share (x, 1, 256)
+    # and (x, 1/2, 256): two walks per distinct sample, not six, over the 99
     # distinct ones among the 100 --fast samples
     _clear_memos()
     walks = _count(monkeypatch, cf_core, "_walk")
@@ -585,7 +610,8 @@ def _tasks(surds, rationals, balls) -> list:
                           n))
     for x in surds:
         tasks += [(series_eval.brjuno_k, x, ONE), (series_eval.wilton, x, ONE),
-                  (series_eval.brjuno_k, x, HALF)]
+                  (series_eval.brjuno_k, x, HALF),
+                  (series_eval.truncation_audit, x, 30)]
         for alpha in (ONE, HALF):
             for mode in ("brjuno", "wilton"):
                 tasks.append((series_eval.gap_audit, x, alpha, mode))
@@ -618,6 +644,8 @@ def _run(task):
     if fn is series_eval.gap_audit:
         x, alpha, mode = args
         return fn([x], alpha, 1, 60, mode=mode)
+    if fn is series_eval.truncation_audit:
+        return fn(*args)
     if fn is orbit_compare.matched_orbits:
         trace = fn(*args, 40)
         return trace.dump_jsonl(), orbit_compare.q_difference_classify(trace)
@@ -659,16 +687,19 @@ def test_shared_memos_give_serial_bits_in_threads():
 
 
 def test_expansion_constructor_takes_no_memo():
-    memos = ("_converted", "_logs", "_pq")
+    memos = ("_converted", "_logs", "_pq", "_floats", "_proxy")
     fields = inspect.signature(cf_core.CFExpansion).parameters
     assert not set(memos) & set(fields)
     x = make_surd(-1, 1, 2, 5)
-    e = expand(x, ONE, 8)
+    e = expand(x, ONE, CAP)
     e.orbit_mpf(3, 96)
-    series_eval.brjuno_k(x, ONE, terms=8)
+    series_eval.brjuno_k(x, ONE)
     cf_core.convergents(e, 12)
+    series_eval.gap_audit([x], ONE, 2, 9)
     assert e._converted and e._logs and len(e._pq[0]) == 14
+    assert len(e._floats[series_eval._VALUES_WP]) == 9
+    assert list(e._proxy) == [2] and len(e._proxy[2]) == 9
     assert not any(name in repr(e) for name in memos)
-    fresh = cf_core._expansion.__wrapped__(x, ONE, 8)
+    fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)
     assert len(fresh._pq[0]) == 2 and e == fresh
     assert repr(e) == repr(fresh)

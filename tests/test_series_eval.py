@@ -18,7 +18,8 @@ from alphacf.errors import (
     PrecisionExhausted,
     SingularPoint,
 )
-from alphacf.sampling import random_dyadic_ball
+from alphacf.sampling import random_dyadic_ball, random_surd
+import oracles
 from oracles import alpha_step, apply_transfer
 
 G = nk.GOLDEN
@@ -161,9 +162,23 @@ def test_proxy_sum_examples():
     (lambda: se.proxy_sum(G, Alpha.one(), 1, -1), "N must be >= 0"),
     (lambda: se.truncation_audit(G, 0), "r_max must be >= 1"),
     (lambda: se.truncation_audit(G, -3), "r_max must be >= 1"),
+    # each of these used to run on with no end, or return unrounded values
+    (lambda: se.brjuno_k(G, Alpha.one(), prec=-40), "prec must be >= 1"),
+    (lambda: se.brjuno_k(G, Alpha.one(), prec=0), "prec must be >= 1"),
+    (lambda: se.wilton(G, Alpha.one(), prec=0), "prec must be >= 1"),
+    (lambda: se.brjuno_finite_rational(Fraction(2, 5), 2, prec=0),
+     "prec must be >= 1"),
+    (lambda: se.wilton_finite_rational(Fraction(2, 5), prec=-1),
+     "prec must be >= 1"),
+    (lambda: se.functional_eq_residual(G, Alpha.one(), N=10, prec=0),
+     "prec must be >= 1"),
+    (lambda: se.truncation_audit(G, 3, prec=-5), "prec must be >= 1"),
+    (lambda: se.c_prime(0), "prec must be >= 1"),
 ], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0",
         "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1", "proxy-N-1",
-        "trunc-r0", "trunc-r-3"])
+        "trunc-r0", "trunc-r-3", "brjuno-prec-40", "brjuno-prec0",
+        "wilton-prec0", "finite-prec0", "finite-wilton-prec-1",
+        "residual-prec0", "trunc-prec-5", "c-prime-prec0"])
 def test_series_parameters_checked_like_siblings(call, message):
     with pytest.raises(OutOfDomain, match=message):
         call()
@@ -690,6 +705,93 @@ def test_truncation_audit_range_safe():
     assert convergents(e, 30).q_of(30).bit_length() == 601
     _assert_lhs_close(se.truncation_audit(x, 30),
                       _oracle_truncation_audit(x, 30, prec=1500), rel=1e-9)
+
+
+def _continuant_q(a):
+    """q_{-1}, q_0, q_1, .. of the regular CF [0; a_1, a_2, ..]."""
+    q = [0, 1]
+    for digit in a:
+        q.append(digit * q[-1] + q[-2])
+    return q
+
+
+def test_one_pass_kernel_matches_the_two_pass_oracle():
+    # every tuple of the one-pass kernel equals the two-pass one's, over
+    # seeded digit strings, the palindromic [0; 2^20, 2^20, ..] strings
+    # whose k = 2 sums the mp re-sum takes, and x_r = 0
+    rng = random.Random(25)
+    cases = []
+    for _ in range(10000):
+        a = [rng.choice((1, 1, 2, 3, rng.randrange(1, 1 << rng.randrange(
+            1, 48)))) for _ in range(rng.randrange(1, 31))]
+        cases.append((a, rng.random()))
+    x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
+    x_r = float(expand(x, Alpha.one(), 31).orbit_mpf(1, 64)[1])
+    cases += [([2 ** 20] * r, x_r) for r in range(1, 31)]
+    cases += [(a, 0.0) for a, _ in cases[:300]]
+    for a, t in cases:
+        q = _continuant_q(a)
+        assert se._finite_minus_partial(a, q, t) == \
+            oracles.finite_minus_partial(a, q, t)
+    # the k = 2 sums at even r cancel past the float sum's error bound
+    q = _continuant_q([2 ** 20] * 30)
+    total, _, err, _ = se._finite_minus_partial([2 ** 20] * 30, q, x_r)[2]
+    assert err > se._LHS_REL * abs(total)
+    # the audits agree where the bounds fall below the normal floats too
+    for x in (x, nk.make_surd(-2 ** 40, 1, 2, 2 ** 80 + 4)):
+        reports = se.truncation_audit(x, 30)
+        assert reports == oracles.truncation_audit(x, 30)
+    assert 0 < min(r.bound for r in reports if r.bound) < sys.float_info.min
+    # a rational's last point is 0, and the audit reads its kernel there
+    reports = se.truncation_audit(Fraction(13, 31), 10)
+    assert reports == oracles.truncation_audit(Fraction(13, 31), 10)
+    assert reports[-1].lhs == 0.0 and reports[-1].bound == 0.0
+
+
+def test_audits_equal_the_oracle_audits_on_the_fast_suite_samples():
+    # AC3's and AC4's --fast samples at seed 0, cold and after the values
+    # (whose expansion and conversion the audits then read), and the
+    # truncation audit at the benchmark's q_30-sized precision too
+    rng = random.Random(3)
+    for i in range(100):
+        x = random_surd(rng)
+        if i % 2:
+            se.brjuno_k(x, Alpha.one())
+            se.wilton(x, Alpha.one())
+        assert se.truncation_audit(x, 30) == oracles.truncation_audit(x, 30)
+        if i % 10 == 0:
+            e = expand(normalize(x, Alpha.one())[0], Alpha.one(), 256)
+            prec = max(160, convergents(e, 30).q_of(30).bit_length() + 64)
+            assert se.truncation_audit(x, 30, prec) == \
+                oracles.truncation_audit(x, 30, prec)
+    rng = random.Random(4)
+    for i in range(100):
+        x = random_surd(rng, half=True)
+        if i % 2:
+            se.brjuno_k(x, Alpha.one())
+            se.wilton(x, Alpha.one())
+        for alpha in (Alpha.one(), Alpha.half()):
+            for mode in ("brjuno", "wilton"):
+                assert se.gap_audit([x], alpha, 1, 60, mode=mode) == \
+                    oracles.gap_audit([x], alpha, 1, 60, mode=mode)
+
+
+def test_audits_on_a_ball_keep_their_certified_depth():
+    # a 256-bit ball certifies the 31 digits the truncation audit needs
+    # and the 61 of a gap audit at alpha = 1, but 50 of 61 at alpha = 1/2;
+    # the wider cap the audits expand to changes none of it
+    x = nk.BallFloat(random_surd(random.Random(2), half=True), 256)
+    for values_first in (False, True):
+        if values_first:
+            se.brjuno_k(x, Alpha.one())
+            se.wilton(x, Alpha.half())
+        reports = se.truncation_audit(x, 30)
+        assert len(reports) == 120
+        assert reports == oracles.truncation_audit(x, 30)
+        assert se.gap_audit([x], Alpha.one(), 1, 60).sup_gap == \
+            0.510505788596086
+        with pytest.raises(PrecisionExhausted, match="50 of 61 digits"):
+            se.gap_audit([x], Alpha.half(), 1, 60)
 
 
 def test_truncation_audit_verdicts_follow_lhs_over_bound(monkeypatch):
