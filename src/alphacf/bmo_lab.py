@@ -28,7 +28,12 @@ _MAX_LEVELS = 264  # sigma^levels ~ 1e-12 of the half-width
 
 @dataclass
 class IntervalStats:
-    """Quadrature summary of f over one interval."""
+    """Quadrature summary of f over one interval.
+
+    ``quad_error`` is a heuristic: the fine pass's difference from a pass
+    at half the budget, plus a rounding floor.  It is not a bound, and the
+    true error can exceed it.
+    """
 
     interval: tuple  # (Fraction, Fraction)
     mean: float
@@ -134,7 +139,8 @@ def _as_fraction_pair(interval) -> tuple:
 
 
 def interval_mean(f: Callable, interval, n_samples: int = 4096) -> IntervalStats:
-    """Mean of f over [a, b] on a graded mesh, with a refinement error bar."""
+    """Mean of f over [a, b] on a graded mesh, with a refinement error
+    estimate (see ``IntervalStats``)."""
     fa, fb = _as_fraction_pair(interval)
     a, b = float(fa), float(fb)
     (integral, used, _, _), _, err, nonfinite = _integrate(f, a, b, n_samples)
@@ -245,6 +251,10 @@ def bmo_seminorm_scan(f: Callable, interval, depth: int,
 
 @dataclass
 class BlowupRow:
+    """One row of the Wilton blow-up at 1/n.  ``quad_error`` is the two
+    sides' heuristic fine-minus-coarse differences over 1/n, as in
+    ``IntervalStats``: not a bound on the error of the means."""
+
     n: int
     mean_plus: float
     mean_minus: float

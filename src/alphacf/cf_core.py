@@ -16,9 +16,10 @@ Expansions are shared: ``expand`` keeps the last few (x, alpha, max_steps)
 expansions, exact and ball alike, so callers that ask several questions of
 one point walk its orbit once, and every caller must treat the returned
 ``CFExpansion`` as read-only.  A ball is known by its exact ends and its
-precision, so equal balls built apart share one expansion.  ``orbit_mpf``
-likewise keeps its conversions, the series layer the orbit's logs and
-float tables, and ``convergents`` its p and q lists.
+precision, so equal balls built apart share one expansion.  An expansion
+also keeps the tables its readers build from the orbit (see
+``CFExpansion.kept``): ``orbit_mpf`` its conversions, and the series layer
+the orbit's logs and the gap audit's proxy terms.
 """
 
 from __future__ import annotations
@@ -99,12 +100,11 @@ class CFExpansion:
     prefix.
 
     An expansion may be shared between callers (see ``expand``), so it is
-    read-only.  ``orbit_mpf`` keeps the conversions it makes, one list of
-    the stored orbit's prefix per precision, ``convergents`` keeps the p and
-    q lists it has formed in ``_pq``, and ``_logs`` holds the raw log(1/x_n)
-    that ``series_eval`` takes of x_0, x_1, .., one list per precision, as
-    ``_floats`` does their floats and ``_proxy`` the gap audit's unsigned
-    proxy terms log(q_{j+1})/q_j^k, one list per k.
+    read-only but for the tables ``kept`` holds in ``_tables``: ("mpf",
+    prec), the conversions ``orbit_mpf`` makes of the stored orbit's
+    prefix; ("log", prec), the raw log(1/x_n) that ``series_eval`` takes of
+    x_0, x_1, ..; and ("proxy", k), the gap audit's unsigned proxy terms
+    log(q_{j+1})/q_j^k for j = 0, 1, ...
     """
 
     x0: ExactNumber
@@ -116,20 +116,8 @@ class CFExpansion:
     # float orbit certified to fewer digits than asked (runtime-only flag,
     # not part of the JSON schema)
     exhausted: bool = False
-    # prec -> converted stored-orbit prefix, prec -> log(1/x_n) for n = 0,
-    # 1, .., the convergents' (p, q) from index -1, prec -> float x_n and
-    # k -> proxy term j = 0, 1, ..; each list is replaced, never extended,
-    # so a thread reading the old list sees it whole
-    _converted: dict = field(default_factory=dict, init=False, compare=False,
-                             repr=False)
-    _logs: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
-    _pq: tuple = field(default_factory=lambda: ([1, 0], [0, 1]), init=False,
-                       compare=False, repr=False)
-    _floats: dict = field(default_factory=dict, init=False, compare=False,
+    _tables: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
-    _proxy: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
 
     def depth(self, n: int) -> int:
         """How many of digits 1..n exist: n if periodic, else those stored."""
@@ -159,6 +147,16 @@ class CFExpansion:
             raise IndexError("orbit indices start at 0")
         return self.cycled(self.orbit, j, j + 1)[0]
 
+    def kept(self, key, n: int, more) -> list:
+        """The table kept under key, first run on to n entries by
+        more(start, n) if it is shorter.  The whole list is returned, so
+        callers slice it.  A table is replaced, never extended in place, so
+        a thread reading the old list sees it whole."""
+        table = self._tables.get(key, [])
+        if len(table) < n:
+            table = self._tables[key] = table + more(len(table), n)
+        return table
+
     def orbit_mpf(self, n: int, prec: int) -> list:
         """Orbit values x_0..x_n as mpf at working precision.
 
@@ -173,10 +171,8 @@ class CFExpansion:
         # the last stored point of a periodic orbit repeats x_pre
         m = min(n + 1, len(self.orbit) if self.period is None
                 else sum(self.period))
-        vals = self._converted.get(prec, [])
-        if len(vals) < m:
-            vals = vals + [to_mpf(v, prec) for v in self.orbit[len(vals):m]]
-            self._converted[prec] = vals
+        vals = self.kept(("mpf", prec), m, lambda start, stop: [
+            to_mpf(v, prec) for v in self.orbit[start:stop]])
         return self.cycled(vals, 0, m if self.period is None else n + 1)
 
     def to_json(self) -> str:
@@ -330,7 +326,6 @@ class ConvergentSeq:
 
     Seeds (p_-1, q_-1) = (1, 0), (p_0, q_0) = (0, 1) and eps_0 := +1, so a
     terminated expansion reproduces its rational exactly at the last index.
-    The lists may be the expansion's own, so they are read-only.
     """
 
     n: int
@@ -344,30 +339,18 @@ class ConvergentSeq:
         return self.q[j + 1]
 
 
-def _recur(e: CFExpansion, n: int) -> tuple:
-    """e's kept (p, q) run on to index n by the recurrence, as new lists."""
-    p, q = map(list, e._pq)
-    m = len(p) - 2
-    eps_prev = e.digit_at(m)[1] if m else 1  # eps_0 := +1
-    for a, eps in e.cycled(e.digits, m, n):
-        p.append(a * p[-1] + eps_prev * p[-2])
-        q.append(a * q[-1] + eps_prev * q[-2])
-        eps_prev = eps
-    return p, q
-
-
 def convergents(e: CFExpansion, n: Optional[int] = None) -> ConvergentSeq:
-    """Convergents up to index n (default: every stored digit), read from
-    the p and q lists kept on e, run on only past the longest n asked."""
+    """Convergents up to index n (default: every stored digit), by the
+    signed recurrence over digits 1..n, cycling through a period if any."""
     if n is None:
         n = len(e.digits)
     if e.depth(n) < n:
         raise ExpansionTooShort(f"{n} digits requested, {len(e.digits)} available")
-    p, q = e._pq
-    if len(p) < n + 2:
-        p, q = e._pq = _recur(e, n)
-    elif len(p) > n + 2:
-        p, q = p[:n + 2], q[:n + 2]
+    p, q, eps_prev = [1, 0], [0, 1], 1  # eps_0 := +1
+    for a, eps in e.cycled(e.digits, 0, n):
+        p.append(a * p[-1] + eps_prev * p[-2])
+        q.append(a * q[-1] + eps_prev * q[-2])
+        eps_prev = eps
     return ConvergentSeq(n=n, p=p, q=q)
 
 

@@ -15,9 +15,9 @@ are exact on the Fraction ends, and every conversion to an mpf
 (``raw_mpf``, which ``to_mpf`` boxes) passes its
 precision to ``mpmath.libmp`` explicitly and never reads or sets mpmath's
 global precision, so all of them give the same bits in threads as
-serially.  A conversion of a value rounds to nearest with the raw calls
-mpmath's mpf operators make, so it gives the bits mp-context arithmetic
-gives at that precision.
+serially.  A conversion rounds to nearest: a rational, and so a ball's
+midpoint, is rounded once from its exact quotient, and a surd's value is
+formed at 48 or more extra bits and then rounded.
 Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``
 and truth work through the usual operator protocol, as for ``Fraction``: a
 surd compared with a ball defers to the ball, whose order is certified or
@@ -66,6 +66,9 @@ from .errors import (
 DEFAULT_PRECISION = 256
 
 _RND = round_nearest  # every mpf conversion rounds to nearest
+# (radicand, prec) pairs whose square root is kept; radicands recur, at a
+# few working precisions each
+_SQRT_MEMO = 256
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -304,12 +307,10 @@ class BallFloat(_Ordered):
     sound: ``<`` needs disjoint intervals (a surd is compared exactly),
     ``math.floor`` an interval inside one integer cell, and only the exact
     zero is false.  ``==`` is identity.  ``float`` and ``repr`` read the
-    midpoint, as ``raw_mpf`` rounds it at prec.  The exact midpoint is
-    formed on first use and kept in ``_mid``, so a ball converted at
-    several precisions forms it once.
+    midpoint, as ``raw_mpf`` rounds it at prec.
     """
 
-    __slots__ = ("ends", "prec", "_mid")
+    __slots__ = ("ends", "prec")
 
     def __init__(self, value, prec: int = DEFAULT_PRECISION):
         if isinstance(value, str):
@@ -332,15 +333,6 @@ class BallFloat(_Ordered):
 
     def __setattr__(self, *_):
         raise AttributeError("BallFloat is immutable")
-
-    def _midpoint(self) -> Fraction:
-        """(lo + hi)/2, formed on the first call and kept."""
-        try:
-            return self._mid
-        except AttributeError:
-            lo, hi = self.ends
-            object.__setattr__(self, "_mid", (lo + hi) / 2)
-            return self._mid
 
     def __float__(self):
         return float(to_mpf(self, self.prec))
@@ -451,7 +443,7 @@ def _surd_ends(v: Surd, prec: int):
             _dyadic(Fraction(m + 1, 1 << s), prec, round_ceiling))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_SQRT_MEMO)
 def _int_sqrt(d: int, prec: int):
     """sqrt(d) rounded to nearest at prec; memoised, as radicands recur."""
     return mpf_sqrt(from_int(d), prec, _RND)
@@ -463,14 +455,11 @@ ExactNumber = Union[Fraction, Surd, BallFloat]
 def raw_mpf(v: ExactNumber, prec: int):
     """Numeric value of v as a raw libmp mpf rounded to nearest at prec.
 
-    A ball's value is its exact midpoint rounded at prec; the ball forms
-    that midpoint once, however many precisions it is converted at.
+    A rational is its exact quotient rounded once, and a ball's value is
+    its exact midpoint rounded so.
     """
     if isinstance(v, Fraction):
-        wp = prec + 8
-        r = mpf_div(from_int(v.numerator, wp, _RND),
-                    from_int(v.denominator, wp, _RND), wp, _RND)
-        return mpf_pos(r, prec, _RND)
+        return from_rational(v.numerator, v.denominator, prec, _RND)
     if isinstance(v, int):
         return from_int(v, prec, _RND)
     if isinstance(v, Surd):
@@ -481,7 +470,8 @@ def raw_mpf(v: ExactNumber, prec: int):
         r = mpf_div(r, from_int(v.c), wp, _RND)
         return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
-        return raw_mpf(v._midpoint(), prec)
+        lo, hi = v.ends
+        return raw_mpf((lo + hi) / 2, prec)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 

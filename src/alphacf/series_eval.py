@@ -16,9 +16,10 @@ right.  The finite truncations of the last few rationals share one entry
 per precision: the ``_gauss_orbit`` points, log(1/x_n) of each and the
 unsigned terms at each k asked, so one rational's B_k and W take one log
 per point between them, and W signs B_1's terms.  Sums over an expansion's
-orbit likewise read the logs ``_orbit_logs`` keeps on the shared expansion,
-one list per precision, so the Brjuno and Wilton values of one point take
-one log per point read between them, and so do the residual's two modes.
+orbit likewise read the logs ``_orbit_logs`` keeps on the shared expansion
+(see ``CFExpansion.kept``), one list per precision, so the Brjuno and
+Wilton values of one point take one log per point read between them, and
+so do the residual's two modes.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -34,8 +35,9 @@ finite value at p_r/q_r or the r-term partial sum, whose difference is
 about 1/q_r^2.  It sums that difference from exact term differences written
 in integer continuants, the k = 1, 2, 3 terms of a row in one pass, in
 floats whose binary exponents are carried as ints, and re-sums in raw mpfs
-only an r whose terms cancel.  The gap audit sums floats: the orbit's and
-the unsigned proxy terms', both kept on the expansion.
+only an r whose terms cancel.  The gap audit sums floats: the orbit's,
+rounded from the values' conversion, and the unsigned proxy terms', kept on
+the expansion one list per k.
 """
 
 from __future__ import annotations
@@ -261,31 +263,24 @@ def _orbit_logs(e: CFExpansion, vals: Sequence, prec: int) -> Iterator:
 
     The logs are kept on e, one list per precision, so every sum over e's
     orbit at prec takes the log of a point once, and only of the points
-    some sum has read.  The list is replaced, never extended in place, so a
-    thread reading the old list sees it whole.
+    some sum has read.
     """
+    key = ("log", prec)
+
+    def more(start, stop):
+        return [_log_inv(v, prec) for v in vals[start:stop]]
     for n in range(len(vals)):
-        logs = e._logs.get(prec, [])
-        if len(logs) <= n:
-            logs = logs + [_log_inv(v, prec) for v in vals[len(logs):n + 1]]
-            e._logs[prec] = logs
-        yield logs[n]
+        yield e.kept(key, n + 1, more)[n]
 
 
-def _kept(memo: dict, key, n: int, more) -> list:
-    """The first n entries of memo[key], a table kept on an expansion and
-    run on by more(start, n); replaced, never extended in place."""
-    table = memo.get(key, [])
-    if len(table) < n:
-        table = memo[key] = table + more(len(table), n)
-    return table[:n]
-
-
-def _orbit_floats(e: CFExpansion, n: int) -> list:
-    """x_0..x_{n-1} of e as floats, from the values' conversion."""
-    return _kept(e._floats, _VALUES_WP, n, lambda start, stop: [
-        to_float(v._mpf_, rnd=_RND)
-        for v in e.orbit_mpf(stop - 1, _VALUES_WP)[start:]])
+def _proxy_term(log_q: float, q: int, k: int) -> float:
+    """log_q / q^k; where q^k passes the float range, q's binary exponent s
+    is carried apart, as log_q (2^s/q)^k 2^-sk."""
+    try:
+        return log_q / q ** k
+    except OverflowError:
+        s = q.bit_length()
+        return math.ldexp(log_q * ((1 << s) / q) ** k, -s * k)
 
 
 def _proxy(e: CFExpansion, k: int, n: int) -> list:
@@ -293,8 +288,9 @@ def _proxy(e: CFExpansion, k: int, n: int) -> list:
     ExpansionTooShort if e has fewer than n digits."""
     def more(start, stop):
         q = convergents(e, stop).q  # q[j + 1] = q_j
-        return [math.log(q[j + 2]) / q[j + 1] ** k for j in range(start, stop)]
-    return _kept(e._proxy, k, n, more)
+        return [_proxy_term(math.log(q[j + 2]), q[j + 1], k)
+                for j in range(start, stop)]
+    return e.kept(("proxy", k), n, more)[:n]
 
 
 def _partial_sums(terms: Sequence[float], signed: bool) -> list:
@@ -704,9 +700,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
 
     Reports both the same-alpha gap and the cross-alpha variant against the
     regular-CF proxy; at alpha = 1 the two are the same pass.  After the
-    values at x it reads their expansion (see ``_expand_to``), and the
-    orbit floats and unsigned proxy terms it keeps there, so the Brjuno and
-    Wilton audits and the cross pass form each of them once.
+    values at x it reads their expansion (see ``_expand_to``) and its
+    conversion at the values' working precision, and the unsigned proxy
+    terms kept there, so the Brjuno and Wilton audits and the cross pass
+    form each proxy term once.
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
@@ -725,7 +722,8 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         e = _expand_to(xa, alpha, N + 1)
         depth = e.depth(N)
         beta, terms = 1.0, []
-        for v in _orbit_floats(e, depth):
+        for point in e.orbit_mpf(depth - 1, _VALUES_WP):
+            v = to_float(point._mpf_, rnd=_RND)
             terms.append(beta ** k * math.log(1 / v))
             beta *= v
         # partial series and proxy sums, depth by depth

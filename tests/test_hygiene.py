@@ -1,6 +1,7 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import importlib
 import inspect
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import alphacf
-from alphacf import cf_core, fastgrid, orbit_compare, series_eval
+from alphacf import cf_core, fastgrid, numkit, orbit_compare, series_eval
 from alphacf.numkit import BallFloat
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
@@ -207,25 +208,66 @@ def test_grid_block_size_is_no_knob():
 
 def test_orbit_memos_are_bounded_by_module_constants():
     # the expansion memo, which holds exact points and balls alike, and the
-    # Gauss-log memo hold a few recent orbits, bounded by a module constant,
-    # never by a setting; the orbit layers keep no other memo
-    memos = {(module.__name__, name): (memo, module._MEMO)
-             for module in (cf_core, series_eval)
+    # Gauss-log memo hold a few recent orbits, and the square-root memo a
+    # few radicands at each working precision, each bounded by a module
+    # constant, never by a setting; the package keeps no other memo
+    modules = [importlib.import_module(f"alphacf.{p.stem}") for p in MODULES]
+    memos = {(module.__name__, name): memo for module in modules
              for name, memo in vars(module).items()
              if hasattr(memo, "cache_info")}
-    assert memos == {
+    bounds = {
         ("alphacf.cf_core", "_expansion"): (cf_core._expansion, cf_core._MEMO),
         ("alphacf.series_eval", "_gauss_logs"): (series_eval._gauss_logs,
-                                                 series_eval._MEMO)}
-    for memo, bound in memos.values():
-        maxsize = memo.cache_info().maxsize
-        assert maxsize == bound and 0 < maxsize <= 64
+                                                 series_eval._MEMO),
+        ("alphacf.numkit", "_int_sqrt"): (numkit._int_sqrt,
+                                          numkit._SQRT_MEMO)}
+    assert memos == {key: memo for key, (memo, _) in bounds.items()}
+    for memo, bound in bounds.values():
+        assert memo.cache_info().maxsize == bound > 0
+    assert cf_core._MEMO <= 64 and series_eval._MEMO <= 64
     # balls fill the same bounded memo, however many distinct ones are asked
     cf_core._expansion.cache_clear()
     for i in range(3 * cf_core._MEMO):
         cf_core.expand(BallFloat(Fraction(1, i + 3), 64), cf_core.Alpha.one(),
                        5, best_effort=True)
     assert cf_core._expansion.cache_info().currsize == cf_core._MEMO
+
+
+def _tables_writers(tree: ast.AST) -> set:
+    """Names of the functions that write an ``_tables`` attribute: bind or
+    delete it or an item of it, or call a method of it other than get."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    writers = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "_tables"):
+            continue
+        up = parents[node]
+        item_written = (isinstance(up, ast.Subscript)
+                        and not isinstance(up.ctx, ast.Load))
+        method_called = isinstance(up, ast.Attribute) and up.attr != "get"
+        if isinstance(node.ctx, ast.Load) and not (item_written
+                                                   or method_called):
+            continue
+        while not isinstance(up, (ast.FunctionDef, ast.Lambda, ast.Module)):
+            up = parents[up]
+        writers.add(getattr(up, "name", type(up).__name__))
+    return writers
+
+
+def test_only_kept_writes_the_expansion_tables():
+    # the replace-never-extend protocol lives in CFExpansion.kept alone
+    writers = set()
+    for path in MODULES:
+        writers |= _tables_writers(ast.parse(path.read_text(encoding="utf-8")))
+    assert writers == {"kept"}
+    for source in ("def f(e): e._tables[1] = []",
+                   "def f(e): e._tables.setdefault(1, [])",
+                   "def f(e): e._tables = {}",
+                   "def f(e): del e._tables[1]"):
+        assert _tables_writers(ast.parse(source)) == {"f"}
+    assert _tables_writers(ast.parse("e._tables = {}")) == {"Module"}
+    assert _tables_writers(ast.parse("def f(e): e._tables.get(1)")) == set()
 
 
 @pytest.mark.parametrize("fn,names", [

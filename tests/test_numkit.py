@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
+from mpmath.libmp import (from_rational, round_ceiling, round_floor,
+                          round_nearest, to_rational)
 
 from alphacf import numkit as nk
 from alphacf.errors import (
@@ -377,3 +378,16 @@ def test_ball_refuses_non_finite_values():
             nk.BallFloat(v)
     with pytest.raises(ValueError):
         _ = nk.BallFloat("0.5") + float("nan")
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1000])
+def test_raw_mpf_rounds_a_fraction_once(prec):
+    # the correctly rounded quotient, for rationals and so for a ball's
+    # midpoint: rounding at prec + 8 and then at prec moves about 1 in 500
+    rng = random.Random(prec)
+    for _ in range(5000):
+        fr = Fraction(rng.getrandbits(64), rng.getrandbits(64) | 1)
+        want = from_rational(fr.numerator, fr.denominator, prec,
+                             round_nearest)
+        assert nk.raw_mpf(fr, prec) == want
+        assert nk.raw_mpf(nk.BallFloat._raw(fr, fr, prec), prec) == want

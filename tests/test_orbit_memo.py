@@ -1,7 +1,7 @@
 """Orbits walked once across calls: the expansion, conversion and log memos.
 
 Expansions of exact points and of balls, their per-precision mpf
-conversions, orbit logs and convergent lists, and the Gauss-orbit logs and
+conversions, orbit logs and proxy terms, and the Gauss-orbit logs and
 terms of a rational are kept across calls.  These tests count the orbit
 walks, recurrences, logs and terms of call sequences shaped like the
 benchmark's ops, check that shared memos give the same bits in threads as
@@ -128,7 +128,8 @@ def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
         points = set(e.orbit) - set(expand(x, HALF, CAP).orbit)
         ours = [v for v, _ in converted if v in points]
         assert len(ours) == len(set(ours))
-        assert set(e._converted) == {series_eval._VALUES_WP}
+        assert {key for key in e._tables if key[0] == "mpf"} == {
+            ("mpf", series_eval._VALUES_WP)}
         longest = max(longest, len(ours))
         monkeypatch.undo()
     assert longest > 61
@@ -153,22 +154,6 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         monkeypatch.undo()
 
 
-def test_rational_orbits_op_runs_each_convergent_recurrence_once(
-        monkeypatch):
-    # the three traces share (x, 1/2, 40) and its kept p, q lists: 4
-    # recurrences, one per expansion, where each trace ran two (6)
-    rng = random.Random(2)
-    for _ in range(6):
-        x = random_rational(rng, 2 ** 64, half=True)
-        _clear_memos()
-        runs = _count(monkeypatch, cf_core, "_recur")
-        for alpha in ORBIT_ALPHAS:
-            orbit_compare.matched_orbits(x, alpha, 40)
-        assert len(runs) == 4
-        assert len({id(e) for e, _ in runs}) == 4
-        monkeypatch.undo()
-
-
 def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
     # W signs the terms B_1 kept, so the pair takes one beta^k per point
     rng = random.Random(4)
@@ -190,12 +175,13 @@ def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
 def test_exact_audit_gap_audits_run_one_recurrence_per_expansion(
         monkeypatch):
     # the four audits read (x, 1, 256) and (x, 1/2, 256), the cross passes
-    # at 1/2 read the proxy terms kept on (x, 1, 256)
+    # at 1/2 read the proxy terms kept on (x, 1, 256), so the convergents of
+    # each expansion are formed once
     rng = random.Random(6)
     for _ in range(4):
         x = random_surd(rng, half=True)
         _clear_memos()
-        runs = _count(monkeypatch, cf_core, "_recur")
+        runs = _count(monkeypatch, series_eval, "convergents")
         for alpha in (ONE, HALF):
             for mode in ("brjuno", "wilton"):
                 series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
@@ -414,7 +400,7 @@ def test_orbit_mpf_keeps_the_bits_of_fresh_conversions():
                 for prec in PRECS:
                     got = e.orbit_mpf(n, prec)
                     assert _bits(got) == _bits(_orbit_mpf_fresh(e, n, prec))
-            assert set(e._converted) == set(PRECS)
+            assert set(e._tables) == {("mpf", prec) for prec in PRECS}
     assert any(expand(cf_core.normalize(x, ONE)[0], ONE, CAP).period is None
                for x in surds)
 
@@ -687,19 +673,18 @@ def test_shared_memos_give_serial_bits_in_threads():
 
 
 def test_expansion_constructor_takes_no_memo():
-    memos = ("_converted", "_logs", "_pq", "_floats", "_proxy")
     fields = inspect.signature(cf_core.CFExpansion).parameters
-    assert not set(memos) & set(fields)
+    assert "_tables" not in fields
     x = make_surd(-1, 1, 2, 5)
     e = expand(x, ONE, CAP)
     e.orbit_mpf(3, 96)
     series_eval.brjuno_k(x, ONE)
-    cf_core.convergents(e, 12)
     series_eval.gap_audit([x], ONE, 2, 9)
-    assert e._converted and e._logs and len(e._pq[0]) == 14
-    assert len(e._floats[series_eval._VALUES_WP]) == 9
-    assert list(e._proxy) == [2] and len(e._proxy[2]) == 9
-    assert not any(name in repr(e) for name in memos)
+    wp = series_eval._VALUES_WP
+    assert set(e._tables) == {("mpf", 96), ("mpf", wp), ("log", wp),
+                              ("proxy", 2)}
+    assert len(e._tables["proxy", 2]) == 9
+    assert "_tables" not in repr(e)
     fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)
-    assert len(fresh._pq[0]) == 2 and e == fresh
+    assert not fresh._tables and e == fresh
     assert repr(e) == repr(fresh)

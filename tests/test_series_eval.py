@@ -147,6 +147,24 @@ def test_proxy_sum_examples():
         se.proxy_sum(Fraction(2, 5), Alpha.one(), 1, 10)
 
 
+def test_proxy_terms_past_the_float_range():
+    # q_j has 20j + 1 bits, so q_j^k leaves the float range from j = 52 at
+    # k = 1 and from j = 26 at k = 2; those terms carry q_j's binary
+    # exponent instead of raising OverflowError
+    x = nk.make_surd(-2**20, 1, 2, 2**40 + 4)
+    gap = se.gap_audit([x], Alpha.one(), 1, 60)
+    assert 0 < gap.sup_gap < se.proof_constant_gate(1)
+    assert se.proxy_sum(x, Alpha.one(), 2, 40) == pytest.approx(
+        13.862943611224123, rel=1e-15)
+    e = expand(x, Alpha.one(), 60)
+    q = convergents(e, 60).q
+    with mp.workdps(40):
+        for k, n in ((1, 60), (2, 40)):
+            for j, term in enumerate(se._proxy(e, k, n)):
+                want = mp.log(q[j + 2]) / mp.mpf(q[j + 1]) ** k
+                assert abs(term - want) <= 1e-15 * want + 2.0 ** -1074
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: se.gap_audit([G], Alpha.one(), 1, 10, mode="wiltn"),
      "unknown mode 'wiltn'"),
