@@ -135,12 +135,6 @@ class CFExpansion:
         return [stored[i] if i < n else stored[pre + (i - pre) % length]
                 for i in range(start, stop)]
 
-    def digit_at(self, j: int):
-        """(a_j, eps_j) for 1-based j, cycling through the period if any."""
-        if j < 1:
-            raise IndexError("digit indices start at 1")
-        return self.cycled(self.digits, j - 1, j)[0]
-
     def orbit_at(self, j: int):
         """Exact orbit point x_j, cycling through the period if any."""
         if j < 0:
@@ -331,9 +325,6 @@ class ConvergentSeq:
     n: int
     p: list = field(default_factory=list)
     q: list = field(default_factory=list)
-
-    def p_of(self, j: int) -> int:
-        return self.p[j + 1]
 
     def q_of(self, j: int) -> int:
         return self.q[j + 1]

@@ -456,7 +456,9 @@ def raw_mpf(v: ExactNumber, prec: int):
     """Numeric value of v as a raw libmp mpf rounded to nearest at prec.
 
     A rational is its exact quotient rounded once, and a ball's value is
-    its exact midpoint rounded so.
+    its exact midpoint rounded so, from the ends' cross-multiplied sum
+    over 2 lo.d hi.d: the quotient is rounded exactly, so the fraction
+    need not be reduced.
     """
     if isinstance(v, Fraction):
         return from_rational(v.numerator, v.denominator, prec, _RND)
@@ -471,7 +473,9 @@ def raw_mpf(v: ExactNumber, prec: int):
         return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
         lo, hi = v.ends
-        return raw_mpf((lo + hi) / 2, prec)
+        return from_rational(lo.numerator * hi.denominator
+                             + hi.numerator * lo.denominator,
+                             2 * lo.denominator * hi.denominator, prec, _RND)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 

@@ -10,16 +10,16 @@ the regular (alpha = 1) continued fraction.
 
 Every mp-precision sum over an orbit runs through one kernel, one series
 per pass: ``_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
-orbit, one log per point, ``_signed`` applies the Wilton sign (-1)^n, the
-one place any sum takes it from, and ``_orbit_sum`` adds them up left to
-right.  The finite truncations of the last few rationals share one entry
-per precision: the ``_gauss_orbit`` points, log(1/x_n) of each and the
-unsigned terms at each k asked, so one rational's B_k and W take one log
-per point between them, and W signs B_1's terms.  Sums over an expansion's
-orbit likewise read the logs ``_orbit_logs`` keeps on the shared expansion
-(see ``CFExpansion.kept``), one list per precision, so the Brjuno and
-Wilton values of one point take one log per point read between them, and
-so do the residual's two modes.
+orbit, one log per point and no power at k = 1, ``_signed`` applies the
+Wilton sign (-1)^n, the one place any sum takes it from, and ``_orbit_sum``
+adds them up left to right.  The finite truncations of the last few
+rationals share one entry per precision: the ``_gauss_orbit`` points,
+log(1/x_n) of each and the unsigned terms at each k asked, so one
+rational's B_k and W take one log per point between them, and W signs B_1's
+terms.  Sums over an expansion's orbit likewise read the logs
+``_orbit_logs`` keeps on the shared expansion (see ``CFExpansion.kept``),
+one list per precision, so the Brjuno and Wilton values of one point take
+one log per point read between them, and so do the residual's two modes.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -195,20 +195,20 @@ def _log_inv(v, prec: int):
     return mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
 
 
-def _terms(vals: Iterable, k: int, prec: int,
-           logs: Iterable | None = None) -> Iterator:
+def _terms(vals: Iterable, k: int, prec: int, logs: Iterable) -> Iterator:
     """Per orbit point x_n, the unsigned term beta_{n-1}^k * log(1/x_n).
 
-    vals are raw mpf tuples, and every term is a raw mpf rounded to nearest
-    at prec.  Lazy, so a caller that stops early takes no further logs.  A
-    caller that already holds log(1/x_n) for each point, or a lazy source
-    of them, passes them as `logs`; one is read per term.
+    vals are raw mpf tuples, logs a source of log(1/x_n) for each point,
+    one read per term, and every term is a raw mpf rounded to nearest at
+    prec.  Lazy, so a caller that stops early reads no further logs.  beta
+    is formed at prec, so its first power is beta itself and k = 1 takes no
+    power.
     """
     beta = fone
-    logs = None if logs is None else iter(logs)
+    logs = iter(logs)
     for v in vals:
-        lg = _log_inv(v, prec) if logs is None else next(logs)
-        yield mpf_mul(mpf_pow_int(beta, k, prec, _RND), lg, prec, _RND)
+        power = beta if k == 1 else mpf_pow_int(beta, k, prec, _RND)
+        yield mpf_mul(power, next(logs), prec, _RND)
         beta = mpf_mul(beta, v, prec, _RND)
 
 
@@ -219,7 +219,7 @@ def _signed(terms: Iterable, signed: bool, prec: int) -> Iterator:
 
 
 def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
-                 logs: Iterable | None = None) -> Iterator:
+                 logs: Iterable) -> Iterator:
     """The ``_terms`` of one series, with the Wilton sign if signed."""
     return _signed(_terms(vals, k, prec, logs), signed, prec)
 

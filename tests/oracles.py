@@ -12,6 +12,12 @@ tables: each audit walks its own expansion to r_max + 1 (N + 1) digits,
 converts the orbit at its own precision and forms every float afresh, and
 the truncation kernel builds its rows in one pass and sums each k in
 another.
+
+``ball_mpf`` converts a ball as ``numkit.raw_mpf`` did before it
+cross-multiplied the ends: from the midpoint as a reduced Fraction.
+``orbit_terms`` forms the series terms as ``series_eval`` did before it
+read beta itself at k = 1: a log of every point, and beta^k by
+``mpf_pow_int`` at every k, k = 1 included.
 """
 
 import math
@@ -19,8 +25,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
-from mpmath.libmp import (from_int, mpf_div, mpf_mul, mpf_mul_int,
-                          mpf_pow_int, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, from_rational, mpf_div, mpf_log,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
+                          mpf_rdiv_int, round_nearest, to_float)
 
 from alphacf import series_eval as se
 from alphacf.cf_core import (Alpha, ConvergentSeq, convergents, expand,
@@ -227,3 +234,23 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         sup_cross = max(sup_cross, gap_cross)
     return se.GapAuditResult(sup_gap=sup_gap, sup_gap_cross=sup_cross,
                              alpha=str(alpha), k=k, N=N, mode=mode)
+
+
+def ball_mpf(x: BallFloat, prec: int):
+    """x's exact midpoint (lo + hi)/2, a reduced Fraction, rounded to
+    nearest at prec as a raw mpf."""
+    lo, hi = x.ends
+    mid = (lo + hi) / 2
+    return from_rational(mid.numerator, mid.denominator, prec, round_nearest)
+
+
+def orbit_terms(vals, k: int, signed: bool, prec: int) -> Iterator:
+    """beta_{n-1}^k * log(1/x_n) for the raw mpfs vals = x_0, x_1, .., each
+    negated at odd n if signed, with its own log of every point."""
+    rnd = round_nearest
+    beta = fone
+    for n, v in enumerate(vals):
+        lg = mpf_log(mpf_rdiv_int(1, v, prec, rnd), prec, rnd)
+        term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
+        yield mpf_neg(term, prec, rnd) if signed and n % 2 else term
+        beta = mpf_mul(beta, v, prec, rnd)

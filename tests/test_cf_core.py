@@ -58,7 +58,7 @@ def _orbit_products(e, n):
 
 def _convergent_gap(c, x, j):
     """|q_j x - p_j|, exactly."""
-    return abs(_times(c.q_of(j), x) - c.p_of(j))
+    return abs(_times(c.q_of(j), x) - c.p[j + 1])
 
 
 def test_alpha_validation():
@@ -104,7 +104,7 @@ def test_expand_examples():
     e = expand(G, Alpha.one(), 80)
     assert e.digits[0] == (1, 1)
     assert e.period == (0, 1)
-    assert e.digit_at(57) == (1, 1)
+    assert e.cycled(e.digits, 56, 57) == [(1, 1)]
 
     e = expand(Fraction(2, 5), Alpha.half(), 80)
     assert e.digits == [(3, -1), (2, 1)] and e.terminated
@@ -124,13 +124,13 @@ def test_convergents_examples():
     e = expand(Fraction(2, 5), Alpha.half(), 10)
     c = convergents(e)
     assert c.q == [0, 1, 3, 5] and c.p == [1, 0, 1, 2]
-    assert Fraction(c.p_of(2), c.q_of(2)) == Fraction(2, 5)
+    assert Fraction(c.p[3], c.q_of(2)) == Fraction(2, 5)
 
     cg = convergents(expand(G, Alpha.one(), 10), 8)
     assert cg.q[1:] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
 
     c3 = convergents(expand(Fraction(1, 3), Alpha.one(), 5))
-    assert c3.q_of(1) == 3 and c3.p_of(1) == 1
+    assert c3.q_of(1) == 3 and c3.p[2] == 1
 
 
 def test_beta_products_examples():
@@ -167,8 +167,8 @@ def test_rational_roundtrip_and_beta_identity(x, alpha_text):
     r = len(e.digits)
     c = convergents(e)
     # terminated expansion reproduces x exactly
-    assert Fraction(c.p_of(r), c.q_of(r)) == x
-    assert math.gcd(c.p_of(r), c.q_of(r)) == 1
+    assert Fraction(c.p[r + 1], c.q_of(r)) == x
+    assert math.gcd(c.p[r + 1], c.q_of(r)) == 1
     # |q_j x - p_j| = x_0 ... x_j exactly
     prods = _orbit_products(e, r - 1)
     for j in range(-1, r):
@@ -214,8 +214,8 @@ def test_dirichlet_bound_alpha_one(x):
     c = convergents(e)
     # strict below the terminal index; the terminated last step is an equality
     for j in range(0, r - 1):
-        assert abs(c.p_of(j) - c.q_of(j) * x) < Fraction(1, c.q_of(j + 1))
-    assert abs(c.p_of(r - 1) - c.q_of(r - 1) * x) == Fraction(1, c.q_of(r))
+        assert abs(c.p[j + 1] - c.q_of(j) * x) < Fraction(1, c.q_of(j + 1))
+    assert abs(c.p[r] - c.q_of(r - 1) * x) == Fraction(1, c.q_of(r))
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,7 +349,7 @@ def test_expansion_too_short():
     with pytest.raises(ExpansionTooShort):
         convergents(e, 5)
     with pytest.raises(ExpansionTooShort):
-        e.digit_at(4)
+        e.cycled(e.digits, 3, 4)
 
 
 def test_orbit_mpf_cycles_surd_period():
@@ -400,7 +400,7 @@ def test_orbit_convergent_consistency_alpha_one():
         c = convergents(e, n)
         for i in range(1, n + 1):
             xi = e.orbit_at(i)
-            num = _times(c.p_of(i - 1), xi) + c.p_of(i)
+            num = _times(c.p[i], xi) + c.p[i + 1]
             den = _times(c.q_of(i - 1), xi) + c.q_of(i)
             assert num == _times(xn, den)
 

@@ -132,23 +132,45 @@ def _private_definitions(tree) -> list:
     return names
 
 
-def test_private_helpers_have_a_caller_in_src():
-    # a helper whose last caller in the package is deleted goes with it,
-    # even where a test still calls it
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in MODULES}
+def _read_in_src(trees) -> set:
+    """Every name and attribute name the trees load."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_private_helpers_have_a_caller_in_src():
+    # a helper whose last caller in the package is deleted goes with it,
+    # even where a test still calls it
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES}
+    read = _read_in_src(trees.values())
     defined = [(name, helper) for name, tree in trees.items()
                for helper in _private_definitions(tree)]
     assert len(defined) > 40
     assert [f"{name}: {helper}" for name, helper in defined
             if helper not in read] == []
+
+
+def test_orbit_classes_have_no_uncalled_method():
+    # an expansion or convergent accessor that only tests call goes, as
+    # digit_at and p_of went once their last package caller was deleted
+    read = _read_in_src(ast.parse(p.read_text(encoding="utf-8"))
+                        for p in MODULES)
+    methods = [(cls.__name__, name)
+               for cls in (cf_core.CFExpansion, cf_core.ConvergentSeq)
+               for name, member in vars(cls).items()
+               if inspect.isfunction(member) and not name.startswith("__")]
+    assert len(methods) >= 7
+    assert [f"{cls}.{name}" for cls, name in methods if name not in read] == []
+    # a binding is no caller, a call of the attribute is
+    assert _read_in_src([ast.parse("e.digit_at = f\n")]) == {"e", "f"}
+    assert _read_in_src([ast.parse("e.digit_at(1)\n")]) == {"e", "digit_at"}
 
 
 def _imported_modules(source: str) -> set:

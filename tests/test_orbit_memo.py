@@ -22,12 +22,13 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
                           mpf_rdiv_int, mpf_sub, round_nearest)
 
-from alphacf import cf_core, orbit_compare, series_eval, verify_suites
+from alphacf import cf_core, numkit, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
 from alphacf.errors import PrecisionExhausted
 from alphacf.numkit import (DEFAULT_PRECISION, BallFloat, make_surd,
                             parse_exact, to_mpf)
 from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
+from oracles import ball_mpf, orbit_terms
 
 ONE, HALF = Alpha.one(), Alpha.half()
 BALL_ALPHAS = (ONE, HALF, Alpha(Fraction(3, 5)))
@@ -53,6 +54,21 @@ def _count(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def _count_terms(monkeypatch) -> list:
+    """Record the k of every term ``series_eval._terms`` forms from now
+    on."""
+    formed = []
+    real = series_eval._terms
+
+    def counted(vals, k, prec, logs):
+        for term in real(vals, k, prec, logs):
+            formed.append(k)
+            yield term
+
+    monkeypatch.setattr(series_eval, "_terms", counted)
+    return formed
 
 
 def _gauss_points(fr: Fraction) -> int:
@@ -155,20 +171,21 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
 
 
 def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
-    # W signs the terms B_1 kept, so the pair takes one beta^k per point
+    # W signs the terms B_1 kept, so the pair forms one term per point
     rng = random.Random(4)
     for _ in range(6):
         x = random_rational(rng, 2 ** 64, half=True)
         _clear_memos()
-        powers = _count(monkeypatch, series_eval, "mpf_pow_int")
+        terms = _count_terms(monkeypatch)
         series_eval.brjuno_finite_rational(x)
         series_eval.wilton_finite_rational(x)
-        assert len(powers) == _gauss_points(x) > 10
+        assert len(terms) == _gauss_points(x) > 10
         # B_2 forms its own terms, once, and a second call forms none
         series_eval.brjuno_finite_rational(x, 2)
         series_eval.brjuno_finite_rational(x, 2)
         series_eval.wilton_finite_rational(x)
-        assert len(powers) == 2 * _gauss_points(x)
+        assert len(terms) == 2 * _gauss_points(x)
+        assert terms == [1] * _gauss_points(x) + [2] * _gauss_points(x)
         monkeypatch.undo()
 
 
@@ -346,15 +363,10 @@ def _expansion_fresh(key, alpha, max_steps):
     return cf_core._expand_exact(key, alpha, max_steps)
 
 
-def _orbit_terms_fresh(vals, k, signed, prec, logs=None):
-    """``series_eval._orbit_terms`` taking its own log of every point."""
-    rnd = round_nearest
-    beta = fone
-    for n, v in enumerate(vals):
-        lg = mpf_log(mpf_rdiv_int(1, v, prec, rnd), prec, rnd)
-        term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
-        yield mpf_neg(term, prec, rnd) if signed and n % 2 else term
-        beta = mpf_mul(beta, v, prec, rnd)
+def _orbit_terms_fresh(vals, k, signed, prec, logs):
+    """``series_eval._orbit_terms`` taking its own log of every point and
+    forming beta^k by a power at every k."""
+    return orbit_terms(vals, k, signed, prec)
 
 
 def _over_cap_surds():
@@ -485,6 +497,56 @@ def test_ball_values_keep_the_bits_of_fresh_walks_and_logs(monkeypatch):
     assert memo == fresh
 
 
+def _point_ball(rng, prec):
+    """A zero-width ball: a dyadic point of prec bits is its own ends."""
+    return BallFloat(Fraction(rng.getrandbits(prec) | 1, 1 << prec), prec)
+
+
+def _ball_series(x, alpha, prec):
+    """B_1..B_3 and W of a ball at prec, and the residuals of both modes."""
+    xn, _ = cf_core.normalize(x, alpha)
+    n = min(50, len(expand(xn, alpha, CAP, best_effort=True).digits) - 1)
+    out = [_value_bits(series_eval.brjuno_k(x, alpha, k, prec=prec))
+           for k in (1, 2, 3)]
+    out.append(_value_bits(series_eval.wilton(x, alpha, prec=prec)))
+    out += [series_eval.functional_eq_residual(x, alpha, "brjuno", n, k,
+                                               prec)._mpf_ for k in (1, 2, 3)]
+    out.append(series_eval.functional_eq_residual(x, alpha, "wilton", n,
+                                                  prec=prec)._mpf_)
+    return out
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+def test_ball_series_keep_the_bits_of_midpoint_fractions_and_powers(
+        monkeypatch, prec):
+    # a ball's midpoint from its cross-multiplied ends, and beta read as it
+    # is at k = 1, against the reduced Fraction midpoint and a power at
+    # every k: text, surd-centred and zero-width balls at three alphas
+    rng = random.Random(prec)
+    balls = [parse_exact(f"0.{rng.randrange(10 ** 77):077d}", prec),
+             BallFloat(random_surd(rng, half=True), prec=prec),
+             _point_ball(rng, prec)]
+    assert balls[2].ends[0] == balls[2].ends[1]
+    cases = [(x, alpha) for x in balls for alpha in BALL_ALPHAS]
+    widths = set()
+    for x, alpha in cases:
+        xn, _ = cf_core.normalize(x, alpha)
+        for v in expand(xn, alpha, CAP, best_effort=True).orbit:
+            widths.add(v.ends[0] == v.ends[1])
+            for p in (prec, prec + 16, prec + 32):
+                assert numkit.raw_mpf(v, p) == ball_mpf(v, p)
+    assert widths == {True, False}
+    _clear_memos()
+    got = [_ball_series(x, alpha, prec) for x, alpha in cases]
+    raw_mpf = numkit.raw_mpf
+    monkeypatch.setattr(numkit, "raw_mpf", lambda v, p: ball_mpf(v, p)
+                        if isinstance(v, BallFloat) else raw_mpf(v, p))
+    monkeypatch.setattr(series_eval, "_orbit_terms", _orbit_terms_fresh)
+    _clear_memos()
+    assert got == [_ball_series(x, alpha, prec) for x, alpha in cases]
+    _clear_memos()
+
+
 def test_values_keep_their_bits_when_the_memo_is_warm():
     # a warm memo hands back the cold run's expansion and conversions
     xs = _over_cap_surds() + [make_surd(-1, 1, 2, 5)]
@@ -536,7 +598,7 @@ def _residual_fresh(x, alpha, mode, N, prec=DEFAULT_PRECISION):
 
     def total(vs):
         t = fzero
-        for term in _orbit_terms_fresh(vs, 1, signed, wp):
+        for term in orbit_terms(vs, 1, signed, wp):
             t = mpf_add(t, term, wp, rnd)
         return t
 

@@ -42,9 +42,17 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the series kernel, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
+    vals = se._raw_orbit(e, n - 1, wp)
     total = se._orbit_sum(
-        se._orbit_terms(se._raw_orbit(e, n - 1, wp), k, signed, wp), wp)
+        se._orbit_terms(vals, k, signed, wp, se._orbit_logs(e, vals, wp)), wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
+
+
+def kernel_terms(vals, k, signed, prec):
+    """The series kernel's terms over the raw mpfs vals, each point logged
+    once, with the Wilton sign if signed."""
+    logs = [se._log_inv(v, prec) for v in vals]
+    return list(se._orbit_terms(vals, k, signed, prec, logs))
 
 
 # -- fixed-point closed forms ------------------------------------------------
@@ -130,7 +138,7 @@ def test_finite_values_converge_to_series_along_convergents():
     limit = se.brjuno_k(G, Alpha.one(), 1, prec=128).value
     errs = []
     for r in (5, 10, 20):
-        fr = Fraction(c.p_of(r), c.q_of(r))
+        fr = Fraction(c.p[r + 1], c.q_of(r))
         errs.append(abs(float(se.brjuno_finite_rational(fr, 1) - limit)))
     assert errs[0] > errs[1] > errs[2]
     # rate matches the truncation bound scale 2C' x_r / q_r
@@ -516,8 +524,8 @@ def test_kernel_values_frozen():
 
 def test_wilton_terms_negate_brjuno_terms_at_odd_n():
     vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160))
-    brjuno1 = list(se._orbit_terms(vals, 1, False, 160))
-    wilton1 = list(se._orbit_terms(vals, 1, True, 160))
+    brjuno1 = kernel_terms(vals, 1, False, 160)
+    wilton1 = kernel_terms(vals, 1, True, 160)
     negated = [mpf_neg(t) if n % 2 else t for n, t in enumerate(brjuno1)]
     assert len(vals) > 10
     assert wilton1 == negated
@@ -616,7 +624,7 @@ def _oracle_truncation_audit(x, r_max, prec=160):
             partial = [p + t for p, t in zip(partial, terms)]
             q_r = c.q_of(r)
             fin = _oracle_orbit_sums(
-                _oracle_gauss_orbit(Fraction(c.p_of(r), q_r)), modes)
+                _oracle_gauss_orbit(Fraction(c.p[r + 1], q_r)), modes)
             x_r = vals[r] if len(vals) > r else mp.mpf(0)
             for (k, signed), f, p in zip(modes, fin, partial):
                 lhs = abs(f - p)
@@ -642,7 +650,7 @@ def _oracle_inputs():
 def _assert_kernel_matches(raw, want, prec):
     # each oracle mode through the single-series kernel, term for term
     for i, (k, signed) in enumerate(ORACLE_MODES):
-        got = list(se._orbit_terms(raw, k, signed, prec))
+        got = kernel_terms(raw, k, signed, prec)
         assert got == [terms[i] for terms in want]
 
 
