@@ -18,8 +18,8 @@ log(1/x_n) of each and the unsigned terms at each k asked, so one
 rational's B_k and W take one log per point between them, and W signs B_1's
 terms.  Sums over an expansion's orbit likewise read the logs
 ``_orbit_logs`` keeps on the shared expansion (see ``CFExpansion.kept``),
-one list per precision, so the Brjuno and Wilton values of one point take
-one log per point read between them, and so do the residual's two modes.
+one list per precision.  The residual works at the values' precision, so
+the values and residuals of one point read one log list between them.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -105,8 +105,9 @@ _GOLDEN_F = (5 ** 0.5 - 1) / 2
 _RND = round_nearest
 # rationals whose Gauss orbit and logs are kept across calls
 _MEMO = 16
-# the values' working precision at the default prec: the audits' orbit points
-_VALUES_WP = DEFAULT_PRECISION + 32
+# guard bits of the values' and the residual's working precision over prec
+_GUARD = 32
+_VALUES_WP = DEFAULT_PRECISION + _GUARD  # the audits' orbit points
 
 
 def _check_prec(prec: int) -> None:
@@ -304,7 +305,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, mode: str) -> SeriesValue:
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
     _check_prec(prec)
-    wp = prec + 32
+    wp = prec + _GUARD
     if e.period is not None:
         pre, length = e.period
         n_explicit = pre + length
@@ -440,10 +441,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
 
     residual = S_N(x) + log x -/+ x^k S_{N-1}(A_alpha x); algebraically zero,
     so the returned value measures only arithmetic rounding.  Both partial
-    sums are evaluated over one shared orbit and read one log list, kept on
-    the expansion, so the residuals of both modes at one precision take
-    one log per point between them, and after ``brjuno_k`` or ``wilton``
-    at x the orbit is the one they read (see ``_expand_to``).
+    sums work at the values' precision, prec + ``_GUARD``: after
+    ``brjuno_k`` or ``wilton`` at x they read the values' expansion (see
+    ``_expand_to``), conversions and log list, and take only log x_0.
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -455,7 +455,7 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     if mode == "wilton":
         k = 1
     e = _expand_to(_irrational(x, alpha), alpha, N)
-    wp = prec + 16
+    wp = prec + _GUARD
     vals = _raw_orbit(e, N - 1, wp)
     logs = list(_orbit_logs(e, vals, wp))
     signed = mode == "wilton"

@@ -17,7 +17,9 @@ another.
 cross-multiplied the ends: from the midpoint as a reduced Fraction.
 ``orbit_terms`` forms the series terms as ``series_eval`` did before it
 read beta itself at k = 1: a log of every point, and beta^k by
-``mpf_pow_int`` at every k, k = 1 included.
+``mpf_pow_int`` at every k, k = 1 included.  ``functional_eq_residual``
+sums those terms at the values' working precision over its own expansion,
+each point converted by ``ball_mpf`` or rounded from the exact orbit.
 """
 
 import math
@@ -25,9 +27,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_int, from_rational, mpf_div, mpf_log,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int,
-                          mpf_rdiv_int, round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add,
+                          mpf_div, mpf_log, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub,
+                          round_nearest, to_float)
 
 from alphacf import series_eval as se
 from alphacf.cf_core import (Alpha, ConvergentSeq, convergents, expand,
@@ -254,3 +257,33 @@ def orbit_terms(vals, k: int, signed: bool, prec: int) -> Iterator:
         term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
         yield mpf_neg(term, prec, rnd) if signed and n % 2 else term
         beta = mpf_mul(beta, v, prec, rnd)
+
+
+def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
+                           N: int = 50, k: int = 1,
+                           prec: int = DEFAULT_PRECISION):
+    """S_N(x) + log x_0 -/+ x_0^k S_{N-1}(A_alpha x) at prec + 32 bits, the
+    values' working precision, rounded to prec: the points x_0..x_{N-1} of
+    its own (x, alpha, N + 1) expansion, a ball's by ``ball_mpf`` and an
+    exact one's rounded once, and the sums of their ``orbit_terms``."""
+    rnd = round_nearest
+    wp = prec + 32
+    signed = mode == "wilton"
+    if signed:
+        k = 1
+    xn, _ = normalize(x, alpha)
+    e = expand(xn, alpha, N + 1, best_effort=True)
+    vals = [ball_mpf(v, wp) if isinstance(v, BallFloat) else raw_mpf(v, wp)
+            for v in (e.orbit_at(j) for j in range(N))]
+
+    def total(vs):
+        t = fzero
+        for term in orbit_terms(vs, k, signed, wp):
+            t = mpf_add(t, term, wp, rnd)
+        return t
+
+    x0 = vals[0]
+    head = mpf_add(total(vals), mpf_log(x0, wp, rnd), wp, rnd)
+    shift = mpf_mul(mpf_pow_int(x0, k, wp, rnd), total(vals[1:]), wp, rnd)
+    res = (mpf_add if signed else mpf_sub)(head, shift, wp, rnd)
+    return mp.make_mpf(mpf_pos(res, prec, rnd))

@@ -20,15 +20,14 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sub, round_nearest)
+                          mpf_rdiv_int, round_nearest)
 
 from alphacf import cf_core, numkit, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
 from alphacf.errors import PrecisionExhausted
-from alphacf.numkit import (DEFAULT_PRECISION, BallFloat, make_surd,
-                            parse_exact, to_mpf)
+from alphacf.numkit import BallFloat, make_surd, parse_exact, to_mpf
 from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
-from oracles import ball_mpf, orbit_terms
+from oracles import ball_mpf, functional_eq_residual, orbit_terms
 
 ONE, HALF = Alpha.one(), Alpha.half()
 BALL_ALPHAS = (ONE, HALF, Alpha(Fraction(3, 5)))
@@ -88,14 +87,16 @@ def _text_ball(rng):
 
 
 def _ball_eval(x, alpha):
-    """One ball-eval op: an expansion, two values and both residuals."""
+    """One ball-eval op: an expansion, two values and both residuals.
+
+    Returns the values, the residuals' N and the expansion."""
     xn, _ = cf_core.normalize(x, alpha)
     e = expand(xn, alpha, CAP, best_effort=True)
     values = [series_eval.brjuno_k(x, alpha), series_eval.wilton(x, alpha)]
     n = min(50, len(e.digits) - 1)
     for mode in ("brjuno", "wilton"):
         series_eval.functional_eq_residual(x, alpha, mode, n)
-    return values, n
+    return values, n, e
 
 
 def _exact_audit(x):
@@ -213,18 +214,20 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
         monkeypatch, make, walks):
     # the op's expansion, both values and both residuals share
     # (x, alpha, 256): one ball walk, one _walk per distinct end (10 and 5
-    # _walk calls without the memo).  The values read one log list at
-    # prec + 32 and the residuals one at prec + 16, each residual adding
-    # log x_0 for its head
+    # _walk calls without the memo).  The values and the residuals read one
+    # conversion and one log list, both at prec + 32, so a point is logged
+    # once, however many of them read it, and each residual adds log x_0
+    # for its head
     rng = random.Random(5)
     for i in range(6):
         x = make(rng)
         _clear_memos()
         walk_calls = _count(monkeypatch, cf_core, "_walk")
         logs = _count(monkeypatch, series_eval, "mpf_log")
-        (b, w), n = _ball_eval(x, BALL_ALPHAS[i % 3])
+        (b, w), n, e = _ball_eval(x, BALL_ALPHAS[i % 3])
         assert len(walk_calls) == walks
-        assert len(logs) == max(b.n_terms, w.n_terms) + n + 2
+        assert len(logs) == max(b.n_terms, w.n_terms, n) + 2
+        assert set(e._tables) == {("mpf", 288), ("log", 288)}
         monkeypatch.undo()
 
 
@@ -587,37 +590,15 @@ def test_ball_walk_orders_its_ends_by_eps_parity():
     assert widths >= 400
 
 
-def _residual_fresh(x, alpha, mode, N, prec=DEFAULT_PRECISION):
-    """``functional_eq_residual`` at k = 1 when it expanded to N + 1 digits."""
-    rnd = round_nearest
-    wp = prec + 16
-    e = series_eval._prepare(x, alpha, N + 1)
-    assert e.depth(N) == N
-    vals = _bits(_orbit_mpf_fresh(e, N - 1, wp))
-    signed = mode == "wilton"
-
-    def total(vs):
-        t = fzero
-        for term in orbit_terms(vs, 1, signed, wp):
-            t = mpf_add(t, term, wp, rnd)
-        return t
-
-    x0 = vals[0]
-    head = mpf_add(total(vals), mpf_log(x0, wp, rnd), wp, rnd)
-    if signed:
-        res = mpf_add(head, mpf_mul(x0, total(vals[1:]), wp, rnd), wp, rnd)
-    else:
-        res = mpf_sub(head, mpf_mul(mpf_pow_int(x0, 1, wp, rnd),
-                                    total(vals[1:]), wp, rnd), wp, rnd)
-    return mpf_pos(res, prec, rnd)
-
-
 def test_residual_reads_the_values_expansion():
     # after brjuno_k and wilton the residuals of both modes find their
-    # expansion in the memo, for a ball and for a surd
+    # expansion in the memo, for a ball and for a surd; at alpha = 1/2 they
+    # also read the values' conversion and logs, and keep no table of their
+    # own
     rng = random.Random(9)
     for x, alpha in ((_surd_ball(rng), HALF),
-                     (random_surd(rng, half=True), ONE)):
+                     (random_surd(rng, half=True), ONE),
+                     (random_surd(rng, half=True), HALF)):
         _clear_memos()
         series_eval.brjuno_k(x, alpha)
         series_eval.wilton(x, alpha)
@@ -625,6 +606,10 @@ def test_residual_reads_the_values_expansion():
         for mode in ("brjuno", "wilton"):
             series_eval.functional_eq_residual(x, alpha, mode, 50)
         assert cf_core._expansion.cache_info().misses == misses
+        if alpha == HALF:
+            e = expand(cf_core.normalize(x, alpha)[0], alpha, CAP,
+                       best_effort=True)
+            assert set(e._tables) == {("mpf", 288), ("log", 288)}
 
 
 def test_residual_keeps_the_bits_of_an_n_plus_1_expansion():
@@ -639,7 +624,8 @@ def test_residual_keeps_the_bits_of_an_n_plus_1_expansion():
             for mode in ("brjuno", "wilton"):
                 _clear_memos()
                 got = series_eval.functional_eq_residual(x, ONE, mode, N)
-                assert got._mpf_ == _residual_fresh(x, ONE, mode, N)
+                assert got._mpf_ == functional_eq_residual(
+                    x, ONE, mode, N)._mpf_
 
 
 # -- threads -----------------------------------------------------------------

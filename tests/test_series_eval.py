@@ -257,19 +257,22 @@ def test_residual_float_input():
 
 
 def test_residual_random_surds_and_floats():
+    # below the gate, and the bits of the oracle's independent sum
     rng = random.Random(99)
     gate = mp.mpf(2) ** -200
     for _ in range(10):
         xs = random_surd_in_unit(rng)
         for mode in ("brjuno", "wilton"):
-            res = se.functional_eq_residual(xs, Alpha.one(), mode, 50, 2,
-                                            prec=256)
+            args = (xs, Alpha.one(), mode, 50, 2, 256)
+            res = se.functional_eq_residual(*args)
             assert abs(res) < gate
+            assert res._mpf_ == oracles.functional_eq_residual(*args)._mpf_
         xf = nk.BallFloat(Fraction(rng.getrandbits(256) | 1, 2 ** 256),
                           prec=288)
-        res = se.functional_eq_residual(xf, Alpha(Fraction(3, 5)), "wilton",
-                                        50, prec=256)
+        args = (xf, Alpha(Fraction(3, 5)), "wilton", 50, 1, 256)
+        res = se.functional_eq_residual(*args)
         assert abs(res) < gate
+        assert res._mpf_ == oracles.functional_eq_residual(*args)._mpf_
 
 
 def test_functional_equation_between_closed_forms():
@@ -508,10 +511,13 @@ def test_kernel_values_frozen():
         assert (_repr128(se.brjuno_finite_rational(q, 1, prec=128)),
                 _repr128(se.brjuno_finite_rational(q, 2, prec=128)),
                 _repr128(se.wilton_finite_rational(q, prec=128))) == want
+    # the residual at the values' precision, prec + 32, as the oracle sums it
     res = se.functional_eq_residual(SQRT2M1, half, "wilton", 30, prec=160)
+    assert res._mpf_ == oracles.functional_eq_residual(
+        SQRT2M1, half, "wilton", 30, prec=160)._mpf_
     with mp.workprec(160):
         assert repr(res) == \
-            "mpf('5.2202435743988196213682352874052380445609314064552e-54')"
+            "mpf('7.9654595556622613851444019888385590279555227759631e-59')"
     lhs = {(r.r, r.k, r.mode): r.lhs for r in se.truncation_audit(G, 10)}
     assert repr(lhs[(4, 2, "brjuno")]) == "0.005653350140529961"
     assert repr(lhs[(10, 1, "wilton")]) == "0.019277399097552193"
