@@ -19,7 +19,8 @@ one point walk its orbit once, and every caller must treat the returned
 precision, so equal balls built apart share one expansion.  An expansion
 also keeps the tables its readers build from the orbit (see
 ``CFExpansion.kept``): ``orbit_mpf`` its conversions, and the series layer
-the orbit's logs and the gap audit's proxy terms.
+the orbit's logs, its running series passes and the gap audit's proxy
+terms.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ class CFExpansion:
     read-only but for the tables ``kept`` holds in ``_tables``: ("mpf",
     prec), the conversions ``orbit_mpf`` makes of the stored orbit's
     prefix; ("log", prec), the raw log(1/x_n) that ``series_eval`` takes of
-    x_0, x_1, ..; and ("proxy", k), the gap audit's unsigned proxy terms
-    log(q_{j+1})/q_j^k for j = 0, 1, ...
+    x_0, x_1, ..; ("run", k, start, prec), its running pass over x_start,
+    x_start+1, .., each entry a term and two running totals; and ("proxy",
+    k), the gap audit's unsigned proxy terms log(q_{j+1})/q_j^k for j = 0,
+    1, ...
     """
 
     x0: ExactNumber
@@ -143,12 +146,13 @@ class CFExpansion:
 
     def kept(self, key, n: int, more) -> list:
         """The table kept under key, first run on to n entries by
-        more(start, n) if it is shorter.  The whole list is returned, so
-        callers slice it.  A table is replaced, never extended in place, so
-        a thread reading the old list sees it whole."""
+        more(table, n), the entries past table, if it is shorter.  The
+        whole list is returned, so callers slice it.  A table is replaced,
+        never extended in place, so a thread reading the old list sees it
+        whole, and more continues the very list it extends."""
         table = self._tables.get(key, [])
         if len(table) < n:
-            table = self._tables[key] = table + more(len(table), n)
+            table = self._tables[key] = table + more(table, n)
         return table
 
     def orbit_mpf(self, n: int, prec: int) -> list:
@@ -165,8 +169,8 @@ class CFExpansion:
         # the last stored point of a periodic orbit repeats x_pre
         m = min(n + 1, len(self.orbit) if self.period is None
                 else sum(self.period))
-        vals = self.kept(("mpf", prec), m, lambda start, stop: [
-            to_mpf(v, prec) for v in self.orbit[start:stop]])
+        vals = self.kept(("mpf", prec), m, lambda table, stop: [
+            to_mpf(v, prec) for v in self.orbit[len(table):stop]])
         return self.cycled(vals, 0, m if self.period is None else n + 1)
 
     def to_json(self) -> str:

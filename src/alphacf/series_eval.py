@@ -8,18 +8,20 @@ eventually periodic (quadratic surd) orbits.  Rational points diverge; the
 sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
-Every mp-precision sum over an orbit runs through one kernel, one series
-per pass: ``_terms`` yields the terms beta_{n-1}^k * log(1/x_n) of an
-orbit, one log per point and no power at k = 1, ``_signed`` applies the
-Wilton sign (-1)^n, the one place any sum takes it from, and ``_orbit_sum``
-adds them up left to right.  The finite truncations of the last few
-rationals share one entry per precision: the ``_gauss_orbit`` points,
-log(1/x_n) of each and the unsigned terms at each k asked, so one
-rational's B_k and W take one log per point between them, and W signs B_1's
-terms.  Sums over an expansion's orbit likewise read the logs
-``_orbit_logs`` keeps on the shared expansion (see ``CFExpansion.kept``),
-one list per precision.  The residual works at the values' precision, so
-the values and residuals of one point read one log list between them.
+Every mp-precision sum over an orbit reads one kernel, ``_pass``: a
+running pass whose entry n holds the unsigned term beta_{n-1}^k *
+log(1/x_n), the running total of the terms and the running total with the
+Wilton sign (-1)^n, so a sum reads a total instead of adding terms.  A pass
+over an expansion's orbit is kept on the expansion (see
+``CFExpansion.kept``), one per (k, start point, precision), and run on
+only as far as a reader asks; it reads the logs ``_logs`` keeps there, one
+list per precision.  So ``brjuno_k`` at k = 1 and ``wilton`` read one
+pass, and the residual works at the values' precision and reads their
+pass for S_N and one pass from x_1, which its two modes share, for
+S_{N-1}.  The finite truncations of the last few rationals share one entry
+per precision: the ``_gauss_orbit`` points, log(1/x_n) of each and the
+last entry of the pass at each k asked, so one rational's B_1 and W read
+one pass's two totals.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -196,41 +198,34 @@ def _log_inv(v, prec: int):
     return mpf_log(mpf_rdiv_int(1, v, prec, _RND), prec, _RND)
 
 
-def _terms(vals: Iterable, k: int, prec: int, logs: Iterable) -> Iterator:
-    """Per orbit point x_n, the unsigned term beta_{n-1}^k * log(1/x_n).
+# the entry before a pass's first: no term, both totals 0, beta_{-1} = 1
+_START = (fzero, fzero, fzero, fone)
 
-    vals are raw mpf tuples, logs a source of log(1/x_n) for each point,
-    one read per term, and every term is a raw mpf rounded to nearest at
-    prec.  Lazy, so a caller that stops early reads no further logs.  beta
-    is formed at prec, so its first power is beta itself and k = 1 takes no
-    power.
+
+def _pass(vals: Iterable, logs: Iterable, k: int, prec: int, n: int,
+          entry: tuple) -> list:
+    """Entries n, n + 1, .. of a running pass, one per point x of vals and
+    its log(1/x) in logs, continuing from entry, the pass's entry n - 1
+    (``_START`` at n = 0).
+
+    Entry n is (term, b, w, beta): the unsigned term beta_{n-1}^k *
+    log(1/x_n), the running totals b of the terms and w of the terms each
+    negated at odd n (the Wilton sign), and beta_n, which the next term
+    reads.  All are raw mpfs rounded to nearest at prec, and each total is
+    the left-to-right chain of adds over its terms.  beta is formed at
+    prec, so its first power is beta itself and k = 1 takes no power.
     """
-    beta = fone
-    logs = iter(logs)
-    for v in vals:
+    _, b, w, beta = entry
+    out = []
+    for v, log in zip(vals, logs):
         power = beta if k == 1 else mpf_pow_int(beta, k, prec, _RND)
-        yield mpf_mul(power, next(logs), prec, _RND)
+        term = mpf_mul(power, log, prec, _RND)
+        b = mpf_add(b, term, prec, _RND)
+        w = (mpf_sub if n % 2 else mpf_add)(w, term, prec, _RND)
         beta = mpf_mul(beta, v, prec, _RND)
-
-
-def _signed(terms: Iterable, signed: bool, prec: int) -> Iterator:
-    """The terms, each negated at odd n if signed: the Wilton sign."""
-    for n, term in enumerate(terms):
-        yield mpf_neg(term, prec, _RND) if signed and n % 2 else term
-
-
-def _orbit_terms(vals: Iterable, k: int, signed: bool, prec: int,
-                 logs: Iterable) -> Iterator:
-    """The ``_terms`` of one series, with the Wilton sign if signed."""
-    return _signed(_terms(vals, k, prec, logs), signed, prec)
-
-
-def _orbit_sum(terms: Iterable, prec: int):
-    """Left-to-right total of raw mpf terms."""
-    total = fzero
-    for term in terms:
-        total = mpf_add(total, term, prec, _RND)
-    return total
+        out.append((term, b, w, beta))
+        n += 1
+    return out
 
 
 def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
@@ -244,11 +239,12 @@ def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
 
 @lru_cache(maxsize=_MEMO)
 def _gauss_logs(fr: Fraction, prec: int) -> tuple:
-    """(vals, logs, terms): fr's ``_gauss_orbit``, log(1/x_n) of each point
-    and k -> its unsigned ``_terms``, filled as sums ask.
+    """(vals, logs, ends): fr's ``_gauss_orbit``, log(1/x_n) of each point
+    and k -> the last entry of its ``_pass`` over them, filled as sums ask.
 
     Memoised on (fr, prec), so every finite truncation of fr at one
-    precision sums the same logs, and B_1 and W the same terms; read-only.
+    precision sums the same logs, and B_1 and W read one pass's totals;
+    read-only.
     """
     vals = tuple(_gauss_orbit(fr, prec))
     return vals, tuple(_log_inv(v, prec) for v in vals), {}
@@ -259,19 +255,35 @@ def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
     return [v._mpf_ for v in e.orbit_mpf(n, prec)]
 
 
-def _orbit_logs(e: CFExpansion, vals: Sequence, prec: int) -> Iterator:
-    """log(1/x_n) for vals = ``_raw_orbit(e, .., prec)``, in order, lazily.
+def _logs(e: CFExpansion, vals: Sequence, start: int, stop: int,
+          prec: int) -> list:
+    """log(1/x_n) for n = start..stop-1, vals = ``_raw_orbit(e, .., prec)``.
 
-    The logs are kept on e, one list per precision, so every sum over e's
+    The logs are kept on e, one list per precision, so every pass over e's
     orbit at prec takes the log of a point once, and only of the points
-    some sum has read.
+    some pass has read.
     """
-    key = ("log", prec)
+    def more(table, n):
+        return [_log_inv(v, prec) for v in vals[len(table):n]]
+    return e.kept(("log", prec), stop, more)[start:stop]
 
-    def more(start, stop):
-        return [_log_inv(v, prec) for v in vals[start:stop]]
-    for n in range(len(vals)):
-        yield e.kept(key, n + 1, more)[n]
+
+def _run(e: CFExpansion, vals: Sequence, k: int, start: int, n: int,
+         prec: int) -> list:
+    """At least n entries of the ``_pass`` over x_start, x_start+1, .. of
+    e, vals = ``_raw_orbit(e, .., prec)`` reaching x_{start+n-1}.
+
+    The pass is kept on e under ("run", k, start, prec) and run on only as
+    far as a reader asks, so the values and residuals of one point read
+    each term and total once, and a sum that stops early takes no log past
+    its last term.
+    """
+    def more(table, stop):
+        i = len(table)
+        return _pass(vals[start + i:start + stop],
+                     _logs(e, vals, start + i, start + stop, prec), k, prec,
+                     i, table[-1] if table else _START)
+    return e.kept(("run", k, start, prec), n, more)
 
 
 def _proxy_term(log_q: float, q: int, k: int) -> float:
@@ -287,10 +299,10 @@ def _proxy_term(log_q: float, q: int, k: int) -> float:
 def _proxy(e: CFExpansion, k: int, n: int) -> list:
     """log(q_{j+1}) / q_j^k for j = 0..n-1 over e's convergents, unsigned;
     ExpansionTooShort if e has fewer than n digits."""
-    def more(start, stop):
+    def more(table, stop):
         q = convergents(e, stop).q  # q[j + 1] = q_j
         return [_proxy_term(math.log(q[j + 2]), q[j + 1], k)
-                for j in range(start, stop)]
+                for j in range(len(table), stop)]
     return e.kept(("proxy", k), n, more)[:n]
 
 
@@ -306,19 +318,17 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
     _check_prec(prec)
     wp = prec + _GUARD
+    total_at = 2 if signed else 1  # the entry's w or b
     if e.period is not None:
         pre, length = e.period
         n_explicit = pre + length
         vals = _raw_orbit(e, n_explicit - 1, wp)
-        logs = _orbit_logs(e, vals, wp)
-        total = fzero
-        block = fzero
-        for n, term in enumerate(_orbit_terms(vals, k, signed, wp, logs)):
-            total = mpf_add(total, term, wp, _RND)
-            if n >= pre:
-                block = mpf_add(block, term, wp, _RND)
-        rho = fone
+        run = _run(e, vals, k, 0, n_explicit, wp)
+        total = run[n_explicit - 1][total_at]
+        block, rho = fzero, fone
         for n in range(pre, n_explicit):
+            add = mpf_sub if signed and n % 2 else mpf_add
+            block = add(block, run[n][0], wp, _RND)
             rho = mpf_mul(rho, vals[n], wp, _RND)
         ratio = mpf_pow_int(rho, k, wp, _RND)
         if signed and length % 2:
@@ -333,19 +343,15 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     # the orbit never hits zero, so every stored point is a term
     n_max = min(terms, len(e.orbit))
     vals = _raw_orbit(e, n_max - 1, wp)
-    logs = _orbit_logs(e, vals, wp)
     raw_tol = from_float(float(tol))
-    total = fzero
-    used = 0
-    last = fzero
+    run = []
     prev_abs = finf
     monotone = True
     exhausted = False
-    for n, term in enumerate(_orbit_terms(vals, k, signed, wp, logs)):
-        total = mpf_add(total, term, wp, _RND)
-        used = n + 1
-        last = term
-        size = mpf_abs(term, wp, _RND)
+    for n in range(n_max):
+        if n == len(run):  # one entry on, so no log is taken past the stop
+            run = _run(e, vals, k, 0, n + 1, wp)
+        size = mpf_abs(run[n][0])
         if mpf_gt(size, prev_abs):
             monotone = False
         prev_abs = size
@@ -354,13 +360,14 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     else:
         exhausted = n_max < terms
     gk = _GOLDEN_F ** k
-    last_abs = to_float(mpf_abs(last, wp, _RND), rnd=_RND)
+    last_abs = to_float(size, rnd=_RND)
     if signed and monotone:
         tail = last_abs  # alternating series with shrinking terms
     else:
         tail = last_abs * gk / (1 - gk)
-    return SeriesValue(value=mp.make_mpf(mpf_pos(total, prec, _RND)),
-                       n_terms=used, tail_estimate=tail, rigorous_tail=False,
+    return SeriesValue(value=mp.make_mpf(mpf_pos(run[n][total_at], prec,
+                                                 _RND)),
+                       n_terms=n + 1, tail_estimate=tail, rigorous_tail=False,
                        mode=mode, exhausted=exhausted)
 
 
@@ -393,11 +400,10 @@ def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     _check_prec(prec)
     wp = prec + 16
-    vals, logs, terms = _gauss_logs(fr, wp)
-    if k not in terms:
-        terms[k] = tuple(_terms(vals, k, wp, logs))
-    total = _orbit_sum(_signed(terms[k], signed, wp), wp)
-    return mp.make_mpf(mpf_pos(total, prec, _RND))
+    vals, logs, ends = _gauss_logs(fr, wp)
+    if k not in ends:
+        ends[k] = _pass(vals, logs, k, wp, 0, _START)[-1] if vals else _START
+    return mp.make_mpf(mpf_pos(ends[k][2 if signed else 1], prec, _RND))
 
 
 def brjuno_finite_rational(p_over_q: Fraction, k: int = 1,
@@ -443,7 +449,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     so the returned value measures only arithmetic rounding.  Both partial
     sums work at the values' precision, prec + ``_GUARD``: after
     ``brjuno_k`` or ``wilton`` at x they read the values' expansion (see
-    ``_expand_to``), conversions and log list, and take only log x_0.
+    ``_expand_to``), conversions, log list and pass, S_N as its total at
+    N - 1, and take only log x_0.  S_{N-1}(A_alpha x) is the total of the
+    pass from x_1, which the two modes share.
     """
     if N < 1:
         raise OutOfDomain("N must be >= 1")
@@ -457,10 +465,10 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     e = _expand_to(_irrational(x, alpha), alpha, N)
     wp = prec + _GUARD
     vals = _raw_orbit(e, N - 1, wp)
-    logs = list(_orbit_logs(e, vals, wp))
-    signed = mode == "wilton"
-    s_n = _orbit_sum(_orbit_terms(vals, k, signed, wp, logs), wp)
-    s_shift = _orbit_sum(_orbit_terms(vals[1:], k, signed, wp, logs[1:]), wp)
+    total_at = 2 if mode == "wilton" else 1  # the entry's w or b
+    s_n = _run(e, vals, k, 0, N, wp)[N - 1][total_at]
+    s_shift = (_run(e, vals, k, 1, N - 1, wp)[N - 2][total_at] if N > 1
+               else fzero)
     x0 = vals[0]
     head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
     if mode == "brjuno":

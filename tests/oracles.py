@@ -17,9 +17,12 @@ another.
 cross-multiplied the ends: from the midpoint as a reduced Fraction.
 ``orbit_terms`` forms the series terms as ``series_eval`` did before it
 read beta itself at k = 1: a log of every point, and beta^k by
-``mpf_pow_int`` at every k, k = 1 included.  ``functional_eq_residual``
-sums those terms at the values' working precision over its own expansion,
-each point converted by ``ball_mpf`` or rounded from the exact orbit.
+``mpf_pow_int`` at every k, k = 1 included, and ``orbit_sum`` adds them up
+left to right.  ``orbit_pass`` forms the entries of ``series_eval._pass``
+from those terms, each Wilton term negated before it is added.
+``functional_eq_residual`` sums those terms at the values' working
+precision over its own expansion, each point converted by ``ball_mpf`` or
+rounded from the exact orbit.
 """
 
 import math
@@ -259,6 +262,34 @@ def orbit_terms(vals, k: int, signed: bool, prec: int) -> Iterator:
         beta = mpf_mul(beta, v, prec, rnd)
 
 
+def orbit_sum(vals, k: int, signed: bool, prec: int):
+    """Left-to-right total of the ``orbit_terms`` of vals at prec."""
+    total = fzero
+    for term in orbit_terms(vals, k, signed, prec):
+        total = mpf_add(total, term, prec, round_nearest)
+    return total
+
+
+def orbit_pass(vals, logs, k: int, prec: int, n: int, entry: tuple) -> list:
+    """``series_eval._pass`` from the ``orbit_terms`` way of forming a term:
+    its own log of every point (logs is not read), beta^k by a power at
+    every k, and each total the chain of its terms, a Wilton term negated
+    at odd n before it is added."""
+    rnd = round_nearest
+    _, b, w, beta = entry
+    out = []
+    for v in vals:
+        lg = mpf_log(mpf_rdiv_int(1, v, prec, rnd), prec, rnd)
+        term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
+        b = mpf_add(b, term, prec, rnd)
+        w = mpf_add(w, mpf_neg(term, prec, rnd) if n % 2 else term, prec,
+                    rnd)
+        beta = mpf_mul(beta, v, prec, rnd)
+        out.append((term, b, w, beta))
+        n += 1
+    return out
+
+
 def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
                            N: int = 50, k: int = 1,
                            prec: int = DEFAULT_PRECISION):
@@ -275,15 +306,10 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     e = expand(xn, alpha, N + 1, best_effort=True)
     vals = [ball_mpf(v, wp) if isinstance(v, BallFloat) else raw_mpf(v, wp)
             for v in (e.orbit_at(j) for j in range(N))]
-
-    def total(vs):
-        t = fzero
-        for term in orbit_terms(vs, k, signed, wp):
-            t = mpf_add(t, term, wp, rnd)
-        return t
-
     x0 = vals[0]
-    head = mpf_add(total(vals), mpf_log(x0, wp, rnd), wp, rnd)
-    shift = mpf_mul(mpf_pow_int(x0, k, wp, rnd), total(vals[1:]), wp, rnd)
+    head = mpf_add(orbit_sum(vals, k, signed, wp), mpf_log(x0, wp, rnd), wp,
+                   rnd)
+    shift = mpf_mul(mpf_pow_int(x0, k, wp, rnd),
+                    orbit_sum(vals[1:], k, signed, wp), wp, rnd)
     res = (mpf_add if signed else mpf_sub)(head, shift, wp, rnd)
     return mp.make_mpf(mpf_pos(res, prec, rnd))

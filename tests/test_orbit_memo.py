@@ -27,7 +27,7 @@ from alphacf.cf_core import Alpha, expand
 from alphacf.errors import PrecisionExhausted
 from alphacf.numkit import BallFloat, make_surd, parse_exact, to_mpf
 from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
-from oracles import ball_mpf, functional_eq_residual, orbit_terms
+from oracles import ball_mpf, functional_eq_residual, orbit_pass
 
 ONE, HALF = Alpha.one(), Alpha.half()
 BALL_ALPHAS = (ONE, HALF, Alpha(Fraction(3, 5)))
@@ -56,17 +56,17 @@ def _count(monkeypatch, module, name) -> list:
 
 
 def _count_terms(monkeypatch) -> list:
-    """Record the k of every term ``series_eval._terms`` forms from now
+    """Record the k of every term ``series_eval._pass`` forms from now
     on."""
     formed = []
-    real = series_eval._terms
+    real = series_eval._pass
 
-    def counted(vals, k, prec, logs):
-        for term in real(vals, k, prec, logs):
-            formed.append(k)
-            yield term
+    def counted(vals, logs, k, prec, n, entry):
+        entries = real(vals, logs, k, prec, n, entry)
+        formed.extend([k] * len(entries))
+        return entries
 
-    monkeypatch.setattr(series_eval, "_terms", counted)
+    monkeypatch.setattr(series_eval, "_pass", counted)
     return formed
 
 
@@ -172,7 +172,8 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
 
 
 def test_finite_pair_forms_each_gauss_term_once(monkeypatch):
-    # W signs the terms B_1 kept, so the pair forms one term per point
+    # W reads the signed total of B_1's pass, so the pair forms one term
+    # per point
     rng = random.Random(4)
     for _ in range(6):
         x = random_rational(rng, 2 ** 64, half=True)
@@ -217,7 +218,8 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
     # _walk calls without the memo).  The values and the residuals read one
     # conversion and one log list, both at prec + 32, so a point is logged
     # once, however many of them read it, and each residual adds log x_0
-    # for its head
+    # for its head.  All four read one running pass from x_0, and the
+    # residuals share one from x_1
     rng = random.Random(5)
     for i in range(6):
         x = make(rng)
@@ -227,7 +229,26 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
         (b, w), n, e = _ball_eval(x, BALL_ALPHAS[i % 3])
         assert len(walk_calls) == walks
         assert len(logs) == max(b.n_terms, w.n_terms, n) + 2
-        assert set(e._tables) == {("mpf", 288), ("log", 288)}
+        assert set(e._tables) == {("mpf", 288), ("log", 288),
+                                  ("run", 1, 0, 288), ("run", 1, 1, 288)}
+        monkeypatch.undo()
+
+
+def test_ball_eval_forms_each_term_and_total_once(monkeypatch):
+    # one ball-eval op forms a term, its two running totals and the next
+    # beta once per entry of the passes from x_0 and x_1: 2 muls an entry,
+    # and one more per residual for x_0 S_{N-1}(A x).  Summing each of the
+    # four series on its own took about 2 muls a term of each
+    rng = random.Random(8)
+    for i in range(6):
+        x = (_surd_ball if i % 2 else _text_ball)(rng)
+        _clear_memos()
+        muls = _count(monkeypatch, series_eval, "mpf_mul")
+        (b, w), n, e = _ball_eval(x, BALL_ALPHAS[i % 3])
+        from_x0, from_x1 = max(b.n_terms, w.n_terms, n), n - 1
+        assert len(muls) <= 2 * (from_x0 + from_x1) + 4
+        assert [len(e._tables["run", 1, start, 288]) for start in (0, 1)] \
+            == [from_x0, from_x1]
         monkeypatch.undo()
 
 
@@ -366,12 +387,6 @@ def _expansion_fresh(key, alpha, max_steps):
     return cf_core._expand_exact(key, alpha, max_steps)
 
 
-def _orbit_terms_fresh(vals, k, signed, prec, logs):
-    """``series_eval._orbit_terms`` taking its own log of every point and
-    forming beta^k by a power at every k."""
-    return orbit_terms(vals, k, signed, prec)
-
-
 def _over_cap_surds():
     """Seeded surds whose period at alpha = 1 is longer than the cap."""
     rng = random.Random(1)
@@ -495,7 +510,7 @@ def test_ball_values_keep_the_bits_of_fresh_walks_and_logs(monkeypatch):
     memo = [_ball_values(x, alpha) for x, alpha in cases]
     assert cf_core._expansion.cache_info().hits >= 3 * len(cases)
     monkeypatch.setattr(cf_core, "_expansion", _expansion_fresh)
-    monkeypatch.setattr(series_eval, "_orbit_terms", _orbit_terms_fresh)
+    monkeypatch.setattr(series_eval, "_pass", orbit_pass)
     fresh = [_ball_values(x, alpha) for x, alpha in cases]
     assert memo == fresh
 
@@ -544,7 +559,7 @@ def test_ball_series_keep_the_bits_of_midpoint_fractions_and_powers(
     raw_mpf = numkit.raw_mpf
     monkeypatch.setattr(numkit, "raw_mpf", lambda v, p: ball_mpf(v, p)
                         if isinstance(v, BallFloat) else raw_mpf(v, p))
-    monkeypatch.setattr(series_eval, "_orbit_terms", _orbit_terms_fresh)
+    monkeypatch.setattr(series_eval, "_pass", orbit_pass)
     _clear_memos()
     assert got == [_ball_series(x, alpha, prec) for x, alpha in cases]
     _clear_memos()
@@ -593,8 +608,8 @@ def test_ball_walk_orders_its_ends_by_eps_parity():
 def test_residual_reads_the_values_expansion():
     # after brjuno_k and wilton the residuals of both modes find their
     # expansion in the memo, for a ball and for a surd; at alpha = 1/2 they
-    # also read the values' conversion and logs, and keep no table of their
-    # own
+    # also read the values' conversion, logs and running pass from x_0, and
+    # keep only the pass from x_1 that the two modes share
     rng = random.Random(9)
     for x, alpha in ((_surd_ball(rng), HALF),
                      (random_surd(rng, half=True), ONE),
@@ -609,7 +624,8 @@ def test_residual_reads_the_values_expansion():
         if alpha == HALF:
             e = expand(cf_core.normalize(x, alpha)[0], alpha, CAP,
                        best_effort=True)
-            assert set(e._tables) == {("mpf", 288), ("log", 288)}
+            assert set(e._tables) == {("mpf", 288), ("log", 288),
+                                      ("run", 1, 0, 288), ("run", 1, 1, 288)}
 
 
 def test_residual_keeps_the_bits_of_an_n_plus_1_expansion():
@@ -638,7 +654,9 @@ def _tasks(surds, rationals, balls) -> list:
         n = min(50, len(e.digits) - 1)
         tasks += [(series_eval.brjuno_k, x, alpha),
                   (series_eval.wilton, x, alpha),
-                  (series_eval.brjuno_k, x, alpha, 2)]
+                  (series_eval.brjuno_k, x, alpha, 2),
+                  (series_eval.functional_eq_residual, x, alpha, "brjuno", n,
+                   2)]
         for mode in ("brjuno", "wilton"):
             tasks.append((series_eval.functional_eq_residual, x, alpha, mode,
                           n))
@@ -646,6 +664,8 @@ def _tasks(surds, rationals, balls) -> list:
         tasks += [(series_eval.brjuno_k, x, ONE), (series_eval.wilton, x, ONE),
                   (series_eval.brjuno_k, x, HALF),
                   (series_eval.truncation_audit, x, 30)]
+        tasks += [(series_eval.functional_eq_residual, x, ONE, mode, 50)
+                  for mode in ("brjuno", "wilton")]
         for alpha in (ONE, HALF):
             for mode in ("brjuno", "wilton"):
                 tasks.append((series_eval.gap_audit, x, alpha, mode))
@@ -730,7 +750,7 @@ def test_expansion_constructor_takes_no_memo():
     series_eval.gap_audit([x], ONE, 2, 9)
     wp = series_eval._VALUES_WP
     assert set(e._tables) == {("mpf", 96), ("mpf", wp), ("log", wp),
-                              ("proxy", 2)}
+                              ("run", 1, 0, wp), ("proxy", 2)}
     assert len(e._tables["proxy", 2]) == 9
     assert "_tables" not in repr(e)
     fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)

@@ -3,10 +3,12 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_float, mpf_mul, mpf_neg, mpf_pos, round_nearest
+from mpmath.libmp import (from_float, fzero, mpf_add, mpf_mul, mpf_neg,
+                          mpf_pos, round_nearest)
 
 from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, convergents, expand, normalize
@@ -39,20 +41,18 @@ def random_surd_in_unit(rng, below_half=False):
 
 
 def long_sum(x, alpha, k, signed, n, prec):
-    """The n-term orbit sum of x from the series kernel, with no tail."""
+    """The n-term orbit sum of x from the oracle's terms, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    vals = se._raw_orbit(e, n - 1, wp)
-    total = se._orbit_sum(
-        se._orbit_terms(vals, k, signed, wp, se._orbit_logs(e, vals, wp)), wp)
+    total = oracles.orbit_sum(se._raw_orbit(e, n - 1, wp), k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
 
-def kernel_terms(vals, k, signed, prec):
-    """The series kernel's terms over the raw mpfs vals, each point logged
-    once, with the Wilton sign if signed."""
+def kernel_pass(vals, k, prec):
+    """The series kernel's running pass over the raw mpfs vals, each point
+    logged once."""
     logs = [se._log_inv(v, prec) for v in vals]
-    return list(se._orbit_terms(vals, k, signed, prec, logs))
+    return se._pass(vals, logs, k, prec, 0, se._START)
 
 
 # -- fixed-point closed forms ------------------------------------------------
@@ -529,12 +529,16 @@ def test_kernel_values_frozen():
 
 
 def test_wilton_terms_negate_brjuno_terms_at_odd_n():
+    # the pass's W totals chain B_1's terms, each negated at odd n, and its
+    # B_1 totals the terms as they are
     vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160))
-    brjuno1 = kernel_terms(vals, 1, False, 160)
-    wilton1 = kernel_terms(vals, 1, True, 160)
-    negated = [mpf_neg(t) if n % 2 else t for n, t in enumerate(brjuno1)]
-    assert len(vals) > 10
-    assert wilton1 == negated
+    entries = kernel_pass(vals, 1, 160)
+    assert len(vals) > 10 and len(entries) == len(vals)
+    b = w = fzero
+    for n, (term, b_total, w_total, _) in enumerate(entries):
+        b = mpf_add(b, term, 160, round_nearest)
+        w = mpf_add(w, mpf_neg(term) if n % 2 else term, 160, round_nearest)
+        assert (b_total, w_total) == (b, w)
 
 
 def test_truncation_bound_check_is_its_audit_entry():
@@ -654,10 +658,17 @@ def _oracle_inputs():
 
 
 def _assert_kernel_matches(raw, want, prec):
-    # each oracle mode through the single-series kernel, term for term
+    # each oracle mode through the kernel's running pass, term for term and
+    # running total for running total
     for i, (k, signed) in enumerate(ORACLE_MODES):
-        got = kernel_terms(raw, k, signed, prec)
+        entries = kernel_pass(raw, k, prec)
+        got = [mpf_neg(e[0]) if signed and n % 2 else e[0]
+               for n, e in enumerate(entries)]
         assert got == [terms[i] for terms in want]
+        with mp.workprec(prec):
+            totals = accumulate(mp.make_mpf(terms[i]) for terms in want)
+            assert [e[2 if signed else 1] for e in entries] == [
+                t._mpf_ for t in totals]
 
 
 @pytest.mark.parametrize("prec", [176, 272, 600])
