@@ -19,8 +19,8 @@ one point walk its orbit once, and every caller must treat the returned
 precision, so equal balls built apart share one expansion.  An expansion
 also keeps the tables its readers build from the orbit (see
 ``CFExpansion.kept``): ``orbit_mpf`` its conversions, and the series layer
-the orbit's logs, its running series passes and the gap audit's proxy
-terms.
+the orbit's points with their logs, its running series passes and the gap
+audit's proxy terms.
 """
 
 from __future__ import annotations
@@ -103,11 +103,11 @@ class CFExpansion:
     An expansion may be shared between callers (see ``expand``), so it is
     read-only but for the tables ``kept`` holds in ``_tables``: ("mpf",
     prec), the conversions ``orbit_mpf`` makes of the stored orbit's
-    prefix; ("log", prec), the raw log(1/x_n) that ``series_eval`` takes of
-    x_0, x_1, ..; ("run", k, start, prec), its running pass over x_start,
-    x_start+1, .., each entry a term and two running totals; and ("proxy",
-    k), the gap audit's unsigned proxy terms log(q_{j+1})/q_j^k for j = 0,
-    1, ...
+    prefix; ("log", prec), the raw pairs (x_n, log(1/x_n)) that
+    ``series_eval`` forms of x_0, x_1, ..; ("run", k, start, prec), its
+    running pass over x_start, x_start+1, .., each entry a term and two
+    running totals; and ("proxy", k), the gap audit's unsigned proxy terms
+    log(q_{j+1})/q_j^k for j = 0, 1, ...
     """
 
     x0: ExactNumber
@@ -155,23 +155,25 @@ class CFExpansion:
             table = self._tables[key] = table + more(table, n)
         return table
 
-    def orbit_mpf(self, n: int, prec: int) -> list:
-        """Orbit values x_0..x_n as mpf at working precision.
+    def orbit_mpf(self, n: int, prec: int, start: int = 0) -> list:
+        """Orbit values x_start..x_n as mpf at working precision.
 
         Every stored orbit point is converted on its own, cycling through
         the period where one was detected.  Exact states are rounded once;
         float orbits are read from the certified ball orbit that ``expand``
         stored, each ball by its midpoint, so a value lies between its ball's
-        ends up to one rounding.  A list shorter than n + 1 means the stored
-        orbit ran out first.  Each stored point is converted once per
-        precision, however many calls ask for it.
+        ends up to one rounding.  A list shorter than n + 1 - start means
+        the stored orbit ran out first.  Each stored point is converted
+        once per precision, however many calls ask for it, and only once a
+        call reaches it, so a reader that asks point by point converts
+        none past the last it reads.
         """
         # the last stored point of a periodic orbit repeats x_pre
         m = min(n + 1, len(self.orbit) if self.period is None
                 else sum(self.period))
         vals = self.kept(("mpf", prec), m, lambda table, stop: [
             to_mpf(v, prec) for v in self.orbit[len(table):stop]])
-        return self.cycled(vals, 0, m if self.period is None else n + 1)
+        return self.cycled(vals, start, m if self.period is None else n + 1)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -200,8 +202,9 @@ def _walk(x, alpha: Alpha):
     alpha is (A + B*sqrt(d))/C.  By the conjugate 1/x = (U + V*sqrt(d))/W
     with W > 0, the digit is floor((UC + W(C - A) + (VC - WB)*sqrt(d))/(WC))
     and x_next = |1/x - digit|, whose sign is eps.  A surd state is reduced
-    by one gcd to the canonical form make_surd gives; a rational one stays
-    coprime, as gcd(U - digit*W, W) = gcd(c, a) = 1.
+    by one gcd to the canonical form make_surd gives.  A rational one takes
+    no gcd: it stays coprime, as gcd(U - digit*W, W) = gcd(c, a) = 1, and
+    an exact hit has W = 1, so it is built reduced, the zero state as 0/1.
     """
     a, b, c, d = _lin(x)
     A, B, C, d_alpha = _lin(alpha.value)
@@ -224,7 +227,9 @@ def _walk(x, alpha: Alpha):
             yield (k, eps), Surd._raw(a, b, c, d)
         else:
             a, c = r, W
-            yield (k, eps), Fraction(a, c)
+            y = object.__new__(Fraction)  # as _from_coprime_ints (3.12+)
+            y._numerator, y._denominator = a, c
+            yield (k, eps), y
 
 
 def _expand_exact(x, alpha: Alpha, max_steps: int) -> CFExpansion:

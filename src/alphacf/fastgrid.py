@@ -56,6 +56,8 @@ def series_grid(xs, alpha: float = 1.0, k: int = 1, signed: bool = False,
         raise OutOfDomain("terms must be >= 1")
     if np.isnan(tol):
         raise OutOfDomain("tol must be a number, not nan")
+    if not 0.5 <= alpha <= 1.0:  # NaN fails too
+        raise OutOfDomain(f"alpha = {alpha} outside [1/2, 1]")
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
     out = np.where(np.isfinite(flat), np.inf, np.nan)

@@ -42,13 +42,13 @@ from mpmath.libmp import (
     fninf,
     from_float,
     from_int,
-    from_rational,
     from_str,
     mpf_add,
     mpf_div,
     mpf_mul_int,
     mpf_pos,
     mpf_sqrt,
+    normalize1,
     round_ceiling,
     round_floor,
     round_nearest,
@@ -396,9 +396,25 @@ class BallFloat(_Ordered):
                 f"+/- {to_str(half, 3)}, prec={self.prec})")
 
 
+def ratio_mpf(p: int, q: int, prec: int, rnd=_RND):
+    """p/q, q > 0, as a raw mpf rounded once in direction rnd at prec.
+
+    The ints are taken as given, unnormalised: one divmod gives at least
+    prec + 1 quotient bits, a remainder sets a sticky bit below them, and
+    normalize1 rounds that odd mantissa as it rounds the exact quotient,
+    so the bits are those of libmp's ``from_rational``.
+    """
+    extra = max(prec + q.bit_length() - p.bit_length() + 1, 0)
+    quot, rem = divmod(abs(p) << extra, q)
+    if rem:
+        quot, extra = quot << 1 | 1, extra + 1
+    return normalize1(1 if p < 0 else 0, quot, -extra, quot.bit_length(),
+                      prec, rnd)
+
+
 def _mpf(q: Fraction, prec: int, rnd):
     """The rational q as a raw mpf rounded in direction rnd at prec."""
-    return from_rational(q.numerator, q.denominator, prec, rnd)
+    return ratio_mpf(q.numerator, q.denominator, prec, rnd)
 
 
 def _dyadic(q: Fraction, prec: int, rnd) -> Fraction:
@@ -455,13 +471,14 @@ ExactNumber = Union[Fraction, Surd, BallFloat]
 def raw_mpf(v: ExactNumber, prec: int):
     """Numeric value of v as a raw libmp mpf rounded to nearest at prec.
 
-    A rational is its exact quotient rounded once, and a ball's value is
-    its exact midpoint rounded so, from the ends' cross-multiplied sum
-    over 2 lo.d hi.d: the quotient is rounded exactly, so the fraction
-    need not be reduced.
+    A rational is its exact quotient rounded once by ``ratio_mpf``, and a
+    ball's value is its exact midpoint rounded so, from the ends'
+    cross-multiplied sum over 2 lo.d hi.d: the quotient is rounded
+    exactly, so the fraction need not be reduced, and the big ints are
+    divided as they are, never normalised first.
     """
     if isinstance(v, Fraction):
-        return from_rational(v.numerator, v.denominator, prec, _RND)
+        return _mpf(v, prec, _RND)
     if isinstance(v, int):
         return from_int(v, prec, _RND)
     if isinstance(v, Surd):
@@ -473,9 +490,9 @@ def raw_mpf(v: ExactNumber, prec: int):
         return mpf_pos(r, prec, _RND)
     if isinstance(v, BallFloat):
         lo, hi = v.ends
-        return from_rational(lo.numerator * hi.denominator
-                             + hi.numerator * lo.denominator,
-                             2 * lo.denominator * hi.denominator, prec, _RND)
+        return ratio_mpf(lo.numerator * hi.denominator
+                         + hi.numerator * lo.denominator,
+                         2 * lo.denominator * hi.denominator, prec)
     raise TypeError(f"not an ExactNumber: {type(v).__name__}")
 
 

@@ -14,12 +14,15 @@ log(1/x_n), the running total of the terms and the running total with the
 Wilton sign (-1)^n, so a sum reads a total instead of adding terms.  A pass
 over an expansion's orbit is kept on the expansion (see
 ``CFExpansion.kept``), one per (k, start point, precision), and run on
-only as far as a reader asks; it reads the logs ``_logs`` keeps there, one
-list per precision.  So ``brjuno_k`` at k = 1 and ``wilton`` read one
+only as far as a reader asks, in one call: to a given length, or for a
+sum that stops at tol, through its first term under tol.  It keeps the
+pairs (x_n, log(1/x_n)) there, one list per precision, formed in one call
+for a pass read to a given length and one point at a time for one that
+stops at tol, so no point past a sum's stop is converted or logged.  So ``brjuno_k`` at k = 1 and ``wilton`` read one
 pass, and the residual works at the values' precision and reads their
 pass for S_N and one pass from x_1, which its two modes share, for
 S_{N-1}.  The finite truncations of the last few rationals share one entry
-per precision: the ``_gauss_orbit`` points, log(1/x_n) of each and the
+per precision: the ``_gauss_orbit`` points with log(1/x_n) of each and the
 last entry of the pass at each k asked, so one rational's B_1 and W read
 one pass's two totals.
 
@@ -57,7 +60,6 @@ from mpmath.libmp import (
     fone,
     from_float,
     from_int,
-    from_rational,
     fzero,
     mpf_abs,
     mpf_add,
@@ -97,6 +99,7 @@ from .numkit import (
     DEFAULT_PRECISION,
     ExactNumber,
     format_exact,
+    ratio_mpf,
     raw_mpf,
 )
 
@@ -202,11 +205,12 @@ def _log_inv(v, prec: int):
 _START = (fzero, fzero, fzero, fone)
 
 
-def _pass(vals: Iterable, logs: Iterable, k: int, prec: int, n: int,
-          entry: tuple) -> list:
-    """Entries n, n + 1, .. of a running pass, one per point x of vals and
-    its log(1/x) in logs, continuing from entry, the pass's entry n - 1
-    (``_START`` at n = 0).
+def _pass(points: Iterable, k: int, prec: int, n: int, entry: tuple,
+          tol=None) -> list:
+    """Entries n, n + 1, .. of a running pass, one per pair (x, log(1/x))
+    of points, continuing from entry, the pass's entry n - 1 (``_START`` at
+    n = 0); given a raw mpf tol, the pass stops after the first entry whose
+    |term| < tol, and reads no point past it.
 
     Entry n is (term, b, w, beta): the unsigned term beta_{n-1}^k *
     log(1/x_n), the running totals b of the terms and w of the terms each
@@ -217,13 +221,15 @@ def _pass(vals: Iterable, logs: Iterable, k: int, prec: int, n: int,
     """
     _, b, w, beta = entry
     out = []
-    for v, log in zip(vals, logs):
+    for v, log in points:
         power = beta if k == 1 else mpf_pow_int(beta, k, prec, _RND)
         term = mpf_mul(power, log, prec, _RND)
         b = mpf_add(b, term, prec, _RND)
         w = (mpf_sub if n % 2 else mpf_add)(w, term, prec, _RND)
         beta = mpf_mul(beta, v, prec, _RND)
         out.append((term, b, w, beta))
+        if tol is not None and mpf_lt(mpf_abs(term), tol):
+            break
         n += 1
     return out
 
@@ -239,15 +245,14 @@ def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
 
 @lru_cache(maxsize=_MEMO)
 def _gauss_logs(fr: Fraction, prec: int) -> tuple:
-    """(vals, logs, ends): fr's ``_gauss_orbit``, log(1/x_n) of each point
+    """(points, ends): the pairs (x_n, log(1/x_n)) of fr's ``_gauss_orbit``
     and k -> the last entry of its ``_pass`` over them, filled as sums ask.
 
     Memoised on (fr, prec), so every finite truncation of fr at one
     precision sums the same logs, and B_1 and W read one pass's totals;
     read-only.
     """
-    vals = tuple(_gauss_orbit(fr, prec))
-    return vals, tuple(_log_inv(v, prec) for v in vals), {}
+    return tuple((v, _log_inv(v, prec)) for v in _gauss_orbit(fr, prec)), {}
 
 
 def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
@@ -255,34 +260,29 @@ def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
     return [v._mpf_ for v in e.orbit_mpf(n, prec)]
 
 
-def _logs(e: CFExpansion, vals: Sequence, start: int, stop: int,
-          prec: int) -> list:
-    """log(1/x_n) for n = start..stop-1, vals = ``_raw_orbit(e, .., prec)``.
-
-    The logs are kept on e, one list per precision, so every pass over e's
-    orbit at prec takes the log of a point once, and only of the points
-    some pass has read.
-    """
-    def more(table, n):
-        return [_log_inv(v, prec) for v in vals[len(table):n]]
-    return e.kept(("log", prec), stop, more)[start:stop]
-
-
-def _run(e: CFExpansion, vals: Sequence, k: int, start: int, n: int,
-         prec: int) -> list:
-    """At least n entries of the ``_pass`` over x_start, x_start+1, .. of
-    e, vals = ``_raw_orbit(e, .., prec)`` reaching x_{start+n-1}.
+def _run(e: CFExpansion, k: int, start: int, n: int, prec: int,
+         tol=None) -> list:
+    """The ``_pass`` over x_start, x_start+1, .. of e at prec, run on to
+    n entries or, given tol, through the first whose |term| < tol.
 
     The pass is kept on e under ("run", k, start, prec) and run on only as
     far as a reader asks, so the values and residuals of one point read
-    each term and total once, and a sum that stops early takes no log past
-    its last term.
+    each term and total once.  It reads each point x_j as it reaches it
+    from the pairs (x_j, log(1/x_j)) kept on e under ("log", prec), which
+    are run on from the conversions ``orbit_mpf`` keeps, so a point is
+    converted and logged once, and only if some pass has reached it: in
+    one call for a pass read to its end, one point at a time for one that
+    stops at tol.
     """
+    def log_more(table, stop):
+        return [(v._mpf_, _log_inv(v._mpf_, prec))
+                for v in e.orbit_mpf(stop - 1, prec, len(table))]
+
     def more(table, stop):
-        i = len(table)
-        return _pass(vals[start + i:start + stop],
-                     _logs(e, vals, start + i, start + stop, prec), k, prec,
-                     i, table[-1] if table else _START)
+        to = start + stop if tol is None else 0
+        return _pass((e.kept(("log", prec), max(j + 1, to), log_more)[j]
+                      for j in range(start + len(table), start + stop)),
+                     k, prec, len(table), table[-1] if table else _START, tol)
     return e.kept(("run", k, start, prec), n, more)
 
 
@@ -323,7 +323,7 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
         pre, length = e.period
         n_explicit = pre + length
         vals = _raw_orbit(e, n_explicit - 1, wp)
-        run = _run(e, vals, k, 0, n_explicit, wp)
+        run = _run(e, k, 0, n_explicit, wp)
         total = run[n_explicit - 1][total_at]
         block, rho = fzero, fone
         for n in range(pre, n_explicit):
@@ -342,15 +342,14 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
 
     # the orbit never hits zero, so every stored point is a term
     n_max = min(terms, len(e.orbit))
-    vals = _raw_orbit(e, n_max - 1, wp)
     raw_tol = from_float(float(tol))
-    run = []
+    run = _run(e, k, 0, 0, wp)  # the entries kept so far
     prev_abs = finf
     monotone = True
     exhausted = False
     for n in range(n_max):
-        if n == len(run):  # one entry on, so no log is taken past the stop
-            run = _run(e, vals, k, 0, n + 1, wp)
+        if n == len(run):  # none under tol yet: one call runs on to the stop
+            run = _run(e, k, 0, n_max, wp, raw_tol)
         size = mpf_abs(run[n][0])
         if mpf_gt(size, prev_abs):
             monotone = False
@@ -400,9 +399,9 @@ def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
     """sum over the terminating Gauss orbit of fr - floor(fr)."""
     _check_prec(prec)
     wp = prec + 16
-    vals, logs, ends = _gauss_logs(fr, wp)
+    points, ends = _gauss_logs(fr, wp)
     if k not in ends:
-        ends[k] = _pass(vals, logs, k, wp, 0, _START)[-1] if vals else _START
+        ends[k] = _pass(points, k, wp, 0, _START)[-1] if points else _START
     return mp.make_mpf(mpf_pos(ends[k][2 if signed else 1], prec, _RND))
 
 
@@ -464,12 +463,11 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
         k = 1
     e = _expand_to(_irrational(x, alpha), alpha, N)
     wp = prec + _GUARD
-    vals = _raw_orbit(e, N - 1, wp)
     total_at = 2 if mode == "wilton" else 1  # the entry's w or b
-    s_n = _run(e, vals, k, 0, N, wp)[N - 1][total_at]
-    s_shift = (_run(e, vals, k, 1, N - 1, wp)[N - 2][total_at] if N > 1
+    s_n = _run(e, k, 0, N, wp)[N - 1][total_at]
+    s_shift = (_run(e, k, 1, N - 1, wp)[N - 2][total_at] if N > 1
                else fzero)
-    x0 = vals[0]
+    x0 = _raw_orbit(e, 0, wp)[0]
     head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
     if mode == "brjuno":
         res = mpf_sub(head, mpf_mul(mpf_pow_int(x0, k, wp, _RND), s_shift,
@@ -592,8 +590,8 @@ def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
         if (r - j) % 2:
             z = mpf_neg(z)
         log1p_z = mpf_log(mpf_add(fone, z), prec, _RND)  # 1 + z is exact
-        log_inv_y = mpf_log(from_rational(kj, kj1, prec, _RND), prec, _RND)
-        u = mpf_mul(z, from_rational(q[j] * kj1, q_r, prec, _RND), prec, _RND)
+        log_inv_y = mpf_log(ratio_mpf(kj, kj1, prec), prec, _RND)
+        u = mpf_mul(z, ratio_mpf(q[j] * kj1, q_r, prec), prec, _RND)
         beta = mpf_div(m, m0, prec, _RND)  # beta_{j-1}(x)
         for k in _AUDIT_KS:
             # (1 + u)^k - 1 = u sum_i C(k, i) u^(i-1), with no cancellation

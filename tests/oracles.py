@@ -30,10 +30,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
-from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_add,
-                          mpf_div, mpf_log, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_sub,
-                          round_nearest, to_float)
+from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_abs,
+                          mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_float)
 
 from alphacf import series_eval as se
 from alphacf.cf_core import (Alpha, ConvergentSeq, convergents, expand,
@@ -270,15 +270,18 @@ def orbit_sum(vals, k: int, signed: bool, prec: int):
     return total
 
 
-def orbit_pass(vals, logs, k: int, prec: int, n: int, entry: tuple) -> list:
+def orbit_pass(points, k: int, prec: int, n: int, entry: tuple,
+               tol=None) -> list:
     """``series_eval._pass`` from the ``orbit_terms`` way of forming a term:
-    its own log of every point (logs is not read), beta^k by a power at
+    its own log of every point x of the pairs (x, log) in points (the log
+    is not read), beta^k by a power at
     every k, and each total the chain of its terms, a Wilton term negated
-    at odd n before it is added."""
+    at odd n before it is added.  Given tol, it stops after the first
+    entry whose term is below tol in size."""
     rnd = round_nearest
     _, b, w, beta = entry
     out = []
-    for v in vals:
+    for v, _ in points:
         lg = mpf_log(mpf_rdiv_int(1, v, prec, rnd), prec, rnd)
         term = mpf_mul(mpf_pow_int(beta, k, prec, rnd), lg, prec, rnd)
         b = mpf_add(b, term, prec, rnd)
@@ -286,6 +289,8 @@ def orbit_pass(vals, logs, k: int, prec: int, n: int, entry: tuple) -> list:
                     rnd)
         beta = mpf_mul(beta, v, prec, rnd)
         out.append((term, b, w, beta))
+        if tol is not None and mpf_cmp(mpf_abs(term), tol) < 0:
+            break
         n += 1
     return out
 

@@ -4,6 +4,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -553,3 +554,30 @@ def test_ball_orbit_matches_iv_oracle():
             orbit.append(cur)
         assert [v.ends for v in orbit] == [v.ends for v in e.orbit]
     assert zero_width == 32 and sum(len(d) for d, _ in oracle) > 3000
+
+
+def test_walk_builds_rational_states_reduced():
+    # _walk builds each rational state with no gcd; every one must be the
+    # reduced Fraction(a, c) the constructor gives, as _classify_state and
+    # the memo keys compare and hash them, and an exact hit must be 0/1
+    rng = random.Random(30)
+    alphas = (Alpha.one(), Alpha.half(), Alpha(Fraction(3, 5)), Alpha.golden())
+    starts = [random_rational(rng, 2 ** 64, half=True) for _ in range(40)]
+    for _ in range(10):
+        starts += nk.BallFloat(random_surd(rng, half=True), prec=256).ends
+        starts += nk.parse_exact(f"0.{rng.randrange(10 ** 77):077d}",
+                                 256).ends
+    states = hits = 0
+    for alpha in alphas:
+        for x in starts:
+            x, _ = normalize(x, alpha)
+            last = None
+            for _, y in islice(cf_core._walk(x, alpha), 300):
+                canon = Fraction(y.numerator, y.denominator)
+                assert (y.numerator, y.denominator, hash(y)) == (
+                    canon.numerator, canon.denominator, hash(canon))
+                states, last = states + 1, y
+            if last == 0:
+                assert (last.numerator, last.denominator) == (0, 1)
+                hits += 1
+    assert states > 10000 and hits >= 4 * 40

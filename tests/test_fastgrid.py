@@ -93,6 +93,18 @@ def test_series_grid_rejects_k_below_one():
             grid(np.array([0.3, 0.7]), tol=math.nan)
 
 
+def test_series_grid_rejects_alpha_outside_half_to_one():
+    # as Alpha does: alpha = 2 gave values near 3e13, alpha = 0 a negative
+    # Wilton value, and NaN ran silently
+    for alpha in (-1.0, 0.0, 0.49, 1.01, 2.0, math.nan):
+        for grid in (series_grid, wilton_grid, brjuno_grid):
+            with pytest.raises(OutOfDomain, match="outside"):
+                grid(np.array([0.3, 0.7]), alpha=alpha)
+    for alpha in (0.5, 1.0):
+        got = series_grid(np.array([0.3, 0.4]), alpha=alpha)
+        assert np.isfinite(got).all()
+
+
 def test_series_grid_empty_and_single():
     assert series_grid(np.array([])).shape == (0,)
     for x in (0.3, 0.0, 1 / 3):

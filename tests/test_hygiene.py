@@ -107,6 +107,57 @@ def test_no_module_uses_the_libmpi_interval_layer():
         ["mpi_add", "mpmath.libmp.libmpi"]
 
 
+def _called(node, name: str) -> bool:
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == name
+            or isinstance(f, ast.Attribute) and f.attr == name)
+
+
+def _ratio_roundings(source: str) -> list:
+    """Where a source rounds a ratio of ints other than by
+    ``numkit.ratio_mpf``: each import or read of from_rational and each
+    mpf_div(from_int(..), from_int(..)), as "function: what"."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom):
+            found.extend(f"{where}: import {a.name}" for a in node.names
+                         if a.name == "from_rational")
+        elif (isinstance(node, ast.Name) and node.id == "from_rational"
+              or isinstance(node, ast.Attribute)
+              and node.attr == "from_rational"):
+            found.append(f"{where}: from_rational")
+        elif _called(node, "mpf_div") and len(node.args) >= 2 and all(
+                _called(arg, "from_int") for arg in node.args[:2]):
+            found.append(f"{where}: mpf_div(from_int, from_int)")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_ratios_are_rounded_by_one_helper():
+    # an int ratio becomes an mpf through numkit.ratio_mpf alone, which
+    # divides the ints as given; only _gauss_orbit keeps the quotient of its
+    # two operands each rounded to prec first, whose bits differ from the
+    # once-rounded ratio where the denominator passes prec bits
+    found = [f"{p.name}: {hit}" for p in MODULES
+             for hit in _ratio_roundings(p.read_text(encoding="utf-8"))]
+    assert found == [
+        "series_eval.py: _gauss_orbit: mpf_div(from_int, from_int)"]
+    assert _ratio_roundings(
+        "from mpmath.libmp import from_rational as fr\n"
+        "def f(p, q):\n"
+        "    return libmp.from_rational(p, q, 53)\n"
+        "def g(p, q):\n"
+        "    return mpf_div(from_int(p), from_int(q, 53), 53)\n") == [
+        "<module>: import from_rational", "f: from_rational",
+        "g: mpf_div(from_int, from_int)"]
+
+
 def _mp_attributes(source: str) -> list:
     return sorted({node.attr for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute)

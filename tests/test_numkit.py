@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import (from_rational, round_ceiling, round_floor,
-                          round_nearest, to_rational)
+from mpmath.libmp import (from_rational, round_ceiling, round_down,
+                          round_floor, round_nearest, round_up, to_rational)
 
 from alphacf import numkit as nk
 from alphacf.errors import (
@@ -378,6 +378,33 @@ def test_ball_refuses_non_finite_values():
             nk.BallFloat(v)
     with pytest.raises(ValueError):
         _ = nk.BallFloat("0.5") + float("nan")
+
+
+def _ratio_int(rng) -> int:
+    """An int of 1..1500 bits: random bits, or a power of two, shifted."""
+    bits = rng.randint(1, 1500)
+    if rng.random() < 0.2:
+        return 1 << (bits - 1)
+    n = rng.getrandbits(bits) | 1 << (bits - 1)
+    return n << rng.randint(0, 64) if rng.random() < 0.2 else n
+
+
+def test_ratio_mpf_is_from_rational_bit_for_bit():
+    # the ints divided as given, one sticky bit for a remainder, against
+    # libmp's from_int normalisations and mpf_div, in every rounding mode
+    rng = random.Random(30)
+    modes = (round_nearest, round_floor, round_ceiling, round_down, round_up)
+    cases = [(0, 3, 53, round_nearest), (1, 1, 1, round_floor),
+             (-(1 << 1499), 1 << 700, 1, round_up)]
+    for _ in range(20000):
+        p = _ratio_int(rng) * rng.choice((1, -1))
+        cases.append((p, _ratio_int(rng), rng.randint(1, 800),
+                      rng.choice(modes)))
+    for p, q, prec, rnd in cases:
+        got = nk.ratio_mpf(p, q, prec, rnd)
+        assert got == from_rational(p, q, prec, rnd), (p, q, prec, rnd)
+        assert type(got[0]) is int
+    assert {p < 0 for p, *_ in cases} == {True, False}
 
 
 @pytest.mark.parametrize("prec", [64, 256, 1000])

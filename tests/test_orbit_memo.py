@@ -61,8 +61,8 @@ def _count_terms(monkeypatch) -> list:
     formed = []
     real = series_eval._pass
 
-    def counted(vals, logs, k, prec, n, entry):
-        entries = real(vals, logs, k, prec, n, entry)
+    def counted(points, k, prec, n, entry, tol=None):
+        entries = real(points, k, prec, n, entry, tol)
         formed.extend([k] * len(entries))
         return entries
 
@@ -219,7 +219,8 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
     # conversion and one log list, both at prec + 32, so a point is logged
     # once, however many of them read it, and each residual adds log x_0
     # for its head.  All four read one running pass from x_0, and the
-    # residuals share one from x_1
+    # residuals share one from x_1.  No point past the last one a sum reads
+    # is converted, as the values' pass converts each point as it reaches it
     rng = random.Random(5)
     for i in range(6):
         x = make(rng)
@@ -229,6 +230,7 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
         (b, w), n, e = _ball_eval(x, BALL_ALPHAS[i % 3])
         assert len(walk_calls) == walks
         assert len(logs) == max(b.n_terms, w.n_terms, n) + 2
+        assert len(e._tables["mpf", 288]) == max(b.n_terms, w.n_terms, n)
         assert set(e._tables) == {("mpf", 288), ("log", 288),
                                   ("run", 1, 0, 288), ("run", 1, 1, 288)}
         monkeypatch.undo()

@@ -52,7 +52,7 @@ def kernel_pass(vals, k, prec):
     """The series kernel's running pass over the raw mpfs vals, each point
     logged once."""
     logs = [se._log_inv(v, prec) for v in vals]
-    return se._pass(vals, logs, k, prec, 0, se._START)
+    return se._pass(zip(vals, logs), k, prec, 0, se._START)
 
 
 # -- fixed-point closed forms ------------------------------------------------
