@@ -178,13 +178,10 @@ def concat_oscillation(o1: float, o2: float, m1: float, m2: float,
     This upper-bounds the union oscillation and is exact for functions
     constant on each piece; see also :func:`concat_lower_bound`.
     """
-    if len1 <= 0 or len2 <= 0:
-        raise DegenerateInterval("interval lengths must be positive")
+    cross = concat_lower_bound(m1, m2, len1, len2)  # checks the lengths
     if o1 < 0 or o2 < 0:
         raise ValueError("oscillations are nonnegative")
-    total = len1 + len2
-    return (len1 * o1 + len2 * o2) / total + \
-        2.0 * len1 * len2 * abs(m1 - m2) / total ** 2
+    return (len1 * o1 + len2 * o2) / (len1 + len2) + cross
 
 
 def concat_lower_bound(m1: float, m2: float, len1: float, len2: float) -> float:

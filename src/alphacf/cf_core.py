@@ -20,7 +20,8 @@ precision, so equal balls built apart share one expansion.  An expansion
 also keeps the tables its readers build from the orbit (see
 ``CFExpansion.kept``): ``orbit_mpf`` its conversions, and the series layer
 the orbit's points with their logs, its running series passes and the gap
-audit's proxy terms.
+audit's proxy terms.  A rational's finite truncations read its alpha = 1
+expansion and those tables too.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class CFExpansion:
     prefix; ("log", prec), the raw pairs (x_n, log(1/x_n)) that
     ``series_eval`` forms of x_0, x_1, ..; ("run", k, start, prec), its
     running pass over x_start, x_start+1, .., each entry a term and two
-    running totals; and ("proxy", k), the gap audit's unsigned proxy terms
-    log(q_{j+1})/q_j^k for j = 0, 1, ...
+    running totals, whose last entry on a rational's alpha = 1 expansion
+    holds its finite truncations; and ("proxy", k), the gap audit's
+    unsigned proxy terms log(q_{j+1})/q_j^k for j = 0, 1, ...
     """
 
     x0: ExactNumber

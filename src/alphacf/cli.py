@@ -124,13 +124,9 @@ def _eval_one(fn: str, x, alpha: Alpha, args):
         return (sv.value, sv.n_terms, sv.tail_estimate, sv.rigorous_tail,
                 sv.exhausted)
     if fn == "brjuno-finite":
-        if not isinstance(x, Fraction):
-            raise OutOfDomain("--fn brjuno-finite expects a rational --x")
         v = series_eval.brjuno_finite_rational(x, k, prec=args.precision)
         return v, 0, 0.0, True, False
     if fn == "wilton-finite":
-        if not isinstance(x, Fraction):
-            raise OutOfDomain("--fn wilton-finite expects a rational --x")
         v = series_eval.wilton_finite_rational(x, prec=args.precision)
         return v, 0, 0.0, True, False
     if fn == "proxy":

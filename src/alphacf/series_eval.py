@@ -21,10 +21,9 @@ for a pass read to a given length and one point at a time for one that
 stops at tol, so no point past a sum's stop is converted or logged.  So ``brjuno_k`` at k = 1 and ``wilton`` read one
 pass, and the residual works at the values' precision and reads their
 pass for S_N and one pass from x_1, which its two modes share, for
-S_{N-1}.  The finite truncations of the last few rationals share one entry
-per precision: the ``_gauss_orbit`` points with log(1/x_n) of each and the
-last entry of the pass at each k asked, so one rational's B_1 and W read
-one pass's two totals.
+S_{N-1}.  The finite truncations of a rational read its alpha = 1
+expansion and the pass kept on it, so one rational's B_1 and W read one
+pass's two totals.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -50,9 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -108,8 +106,6 @@ DEFAULT_TOL = 1e-40
 
 _GOLDEN_F = (5 ** 0.5 - 1) / 2
 _RND = round_nearest
-# rationals whose Gauss orbit and logs are kept across calls
-_MEMO = 16
 # guard bits of the values' and the residual's working precision over prec
 _GUARD = 32
 _VALUES_WP = DEFAULT_PRECISION + _GUARD  # the audits' orbit points
@@ -232,27 +228,6 @@ def _pass(points: Iterable, k: int, prec: int, n: int, entry: tuple,
             break
         n += 1
     return out
-
-
-def _gauss_orbit(fr: Fraction, prec: int) -> Iterator:
-    """The terminating Gauss orbit of fr - floor(fr) as raw mpfs at prec."""
-    num, den = fr.numerator % fr.denominator, fr.denominator
-    while num:
-        yield mpf_div(from_int(num, prec, _RND), from_int(den, prec, _RND),
-                      prec, _RND)
-        num, den = den % num, num
-
-
-@lru_cache(maxsize=_MEMO)
-def _gauss_logs(fr: Fraction, prec: int) -> tuple:
-    """(points, ends): the pairs (x_n, log(1/x_n)) of fr's ``_gauss_orbit``
-    and k -> the last entry of its ``_pass`` over them, filled as sums ask.
-
-    Memoised on (fr, prec), so every finite truncation of fr at one
-    precision sums the same logs, and B_1 and W read one pass's totals;
-    read-only.
-    """
-    return tuple((v, _log_inv(v, prec)) for v in _gauss_orbit(fr, prec)), {}
 
 
 def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
@@ -395,32 +370,39 @@ def wilton(x: ExactNumber, alpha: Alpha, terms: int = DEFAULT_TERMS,
                          mode="wilton")
 
 
-def _finite_rational(fr: Fraction, k: int, signed: bool, prec: int):
-    """sum over the terminating Gauss orbit of fr - floor(fr)."""
+def _finite_rational(fr, k: int, signed: bool, prec: int):
+    """The sum over the terminating regular-CF orbit of fr - floor(fr): the
+    last entry of the pass over its alpha = 1 expansion, which Euclid's
+    bound ends within 2 log_2 q + 2 digits."""
+    if not isinstance(fr, (int, Fraction)):
+        raise OutOfDomain("finite truncations take an int or a Fraction, "
+                          f"not a {type(fr).__name__}")
     _check_prec(prec)
-    wp = prec + 16
-    points, ends = _gauss_logs(fr, wp)
-    if k not in ends:
-        ends[k] = _pass(points, k, wp, 0, _START)[-1] if points else _START
-    return mp.make_mpf(mpf_pos(ends[k][2 if signed else 1], prec, _RND))
+    fr = Fraction(fr)
+    e = expand(fr - math.floor(fr), Alpha.one(),
+               2 * fr.denominator.bit_length() + 2)
+    n = len(e.digits)
+    end = _run(e, k, 0, n, prec + 16)[n - 1] if n else _START
+    return mp.make_mpf(mpf_pos(end[2 if signed else 1], prec, _RND))
 
 
 def brjuno_finite_rational(p_over_q: Fraction, k: int = 1,
                            prec: int = DEFAULT_PRECISION):
     """Finite k-Brjuno value of a rational over its terminating Gauss orbit.
 
-    Integers give the empty sum 0.  The underlying expansion always uses the
-    regular (alpha = 1) continued fraction with final digit >= 2, which the
-    Gauss orbit of a reduced rational produces on its own.
+    Integers give the empty sum 0, and anything but an int or a Fraction
+    raises OutOfDomain.  The underlying expansion always uses the regular
+    (alpha = 1) continued fraction with final digit >= 2, which the Gauss
+    orbit of a reduced rational produces on its own.
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
-    return _finite_rational(Fraction(p_over_q), k, signed=False, prec=prec)
+    return _finite_rational(p_over_q, k, signed=False, prec=prec)
 
 
 def wilton_finite_rational(p_over_q: Fraction, prec: int = DEFAULT_PRECISION):
     """Finite Wilton value of a rational (alternating-sign finite sum)."""
-    return _finite_rational(Fraction(p_over_q), 1, signed=True, prec=prec)
+    return _finite_rational(p_over_q, 1, signed=True, prec=prec)
 
 
 def proxy_sum(x: ExactNumber, alpha: Alpha, k: int = 1, N: int = 20,
@@ -444,8 +426,9 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
                            prec: int = DEFAULT_PRECISION):
     """Residual of the one-step functional equation on N-term partial sums.
 
-    residual = S_N(x) + log x -/+ x^k S_{N-1}(A_alpha x); algebraically zero,
-    so the returned value measures only arithmetic rounding.  Both partial
+    residual = S_N(x) + log x -/+ x^k S_{N-1}(A_alpha x), with k = 1 in the
+    Wilton mode; algebraically zero, so the returned value measures only
+    arithmetic rounding.  Both partial
     sums work at the values' precision, prec + ``_GUARD``: after
     ``brjuno_k`` or ``wilton`` at x they read the values' expansion (see
     ``_expand_to``), conversions, log list and pass, S_N as its total at
@@ -459,8 +442,8 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     if k < 1:
         raise OutOfDomain("k must be >= 1")
     _check_prec(prec)
-    if mode == "wilton":
-        k = 1
+    if mode == "wilton" and k != 1:
+        raise OutOfDomain("the Wilton residual takes k = 1 only")
     e = _expand_to(_irrational(x, alpha), alpha, N)
     wp = prec + _GUARD
     total_at = 2 if mode == "wilton" else 1  # the entry's w or b

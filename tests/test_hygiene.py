@@ -141,13 +141,11 @@ def _ratio_roundings(source: str) -> list:
 
 def test_ratios_are_rounded_by_one_helper():
     # an int ratio becomes an mpf through numkit.ratio_mpf alone, which
-    # divides the ints as given; only _gauss_orbit keeps the quotient of its
-    # two operands each rounded to prec first, whose bits differ from the
-    # once-rounded ratio where the denominator passes prec bits
+    # divides the ints as given, so no ratio is the quotient of its two
+    # operands each rounded to prec first
     found = [f"{p.name}: {hit}" for p in MODULES
              for hit in _ratio_roundings(p.read_text(encoding="utf-8"))]
-    assert found == [
-        "series_eval.py: _gauss_orbit: mpf_div(from_int, from_int)"]
+    assert found == []
     assert _ratio_roundings(
         "from mpmath.libmp import from_rational as fr\n"
         "def f(p, q):\n"
@@ -280,24 +278,22 @@ def test_grid_block_size_is_no_knob():
 
 
 def test_orbit_memos_are_bounded_by_module_constants():
-    # the expansion memo, which holds exact points and balls alike, and the
-    # Gauss-log memo hold a few recent orbits, and the square-root memo a
-    # few radicands at each working precision, each bounded by a module
-    # constant, never by a setting; the package keeps no other memo
+    # the expansion memo, which holds exact points and balls alike, holds a
+    # few recent orbits, and the square-root memo a few radicands at each
+    # working precision, each bounded by a module constant, never by a
+    # setting; the package keeps no other memo
     modules = [importlib.import_module(f"alphacf.{p.stem}") for p in MODULES]
     memos = {(module.__name__, name): memo for module in modules
              for name, memo in vars(module).items()
              if hasattr(memo, "cache_info")}
     bounds = {
         ("alphacf.cf_core", "_expansion"): (cf_core._expansion, cf_core._MEMO),
-        ("alphacf.series_eval", "_gauss_logs"): (series_eval._gauss_logs,
-                                                 series_eval._MEMO),
         ("alphacf.numkit", "_int_sqrt"): (numkit._int_sqrt,
                                           numkit._SQRT_MEMO)}
     assert memos == {key: memo for key, (memo, _) in bounds.items()}
     for memo, bound in bounds.values():
         assert memo.cache_info().maxsize == bound > 0
-    assert cf_core._MEMO <= 64 and series_eval._MEMO <= 64
+    assert cf_core._MEMO <= 64
     # balls fill the same bounded memo, however many distinct ones are asked
     cf_core._expansion.cache_clear()
     for i in range(3 * cf_core._MEMO):

@@ -1,12 +1,12 @@
 """Orbits walked once across calls: the expansion, conversion and log memos.
 
 Expansions of exact points and of balls, their per-precision mpf
-conversions, orbit logs and proxy terms, and the Gauss-orbit logs and
-terms of a rational are kept across calls.  These tests count the orbit
-walks, recurrences, logs and terms of call sequences shaped like the
-benchmark's ops, check that shared memos give the same bits in threads as
-serially, and compare the memoised values with unmemoised copies of the
-code they replaced.
+conversions, orbit logs, running passes and proxy terms are kept across
+calls; a rational's finite truncations read its alpha = 1 expansion and
+the tables kept on it.  These tests count the orbit walks, recurrences,
+logs and terms of call sequences shaped like the benchmark's ops, check
+that shared memos give the same bits in threads as serially, and compare
+the memoised values with unmemoised copies of the code they replaced.
 """
 
 import inspect
@@ -39,7 +39,6 @@ PRECS = (96, 176, 288)
 
 def _clear_memos():
     cf_core._expansion.cache_clear()
-    series_eval._gauss_logs.cache_clear()
 
 
 def _count(monkeypatch, module, name) -> list:
@@ -155,7 +154,8 @@ def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
 def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         monkeypatch):
     # (x, 1/2, 40) is shared by the three matched traces: 4 walks, not 6;
-    # the finite pair reads one log list, so one log per Gauss-orbit point
+    # the finite pair reads one alpha = 1 expansion, a fifth walk, and its
+    # one log list, so one log per Gauss-orbit point
     rng = random.Random(1)
     for _ in range(4):
         x = random_rational(rng, 2 ** 64, half=True)
@@ -166,7 +166,7 @@ def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
         logs = _count(monkeypatch, series_eval, "mpf_log")
         series_eval.brjuno_finite_rational(x)
         series_eval.wilton_finite_rational(x)
-        assert len(walks) == 4
+        assert len(walks) == 5
         assert len(logs) == _gauss_points(x) > 10
         monkeypatch.undo()
 

@@ -7,8 +7,8 @@ from itertools import accumulate
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import (from_float, fzero, mpf_add, mpf_mul, mpf_neg,
-                          mpf_pos, round_nearest)
+from mpmath.libmp import (from_float, from_int, fzero, mpf_add, mpf_div,
+                          mpf_mul, mpf_neg, mpf_pos, round_nearest)
 
 from alphacf import numkit as nk
 from alphacf.cf_core import Alpha, convergents, expand, normalize
@@ -46,6 +46,13 @@ def long_sum(x, alpha, k, signed, n, prec):
     wp = prec + 32
     total = oracles.orbit_sum(se._raw_orbit(e, n - 1, wp), k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
+
+
+def gauss_orbit_mpf(fr, prec):
+    """The points of the terminating orbit of fr in (0, 1) at alpha = 1, its
+    final 0 left out, as raw mpfs at prec."""
+    e = expand(fr, Alpha.one(), 2 * fr.denominator.bit_length() + 2)
+    return [v._mpf_ for v in e.orbit_mpf(len(e.digits) - 1, prec)]
 
 
 def kernel_pass(vals, k, prec):
@@ -145,6 +152,68 @@ def test_finite_values_converge_to_series_along_convergents():
     assert errs[2] < 2 * float(se.c_prime(64)) * 0.62 / c.q_of(20)
 
 
+def euclid_orbit(fr):
+    """The terminating Gauss orbit of fr in (0, 1) as exact Fractions,
+    stepped by Euclid's algorithm."""
+    num, den = fr.numerator, fr.denominator
+    while num:
+        yield Fraction(num, den)
+        num, den = den % num, num
+
+
+def finite_oracle(fr, k, signed, prec):
+    """The oracle's left-to-right sum over fr's Euclid orbit, each point its
+    exact Fraction rounded once at prec + 16, the total rounded to prec."""
+    wp = prec + 16
+    vals = [nk.raw_mpf(f, wp) for f in euclid_orbit(fr)]
+    return mp.make_mpf(mpf_pos(oracles.orbit_sum(vals, k, signed, wp), prec,
+                               round_nearest))
+
+
+def assert_finite_values_match_oracle(fr, prec):
+    for k in (1, 2, 3):
+        assert se.brjuno_finite_rational(fr, k, prec) == finite_oracle(
+            fr, k, False, prec)
+    assert se.wilton_finite_rational(fr, prec) == finite_oracle(
+        fr, 1, True, prec)
+
+
+def test_finite_values_past_the_working_precision():
+    # q has 300 bits, past prec + 16 at prec 53 and 128, so the orbit points
+    # are not exact at the working precision: each is rounded once from its
+    # Fraction, where rounding both operands first gives other bits
+    rng = random.Random(31)
+    moved = 0
+    for _ in range(4):
+        q = (1 << 299) | rng.getrandbits(299)
+        fr = Fraction(rng.randrange(1, q), q)
+        for prec in (53, 128):
+            wp = prec + 16
+            exact = list(euclid_orbit(fr))
+            assert gauss_orbit_mpf(fr, wp) == [nk.raw_mpf(f, wp)
+                                               for f in exact]
+            moved += sum(nk.raw_mpf(f, wp) != mpf_div(
+                from_int(f.numerator, wp, round_nearest),
+                from_int(f.denominator, wp, round_nearest), wp,
+                round_nearest) for f in exact)
+            assert_finite_values_match_oracle(fr, prec)
+    assert moved > 0
+
+
+def test_finite_values_on_the_longest_euclid_orbits():
+    # F_n/F_(n+1) takes n - 1 Euclid steps, the most for its denominator;
+    # the expansion's cap, 2 log_2 q + 2 digits, still ends each orbit
+    fib = [0, 1]
+    while len(fib) < 1002:
+        fib.append(fib[-1] + fib[-2])
+    for n in (2, 3, 50, 500, 1000):
+        fr = Fraction(fib[n], fib[n + 1])
+        e = expand(fr, Alpha.one(), 2 * fr.denominator.bit_length() + 2)
+        assert e.terminated and len(e.digits) == n - 1
+        assert_finite_values_match_oracle(fr, 53)
+    assert_finite_values_match_oracle(Fraction(fib[1000], fib[1001]), 128)
+
+
 # -- proxy sums ---------------------------------------------------------------
 
 def test_proxy_sum_examples():
@@ -198,13 +267,23 @@ def test_proxy_terms_past_the_float_range():
      "prec must be >= 1"),
     (lambda: se.functional_eq_residual(G, Alpha.one(), N=10, prec=0),
      "prec must be >= 1"),
+    (lambda: se.functional_eq_residual(G, Alpha.one(), "wilton", 10, k=2),
+     "the Wilton residual takes k = 1 only"),
+    # a float is not read as its binary Fraction, and a surd or a ball is
+    # refused as the library's own error, not a bare TypeError
+    (lambda: se.brjuno_finite_rational(0.4), "not a float"),
+    (lambda: se.wilton_finite_rational(SQRT2M1), "not a Surd"),
+    (lambda: se.brjuno_finite_rational(nk.parse_exact("0.4")),
+     "not a BallFloat"),
     (lambda: se.truncation_audit(G, 3, prec=-5), "prec must be >= 1"),
     (lambda: se.c_prime(0), "prec must be >= 1"),
 ], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0",
         "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1", "proxy-N-1",
         "trunc-r0", "trunc-r-3", "brjuno-prec-40", "brjuno-prec0",
         "wilton-prec0", "finite-prec0", "finite-wilton-prec-1",
-        "residual-prec0", "trunc-prec-5", "c-prime-prec0"])
+        "residual-prec0", "residual-wilton-k2", "finite-float",
+        "finite-wilton-surd", "finite-ball", "trunc-prec-5",
+        "c-prime-prec0"])
 def test_series_parameters_checked_like_siblings(call, message):
     with pytest.raises(OutOfDomain, match=message):
         call()
@@ -263,7 +342,8 @@ def test_residual_random_surds_and_floats():
     for _ in range(10):
         xs = random_surd_in_unit(rng)
         for mode in ("brjuno", "wilton"):
-            args = (xs, Alpha.one(), mode, 50, 2, 256)
+            args = (xs, Alpha.one(), mode, 50,
+                    2 if mode == "brjuno" else 1, 256)
             res = se.functional_eq_residual(*args)
             assert abs(res) < gate
             assert res._mpf_ == oracles.functional_eq_residual(*args)._mpf_
@@ -429,8 +509,9 @@ def test_recursion_identity_partial_sums():
     for mode in ("brjuno", "wilton"):
         for _ in range(3):
             x = random_surd_in_unit(rng)
-            res = se.functional_eq_residual(x, Alpha.half(), mode, 30, 3,
-                                            prec=192)
+            res = se.functional_eq_residual(
+                x, Alpha.half(), mode, 30, 3 if mode == "brjuno" else 1,
+                prec=192)
             assert abs(res) < mp.mpf(2) ** -150
 
 
@@ -531,7 +612,7 @@ def test_kernel_values_frozen():
 def test_wilton_terms_negate_brjuno_terms_at_odd_n():
     # the pass's W totals chain B_1's terms, each negated at odd n, and its
     # B_1 totals the terms as they are
-    vals = list(se._gauss_orbit(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160))
+    vals = gauss_orbit_mpf(Fraction(0x9E3779B97F4A7C15, 2 ** 64), 160)
     entries = kernel_pass(vals, 1, 160)
     assert len(vals) > 10 and len(entries) == len(vals)
     b = w = fzero
@@ -687,7 +768,7 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
             want_vals = [v._mpf_ for v in _oracle_gauss_orbit(fr)]
             want = [tuple(t._mpf_ for t in terms) for terms in
                     _oracle_orbit_terms(_oracle_gauss_orbit(fr), ORACLE_MODES)]
-        vals = list(se._gauss_orbit(fr, prec))
+        vals = gauss_orbit_mpf(fr, prec)
         assert vals == want_vals
         _assert_kernel_matches(vals, want, prec)
         cases += len(want)
@@ -862,7 +943,8 @@ def test_truncation_audit_verdicts_follow_lhs_over_bound(monkeypatch):
 
 
 def test_truncation_audit_takes_no_mp_log_or_gauss_orbit(monkeypatch):
-    # the audit is O(r^2) float work; an O(r^2) mp-log path must not return
+    # the audit is O(r^2) float work; an O(r^2) mp-log path must not
+    # return, nor a running pass over any orbit, the finite values' included
     calls = []
 
     def counted(fn):
@@ -872,7 +954,7 @@ def test_truncation_audit_takes_no_mp_log_or_gauss_orbit(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(se, "mpf_log", counted(se.mpf_log))
-    monkeypatch.setattr(se, "_gauss_orbit", counted(se._gauss_orbit))
+    monkeypatch.setattr(se, "_pass", counted(se._pass))
     x = random_surd_in_unit(random.Random(911))
     assert len(se.truncation_audit(x, 30)) == 120
     assert calls == []
