@@ -34,14 +34,14 @@ same in threads as serially.
 
 The audits read the values' expansion of x and its conversion at the
 values' working precision, so one point's orbit is walked and converted
-once.  The truncation audit sums no orbit at all: it never forms the
-finite value at p_r/q_r or the r-term partial sum, whose difference is
-about 1/q_r^2.  It sums that difference from exact term differences written
-in integer continuants, the k = 1, 2, 3 terms of a row in one pass, in
-floats whose binary exponents are carried as ints, and re-sums in raw mpfs
-only an r whose terms cancel.  The gap audit sums floats: the orbit's,
-rounded from the values' conversion, and the unsigned proxy terms', kept on
-the expansion one list per k.
+once.  The truncation audit sums the difference, about 1/q_r^2, of the
+finite value at p_r/q_r and the r-term partial sum from exact term
+differences in integer continuants, a row's k = 1, 2, 3 terms in one pass,
+in floats whose binary exponents are carried as ints; a row whose terms
+cancel it takes as the difference of the passes over p_r/q_r and [0; a_1,
+.., a_r + x_r] at 2 bits(q_r) + 128 bits or more.  The gap audit sums
+floats: the orbit's, rounded from the values' conversion, and the unsigned
+proxy terms', kept on the expansion one list per k.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_nearest,
     to_float,
+    to_rational,
 )
 
 from .cf_core import (
@@ -97,7 +98,6 @@ from .numkit import (
     DEFAULT_PRECISION,
     ExactNumber,
     format_exact,
-    ratio_mpf,
     raw_mpf,
 )
 
@@ -466,7 +466,6 @@ _LHS_REL = 2.0 ** -32
 
 # the audit's modes, (k, signed): k-Brjuno at k = 1, 2, 3, then Wilton
 _AUDIT_MODES = ((1, False), (2, False), (3, False), (1, True))
-_AUDIT_KS = (1, 2, 3)
 
 
 def _reverse_continuants(a: Sequence[int]) -> tuple[list, list]:
@@ -550,53 +549,37 @@ def _finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
     return out
 
 
-def _finite_minus_partial_mp(a: Sequence[int], q: Sequence[int], t,
-                             prec: int) -> dict:
-    """``_finite_minus_partial`` in raw mpfs at prec, for sums that cancel.
+def _finite_minus_partial_resum(c, r: int, x_r, prec: int) -> dict:
+    """``_finite_minus_partial`` from two running passes at prec, for a row
+    whose float terms cancel; c holds x's convergents.  With t the exact
+    dyadic x_r rounded at prec, F_r is the last entry of the pass over y =
+    p_r/q_r and P_r entry r - 1 of the pass over x' = (p_r + t p_{r-1})/(q_r
+    + t q_{r-1}) = [0; a_1, .., a_r + t], the x the float kernel models.
+    Their b totals give F_r - P_r, their w totals the differences' absolute
+    sum, as with the Wilton sign each has the sign (-1)^r.
 
-    t is x_r as a raw mpf good to prec bits.  Each term is the same exact
-    difference, good to about 2^-prec relative, so the sum resolves F_r -
-    P_r down to about 2^-prec of its terms' absolute sum.  Same return
-    value, with e taken from the absolute sum.
+    With u = 2^-prec, a pass of n entries rounds each point, 1/x_j, log and
+    product once: log(1/x_j) is off by 2u of itself plus 2.2u, beta_{j-1}^k
+    by (2j + 1)ku, the adds by nub; as x_j x_{j+1} < 1/2 the betas^k sum to
+    4 at most, so a pass is off by u(((2k + 1)n + 5)b + 9) at most.
+    Rounding t moves each difference by under 4u of itself, and those sum
+    to at most b_F + b_P, the passes' terms being unsigned.  So err is
+    2^-prec (((2k + 2)r + 16)(b_F + b_P) + 20), and e is |w_F - w_P|'s.
     """
-    r = len(a)
-    q_r = q[r + 1]
-    big_k, big_l = _reverse_continuants(a)
-    m0 = mpf_add(from_int(q_r), mpf_mul_int(t, big_l[0], prec, _RND), prec,
-                 _RND)  # q_r + t q_{r-1}
-    sums = {k: [fzero, fzero] for k in _AUDIT_KS}
-    for j in range(r):
-        kj, kj1 = big_k[j], big_k[j + 1]
-        m = mpf_add(from_int(kj), mpf_mul_int(t, big_l[j], prec, _RND), prec,
-                    _RND)  # K_j + t L_j
-        z = mpf_div(t, mpf_mul_int(m, kj1, prec, _RND), prec, _RND)
-        if (r - j) % 2:
-            z = mpf_neg(z)
-        log1p_z = mpf_log(mpf_add(fone, z), prec, _RND)  # 1 + z is exact
-        log_inv_y = mpf_log(ratio_mpf(kj, kj1, prec), prec, _RND)
-        u = mpf_mul(z, ratio_mpf(q[j] * kj1, q_r, prec), prec, _RND)
-        beta = mpf_div(m, m0, prec, _RND)  # beta_{j-1}(x)
-        for k in _AUDIT_KS:
-            # (1 + u)^k - 1 = u sum_i C(k, i) u^(i-1), with no cancellation
-            poly = fzero
-            for i in range(k, 0, -1):
-                poly = mpf_add(mpf_mul(poly, u, prec, _RND),
-                               from_int(math.comb(k, i)), prec, _RND)
-            term = mpf_mul(mpf_pow_int(beta, k, prec, _RND),
-                           mpf_add(mpf_mul(mpf_mul(u, poly, prec, _RND),
-                                           log_inv_y, prec, _RND),
-                                   log1p_z, prec, _RND), prec, _RND)
-            acc = sums[k]
-            acc[0] = mpf_add(acc[0], term, prec, _RND)
-            acc[1] = mpf_add(acc[1], mpf_abs(term), prec, _RND)
+    t = Fraction(*to_rational(raw_mpf(x_r, prec)))
+    pair = [expand(v, Alpha.one(), r) for v in (  # y ends within r digits
+        Fraction(c.p[r + 1], c.q[r + 1]),
+        (c.p[r + 1] + t * c.p[r]) / (c.q[r + 1] + t * c.q[r]))]
     out = {}
-    for k in _AUDIT_KS:
-        total, total_abs = sums[k]
-        m_abs, e = mpf_frexp(total_abs)
-        m, e_total = mpf_frexp(total)
-        m_abs, m = to_float(m_abs, rnd=_RND), to_float(m, rnd=_RND)
-        out[k] = (math.ldexp(m, e_total - e), m_abs,
-                  math.ldexp((r + 8 * k + 64) * m_abs, 1 - prec), e)
+    for k in (1, 2, 3):
+        (_, b_f, w_f, _), (_, b_p, w_p, _) = (
+            _run(ex, k, 0, len(ex.digits), prec)[-1] for ex in pair)
+        m_abs, e = mpf_frexp(mpf_abs(mpf_sub(w_f, w_p, prec, _RND)))
+        m, e_total = mpf_frexp(mpf_sub(b_f, b_p, prec, _RND))
+        size = to_float(mpf_add(b_f, b_p, prec, _RND), rnd=_RND)
+        out[k] = (math.ldexp(to_float(m, rnd=_RND), e_total - e),
+                  to_float(m_abs, rnd=_RND),
+                  math.ldexp(((2 * k + 2) * r + 16) * size + 20, -prec - e), e)
     return out
 
 
@@ -611,16 +594,17 @@ def truncation_audit(x: ExactNumber, r_max: int,
     The lhs |F_r - P_r| (finite value at p_r/q_r minus the r-term orbit sum
     of x) is summed from its exact term differences, which
     ``_finite_minus_partial`` forms in floats from integer continuants and
-    x_r, so no two O(1) values cancel and no mp log is taken.  The sums
-    carry their binary exponents as ints, so any q_r is in range.  Where
-    the terms themselves cancel so far that the float sum's error bound
-    passes 2^-32 of it, that r is summed again in mp arithmetic at a
-    precision that resolves it, so every lhs is good to about 2^-32
-    relative.  The bound 2kC' x_r / q_r is rounded to nearest at prec + 16
-    bits, from x_r as the values convert it (``_VALUES_WP``) or at prec +
-    16 where that is higher; the orbit is the values' (see ``_expand_to``).
-    An entry passes only if lhs/bound plus the sum's error bound over bound
-    stays <= 1, so a near-tie reads as a violation.
+    x_r, with their binary exponents carried as ints, so any q_r is in
+    range and no mp log is taken.  Where the terms cancel so far that the
+    float sum's error bound passes 2^-32 of it, that r is summed again by
+    ``_finite_minus_partial_resum`` from two passes, at 2 bits(q_r) + 128
+    bits, doubled while its own bound passes 2^-32 of it, up to 16
+    (bits(q_r) + 64), so every lhs is good to about 2^-32 relative.  The
+    bound 2kC' x_r / q_r is rounded to nearest at prec + 16 bits, from x_r
+    as the values convert it (``_VALUES_WP``) or at prec + 16 where that is
+    higher; the orbit is the values' (see ``_expand_to``).  An entry passes
+    only if lhs/bound plus the sum's error bound over bound stays <= 1, so
+    a near-tie reads as a violation.
     """
     if r_max < 1:
         raise OutOfDomain("r_max must be >= 1")
@@ -648,12 +632,11 @@ def truncation_audit(x: ExactNumber, r_max: int,
         x_r = vals[r]
         t = to_float(x_r, rnd=_RND)
         diffs = _finite_minus_partial(digits[:r], c.q, t)
-        sum_prec = q_bits + 128
+        sum_prec = 2 * q_bits + 128
         while (any(err > _LHS_REL * abs(total)
                    for total, _, err, _ in diffs.values())
-               and sum_prec <= 8 * (q_bits + 128)):
-            t_raw = raw_mpf(e.orbit_at(r), sum_prec)
-            diffs = _finite_minus_partial_mp(digits[:r], c.q, t_raw, sum_prec)
+               and sum_prec <= 16 * (q_bits + 64)):
+            diffs = _finite_minus_partial_resum(c, r, e.orbit_at(r), sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)
         b1, b3 = (mpf_div(mpf_mul(s, x_r, wp, _RND), raw_q, wp, _RND)

@@ -11,7 +11,10 @@ audits as they were before they read the values' expansion and kept
 tables: each audit walks its own expansion to r_max + 1 (N + 1) digits,
 converts the orbit at its own precision and forms every float afresh, and
 the truncation kernel builds its rows in one pass and sums each k in
-another.
+another.  ``finite_minus_partial_resum`` sums a row whose float terms
+cancel again as the difference of two ``orbit_pass`` totals, over the
+Gauss orbits of p_r/q_r and of [0; a_1, .., a_r + x_r], each stepped by
+``alpha_step`` and each point rounded from its exact ratio.
 
 ``ball_mpf`` converts a ball as ``numkit.raw_mpf`` did before it
 cross-multiplied the ends: from the midpoint as a reduced Fraction.
@@ -31,9 +34,10 @@ from typing import Callable, Iterator, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, from_rational, fzero, mpf_abs,
-                          mpf_add, mpf_cmp, mpf_div, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sub, round_nearest, to_float)
+                          mpf_add, mpf_cmp, mpf_div, mpf_frexp, mpf_log,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_float,
+                          to_rational)
 
 from alphacf import series_eval as se
 from alphacf.cf_core import (Alpha, ConvergentSeq, convergents, expand,
@@ -139,6 +143,40 @@ def finite_minus_partial(a: Sequence[int], q: Sequence[int], t: float
     return out
 
 
+def _orbit_end(v: Fraction, n: int, k: int, prec: int) -> tuple:
+    """The last ``orbit_pass`` entry at prec over the first n points of
+    the Gauss orbit of v, or all of them where it ends sooner."""
+    points = []
+    while v and len(points) < n:
+        points.append((from_rational(v.numerator, v.denominator, prec,
+                                     round_nearest), None))
+        v = alpha_step(v, Alpha.one())[2]
+    return orbit_pass(points, k, prec, 0, (fzero, fzero, fzero, fone))[-1]
+
+
+def finite_minus_partial_resum(p: Sequence[int], q: Sequence[int], r: int,
+                               t, prec: int) -> dict:
+    """F_r - P_r at k = 1, 2, 3 as the b totals of the passes over p_r/q_r
+    and over (p_r + t p_{r-1})/(q_r + t q_{r-1}) at prec, t the raw mpf
+    x_r taken exactly, with |w_F - w_P| as the absolute sum; returned as
+    ``finite_minus_partial`` returns it."""
+    rnd = round_nearest
+    t = Fraction(*to_rational(t))
+    y = Fraction(p[r + 1], q[r + 1])
+    x = (p[r + 1] + t * p[r]) / (q[r + 1] + t * q[r])
+    out = {}
+    for k in (1, 2, 3):
+        _, b_f, w_f, _ = _orbit_end(y, r, k, prec)
+        _, b_p, w_p, _ = _orbit_end(x, r, k, prec)
+        m_abs, e = mpf_frexp(mpf_abs(mpf_sub(w_f, w_p, prec, rnd)))
+        m, e_total = mpf_frexp(mpf_sub(b_f, b_p, prec, rnd))
+        size = to_float(mpf_add(b_f, b_p, prec, rnd), rnd=rnd)
+        out[k] = (math.ldexp(to_float(m, rnd=rnd), e_total - e),
+                  to_float(m_abs, rnd=rnd),
+                  math.ldexp(((2 * k + 2) * r + 16) * size + 20, -prec - e), e)
+    return out
+
+
 def truncation_audit(x: ExactNumber, r_max: int,
                      prec: int = 160) -> list:
     """``series_eval.truncation_audit`` on its own (x, 1, r_max + 1)
@@ -165,13 +203,12 @@ def truncation_audit(x: ExactNumber, r_max: int,
         x_r = vals[r]
         t = to_float(x_r, rnd=rnd)
         diffs = finite_minus_partial(digits[:r], c.q, t)
-        sum_prec = q_bits + 128
+        sum_prec = 2 * q_bits + 128
         while (any(err > se._LHS_REL * abs(total)
                    for total, _, err, _ in diffs.values())
-               and sum_prec <= 8 * (q_bits + 128)):
+               and sum_prec <= 16 * (q_bits + 64)):
             t_raw = raw_mpf(e.orbit_at(r), sum_prec)
-            diffs = se._finite_minus_partial_mp(digits[:r], c.q, t_raw,
-                                                sum_prec)
+            diffs = finite_minus_partial_resum(c.p, c.q, r, t_raw, sum_prec)
             sum_prec *= 2
         raw_q = from_int(q_r)
         bounds = {k: to_float(mpf_div(mpf_mul(s, x_r, wp, rnd), raw_q, wp,

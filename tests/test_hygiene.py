@@ -156,6 +156,36 @@ def test_ratios_are_rounded_by_one_helper():
         "g: mpf_div(from_int, from_int)"]
 
 
+def _readers(source: str, name: str) -> list:
+    """The function around each read of name in a source, one entry per
+    read, "<module>" outside any function; imports are not reads."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_series_eval_logs_only_in_the_pass_and_the_residual():
+    # every mp series sum reads the one running pass, whose points are
+    # logged by _log_inv; the residual takes log x_0 itself, and a second
+    # hand-written series loop would take logs of its own
+    path = Path(alphacf.__file__).parent / "series_eval.py"
+    assert _readers(path.read_text(encoding="utf-8"), "mpf_log") == [
+        "_log_inv", "functional_eq_residual"]
+    assert _readers("from mpmath.libmp import mpf_log\n"
+                    "def f(v):\n    return libmp.mpf_log(v, 53)\n"
+                    "g = mpf_log\n", "mpf_log") == ["<module>", "f"]
+
+
 def _mp_attributes(source: str) -> list:
     return sorted({node.attr for node in ast.walk(ast.parse(source))
                    if isinstance(node, ast.Attribute)

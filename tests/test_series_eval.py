@@ -10,7 +10,7 @@ from mpmath import mp
 from mpmath.libmp import (from_float, from_int, fzero, mpf_add, mpf_div,
                           mpf_mul, mpf_neg, mpf_pos, round_nearest)
 
-from alphacf import numkit as nk
+from alphacf import cf_core, numkit as nk
 from alphacf.cf_core import Alpha, convergents, expand, normalize
 from alphacf import series_eval as se
 from alphacf.errors import (
@@ -942,19 +942,60 @@ def test_truncation_audit_verdicts_follow_lhs_over_bound(monkeypatch):
     assert not audit_with(ratio * (1 + 1e-14))[key].passed
 
 
-def test_truncation_audit_takes_no_mp_log_or_gauss_orbit(monkeypatch):
-    # the audit is O(r^2) float work; an O(r^2) mp-log path must not
-    # return, nor a running pass over any orbit, the finite values' included
-    calls = []
+def test_truncation_audit_runs_the_pass_only_on_cancelling_rows(
+        monkeypatch):
+    # the audit is O(r^2) float work: on the seeded surd every float sum
+    # resolves, so it takes no mp log and runs no pass; on [0; 2^20, 2^20,
+    # ..] the pass runs for the rows whose float error bound fails, the
+    # even r at k = 2, and for no other
+    rows = []  # (r, the ks whose float sum failed), one per row
+    calls = []  # (name, r) for each mpf_log and _pass call
+    fmp = se._finite_minus_partial
+
+    def float_sum(a, q, t):
+        out = fmp(a, q, t)
+        rows.append((len(a), [k for k, (total, _, err, _) in out.items()
+                              if err > se._LHS_REL * abs(total)]))
+        return out
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, rows[-1][0]))
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(se, "_finite_minus_partial", float_sum)
     monkeypatch.setattr(se, "mpf_log", counted(se.mpf_log))
     monkeypatch.setattr(se, "_pass", counted(se._pass))
+    cf_core._expansion.cache_clear()
     x = random_surd_in_unit(random.Random(911))
     assert len(se.truncation_audit(x, 30)) == 120
-    assert calls == []
+    assert len(rows) == 30 and calls == []
+    rows.clear()
+    x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
+    assert len(se.truncation_audit(x, 30)) == 120
+    failed = {r: ks for r, ks in rows if ks}
+    assert failed == {r: [2] for r in range(2, 31, 2)}
+    assert {name for name, _ in calls} == {"mpf_log", "_pass"}
+    assert {r for _, r in calls} == set(failed)
+
+
+def test_truncation_audit_resums_a_ball(monkeypatch):
+    # a 1500-bit ball of [0; 2^20, 2^20, ..] certifies the 31 digits the
+    # audit reads (q_30 has 601 bits), and its cancelling rows are summed
+    # again from its orbit balls' midpoints, as the surd's are
+    x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
+    resum = se._finite_minus_partial_resum
+    resummed = []
+
+    def counted(c, r, t, prec):
+        resummed.append(r)
+        return resum(c, r, t, prec)
+
+    monkeypatch.setattr(se, "_finite_minus_partial_resum", counted)
+    reports = se.truncation_audit(nk.BallFloat(x, 1500), 30)
+    assert sorted(set(resummed)) == list(range(2, 31, 2))
+    _assert_lhs_close(reports, _oracle_truncation_audit(x, 30, prec=1500),
+                      rel=1e-9)
+    assert [r.passed for r in reports] == [
+        r.passed for r in se.truncation_audit(x, 30)]
