@@ -102,7 +102,7 @@ def _grid_points(spec: str):
     try:
         a_txt, b_txt, n_txt = spec.split(":")
         a, b, n = float(Fraction(a_txt)), float(Fraction(b_txt)), int(n_txt)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--grid expects a:b:n, got {spec!r}") from exc
     if n < 1 or not b > a:
         raise UsageError("--grid needs n >= 1 and b > a")
@@ -244,7 +244,7 @@ def cmd_scan(args) -> int:
     try:
         a_txt, b_txt = args.interval.split(":")
         lo, hi = Fraction(a_txt), Fraction(b_txt)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--interval expects a:b, got {args.interval!r}") from exc
     res = bmo_lab.bmo_seminorm_scan(f, (lo, hi), args.depth,
                                     args.leaf_samples)

@@ -509,7 +509,7 @@ _SURD_RE = re.compile(
     r"^\(\s*(?P<a>[+-]?\d+)\s*(?P<sgn>[+-])\s*(?P<b>\d+)\s*\*\s*"
     r"sqrt\(\s*(?P<d>\d+)\s*\)\s*\)\s*/\s*(?P<c>[+-]?\d+)$"
 )
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 

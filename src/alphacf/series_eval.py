@@ -8,22 +8,22 @@ eventually periodic (quadratic surd) orbits.  Rational points diverge; the
 sanctioned rational-input API is the pair of finite truncations defined over
 the regular (alpha = 1) continued fraction.
 
-Every mp-precision sum over an orbit reads one kernel, ``_pass``: a
-running pass whose entry n holds the unsigned term beta_{n-1}^k *
-log(1/x_n), the running total of the terms and the running total with the
-Wilton sign (-1)^n, so a sum reads a total instead of adding terms.  A pass
-over an expansion's orbit is kept on the expansion (see
-``CFExpansion.kept``), one per (k, start point, precision), and run on
-only as far as a reader asks, in one call: to a given length, or for a
-sum that stops at tol, through its first term under tol.  It keeps the
-pairs (x_n, log(1/x_n)) there, one list per precision, formed in one call
-for a pass read to a given length and one point at a time for one that
-stops at tol, so no point past a sum's stop is converted or logged.  So ``brjuno_k`` at k = 1 and ``wilton`` read one
-pass, and the residual works at the values' precision and reads their
-pass for S_N and one pass from x_1, which its two modes share, for
-S_{N-1}.  The finite truncations of a rational read its alpha = 1
-expansion and the pass kept on it, so one rational's B_1 and W read one
-pass's two totals.
+Every mp-precision sum over an orbit reads one kernel, ``_pass``: a running
+pass whose entry n holds the unsigned term beta_{n-1}^k * log(1/x_n), the
+running total of the terms and the running total with the Wilton sign
+(-1)^n, and beta_n, so a sum reads a total instead of adding terms, and a
+closed form's tail reads two totals and two betas.  A pass over an
+expansion's orbit is kept on the expansion (see ``CFExpansion.kept``), one
+per (k, start point, precision), and run on only as far as a reader asks, in
+one call: to a given length, or for a sum that stops at tol, through its
+first term under tol.  It keeps the pairs (x_n, log(1/x_n)) there, one list
+per precision, formed in one call for a pass read to a given length and one
+point at a time for one that stops at tol, so no point past a sum's stop is
+converted or logged.  So ``brjuno_k`` at k = 1 and ``wilton`` read one pass,
+and the residual works at the values' precision and reads their pass for S_N
+and one pass from x_1, which its two modes share, for S_{N-1}.  The finite
+truncations of a rational read its alpha = 1 expansion and the pass kept on
+it, so one rational's B_1 and W read one pass's two totals.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -83,6 +83,7 @@ from mpmath.libmp import (
 from .cf_core import (
     Alpha,
     CFExpansion,
+    _expand_exact,
     convergents,
     expand,
     normalize,
@@ -206,14 +207,14 @@ def _pass(points: Iterable, k: int, prec: int, n: int, entry: tuple,
     """Entries n, n + 1, .. of a running pass, one per pair (x, log(1/x))
     of points, continuing from entry, the pass's entry n - 1 (``_START`` at
     n = 0); given a raw mpf tol, the pass stops after the first entry whose
-    |term| < tol, and reads no point past it.
+    term < tol, and reads no point past it.
 
-    Entry n is (term, b, w, beta): the unsigned term beta_{n-1}^k *
-    log(1/x_n), the running totals b of the terms and w of the terms each
-    negated at odd n (the Wilton sign), and beta_n, which the next term
-    reads.  All are raw mpfs rounded to nearest at prec, and each total is
-    the left-to-right chain of adds over its terms.  beta is formed at
-    prec, so its first power is beta itself and k = 1 takes no power.
+    Entry n is (term, b, w, beta): the term beta_{n-1}^k * log(1/x_n), never
+    negative as x_n is in (0, 1], the running totals b of the terms and w of
+    the terms each negated at odd n (the Wilton sign), and beta_n, which the
+    next term reads.  All are raw mpfs rounded to nearest at prec, and each
+    total is the left-to-right chain of adds over its terms.  beta is formed
+    at prec, so its first power is beta itself and k = 1 takes no power.
     """
     _, b, w, beta = entry
     out = []
@@ -224,7 +225,7 @@ def _pass(points: Iterable, k: int, prec: int, n: int, entry: tuple,
         w = (mpf_sub if n % 2 else mpf_add)(w, term, prec, _RND)
         beta = mpf_mul(beta, v, prec, _RND)
         out.append((term, b, w, beta))
-        if tol is not None and mpf_lt(mpf_abs(term), tol):
+        if tol is not None and mpf_lt(term, tol):
             break
         n += 1
     return out
@@ -238,7 +239,7 @@ def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
 def _run(e: CFExpansion, k: int, start: int, n: int, prec: int,
          tol=None) -> list:
     """The ``_pass`` over x_start, x_start+1, .. of e at prec, run on to
-    n entries or, given tol, through the first whose |term| < tol.
+    n entries or, given tol, through the first whose term < tol.
 
     The pass is kept on e under ("run", k, start, prec) and run on only as
     far as a reader asks, so the values and residuals of one point read
@@ -290,27 +291,23 @@ def _partial_sums(terms: Sequence[float], signed: bool) -> list:
 
 def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
                   prec: int, mode: str) -> SeriesValue:
-    """Left-to-right partial sum, with an exact geometric tail on periodic orbits."""
+    """Left-to-right partial sum, with an exact geometric tail on periodic
+    orbits whose block and ratio are the pass's at the period's two ends."""
     _check_prec(prec)
     wp = prec + _GUARD
     total_at = 2 if signed else 1  # the entry's w or b
     if e.period is not None:
         pre, length = e.period
         n_explicit = pre + length
-        vals = _raw_orbit(e, n_explicit - 1, wp)
         run = _run(e, k, 0, n_explicit, wp)
-        total = run[n_explicit - 1][total_at]
-        block, rho = fzero, fone
-        for n in range(pre, n_explicit):
-            add = mpf_sub if signed and n % 2 else mpf_add
-            block = add(block, run[n][0], wp, _RND)
-            rho = mpf_mul(rho, vals[n], wp, _RND)
-        ratio = mpf_pow_int(rho, k, wp, _RND)
+        before, end = run[pre - 1] if pre else _START, run[n_explicit - 1]
+        block = mpf_sub(end[total_at], before[total_at], wp, _RND)
+        ratio = mpf_pow_int(mpf_div(end[3], before[3], wp, _RND), k, wp, _RND)
         if signed and length % 2:
             ratio = mpf_neg(ratio, wp, _RND)
         tail = mpf_div(mpf_mul(block, ratio, wp, _RND),
                        mpf_sub(fone, ratio, wp, _RND), wp, _RND)
-        total = mpf_add(total, tail, wp, _RND)
+        total = mpf_add(end[total_at], tail, wp, _RND)
         return SeriesValue(value=mp.make_mpf(mpf_pos(total, prec, _RND)),
                            n_terms=n_explicit, tail_estimate=0.0,
                            rigorous_tail=True, mode=mode, exhausted=False)
@@ -319,26 +316,24 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     n_max = min(terms, len(e.orbit))
     raw_tol = from_float(float(tol))
     run = _run(e, k, 0, 0, wp)  # the entries kept so far
-    prev_abs = finf
+    size = finf
     monotone = True
     exhausted = False
     for n in range(n_max):
         if n == len(run):  # none under tol yet: one call runs on to the stop
             run = _run(e, k, 0, n_max, wp, raw_tol)
-        size = mpf_abs(run[n][0])
-        if mpf_gt(size, prev_abs):
-            monotone = False
-        prev_abs = size
+        monotone = monotone and not mpf_gt(run[n][0], size)
+        size = run[n][0]  # a term is its own size: it is never negative
         if mpf_lt(size, raw_tol):
             break
     else:
         exhausted = n_max < terms
     gk = _GOLDEN_F ** k
-    last_abs = to_float(size, rnd=_RND)
+    last = to_float(size, rnd=_RND)
     if signed and monotone:
-        tail = last_abs  # alternating series with shrinking terms
+        tail = last  # alternating series with shrinking terms
     else:
-        tail = last_abs * gk / (1 - gk)
+        tail = last * gk / (1 - gk)
     return SeriesValue(value=mp.make_mpf(mpf_pos(run[n][total_at], prec,
                                                  _RND)),
                        n_terms=n + 1, tail_estimate=tail, rigorous_tail=False,
@@ -447,10 +442,10 @@ def functional_eq_residual(x: ExactNumber, alpha: Alpha, mode: str = "brjuno",
     e = _expand_to(_irrational(x, alpha), alpha, N)
     wp = prec + _GUARD
     total_at = 2 if mode == "wilton" else 1  # the entry's w or b
-    s_n = _run(e, k, 0, N, wp)[N - 1][total_at]
+    run = _run(e, k, 0, N, wp)  # entry 0's beta is x_0 itself
+    s_n, x0 = run[N - 1][total_at], run[0][3]
     s_shift = (_run(e, k, 1, N - 1, wp)[N - 2][total_at] if N > 1
                else fzero)
-    x0 = _raw_orbit(e, 0, wp)[0]
     head = mpf_add(s_n, mpf_log(x0, wp, _RND), wp, _RND)
     if mode == "brjuno":
         res = mpf_sub(head, mpf_mul(mpf_pow_int(x0, k, wp, _RND), s_shift,
@@ -567,7 +562,8 @@ def _finite_minus_partial_resum(c, r: int, x_r, prec: int) -> dict:
     2^-prec (((2k + 2)r + 16)(b_F + b_P) + 20), and e is |w_F - w_P|'s.
     """
     t = Fraction(*to_rational(raw_mpf(x_r, prec)))
-    pair = [expand(v, Alpha.one(), r) for v in (  # y ends within r digits
+    # one-shot expansions, kept out of expand's memo; y ends within r digits
+    pair = [_expand_exact(v, Alpha.one(), r) for v in (
         Fraction(c.p[r + 1], c.q[r + 1]),
         (c.p[r + 1] + t * c.p[r]) / (c.q[r + 1] + t * c.q[r]))]
     out = {}

@@ -419,3 +419,18 @@ def test_usage_error_on_bad_grid(capsys):
                        capsys)
     assert code == 2
     assert "--grid" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--fn", "brjuno", "--x", "1/0"], "--x"),
+    (["eval", "--fn", "brjuno", "--x", "1/3", "--alpha", "1/0"], "--alpha"),
+    (["eval", "--fn", "brjuno-finite", "--x", "1/0"], "--x"),
+    (["eval", "--fn", "brjuno", "--grid", "0:1/0:3"], "--grid"),
+    (["scan", "--alpha", "1", "--interval", "0:1/0", "--depth", "2"],
+     "--interval"),
+])
+def test_zero_denominator_is_a_usage_error(argv, flag, capsys):
+    # exit 1 is kept for a failed criterion
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("usage error:") and flag in err

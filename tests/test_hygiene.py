@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 
 import alphacf
 from alphacf import cf_core, fastgrid, numkit, orbit_compare, series_eval
+from alphacf.cf_core import Alpha
 from alphacf.numkit import BallFloat
+from alphacf.sampling import random_surd
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
@@ -184,6 +187,44 @@ def test_series_eval_logs_only_in_the_pass_and_the_residual():
     assert _readers("from mpmath.libmp import mpf_log\n"
                     "def f(v):\n    return libmp.mpf_log(v, 53)\n"
                     "g = mpf_log\n", "mpf_log") == ["<module>", "f"]
+
+
+def test_closed_forms_add_and_multiply_only_in_the_pass(monkeypatch):
+    # a closed form reads its tail's block and contraction off the pass's
+    # totals and beta, so the adds and products it makes outside ``_pass``
+    # do not grow with the period length L (2L + 3 per value when the
+    # period's terms were added and its points multiplied again)
+    inside, outside = [False], []
+    for name in ("mpf_add", "mpf_sub", "mpf_mul"):
+        def counted(*args, real=getattr(series_eval, name), name=name):
+            if not inside[0]:
+                outside.append(name)
+            return real(*args)
+        monkeypatch.setattr(series_eval, name, counted)
+
+    def in_pass(*args, real=series_eval._pass):
+        inside[0] = True
+        try:
+            return real(*args)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(series_eval, "_pass", in_pass)
+    rng, one, lengths, counts = random.Random(1), Alpha.one(), set(), set()
+    for _ in range(30):
+        x = random_surd(rng)
+        period = cf_core.expand(x, one, 256, best_effort=True).period
+        if period is None or period[1] > 40:
+            continue
+        lengths.add(period[1])
+        for value in (lambda: series_eval.brjuno_k(x, one, 1),
+                      lambda: series_eval.brjuno_k(x, one, 2),
+                      lambda: series_eval.wilton(x, one)):
+            cf_core._expansion.cache_clear()  # the pass runs again
+            outside.clear()
+            assert value().rigorous_tail
+            counts.add(len(outside))
+    assert min(lengths) == 1 and max(lengths) >= 30
+    assert counts == {4}
 
 
 def _mp_attributes(source: str) -> list:

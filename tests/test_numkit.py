@@ -243,6 +243,15 @@ def test_parse_format_roundtrip():
         nk.parse_exact("(0+1*sqrt(5))/2-oops")
 
 
+def test_parse_refuses_a_zero_denominator():
+    # a ValueError, as for any unparseable text, not Fraction's
+    # ZeroDivisionError
+    for text in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match="unparseable"):
+            nk.parse_exact(text)
+    assert nk.parse_exact("3/007") == Fraction(3, 7)
+
+
 def test_golden_identities():
     assert recip(G) == G + 1  # a surd adds on the left only
     assert 1 - G == nk.make_surd(3, -1, 2, 5)  # g^2

@@ -126,6 +126,19 @@ def test_exact_audit_walks_each_orbit_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_truncation_resums_keep_out_of_the_shared_memo(monkeypatch):
+    # [0; 2^20, 2^20, ..] re-sums 15 rows, each from two one-shot
+    # expansions; walked past the memo, they leave the op's own two
+    # expansions there (33 walks, 33 misses and 16 entries when they went
+    # through it and evicted the surd before its gap audit at 1)
+    x = make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
+    _clear_memos()
+    walks = _count(monkeypatch, cf_core, "_walk")
+    _exact_audit(x)
+    info = cf_core._expansion.cache_info()
+    assert (len(walks), info.misses, info.currsize) == (32, 2, 2)
+
+
 def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
     # the values, the truncation audit and the gap audits read one
     # conversion of the alpha = 1 orbit, at the values' working precision

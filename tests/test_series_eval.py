@@ -609,6 +609,50 @@ def test_kernel_values_frozen():
                                                    rel=1e-12)
 
 
+# surds (a, b, c, d) with a preperiod, drawn by random_surd at seed 7, at an
+# alpha where their expansion is (pre, length) with pre >= 2, and their
+# literal 128-bit B_1, B_2 and W as the closed form summed them over the
+# period's own terms and points
+_PREPERIODIC_FROZEN = {
+    ((7, 2, 36, 5), Fraction(1)): ((2, 4), (
+        "mpf('1.8642481766808412076432529102109410163069')",
+        "mpf('1.3476950327082346049395734225783225145167')",
+        "mpf('0.5475929873535938151209815471605370190643')")),
+    ((10, 2, 31, 21), Fraction(1, 2)): ((4, 22), (
+        "mpf('1.5735068568718034863725138594511471835554')",
+        "mpf('1.1284905830265511945206683101850668107869')",
+        "mpf('0.70500670262256398947906701287579280244606')")),
+    ((-12, 8, 31, 15), Fraction(3, 5)): ((2, 8), (
+        "mpf('1.5487539072561856299364301072127440049251')",
+        "mpf('1.0992549650227617078976154346527613879765')",
+        "mpf('0.98599489682610910789749974027762607045099')")),
+    ((9, 5, 29, 2), Fraction(1)): ((3, 9), (
+        "mpf('1.5945888876631555321102991525198999159266')",
+        "mpf('0.96380652540809085038326119631100938870598')",
+        "mpf('0.86399021778329065620200306334656888769303')")),
+    ((10, 1, 20, 15), Fraction(3, 5)): ((2, 3), (
+        "mpf('1.7451891164922684762594228726340268571185')",
+        "mpf('1.3183678286677634582898494085998950032854')",
+        "mpf('0.88959142388643595176965251171223552497771')")),
+    ((0, 1, 8, 22), Fraction(1, 2)): ((2, 9), (
+        "mpf('1.5428447779073813898434244553641574609988')",
+        "mpf('1.0659017355711095076935049902719479113922')",
+        "mpf('0.70485029084557436605772883948176769800342')")),
+}
+
+
+@pytest.mark.parametrize("abcd, alpha", list(_PREPERIODIC_FROZEN))
+def test_preperiodic_closed_forms_frozen(abcd, alpha):
+    period, want = _PREPERIODIC_FROZEN[abcd, alpha]
+    x, a = nk.make_surd(*abcd), Alpha(alpha)
+    e = expand(normalize(x, a)[0], a, se.DEFAULT_TERMS, best_effort=True)
+    assert e.period == period
+    got = (se.brjuno_k(x, a, 1, prec=128), se.brjuno_k(x, a, 2, prec=128),
+           se.wilton(x, a, prec=128))
+    assert all(v.rigorous_tail and v.n_terms == sum(period) for v in got)
+    assert tuple(_repr128(v.value) for v in got) == want
+
+
 def test_wilton_terms_negate_brjuno_terms_at_odd_n():
     # the pass's W totals chain B_1's terms, each negated at odd n, and its
     # B_1 totals the terms as they are
