@@ -18,10 +18,10 @@ one point walk its orbit once, and every caller must treat the returned
 ``CFExpansion`` as read-only.  A ball is known by its exact ends and its
 precision, so equal balls built apart share one expansion.  An expansion
 also keeps the tables its readers build from the orbit (see
-``CFExpansion.kept``): ``orbit_mpf`` its conversions, and the series layer
-the orbit's points with their logs, its running series passes and the gap
-audit's proxy terms.  A rational's finite truncations read its alpha = 1
-expansion and those tables too.
+``CFExpansion.kept``): the conversions of its stored points, and the
+series layer those points with their logs, its running series passes and
+the gap audit's proxy terms.  A rational's finite truncations read its
+alpha = 1 expansion and those tables too.
 """
 
 from __future__ import annotations
@@ -103,13 +103,14 @@ class CFExpansion:
 
     An expansion may be shared between callers (see ``expand``), so it is
     read-only but for the tables ``kept`` holds in ``_tables``: ("mpf",
-    prec), the conversions ``orbit_mpf`` makes of the stored orbit's
-    prefix; ("log", prec), the raw pairs (x_n, log(1/x_n)) that
-    ``series_eval`` forms of x_0, x_1, ..; ("run", k, start, prec), its
-    running pass over x_start, x_start+1, .., each entry a term and two
-    running totals, whose last entry on a rational's alpha = 1 expansion
-    holds its finite truncations; and ("proxy", k), the gap audit's
-    unsigned proxy terms log(q_{j+1})/q_j^k for j = 0, 1, ...
+    prec), the ``point_mpf`` conversions of the stored points; ("log",
+    prec), the raw pairs (x_i, log(1/x_i)) ``series_eval`` forms of them,
+    both read by a series pass as they stand when it begins and run on
+    once when it stops; ("run", k, start, prec), its running pass over
+    x_start, x_start+1, .., each entry a term and two running totals,
+    whose last entry on a rational's alpha = 1 expansion holds its finite
+    truncations; and ("proxy", k), the gap audit's unsigned proxy terms
+    log(q_{j+1})/q_j^k for j = 0, 1, ...
     """
 
     x0: ExactNumber
@@ -140,6 +141,11 @@ class CFExpansion:
         return [stored[i] if i < n else stored[pre + (i - pre) % length]
                 for i in range(start, stop)]
 
+    @property
+    def points(self) -> int:
+        """Stored orbit points; a periodic orbit's last is x_pre again."""
+        return len(self.orbit) if self.period is None else sum(self.period)
+
     def orbit_at(self, j: int):
         """Exact orbit point x_j, cycling through the period if any."""
         if j < 0:
@@ -166,16 +172,16 @@ class CFExpansion:
         stored, each ball by its midpoint, so a value lies between its ball's
         ends up to one rounding.  A list shorter than n + 1 - start means
         the stored orbit ran out first.  Each stored point is converted
-        once per precision, however many calls ask for it, and only once a
-        call reaches it, so a reader that asks point by point converts
-        none past the last it reads.
+        once per precision, by ``point_mpf``, once some reader reaches it.
         """
-        # the last stored point of a periodic orbit repeats x_pre
-        m = min(n + 1, len(self.orbit) if self.period is None
-                else sum(self.period))
+        m = min(n + 1, self.points)
         vals = self.kept(("mpf", prec), m, lambda table, stop: [
-            to_mpf(v, prec) for v in self.orbit[len(table):stop]])
+            self.point_mpf(i, prec) for i in range(len(table), stop)])
         return self.cycled(vals, start, m if self.period is None else n + 1)
+
+    def point_mpf(self, i: int, prec: int):
+        """Stored point i as an mpf at prec: the ("mpf", prec) entry."""
+        return to_mpf(self.orbit[i], prec)
 
     def to_json(self) -> str:
         return json.dumps(

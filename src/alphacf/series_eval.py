@@ -16,10 +16,11 @@ closed form's tail reads two totals and two betas.  A pass over an
 expansion's orbit is kept on the expansion (see ``CFExpansion.kept``), one
 per (k, start point, precision), and run on only as far as a reader asks, in
 one call: to a given length, or for a sum that stops at tol, through its
-first term under tol.  It keeps the pairs (x_n, log(1/x_n)) there, one list
-per precision, formed in one call for a pass read to a given length and one
-point at a time for one that stops at tol, so no point past a sum's stop is
-converted or logged.  So ``brjuno_k`` at k = 1 and ``wilton`` read one pass,
+first term under tol.  That call reads the stored points in one loop, each
+as its kept pair (x_i, log(1/x_i)), else its kept conversion and one log,
+else one new conversion and one log, and keeps what it formed when the pass
+stops, so a point is converted and logged once per precision, and none past
+a sum's stop is.  So ``brjuno_k`` at k = 1 and ``wilton`` read one pass,
 and the residual works at the values' precision and reads their pass for S_N
 and one pass from x_1, which its two modes share, for S_{N-1}.  The finite
 truncations of a rational read its alpha = 1 expansion and the pass kept on
@@ -231,35 +232,45 @@ def _pass(points: Iterable, k: int, prec: int, n: int, entry: tuple,
     return out
 
 
-def _raw_orbit(e: CFExpansion, n: int, prec: int) -> list:
-    """Orbit values x_0..x_n of e as raw mpfs at prec."""
-    return [v._mpf_ for v in e.orbit_mpf(n, prec)]
+def _run(e: CFExpansion, k: int, start: int, n: int, prec: int, tol=None):
+    """The ``_pass`` over x_start, x_start+1, .. of e at prec, kept on e
+    under ("run", k, start, prec) and run on in one call to n entries or,
+    given tol, through the first whose term < tol; given tol, also the
+    index where this call's own pass began, n if it formed none.
 
-
-def _run(e: CFExpansion, k: int, start: int, n: int, prec: int,
-         tol=None) -> list:
-    """The ``_pass`` over x_start, x_start+1, .. of e at prec, run on to
-    n entries or, given tol, through the first whose term < tol.
-
-    The pass is kept on e under ("run", k, start, prec) and run on only as
-    far as a reader asks, so the values and residuals of one point read
-    each term and total once.  It reads each point x_j as it reaches it
-    from the pairs (x_j, log(1/x_j)) kept on e under ("log", prec), which
-    are run on from the conversions ``orbit_mpf`` keeps, so a point is
-    converted and logged once, and only if some pass has reached it: in
-    one call for a pass read to its end, one point at a time for one that
-    stops at tol.
+    One loop feeds the pass the stored points that ``cycled`` gives: each
+    point's kept pair (x_i, log(1/x_i)) from ("log", prec), else its kept
+    conversion from ("mpf", prec) and one log, else one new ``point_mpf``
+    conversion and one log, both tables as they stood when the call began.
+    What it formed is kept once the pass stops, each table run on by the
+    entries past it as it stands then.
     """
-    def log_more(table, stop):
-        return [(v._mpf_, _log_inv(v._mpf_, prec))
-                for v in e.orbit_mpf(stop - 1, prec, len(table))]
+    begun = [n]  # where this call's own pass began
 
     def more(table, stop):
-        to = start + stop if tol is None else 0
-        return _pass((e.kept(("log", prec), max(j + 1, to), log_more)[j]
-                      for j in range(start + len(table), start + stop)),
-                     k, prec, len(table), table[-1] if table else _START, tol)
-    return e.kept(("run", k, start, prec), n, more)
+        begun[0] = len(table)
+        vals = list(e._tables.get(("mpf", prec), []))
+        pairs = e._tables.get(("log", prec), [])[:len(vals)]  # none past vals
+        had = len(pairs)
+
+        def points():
+            for i in e.cycled(range(e.points), start + len(table),
+                              start + stop):
+                while len(pairs) <= i:  # a start past x_0 fills x_0 first
+                    if len(vals) == len(pairs):
+                        vals.append(e.point_mpf(len(vals), prec))
+                    v = vals[len(pairs)]._mpf_
+                    pairs.append((v, _log_inv(v, prec)))
+                yield pairs[i]
+        entries = _pass(points(), k, prec, len(table),
+                        table[-1] if table else _START, tol)
+        if len(pairs) > had:
+            for key, new in (("mpf", vals), ("log", pairs)):
+                e.kept((key, prec), len(new),
+                       lambda old, stop, new=new: new[len(old):stop])
+        return entries
+    table = e.kept(("run", k, start, prec), n, more)
+    return table if tol is None else (table, begun[0])
 
 
 def _proxy_term(log_q: float, q: int, k: int) -> float:
@@ -315,17 +326,19 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     # the orbit never hits zero, so every stored point is a term
     n_max = min(terms, len(e.orbit))
     raw_tol = from_float(float(tol))
-    run = _run(e, k, 0, 0, wp)  # the entries kept so far
-    size = finf
-    monotone = True
-    exhausted = False
+    # a run-on's pass tested the entries it formed, from begun on
+    run, begun = _run(e, k, 0, 0, wp), n_max
+    size, monotone, exhausted = finf, True, False
     for n in range(n_max):
         if n == len(run):  # none under tol yet: one call runs on to the stop
-            run = _run(e, k, 0, n_max, wp, raw_tol)
-        monotone = monotone and not mpf_gt(run[n][0], size)
+            run, begun = _run(e, k, 0, n_max, wp, raw_tol)
+        if signed:
+            monotone = monotone and not mpf_gt(run[n][0], size)
         size = run[n][0]  # a term is its own size: it is never negative
-        if mpf_lt(size, raw_tol):
-            break
+        if begun <= n < len(run) - 1:
+            continue  # not under tol, as its pass went on
+        if begun <= n < n_max - 1 or mpf_lt(size, raw_tol):
+            break  # under tol: where a run-on stopped short of n_max
     else:
         exhausted = n_max < terms
     gk = _GOLDEN_F ** k
@@ -614,7 +627,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     c = convergents(e, depth)
     digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
-    vals = _raw_orbit(e, depth, max(wp, _VALUES_WP))
+    vals = [v._mpf_ for v in e.orbit_mpf(depth, max(wp, _VALUES_WP))]
     # 2kC' at k = 1 and 3, so a bound below is (2kC' * x_r) / q_r; 4C' is
     # 2C' doubled, exactly, and so is the k = 2 bound
     cp = _c_prime(prec)

@@ -10,17 +10,19 @@ the memoised values with unmemoised copies of the code they replaced.
 """
 
 import inspect
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_log,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_rdiv_int, round_nearest)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add, mpf_div,
+                          mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_pow_int, mpf_rdiv_int, round_nearest)
 
 from alphacf import cf_core, numkit, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
@@ -771,3 +773,255 @@ def test_expansion_constructor_takes_no_memo():
     fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)
     assert not fresh._tables and e == fresh
     assert repr(e) == repr(fresh)
+
+
+# -- the loop that feeds the pass ------------------------------------------
+
+def _point_raw(v, prec):
+    """A point rounded as its first conversion is, a ball from its reduced
+    Fraction midpoint."""
+    return ball_mpf(v, prec) if isinstance(v, BallFloat) else \
+        numkit.raw_mpf(v, prec)
+
+
+def _oracle_entries(e, k, start, n, prec):
+    """n entries of the oracle pass over x_start, x_start+1, .. of e, every
+    point converted and logged afresh."""
+    points = [(_point_raw(e.orbit_at(j), prec), None)
+              for j in range(start, start + n)]
+    return orbit_pass(points, k, prec, 0, series_eval._START)
+
+
+def _check_tables(e, prec):
+    """The conversions and pairs kept on e are stored point j's at entry j,
+    as many as the passes reached, and no more than the stored points."""
+    runs = [(key[2], len(t)) for key, t in e._tables.items()
+            if key[0] == "run" and key[3] == prec]
+    reached = min(e.points, max(start + n for start, n in runs))
+    vals, pairs = e._tables["mpf", prec], e._tables["log", prec]
+    assert len(vals) == len(pairs) == reached
+    for j, (v, (x, log)) in enumerate(zip(vals, pairs)):
+        assert v._mpf_ == x == _point_raw(e.orbit[j], prec)
+        assert log == series_eval._log_inv(x, prec)
+
+
+def _ball_cases(rng):
+    cases = [(_surd_ball(rng), a) for a in BALL_ALPHAS]
+    cases += [(_text_ball(rng), a) for a in BALL_ALPHAS]
+    return [(cf_core.normalize(x, a)[0], a) for x, a in cases]
+
+
+def test_ball_values_keep_the_recorded_bits():
+    # brjuno_k, wilton and both residuals of 12 seeded balls, surd-centred
+    # and text, at alpha = 1, 1/2 and 3/5, as the code before the loop
+    # that feeds the pass computed them (tests/data/ball_values.json)
+    def raw(v):
+        sign, man, exp, bc = v
+        return sign, int(man, 16), exp, bc
+
+    rows = json.loads((Path(__file__).parent / "data" /
+                       "ball_values.json").read_text(encoding="utf-8"))
+    assert len(rows) == 12
+    assert {(row["kind"], row["alpha"]) for row in rows} == {
+        (kind, a) for kind in ("surd", "text") for a in ("1", "1/2", "3/5")}
+    for row in rows:
+        x = (parse_exact(row["x"], 256) if row["kind"] == "text"
+             else BallFloat(parse_exact(row["x"]), prec=256))
+        alpha = Alpha.parse(row["alpha"])
+        _clear_memos()
+        for got, want in ((series_eval.brjuno_k(x, alpha), row["brjuno"]),
+                          (series_eval.wilton(x, alpha), row["wilton"])):
+            assert (got.value._mpf_, got.n_terms, got.tail_estimate,
+                    got.rigorous_tail, got.exhausted) == (
+                raw(want["value"]), want["n_terms"],
+                float.fromhex(want["tail_estimate"]), want["rigorous_tail"],
+                want["exhausted"])
+        for mode in ("brjuno", "wilton"):
+            assert series_eval.functional_eq_residual(
+                x, alpha, mode, row["N"])._mpf_ == raw(row[f"residual_{mode}"])
+
+
+def test_run_is_the_oracle_pass_in_any_order():
+    # tol-stopped then fixed-length passes and the reverse, from x_0 and
+    # x_1: each table is the oracle's prefix, a tol-stopped run-on ends at
+    # the first term under tol past the entries kept before it, and the
+    # conversions and pairs are stored point j's at entry j
+    rng, wp = random.Random(29), 288
+    tol = from_float(1e-40)
+    for x, alpha in _ball_cases(rng):
+        for order in range(3):
+            _clear_memos()
+            e = expand(x, alpha, CAP, best_effort=True)
+            n_max, big = len(e.orbit), min(50, len(e.digits) - 1)
+            calls = [(0, n_max, tol), (0, big, None), (1, big - 1, None)]
+            calls = calls[order:] + calls[:order]
+            for k in (1, 2):
+                full = _oracle_entries(e, k, 0, n_max, wp)
+                for start, n, tol_ in calls:
+                    before = len(e._tables.get(("run", k, start, wp), []))
+                    got = series_eval._run(e, k, start, n, wp, tol_)
+                    if tol_ is None:
+                        want = full if start == 0 else _oracle_entries(
+                            e, k, start, n, wp)
+                        assert got == want[:max(n, before)]
+                        continue
+                    table, begun = got
+                    stop = next((j + 1 for j in range(before, n_max)
+                                 if mpf_lt(full[j][0], tol)), n_max)
+                    assert table == full[:max(before, stop)]
+                    assert begun == before
+            _check_tables(e, wp)
+
+
+def test_run_reads_periodic_orbits_and_rationals_past_their_points():
+    # surds read past their stored period, from x_0 and x_1, and rationals
+    # read to their end: one conversion and one log per stored point
+    wp = 160
+    periodic = [make_surd(-1, 1, 2, 5), make_surd(0, 1, 1, 604) - 24,
+                make_surd(-1, 1, 1, 2)]
+    for x in periodic:
+        for alpha in (ONE, HALF):
+            xa, _ = cf_core.normalize(x, alpha)
+            _clear_memos()
+            e = expand(xa, alpha, CAP)
+            assert e.period is not None
+            for start, n in ((1, 3 * e.points), (0, 10), (0, 300)):
+                assert series_eval._run(e, 1, start, n, wp) == \
+                    _oracle_entries(e, 1, start, n, wp)
+            _check_tables(e, wp)
+            assert len(e._tables["log", wp]) == e.points
+    rng = random.Random(31)
+    for _ in range(6):
+        fr = random_rational(rng, 2 ** 64)
+        _clear_memos()
+        e = expand(fr, ONE, 130)
+        n = len(e.digits)
+        for start, m in ((1, n - 1), (0, n // 2), (0, n)):
+            assert series_eval._run(e, 2, start, m, wp) == \
+                _oracle_entries(e, 2, start, m, wp)
+        _check_tables(e, wp)
+
+
+def test_periodic_orbit_logs_each_stored_point_once(monkeypatch):
+    # the log list is indexed by stored point, as the conversions are, so
+    # a residual read far past a short period logs each of its points once
+    # and adds log x_0 (51 logs for the golden surd at N = 50 when the list
+    # was indexed by orbit position)
+    for x, points in ((make_surd(-1, 1, 2, 5), 1),
+                      (make_surd(0, 1, 1, 604) - 24, 44)):
+        for N in (50, 300):
+            _clear_memos()
+            logs = _count(monkeypatch, series_eval, "mpf_log")
+            got = series_eval.functional_eq_residual(x, ONE, "brjuno", N)
+            assert got._mpf_ == functional_eq_residual(
+                x, ONE, "brjuno", N)._mpf_
+            assert len(logs) == min(points, N) + 1
+            monkeypatch.undo()
+
+
+def test_value_sums_test_each_entry_against_tol_once(monkeypatch):
+    # a value's scan skips the entries its own run-on's pass tested, and
+    # tests each one a pass without tol kept, like the residual's; only a
+    # run-on that reached n_max has its last entry tested again, for the
+    # exhausted flag.  Only a signed sum reads the terms' monotony
+    rng = random.Random(37)
+    for i in range(12):
+        x = (_surd_ball if i % 2 else _text_ball)(rng)
+        alpha = BALL_ALPHAS[i % 3]
+        for first in (0, 30):
+            _clear_memos()
+            e = expand(cf_core.normalize(x, alpha)[0], alpha, CAP,
+                       best_effort=True)
+            n_max = len(e.orbit)
+            if first:
+                series_eval.functional_eq_residual(x, alpha, "brjuno", first)
+            lts = _count(monkeypatch, series_eval, "mpf_lt")
+            gts = _count(monkeypatch, series_eval, "mpf_gt")
+            b = series_eval.brjuno_k(x, alpha)
+            assert len(lts) == b.n_terms + (b.n_terms == n_max > first)
+            assert gts == []
+            lts.clear()
+            w = series_eval.wilton(x, alpha)
+            assert len(lts) == w.n_terms and 1 <= len(gts) <= w.n_terms
+            monkeypatch.undo()
+
+
+def test_values_call_kept_a_fixed_number_of_times(monkeypatch):
+    # on a fresh ball a value reads the pass kept so far, runs it on in one
+    # call and publishes its conversions and logs once: four kept calls,
+    # whatever its number of terms (about two per term when each point was
+    # read through the kept tables one at a time); the whole ball-eval op
+    # makes 9, or 11 when a residual runs the pass on past the values
+    rng = random.Random(41)
+    terms, ops = set(), set()
+    for i in range(12):
+        x = (_surd_ball if i % 2 else _text_ball)(rng)
+        alpha = BALL_ALPHAS[i % 3]
+        for value in (series_eval.brjuno_k, series_eval.wilton):
+            _clear_memos()
+            calls = _count(monkeypatch, cf_core.CFExpansion, "kept")
+            terms.add(value(x, alpha).n_terms)
+            assert len(calls) == 4
+            monkeypatch.undo()
+        _clear_memos()
+        calls = _count(monkeypatch, cf_core.CFExpansion, "kept")
+        _ball_eval(x, alpha)
+        ops.add(len(calls))
+        monkeypatch.undo()
+    assert len(terms) > 5 and ops <= {9, 11}
+
+
+def test_publishing_appends_past_the_tables_as_they_stand(monkeypatch):
+    # another reader extends the conversions and logs between a pass's
+    # snapshot and its publish, as a thread may: shorter than the pass
+    # reaches, and longer.  Entry j stays point j, and the bits are the
+    # serial run's
+    rng = random.Random(43)
+    real_pass, wp = series_eval._pass, 288
+    for x, alpha in _ball_cases(rng):
+        _clear_memos()
+        serial = [_value_bits(series_eval.brjuno_k(x, alpha)),
+                  _value_bits(series_eval.wilton(x, alpha, prec=256))]
+        for reach in (5, CAP):
+            _clear_memos()
+            e = expand(x, alpha, CAP, best_effort=True)
+            busy = []
+
+            def interleaved(*args):
+                if not busy:  # the outer pass, after its snapshot
+                    busy.append(1)
+                    e.orbit_mpf(reach + 5, wp)
+                    series_eval._run(e, 3, 0, min(reach, len(e.orbit)), wp)
+                return real_pass(*args)
+
+            monkeypatch.setattr(series_eval, "_pass", interleaved)
+            got = [_value_bits(series_eval.brjuno_k(x, alpha)),
+                   _value_bits(series_eval.wilton(x, alpha, prec=256))]
+            monkeypatch.undo()
+            assert got == serial
+            _check_tables(e, wp)
+
+
+def test_value_scan_tests_what_another_pass_kept_meanwhile(monkeypatch):
+    # a pass without tol runs the values' pass on past their stop between
+    # the scan of the kept entries and the run-on, as another thread may:
+    # the scan tests those entries itself, so the sum stops where the
+    # serial one does
+    rng = random.Random(47)
+    real_run = series_eval._run
+    for x, alpha in _ball_cases(rng):
+        _clear_memos()
+        serial = [_value_bits(series_eval.brjuno_k(x, alpha)),
+                  _value_bits(series_eval.wilton(x, alpha))]
+        for ahead in (1, 10, CAP):
+            def interleaved(e, k, start, n, prec, tol=None):
+                if tol is not None:
+                    real_run(e, k, start, min(ahead, n), prec)
+                return real_run(e, k, start, n, prec, tol)
+
+            _clear_memos()
+            monkeypatch.setattr(series_eval, "_run", interleaved)
+            got = [_value_bits(series_eval.brjuno_k(x, alpha)),
+                   _value_bits(series_eval.wilton(x, alpha))]
+            monkeypatch.undo()
+            assert got == serial

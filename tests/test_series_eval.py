@@ -44,7 +44,8 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the oracle's terms, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    total = oracles.orbit_sum(se._raw_orbit(e, n - 1, wp), k, signed, wp)
+    vals = [v._mpf_ for v in e.orbit_mpf(n - 1, wp)]
+    total = oracles.orbit_sum(vals, k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
 
