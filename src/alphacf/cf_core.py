@@ -20,8 +20,8 @@ precision, so equal balls built apart share one expansion.  An expansion
 also keeps the tables its readers build from the orbit (see
 ``CFExpansion.kept``): the conversions of its stored points, and the
 series layer those points with their logs, its running series passes and
-the gap audit's proxy terms.  A rational's finite truncations read its
-alpha = 1 expansion and those tables too.
+the gap audit's float series and proxy terms.  A rational's finite
+truncations read its alpha = 1 expansion and those tables too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .numkit import (GOLDEN, BallFloat, ExactNumber, Surd, _floor_lin,
-                     _sign_lin, format_exact, parse_exact, to_mpf)
+                     _sign_lin, format_exact, parse_exact, raw_mpf)
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
@@ -103,14 +103,15 @@ class CFExpansion:
 
     An expansion may be shared between callers (see ``expand``), so it is
     read-only but for the tables ``kept`` holds in ``_tables``: ("mpf",
-    prec), the ``point_mpf`` conversions of the stored points; ("log",
+    prec), the raw ``point_mpf`` conversions of the stored points; ("log",
     prec), the raw pairs (x_i, log(1/x_i)) ``series_eval`` forms of them,
     both read by a series pass as they stand when it begins and run on
     once when it stops; ("run", k, start, prec), its running pass over
     x_start, x_start+1, .., each entry a term and two running totals,
     whose last entry on a rational's alpha = 1 expansion holds its finite
-    truncations; and ("proxy", k), the gap audit's unsigned proxy terms
-    log(q_{j+1})/q_j^k for j = 0, 1, ...
+    truncations; and the gap audit's unsigned float terms, ("float", k),
+    beta_{j-1}^k log(1/x_j), and ("proxy", k), log(q_{j+1})/q_j^k, for j =
+    0, 1, ...
     """
 
     x0: ExactNumber
@@ -163,25 +164,25 @@ class CFExpansion:
             table = self._tables[key] = table + more(table, n)
         return table
 
-    def orbit_mpf(self, n: int, prec: int, start: int = 0) -> list:
-        """Orbit values x_start..x_n as mpf at working precision.
+    def orbit_mpf(self, n: int, prec: int) -> list:
+        """Orbit values x_0..x_n as raw libmp mpfs at working precision.
 
         Every stored orbit point is converted on its own, cycling through
         the period where one was detected.  Exact states are rounded once;
         float orbits are read from the certified ball orbit that ``expand``
         stored, each ball by its midpoint, so a value lies between its ball's
-        ends up to one rounding.  A list shorter than n + 1 - start means
+        ends up to one rounding.  A list shorter than n + 1 means
         the stored orbit ran out first.  Each stored point is converted
         once per precision, by ``point_mpf``, once some reader reaches it.
         """
         m = min(n + 1, self.points)
         vals = self.kept(("mpf", prec), m, lambda table, stop: [
             self.point_mpf(i, prec) for i in range(len(table), stop)])
-        return self.cycled(vals, start, m if self.period is None else n + 1)
+        return self.cycled(vals, 0, m if self.period is None else n + 1)
 
     def point_mpf(self, i: int, prec: int):
-        """Stored point i as an mpf at prec: the ("mpf", prec) entry."""
-        return to_mpf(self.orbit[i], prec)
+        """Stored point i as a raw mpf at prec: the ("mpf", prec) entry."""
+        return raw_mpf(self.orbit[i], prec)
 
     def to_json(self) -> str:
         return json.dumps(

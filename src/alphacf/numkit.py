@@ -15,9 +15,9 @@ are exact on the Fraction ends, and every conversion to an mpf
 (``raw_mpf``, which ``to_mpf`` boxes) passes its
 precision to ``mpmath.libmp`` explicitly and never reads or sets mpmath's
 global precision, so all of them give the same bits in threads as
-serially.  A conversion rounds to nearest: a rational, and so a ball's
-midpoint, is rounded once from its exact quotient, and a surd's value is
-formed at 48 or more extra bits and then rounded.
+serially.  A conversion rounds to nearest, and once: a rational, and so
+a ball's midpoint, from its exact quotient, and a surd from one exact
+floor of its value scaled past prec + 1 bits.
 Mixed arithmetic, order (``<``, ``<=``, ``>``, ``>=``), ``math.floor``
 and truth work through the usual operator protocol, as for ``Fraction``: a
 surd compared with a ball defers to the ball, whose order is certified or
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import floor, gcd, isqrt
 from typing import Union
 
@@ -43,15 +42,11 @@ from mpmath.libmp import (
     from_float,
     from_int,
     from_str,
-    mpf_add,
-    mpf_div,
-    mpf_mul_int,
-    mpf_pos,
-    mpf_sqrt,
     normalize1,
     round_ceiling,
     round_floor,
     round_nearest,
+    to_float,
     to_rational,
     to_str,
 )
@@ -66,9 +61,6 @@ from .errors import (
 DEFAULT_PRECISION = 256
 
 _RND = round_nearest  # every mpf conversion rounds to nearest
-# (radicand, prec) pairs whose square root is kept; radicands recur, at a
-# few working precisions each
-_SQRT_MEMO = 256
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -282,7 +274,7 @@ class Surd(_Ordered):
         return hash(("Surd", self.a, self.b, self.c, self.d))
 
     def __float__(self):
-        return float(to_mpf(self, 96))
+        return to_float(raw_mpf(self, 53), rnd=_RND)
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, {self.c}, {self.d})"
@@ -446,23 +438,22 @@ def _ends(v, prec: int):
     return v, v
 
 
-def _surd_ends(v: Surd, prec: int):
-    """Dyadic ends of prec bits around the irrational v, from one exact floor.
+def _surd_floor(v: Surd, prec: int) -> tuple[int, int]:
+    """(m, s) with m = floor(v 2^s) and |m| >= 2^(prec + 1).
 
     |a^2 - b^2 d| >= 1, so |v| >= 1/(2c max(|a|, |b| sqrt d)), and s bits
-    past the binary point hold at least prec significant bits of v.
+    past the binary point hold at least prec + 2 significant bits of v.
     """
     s = prec + v.c.bit_length() + 2 + max(v.a.bit_length(),
                                           v.b.bit_length() + v.d.bit_length())
-    m = _floor_lin(v.a << s, v.b << s, v.c, v.d)
+    return _floor_lin(v.a << s, v.b << s, v.c, v.d), s
+
+
+def _surd_ends(v: Surd, prec: int):
+    """Dyadic ends of prec bits around the irrational v, from one exact floor."""
+    m, s = _surd_floor(v, prec)
     return (_dyadic(Fraction(m, 1 << s), prec, round_floor),
             _dyadic(Fraction(m + 1, 1 << s), prec, round_ceiling))
-
-
-@lru_cache(maxsize=_SQRT_MEMO)
-def _int_sqrt(d: int, prec: int):
-    """sqrt(d) rounded to nearest at prec; memoised, as radicands recur."""
-    return mpf_sqrt(from_int(d), prec, _RND)
 
 
 ExactNumber = Union[Fraction, Surd, BallFloat]
@@ -475,19 +466,20 @@ def raw_mpf(v: ExactNumber, prec: int):
     ball's value is its exact midpoint rounded so, from the ends'
     cross-multiplied sum over 2 lo.d hi.d: the quotient is rounded
     exactly, so the fraction need not be reduced, and the big ints are
-    divided as they are, never normalised first.
+    divided as they are, never normalised first.  A surd is rounded once
+    from m | 1, m = floor(v 2^s) of ``_surd_floor``: v 2^s is irrational,
+    so m | 1 is v 2^s rounded to odd with prec + 2 bits or more, which
+    rounds to nearest as v does (Boldo and Melquiond, rounding to odd).
     """
     if isinstance(v, Fraction):
         return _mpf(v, prec, _RND)
     if isinstance(v, int):
         return from_int(v, prec, _RND)
     if isinstance(v, Surd):
-        wp = prec + max(v.a.bit_length(), v.b.bit_length(),
-                        v.c.bit_length(), 16) + 32
-        r = mpf_add(mpf_mul_int(_int_sqrt(v.d, wp), v.b, wp, _RND),
-                    from_int(v.a), wp, _RND)
-        r = mpf_div(r, from_int(v.c), wp, _RND)
-        return mpf_pos(r, prec, _RND)
+        m, s = _surd_floor(v, prec)
+        man = abs(m | 1)
+        return normalize1(1 if m < 0 else 0, man, -s, man.bit_length(), prec,
+                          _RND)
     if isinstance(v, BallFloat):
         lo, hi = v.ends
         return ratio_mpf(lo.numerator * hi.denominator

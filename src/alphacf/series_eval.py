@@ -33,16 +33,17 @@ arithmetic at that precision; results become ``mp.mpf`` only when returned.
 Nothing reads or sets mpmath's global precision, so series values are the
 same in threads as serially.
 
-The audits read the values' expansion of x and its conversion at the
-values' working precision, so one point's orbit is walked and converted
-once.  The truncation audit sums the difference, about 1/q_r^2, of the
-finite value at p_r/q_r and the r-term partial sum from exact term
-differences in integer continuants, a row's k = 1, 2, 3 terms in one pass,
-in floats whose binary exponents are carried as ints; a row whose terms
-cancel it takes as the difference of the passes over p_r/q_r and [0; a_1,
-.., a_r + x_r] at 2 bits(q_r) + 128 bits or more.  The gap audit sums
-floats: the orbit's, rounded from the values' conversion, and the unsigned
-proxy terms', kept on the expansion one list per k.
+The audits read the values' expansion of x, and the truncation audit its
+conversion at the values' working precision, so one point's orbit is
+walked and converted once.  The truncation audit sums the difference,
+about 1/q_r^2, of the finite value at p_r/q_r and the r-term partial sum
+from exact term differences in integer continuants, a row's k = 1, 2, 3
+terms in one pass, in floats whose binary exponents are carried as ints; a
+row whose terms cancel it takes as the difference of the passes over
+p_r/q_r and [0; a_1, .., a_r + x_r] at 2 bits(q_r) + 128 bits or more.
+The gap audit sums floats: the unsigned series terms, from each orbit
+point rounded once to a float, and the unsigned proxy terms, both kept on
+the expansion one list per k.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _run(e: CFExpansion, k: int, start: int, n: int, prec: int, tol=None):
                 while len(pairs) <= i:  # a start past x_0 fills x_0 first
                     if len(vals) == len(pairs):
                         vals.append(e.point_mpf(len(vals), prec))
-                    v = vals[len(pairs)]._mpf_
+                    v = vals[len(pairs)]
                     pairs.append((v, _log_inv(v, prec)))
                 yield pairs[i]
         entries = _pass(points(), k, prec, len(table),
@@ -291,6 +292,21 @@ def _proxy(e: CFExpansion, k: int, n: int) -> list:
         return [_proxy_term(math.log(q[j + 2]), q[j + 1], k)
                 for j in range(len(table), stop)]
     return e.kept(("proxy", k), n, more)[:n]
+
+
+def _float_terms(e: CFExpansion, k: int, n: int) -> list:
+    """beta_{j-1}^k log(1/x_j) for j = 0..n-1 over e's orbit, unsigned, in
+    floats, each stored point rounded once from its exact value at 53 bits;
+    a longer table is formed again from x_0, with the same bits."""
+    def more(table, stop):
+        xs = [to_float(raw_mpf(v, 53), rnd=_RND)
+              for v in e.orbit[:min(stop, e.points)]]
+        beta, terms = 1.0, []
+        for v in e.cycled(xs, 0, stop):
+            terms.append(beta ** k * math.log(1 / v))
+            beta *= v
+        return terms[len(table):]
+    return e.kept(("float", k), n, more)[:n]
 
 
 def _partial_sums(terms: Sequence[float], signed: bool) -> list:
@@ -627,7 +643,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     c = convergents(e, depth)
     digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
-    vals = [v._mpf_ for v in e.orbit_mpf(depth, max(wp, _VALUES_WP))]
+    vals = e.orbit_mpf(depth, max(wp, _VALUES_WP))
     # 2kC' at k = 1 and 3, so a bound below is (2kC' * x_r) / q_r; 4C' is
     # 2C' doubled, exactly, and so is the k = 2 bound
     cp = _c_prime(prec)
@@ -681,10 +697,10 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
 
     Reports both the same-alpha gap and the cross-alpha variant against the
     regular-CF proxy; at alpha = 1 the two are the same pass.  After the
-    values at x it reads their expansion (see ``_expand_to``) and its
-    conversion at the values' working precision, and the unsigned proxy
-    terms kept there, so the Brjuno and Wilton audits and the cross pass
-    form each proxy term once.
+    values at x it reads their expansion (see ``_expand_to``) and the
+    unsigned float series and proxy terms kept there, so the Brjuno and
+    Wilton audits and the cross pass form each term, and round each orbit
+    point to a float, once.
     """
     if k < 1:
         raise OutOfDomain("k must be >= 1")
@@ -702,13 +718,8 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
             raise SingularPoint("gap audit of an integer point")
         e = _expand_to(xa, alpha, N + 1)
         depth = e.depth(N)
-        beta, terms = 1.0, []
-        for point in e.orbit_mpf(depth - 1, _VALUES_WP):
-            v = to_float(point._mpf_, rnd=_RND)
-            terms.append(beta ** k * math.log(1 / v))
-            beta *= v
         # partial series and proxy sums, depth by depth
-        series = _partial_sums(terms, signed)
+        series = _partial_sums(_float_terms(e, k, depth), signed)
         proxy = _partial_sums(_proxy(e, k, depth), signed)
         sup_gap = max(sup_gap, *(abs(s - p) for s, p in zip(series, proxy)))
         if alpha == one:  # the regular-CF proxy is this pass's own

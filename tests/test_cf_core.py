@@ -89,7 +89,7 @@ def test_integer_is_stepped_as_fraction():
     assert e.orbit == [1, Fraction(0)] and isinstance(e.orbit[1], Fraction)
     assert e.terminated and e.digits == [(1, 1)]
     assert [nk.format_exact(v) for v in e.orbit] == ["1/1", "0/1"]
-    assert e.orbit_mpf(1, 64) == [1, 0]
+    assert [mp.make_mpf(v) for v in e.orbit_mpf(1, 64)] == [1, 0]
 
 
 def test_branch_boundary_convention():
@@ -359,7 +359,7 @@ def test_orbit_mpf_cycles_surd_period():
     assert len(vals) == 41
     gf = nk.to_mpf(G, 128)
     for v in vals:
-        assert abs(v - gf) < 1e-30
+        assert abs(mp.make_mpf(v) - gf) < 1e-30
 
 
 @pytest.mark.parametrize("x, alpha, prec", [
@@ -373,7 +373,7 @@ def test_orbit_mpf_inside_stored_balls(x, alpha, prec):
     vals = e.orbit_mpf(len(e.orbit) - 1, prec)
     assert len(vals) == len(e.orbit)
     for v, ball in zip(vals, e.orbit):
-        q = _q(v._mpf_)
+        q = _q(v)
         tol = abs(q) / 2 ** (prec - 1)  # one rounding to nearest at prec
         assert ball.ends[0] - tol <= q <= ball.ends[1] + tol
 

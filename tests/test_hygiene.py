@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import alphacf
-from alphacf import cf_core, fastgrid, numkit, orbit_compare, series_eval
+from alphacf import cf_core, fastgrid, orbit_compare, series_eval
 from alphacf.cf_core import Alpha
 from alphacf.numkit import BallFloat
 from alphacf.sampling import random_surd
@@ -350,17 +350,14 @@ def test_grid_block_size_is_no_knob():
 
 def test_orbit_memos_are_bounded_by_module_constants():
     # the expansion memo, which holds exact points and balls alike, holds a
-    # few recent orbits, and the square-root memo a few radicands at each
-    # working precision, each bounded by a module constant, never by a
-    # setting; the package keeps no other memo
+    # few recent orbits, bounded by a module constant, never by a setting;
+    # the package keeps no other memo
     modules = [importlib.import_module(f"alphacf.{p.stem}") for p in MODULES]
     memos = {(module.__name__, name): memo for module in modules
              for name, memo in vars(module).items()
              if hasattr(memo, "cache_info")}
     bounds = {
-        ("alphacf.cf_core", "_expansion"): (cf_core._expansion, cf_core._MEMO),
-        ("alphacf.numkit", "_int_sqrt"): (numkit._int_sqrt,
-                                          numkit._SQRT_MEMO)}
+        ("alphacf.cf_core", "_expansion"): (cf_core._expansion, cf_core._MEMO)}
     assert memos == {key: memo for key, (memo, _) in bounds.items()}
     for memo, bound in bounds.values():
         assert memo.cache_info().maxsize == bound > 0

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import (from_rational, round_ceiling, round_down,
-                          round_floor, round_nearest, round_up, to_rational)
+from mpmath.libmp import (from_float, from_rational, round_ceiling,
+                          round_down, round_floor, round_nearest, round_up,
+                          to_rational)
 
 from alphacf import numkit as nk
+from alphacf.cf_core import Alpha
 from alphacf.errors import (
     AmbiguousComparison,
     AmbiguousFloor,
@@ -17,6 +19,7 @@ from alphacf.errors import (
     MixedRadicalError,
 )
 from alphacf.modular_series import divisor_sigma
+from alphacf.sampling import random_surd
 from oracles import recip
 
 G = nk.GOLDEN
@@ -24,6 +27,13 @@ G = nk.GOLDEN
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=10**6
 )
+wide_surds = st.builds(
+    nk.make_surd,
+    st.integers(-2 ** 80, 2 ** 80),
+    st.integers(-2 ** 40, 2 ** 40).filter(bool),
+    st.integers(1, 2 ** 60),
+    st.integers(2, 10 ** 6),
+).filter(lambda v: isinstance(v, nk.Surd))
 surd_parts = st.tuples(
     st.integers(-60, 60),
     st.integers(-20, 20).filter(lambda b: b != 0),
@@ -427,3 +437,63 @@ def test_raw_mpf_rounds_a_fraction_once(prec):
                              round_nearest)
         assert nk.raw_mpf(fr, prec) == want
         assert nk.raw_mpf(nk.BallFloat._raw(fr, fr, prec), prec) == want
+
+
+def _sign_minus(v, q: Fraction) -> int:
+    """Exact sign of the surd v minus the rational q."""
+    return nk._sign_lin(v.a * q.denominator - q.numerator * v.c,
+                        v.b * q.denominator, v.d)
+
+
+def _assert_nearest(v, r, prec):
+    """The raw mpf r is the surd v rounded to nearest at prec: |v| lies
+    within half a gap of |r| on each side, decided exactly on ints."""
+    sign, man, exp, bc = r
+    assert man & 1 and bc <= prec and bool(sign) == (v < 0)
+    w = -v if sign else v
+    t = Fraction(man) * Fraction(2) ** exp
+    up = Fraction(2) ** (exp + bc - prec)  # the gap above |r|
+    down = up / 2 if man == 1 else up  # below a power of 2 it halves
+    assert _sign_minus(w, t - down / 2) > 0 > _sign_minus(w, t + up / 2)
+
+
+def _pell_surds():
+    """(x - y sqrt d)/c and its negation with x^2 - d y^2 = +-1, about
+    1/(2xc): its two parts cancel in about 2 bits(x) bits."""
+    out = []
+    for d, x1, y1 in ((2, 1, 1), (3, 2, 1), (5, 2, 1), (13, 18, 5),
+                      (61, 29718, 3805)):
+        x, y = x1, y1
+        for _ in range(40):
+            assert abs(x * x - d * y * y) == 1
+            for c in (1, 3, 2 ** 61 - 1):
+                out += [nk.make_surd(x, -y, c, d), nk.make_surd(-x, y, c, d)]
+            x, y = x * x1 + d * y * y1, x * y1 + y * x1
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(wide_surds, st.integers(1, 1000))
+def test_raw_mpf_rounds_a_surd_to_nearest(v, prec):
+    _assert_nearest(v, nk.raw_mpf(v, prec), prec)
+
+
+def test_raw_mpf_rounds_near_cancelling_surds_to_nearest():
+    # one exact floor, however far a + b sqrt(d) cancels: a conversion
+    # formed at a fixed number of guard bits loses them from x ~ 2^24 on
+    rng = random.Random(35)
+    surds = _pell_surds()
+    assert {v < 0 for v in surds} == {True, False}
+    for v in surds:
+        for prec in (1, 2, 53, rng.randint(3, 1000), 1000):
+            _assert_nearest(v, nk.raw_mpf(v, prec), prec)
+
+
+def test_surd_float_is_the_nearest_double():
+    # float rounds once, at 53 bits
+    rng = random.Random(36)
+    surds = [random_surd(rng) for _ in range(300)] + _pell_surds()[::7]
+    surds += [-v for v in surds[:300]]
+    for v in surds:
+        _assert_nearest(v, from_float(float(v)), 53)
+    assert float(Alpha.golden()) == float(G) == 0.6180339887498949

@@ -27,7 +27,7 @@ from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add, mpf_div,
 from alphacf import cf_core, numkit, orbit_compare, series_eval, verify_suites
 from alphacf.cf_core import Alpha, expand
 from alphacf.errors import PrecisionExhausted
-from alphacf.numkit import BallFloat, make_surd, parse_exact, to_mpf
+from alphacf.numkit import BallFloat, make_surd, parse_exact
 from alphacf.sampling import random_dyadic_ball, random_rational, random_surd
 from oracles import ball_mpf, functional_eq_residual, orbit_pass
 
@@ -142,28 +142,50 @@ def test_truncation_resums_keep_out_of_the_shared_memo(monkeypatch):
 
 
 def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
-    # the values, the truncation audit and the gap audits read one
-    # conversion of the alpha = 1 orbit, at the values' working precision
-    # (three, at 288, 176 and 96 bits, when each audit converted its own);
-    # the seeds include orbits past 31 and 61 digits, which every reader
-    # used to convert again.  Points by value, leaving out those the
-    # alpha = 1/2 orbit shares
+    # the values and the truncation audit read one conversion of the
+    # alpha = 1 orbit, at the values' working precision (three, at 288, 176
+    # and 96 bits, when each audit converted its own), and the gap audits
+    # none, at either alpha, as they round each point to a float once; the
+    # seeds include orbits past 31 and 61 digits, which every reader used
+    # to convert again
     rng = random.Random(1)
     longest = 0
     for _ in range(24):
         x = random_surd(rng, half=True)
         _clear_memos()
-        converted = _count(monkeypatch, cf_core, "to_mpf")
+        converted = _count(monkeypatch, cf_core, "raw_mpf")
         _exact_audit(x)
         e = expand(x, ONE, CAP)
-        points = set(e.orbit) - set(expand(x, HALF, CAP).orbit)
-        ours = [v for v, _ in converted if v in points]
-        assert len(ours) == len(set(ours))
+        ours = [v for v, _ in converted]
+        assert len(ours) == len(set(ours)) and set(ours) <= set(e.orbit)
         assert {key for key in e._tables if key[0] == "mpf"} == {
             ("mpf", series_eval._VALUES_WP)}
         longest = max(longest, len(ours))
         monkeypatch.undo()
     assert longest > 61
+
+
+def test_gap_audits_round_each_point_once_to_a_float(monkeypatch):
+    # the four gap audits of one surd read the float terms kept on its
+    # expansion at each alpha, every stored point rounded once, at 53
+    # bits: none is converted at the values' working precision, and the
+    # alpha = 1/2 expansion keeps only its float and proxy terms
+    rng = random.Random(3)
+    for _ in range(8):
+        x = random_surd(rng, half=True)
+        _clear_memos()
+        kept = _count(monkeypatch, cf_core, "raw_mpf")
+        rounded = _count(monkeypatch, series_eval, "raw_mpf")
+        for alpha in (ONE, HALF):
+            for mode in ("brjuno", "wilton"):
+                series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
+        monkeypatch.undo()
+        e1, e2 = (expand(x, alpha, CAP, best_effort=True)
+                  for alpha in (ONE, HALF))
+        assert set(e2._tables) == {("float", 1), ("proxy", 1)}
+        assert kept == [] and {prec for _, prec in rounded} == {53}
+        assert len(rounded) == sum(min(e.depth(60), e.points)
+                                   for e in (e1, e2))
 
 
 def test_rational_orbits_walk_each_orbit_once_and_log_each_point_once(
@@ -358,9 +380,9 @@ def test_equal_balls_share_one_expansion():
 def _orbit_mpf_fresh(e, n, prec):
     """``CFExpansion.orbit_mpf`` before it kept its conversions."""
     if e.period is None:
-        return [to_mpf(v, prec) for v in e.orbit[:n + 1]]
+        return [numkit.raw_mpf(v, prec) for v in e.orbit[:n + 1]]
     pre, length = e.period
-    vals = [to_mpf(v, prec) for v in e.orbit[:pre + length]]
+    vals = [numkit.raw_mpf(v, prec) for v in e.orbit[:pre + length]]
     return [vals[i if i < pre + length else pre + (i - pre) % length]
             for i in range(n + 1)]
 
@@ -446,7 +468,7 @@ def test_orbit_mpf_keeps_the_bits_of_fresh_conversions():
             for n in (5, 60, 20, CAP, 3 * CAP):
                 for prec in PRECS:
                     got = e.orbit_mpf(n, prec)
-                    assert _bits(got) == _bits(_orbit_mpf_fresh(e, n, prec))
+                    assert got == _orbit_mpf_fresh(e, n, prec)
             assert set(e._tables) == {("mpf", prec) for prec in PRECS}
     assert any(expand(cf_core.normalize(x, ONE)[0], ONE, CAP).period is None
                for x in surds)
@@ -707,7 +729,7 @@ def _run(task):
     fn, *args = task
     if fn == "orbit_mpf":
         x, n, prec = args
-        return _bits(expand(x, ONE, CAP).orbit_mpf(n, prec))
+        return expand(x, ONE, CAP).orbit_mpf(n, prec)
     if fn == "convergents":
         x, alpha, cap, n = args
         c = cf_core.convergents(expand(x, alpha, cap), n)
@@ -767,8 +789,8 @@ def test_expansion_constructor_takes_no_memo():
     series_eval.gap_audit([x], ONE, 2, 9)
     wp = series_eval._VALUES_WP
     assert set(e._tables) == {("mpf", 96), ("mpf", wp), ("log", wp),
-                              ("run", 1, 0, wp), ("proxy", 2)}
-    assert len(e._tables["proxy", 2]) == 9
+                              ("run", 1, 0, wp), ("float", 2), ("proxy", 2)}
+    assert len(e._tables["float", 2]) == len(e._tables["proxy", 2]) == 9
     assert "_tables" not in repr(e)
     fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)
     assert not fresh._tables and e == fresh
@@ -801,7 +823,7 @@ def _check_tables(e, prec):
     vals, pairs = e._tables["mpf", prec], e._tables["log", prec]
     assert len(vals) == len(pairs) == reached
     for j, (v, (x, log)) in enumerate(zip(vals, pairs)):
-        assert v._mpf_ == x == _point_raw(e.orbit[j], prec)
+        assert v == x == _point_raw(e.orbit[j], prec)
         assert log == series_eval._log_inv(x, prec)
 
 

@@ -44,7 +44,7 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the oracle's terms, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    vals = [v._mpf_ for v in e.orbit_mpf(n - 1, wp)]
+    vals = e.orbit_mpf(n - 1, wp)
     total = oracles.orbit_sum(vals, k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
@@ -53,7 +53,7 @@ def gauss_orbit_mpf(fr, prec):
     """The points of the terminating orbit of fr in (0, 1) at alpha = 1, its
     final 0 left out, as raw mpfs at prec."""
     e = expand(fr, Alpha.one(), 2 * fr.denominator.bit_length() + 2)
-    return [v._mpf_ for v in e.orbit_mpf(len(e.digits) - 1, prec)]
+    return e.orbit_mpf(len(e.digits) - 1, prec)
 
 
 def kernel_pass(vals, k, prec):
@@ -464,7 +464,7 @@ def _gap_oracle(x, k, N, signed):
     e = expand(normalize(x, Alpha.one())[0], Alpha.one(), N + 1)
     depth = e.depth(N)
     c = convergents(e, depth)
-    vals = [float(v) for v in e.orbit_mpf(depth - 1, 96)]
+    vals = [float(mp.make_mpf(v)) for v in e.orbit_mpf(depth - 1, 96)]
     beta, series, proxy, gap = 1.0, 0.0, 0.0, 0.0
     for j in range(depth):
         sterm = beta ** k * math.log(1 / vals[j])
@@ -753,7 +753,7 @@ def _oracle_truncation_audit(x, r_max, prec=160):
     with mp.workprec(prec):
         cp = (3 + mp.sqrt(5)) / 2
     with mp.workprec(prec + 16):
-        vals = e.orbit_mpf(depth, prec + 16)
+        vals = [mp.make_mpf(v) for v in e.orbit_mpf(depth, prec + 16)]
         partial = [mp.mpf(0)] * len(modes)
         for j, terms in enumerate(_oracle_orbit_terms(vals[:depth], modes)):
             r = j + 1
@@ -804,9 +804,9 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
     for e in orbits:
         vals = e.orbit_mpf(39, prec)
         with mp.workprec(prec):
-            want = [tuple(t._mpf_ for t in terms)
-                    for terms in _oracle_orbit_terms(vals, ORACLE_MODES)]
-        _assert_kernel_matches([v._mpf_ for v in vals], want, prec)
+            want = [tuple(t._mpf_ for t in terms) for terms in
+                    _oracle_orbit_terms(map(mp.make_mpf, vals), ORACLE_MODES)]
+        _assert_kernel_matches(vals, want, prec)
         cases += len(want)
     for fr in rationals:
         with mp.workprec(prec):
@@ -895,7 +895,7 @@ def test_one_pass_kernel_matches_the_two_pass_oracle():
             1, 48)))) for _ in range(rng.randrange(1, 31))]
         cases.append((a, rng.random()))
     x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
-    x_r = float(expand(x, Alpha.one(), 31).orbit_mpf(1, 64)[1])
+    x_r = float(mp.make_mpf(expand(x, Alpha.one(), 31).orbit_mpf(1, 64)[1]))
     cases += [([2 ** 20] * r, x_r) for r in range(1, 31)]
     cases += [(a, 0.0) for a, _ in cases[:300]]
     for a, t in cases:
