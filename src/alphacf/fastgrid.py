@@ -18,6 +18,16 @@ block's dozen working arrays fit in a 2 MB L2 cache, so no step streams
 full-length arrays through memory; only the output is full-length.
 Blocking changes no operation or its order, so no value moves by a bit.
 Callers avoid sampling rationals by using irrational node offsets.
+
+A step maps x to |1/x - floor(1/x - alpha + 1)|, five array passes.  At
+alpha = 1 it reads the digit as floor(1/x) and maps x to 1/x - floor(1/x),
+two passes with the same bits: for 1 <= 1/x < 2^53 both 1/x - 1 and its
+sum with 1 are exact doubles, so the two floors agree, and the difference
+is exact and >= 0, so abs changes nothing.  At 1/x in [2^53, 2^54) the
+five-pass step sends x to 0 or to 2, outside [0, 1], and this one to 0;
+the terms that 2 adds before its orbit ends are below 2^-57 times the
+term log(1/x) just added, and at the default tol the weight beta <= x
+has ended the orbit already.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ def _series_block(xs, out, alpha, k, signed, terms, tol) -> None:
     """The step loop of series_grid on one block, writing into its out slice."""
     # the slots: indices into out, the orbit point, beta_{n-1}^k, the sum
     c = _reduce_mod1(xs, alpha)
-    idx = np.flatnonzero(c > _TINY)
+    idx = (c > _TINY).nonzero()[0]
     c = c[idx]
     beta = np.ones_like(c)
     acc = np.zeros_like(c)
@@ -90,19 +100,24 @@ def _series_block(xs, out, alpha, k, signed, terms, tol) -> None:
         else:
             acc += t
         beta *= c if k == 1 else c ** k
-        np.subtract(inv, alpha, out=t)
-        t += 1.0
-        np.floor(t, out=t)
-        np.subtract(inv, t, out=c)
-        np.abs(c, out=c)
+        if alpha == 1.0:
+            # the digit is floor(1/x): the same bits, see the module docstring
+            np.floor(inv, out=t)
+            np.subtract(inv, t, out=c)
+        else:
+            np.subtract(inv, alpha, out=t)
+            t += 1.0
+            np.floor(t, out=t)
+            np.subtract(inv, t, out=c)
+            np.abs(c, out=c)
         # a slot counted dead never comes back
         alive = (c > _TINY) & (beta > tol) & live
-        died = np.flatnonzero(live ^ alive)
+        died = (live ^ alive).nonzero()[0]
         if died.size:
             out[idx[died]] = acc[died]
             live, n_live = alive, n_live - died.size
             if 2 * n_live < live.size:
-                keep = np.flatnonzero(live)
+                keep = live.nonzero()[0]
                 idx, c, beta = idx[keep], c[keep], beta[keep]
                 acc, live = acc[keep], live[keep]
     out[idx[live]] = acc[live]

@@ -298,8 +298,9 @@ class BallFloat(_Ordered):
     ``expand`` steps its ends on ints.  The decisions are exact and
     sound: ``<`` needs disjoint intervals (a surd is compared exactly),
     ``math.floor`` an interval inside one integer cell, and only the exact
-    zero is false.  ``==`` is identity.  ``float`` and ``repr`` read the
-    midpoint, as ``raw_mpf`` rounds it at prec.
+    zero is false.  ``==`` is identity.  ``float`` is the midpoint rounded
+    once to the nearest double, and ``repr`` reads it as ``raw_mpf`` rounds
+    it at prec.
     """
 
     __slots__ = ("ends", "prec")
@@ -327,7 +328,7 @@ class BallFloat(_Ordered):
         raise AttributeError("BallFloat is immutable")
 
     def __float__(self):
-        return float(to_mpf(self, self.prec))
+        return to_float(raw_mpf(self, 53), rnd=_RND)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from alphacf import fastgrid
 from alphacf.bmo_lab import _gl_cells, _graded_mesh
 from alphacf.errors import OutOfDomain
 from alphacf.fastgrid import (_BLOCK, _TINY, _reduce_mod1, brjuno_grid,
@@ -272,3 +275,106 @@ def test_series_grid_peak_memory_stays_near_the_input(which):
         xs = _inputs(400_000, seed=9)
     wilton_grid(xs[:10])  # warm up numpy's lazily built state
     assert _traced_peak(wilton_grid, xs) <= 2 * xs.nbytes + (2 << 20)
+
+
+# -- the alpha = 1 step: the digit is floor(1/x) ------------------------------
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(min_value=1.0, max_value=2.0 ** 53, exclude_max=True))
+@example(1.0)
+@example(math.nextafter(1.0, 2.0))
+@example(2.0 ** 52 + 0.5)
+@example(2.0 ** 53 - 1.0)
+def test_alpha_one_step_is_exact_below_2_to_53(v):
+    # 1/x - 1 and its sum with 1 are exact, so the five-pass step's floor
+    # is floor(1/x); the fractional part is exact and in [0, 1], so abs
+    # changes nothing
+    assert Fraction(v - 1.0) == Fraction(v) - 1
+    assert (v - 1.0) + 1.0 == v
+    frac = v - math.floor(v)
+    assert 0.0 <= frac < 1.0
+    assert Fraction(frac) == Fraction(v) - math.floor(v)
+    inv = np.array([v])
+    assert_same_bits(inv - np.floor(inv),
+                     np.abs(inv - np.floor(inv - 1.0 + 1.0)))
+
+
+def _beyond_2_to_53(n, seed):
+    """Seeded x > 0 with 1/x in [2^53, 2^54), and their negations."""
+    xs = 1.0 / np.random.default_rng(seed).uniform(2.0 ** 53, 2.0 ** 54, n)
+    xs[:3] = 2.0 ** -53, math.nextafter(2.0 ** -53, 0.0), 2.0 ** -54 * 1.5
+    inv = 1.0 / xs
+    assert ((inv >= 2.0 ** 53) & (inv < 2.0 ** 54)).all()
+    return np.concatenate([xs, -xs])
+
+
+@pytest.mark.parametrize("k,signed", [(1, False), (2, False), (3, False),
+                                      (1, True), (2, True), (3, True)])
+def test_alpha_one_step_matches_masked_loop_beyond_2_to_53(k, signed):
+    # the five-pass step sends these points to 0 or 2, this one to 0
+    xs = _beyond_2_to_53(5000, seed=k + 3 * signed)
+    assert_same_bits(series_grid(xs, alpha=1, k=k, signed=signed),
+                     masked_series_grid(xs, k=k, signed=signed))
+
+
+def test_alpha_one_brjuno_beyond_2_to_53_is_its_first_term():
+    xs = _beyond_2_to_53(5000, seed=53)[:5000]
+    for k in (1, 2, 3):
+        assert_same_bits(brjuno_grid(xs, alpha=1, k=k), np.log(1.0 / xs))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
+@pytest.mark.parametrize("budget", [100_000, 50_000])
+def test_alpha_one_matches_masked_loop_on_ac5_meshes(n, budget):
+    for a, b in ((0.0, 1 / n), (-1 / n, 0.0)):
+        pts, _ = _graded_mesh(a, b, budget)
+        assert_same_bits(wilton_grid(pts, alpha=1),
+                         masked_series_grid(pts, signed=True))
+        assert_same_bits(brjuno_grid(pts, alpha=1),
+                         masked_series_grid(pts))
+
+
+class _CountingNumpy:
+    """numpy, with every call through it counted by name."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kw):
+            self.calls.append((name, args))
+            return attr(*args, **kw)
+        return counted
+
+
+def _step_calls(monkeypatch, alpha):
+    proxy = _CountingNumpy()
+    monkeypatch.setattr(fastgrid, "np", proxy)
+    got = series_grid(np.array([0.3, 2 ** -0.5, math.pi - 3]), alpha=alpha,
+                      terms=1)
+    monkeypatch.undo()
+    return got, proxy.calls
+
+
+def _scalar_shift(call):
+    name, args = call
+    return name in ("add", "subtract") and any(np.isscalar(a) for a in args)
+
+
+def test_alpha_one_step_makes_no_abs_or_shift_pass(monkeypatch):
+    got, calls = _step_calls(monkeypatch, 1.0)
+    names = [name for name, _ in calls]
+    assert "abs" not in names and not any(map(_scalar_shift, calls))
+    for alpha in (1, np.float64(1.0)):
+        same, same_calls = _step_calls(monkeypatch, alpha)
+        assert_same_bits(same, got)
+        assert [name for name, _ in same_calls] == names
+    # the proxy sees the passes the alpha < 1 step makes, and only they go
+    _, calls = _step_calls(monkeypatch, 0.5)
+    extra = [c[0] == "abs" or _scalar_shift(c) for c in calls]
+    assert [c[0] for c, x in zip(calls, extra) if x] == ["subtract", "abs"]
+    assert [c[0] for c, x in zip(calls, extra) if not x] == names

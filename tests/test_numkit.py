@@ -497,3 +497,19 @@ def test_surd_float_is_the_nearest_double():
     for v in surds:
         _assert_nearest(v, from_float(float(v)), 53)
     assert float(Alpha.golden()) == float(G) == 0.6180339887498949
+
+
+def test_ball_float_is_the_nearest_double():
+    # a zero-width 64-bit ball 2^-70 off a 53-bit tie: rounding its
+    # midpoint at 64 bits lands on the tie, and a second rounding to 53
+    # bits then goes to even, the wrong way for about half of them
+    rng = random.Random(74)
+    for _ in range(2000):
+        m = rng.getrandbits(52) | 1 << 52  # the double m 2^(e - 52)
+        e, off = rng.randint(-60, 60), rng.choice((-1, 1))
+        v = Fraction(2 * m + 1, 2 ** 53) + Fraction(off, 2 ** 70)
+        v *= Fraction(2) ** e
+        want = math.ldexp(m + (off > 0), e - 52)
+        for sign in (1, -1):
+            ball = nk.BallFloat._raw(sign * v, sign * v, 64)
+            assert float(ball) == sign * want
