@@ -11,6 +11,9 @@ from .cf_core import Alpha, normalize
 from .numkit import BallFloat, Surd, make_surd
 
 _SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26]
+# random_piecewise_linear's interior knots and value range
+_BREAKS = 6
+_SCALE = 4.0
 
 
 def random_rational(rng: random.Random, max_den: int = 2 ** 64,
@@ -41,10 +44,10 @@ def random_dyadic_ball(rng: random.Random, bits: int = 256, prec: int = 288):
     return BallFloat(Fraction(rng.getrandbits(bits) | 1, 2 ** bits), prec=prec)
 
 
-def random_piecewise_linear(rng: random.Random, a: float, b: float,
-                            n_breaks: int = 6, scale: float = 4.0):
-    """Vectorized piecewise-linear function on [a, b] with random knots."""
+def random_piecewise_linear(rng: random.Random, a: float, b: float):
+    """Vectorized piecewise-linear function on [a, b]: knots at a, b and
+    _BREAKS uniform points, values uniform in [-_SCALE, _SCALE]."""
     xs = np.sort(np.array([a, b] + [rng.uniform(a, b)
-                                    for _ in range(n_breaks)]))
-    ys = np.array([rng.uniform(-scale, scale) for _ in range(len(xs))])
+                                    for _ in range(_BREAKS)]))
+    ys = np.array([rng.uniform(-_SCALE, _SCALE) for _ in range(len(xs))])
     return lambda t: np.interp(np.asarray(t, dtype=float), xs, ys)

@@ -17,14 +17,15 @@ expansion's orbit is kept on the expansion (see ``CFExpansion.kept``), one
 per (k, start point, precision), and run on only as far as a reader asks, in
 one call: to a given length, or for a sum that stops at tol, through its
 first term under tol.  That call reads the stored points in one loop, each
-as its kept pair (x_i, log(1/x_i)), else its kept conversion and one log,
-else one new conversion and one log, and keeps what it formed when the pass
-stops, so a point is converted and logged once per precision, and none past
-a sum's stop is.  So ``brjuno_k`` at k = 1 and ``wilton`` read one pass,
-and the residual works at the values' precision and reads their pass for S_N
-and one pass from x_1, which its two modes share, for S_{N-1}.  The finite
-truncations of a rational read its alpha = 1 expansion and the pass kept on
-it, so one rational's B_1 and W read one pass's two totals.
+as its kept pair (x_i, log(1/x_i)), else as one new conversion and one log,
+and keeps the pairs it formed when the pass stops, so a point is converted
+and logged once per precision, and none past a sum's stop is.  This module
+alone turns orbit points into mpfs.  So ``brjuno_k`` at k = 1 and
+``wilton`` read one pass, and the residual works at the values' precision
+and reads their pass for S_N and one pass from x_1, which its two modes
+share, for S_{N-1}.  The finite truncations of a rational read its alpha =
+1 expansion and the pass kept on it, so one rational's B_1 and W read one
+pass's two totals.
 
 All of it works on raw ``mpmath.libmp`` mpf tuples at a precision passed
 explicitly, rounding to nearest.  Each raw call is the one mpmath's mpf
@@ -33,14 +34,15 @@ arithmetic at that precision; results become ``mp.mpf`` only when returned.
 Nothing reads or sets mpmath's global precision, so series values are the
 same in threads as serially.
 
-The audits read the values' expansion of x, and the truncation audit its
-conversion at the values' working precision, so one point's orbit is
-walked and converted once.  The truncation audit sums the difference,
-about 1/q_r^2, of the finite value at p_r/q_r and the r-term partial sum
-from exact term differences in integer continuants, a row's k = 1, 2, 3
-terms in one pass, in floats whose binary exponents are carried as ints; a
-row whose terms cancel it takes as the difference of the passes over
-p_r/q_r and [0; a_1, .., a_r + x_r] at 2 bits(q_r) + 128 bits or more.
+The audits read the values' expansion of x, and the truncation audit the
+conversions its pairs hold at the values' working precision, converting
+only the points past them and keeping none, so one point's orbit is walked
+and converted once.  The truncation audit sums the difference, about
+1/q_r^2, of the finite value at p_r/q_r and the r-term partial sum from
+exact term differences in integer continuants, a row's k = 1, 2, 3 terms
+in one pass, in floats whose binary exponents are carried as ints; a row
+whose terms cancel it takes as the difference of the passes over p_r/q_r
+and [0; a_1, .., a_r + x_r] at 2 bits(q_r) + 128 bits or more.
 The gap audit sums floats: the unsigned series terms, from each orbit
 point rounded once to a float, and the unsigned proxy terms, both kept on
 the expansion one list per k.
@@ -239,39 +241,46 @@ def _run(e: CFExpansion, k: int, start: int, n: int, prec: int, tol=None):
     given tol, through the first whose term < tol; given tol, also the
     index where this call's own pass began, n if it formed none.
 
-    One loop feeds the pass the stored points that ``cycled`` gives: each
-    point's kept pair (x_i, log(1/x_i)) from ("log", prec), else its kept
-    conversion from ("mpf", prec) and one log, else one new ``point_mpf``
-    conversion and one log, both tables as they stood when the call began.
-    What it formed is kept once the pass stops, each table run on by the
-    entries past it as it stands then.
+    One loop feeds the pass the stored points that ``cycled`` gives, each
+    as its pair (x_i, log(1/x_i)) from ("log", prec) as it stood when the
+    call began, else as one new conversion of the stored point and one
+    log.  The new pairs are kept once the pass stops, the table run on by
+    the pairs past it as it stands then.
     """
     begun = [n]  # where this call's own pass began
 
     def more(table, stop):
         begun[0] = len(table)
-        vals = list(e._tables.get(("mpf", prec), []))
-        pairs = e._tables.get(("log", prec), [])[:len(vals)]  # none past vals
+        pairs = list(e._tables.get(("log", prec), ()))
         had = len(pairs)
 
         def points():
             for i in e.cycled(range(e.points), start + len(table),
                               start + stop):
                 while len(pairs) <= i:  # a start past x_0 fills x_0 first
-                    if len(vals) == len(pairs):
-                        vals.append(e.point_mpf(len(vals), prec))
-                    v = vals[len(pairs)]
+                    v = raw_mpf(e.orbit[len(pairs)], prec)
                     pairs.append((v, _log_inv(v, prec)))
                 yield pairs[i]
         entries = _pass(points(), k, prec, len(table),
                         table[-1] if table else _START, tol)
         if len(pairs) > had:
-            for key, new in (("mpf", vals), ("log", pairs)):
-                e.kept((key, prec), len(new),
-                       lambda old, stop, new=new: new[len(old):stop])
+            e.kept(("log", prec), len(pairs),
+                   lambda old, stop: pairs[len(old):stop])
         return entries
     table = e.kept(("run", k, start, prec), n, more)
     return table if tol is None else (table, begun[0])
+
+
+def _orbit_mpf(e: CFExpansion, n: int, prec: int) -> list:
+    """x_0..x_n of e as raw mpfs at prec, cycling through the period if
+    any: each stored point's conversion from its kept pair at prec, else
+    one of its own, which is not kept.  A list shorter than n + 1 means the
+    stored orbit ran out first."""
+    m = min(n + 1, e.points)
+    pairs = e._tables.get(("log", prec), ())[:m]
+    vals = [v for v, _ in pairs] + [raw_mpf(x, prec)
+                                    for x in e.orbit[len(pairs):m]]
+    return e.cycled(vals, 0, m if e.period is None else n + 1)
 
 
 def _proxy_term(log_q: float, q: int, k: int) -> float:
@@ -321,6 +330,8 @@ def _series_value(e: CFExpansion, k: int, signed: bool, terms: int, tol: float,
     """Left-to-right partial sum, with an exact geometric tail on periodic
     orbits whose block and ratio are the pass's at the period's two ends."""
     _check_prec(prec)
+    if math.isnan(tol):  # no term is < nan, so every one would be summed
+        raise OutOfDomain("tol must be a number, not nan")
     wp = prec + _GUARD
     total_at = 2 if signed else 1  # the entry's w or b
     if e.period is not None:
@@ -643,7 +654,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     c = convergents(e, depth)
     digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
-    vals = e.orbit_mpf(depth, max(wp, _VALUES_WP))
+    vals = _orbit_mpf(e, depth, max(wp, _VALUES_WP))
     # 2kC' at k = 1 and 3, so a bound below is (2kC' * x_r) / q_r; 4C' is
     # 2C' doubled, exactly, and so is the k = 2 bound
     cp = _c_prime(prec)

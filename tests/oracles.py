@@ -191,7 +191,7 @@ def truncation_audit(x: ExactNumber, r_max: int,
     c = convergents(e, depth)
     digits = [a for a, _ in e.cycled(e.digits, 0, depth)]
     wp = prec + 16
-    vals = e.orbit_mpf(depth, wp)
+    vals = [raw_mpf(e.orbit_at(j), wp) for j in range(depth + 1)]
     cp = se._c_prime(prec)
     scale = {k: mpf_mul_int(cp, 2 * k, wp, rnd) for k in (1, 2, 3)}
     cp_float = to_float(cp, rnd=rnd)
@@ -247,7 +247,8 @@ def gap_audit(samples: Sequence[ExactNumber], alpha: Alpha, k: int = 1,
         e = expand(xa, alpha, N + 1)
         depth = e.depth(N)
         c = convergents(e, depth)
-        vals = [float(mp.make_mpf(v)) for v in e.orbit_mpf(depth - 1, 96)]
+        vals = [float(mp.make_mpf(raw_mpf(e.orbit_at(j), 96)))
+                for j in range(depth)]
         beta = 1.0
         series = 0.0
         proxy = 0.0

@@ -14,6 +14,7 @@ from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from alphacf import cf_core
 from alphacf import numkit as nk
+from alphacf import series_eval
 from alphacf.cf_core import (
     Alpha,
     convergents,
@@ -89,7 +90,8 @@ def test_integer_is_stepped_as_fraction():
     assert e.orbit == [1, Fraction(0)] and isinstance(e.orbit[1], Fraction)
     assert e.terminated and e.digits == [(1, 1)]
     assert [nk.format_exact(v) for v in e.orbit] == ["1/1", "0/1"]
-    assert [mp.make_mpf(v) for v in e.orbit_mpf(1, 64)] == [1, 0]
+    assert [mp.make_mpf(v) for v in series_eval._orbit_mpf(e, 1, 64)] == [
+        1, 0]
 
 
 def test_branch_boundary_convention():
@@ -355,7 +357,7 @@ def test_expansion_too_short():
 
 def test_orbit_mpf_cycles_surd_period():
     e = expand(G, Alpha.one(), 5)
-    vals = e.orbit_mpf(40, 128)
+    vals = series_eval._orbit_mpf(e, 40, 128)
     assert len(vals) == 41
     gf = nk.to_mpf(G, 128)
     for v in vals:
@@ -370,7 +372,7 @@ def test_orbit_mpf_cycles_surd_period():
 def test_orbit_mpf_inside_stored_balls(x, alpha, prec):
     # float values come from the certified orbit, not from a replay of x0
     e = expand(normalize(x, alpha)[0], alpha, 256, best_effort=True)
-    vals = e.orbit_mpf(len(e.orbit) - 1, prec)
+    vals = series_eval._orbit_mpf(e, len(e.orbit) - 1, prec)
     assert len(vals) == len(e.orbit)
     for v, ball in zip(vals, e.orbit):
         q = _q(v)

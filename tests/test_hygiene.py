@@ -13,7 +13,7 @@ import alphacf
 from alphacf import cf_core, fastgrid, orbit_compare, series_eval
 from alphacf.cf_core import Alpha
 from alphacf.numkit import BallFloat
-from alphacf.sampling import random_surd
+from alphacf.sampling import random_rational, random_surd
 
 MODULES = sorted(p for p in Path(alphacf.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ re-exports
@@ -286,7 +286,7 @@ def test_orbit_classes_have_no_uncalled_method():
                for cls in (cf_core.CFExpansion, cf_core.ConvergentSeq)
                for name, member in vars(cls).items()
                if inspect.isfunction(member) and not name.startswith("__")]
-    assert len(methods) >= 7
+    assert len(methods) >= 6
     assert [f"{cls}.{name}" for cls, name in methods if name not in read] == []
     # a binding is no caller, a call of the attribute is
     assert _read_in_src([ast.parse("e.digit_at = f\n")]) == {"e", "f"}
@@ -405,6 +405,51 @@ def test_only_kept_writes_the_expansion_tables():
         assert _tables_writers(ast.parse(source)) == {"f"}
     assert _tables_writers(ast.parse("e._tables = {}")) == {"Module"}
     assert _tables_writers(ast.parse("def f(e): e._tables.get(1)")) == set()
+
+
+def test_only_series_eval_converts_orbit_points(monkeypatch):
+    # cf_core is the exact orbit engine and converts nothing: it imports no
+    # conversion, and an expansion has no converting method.  The series
+    # layer's pairs (x_i, log(1/x_i)) are the one table of conversions, so
+    # the benchmark's exact-audit, ball-eval and rational-orbits ops keep
+    # four kinds of table and no ("mpf", prec) one beside the pairs
+    tree = ast.parse(Path(cf_core.__file__).read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"raw_mpf", "to_mpf", "ratio_mpf"}
+    assert not _read_in_src([tree]) & {"raw_mpf", "to_mpf", "numkit"}
+    assert not [name for name in ("orbit_mpf", "point_mpf")
+                if hasattr(cf_core.CFExpansion, name)]
+    keys, real = [], cf_core.CFExpansion.kept
+
+    def kept(self, key, n, more):
+        keys.append(key)
+        return real(self, key, n, more)
+    monkeypatch.setattr(cf_core.CFExpansion, "kept", kept)
+    cf_core._expansion.cache_clear()
+    rng, one, half = random.Random(2), Alpha.one(), Alpha.half()
+    x = random_surd(rng, half=True)
+    series_eval.brjuno_k(x, one)
+    series_eval.wilton(x, one)
+    series_eval.truncation_audit(x, 30)
+    for alpha in (one, half):
+        for mode in ("brjuno", "wilton"):
+            series_eval.gap_audit([x], alpha, 1, 60, mode=mode)
+    ball = BallFloat(random_surd(rng, half=True), prec=256)
+    digits = cf_core.expand(cf_core.normalize(ball, half)[0], half, 256,
+                            best_effort=True).digits
+    series_eval.brjuno_k(ball, half)
+    series_eval.wilton(ball, half)
+    for mode in ("brjuno", "wilton"):
+        series_eval.functional_eq_residual(ball, half, mode,
+                                           min(50, len(digits) - 1))
+    fr = random_rational(rng, 2 ** 64, half=True)
+    for alpha in (Alpha(Fraction(13, 25)), Alpha(Fraction(29, 50)),
+                  Alpha.golden()):
+        orbit_compare.matched_orbits(fr, alpha, 40)
+    series_eval.brjuno_finite_rational(fr)
+    series_eval.wilton_finite_rational(fr)
+    assert {key[0] for key in keys} == {"log", "run", "float", "proxy"}
 
 
 @pytest.mark.parametrize("fn,names", [

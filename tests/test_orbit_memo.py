@@ -1,8 +1,8 @@
-"""Orbits walked once across calls: the expansion, conversion and log memos.
+"""Orbits walked once across calls: the expansion memo and its tables.
 
-Expansions of exact points and of balls, their per-precision mpf
-conversions, orbit logs, running passes and proxy terms are kept across
-calls; a rational's finite truncations read its alpha = 1 expansion and
+Expansions of exact points and of balls, their per-precision pairs of
+orbit points and logs, running passes and float and proxy terms are kept
+across calls; a rational's finite truncations read its alpha = 1 expansion and
 the tables kept on it.  These tests count the orbit walks, recurrences,
 logs and terms of call sequences shaped like the benchmark's ops, check
 that shared memos give the same bits in threads as serially, and compare
@@ -144,25 +144,47 @@ def test_truncation_resums_keep_out_of_the_shared_memo(monkeypatch):
 def test_exact_audit_converts_each_orbit_point_once(monkeypatch):
     # the values and the truncation audit read one conversion of the
     # alpha = 1 orbit, at the values' working precision (three, at 288, 176
-    # and 96 bits, when each audit converted its own), and the gap audits
-    # none, at either alpha, as they round each point to a float once; the
-    # seeds include orbits past 31 and 61 digits, which every reader used
-    # to convert again
+    # and 96 bits, when each audit converted its own), each logged once
+    # and kept in the values' pairs, which the audit reads; the gap audits
+    # convert none at mp precision, at either alpha, as they round each
+    # point to a float once.  The seeds include orbits past 31 and 61
+    # digits, which every reader used to convert again
     rng = random.Random(1)
-    longest = 0
+    wp, longest = series_eval._VALUES_WP, 0
     for _ in range(24):
         x = random_surd(rng, half=True)
         _clear_memos()
-        converted = _count(monkeypatch, cf_core, "raw_mpf")
+        converted = _count(monkeypatch, series_eval, "raw_mpf")
+        logs = _count(monkeypatch, series_eval, "mpf_log")
         _exact_audit(x)
         e = expand(x, ONE, CAP)
-        ours = [v for v, _ in converted]
+        ours = [v for v, prec in converted if prec != 53]
         assert len(ours) == len(set(ours)) and set(ours) <= set(e.orbit)
-        assert {key for key in e._tables if key[0] == "mpf"} == {
-            ("mpf", series_eval._VALUES_WP)}
+        assert {prec for _, prec in converted} == {53, wp}
+        assert len(ours) == len(logs) == len(e._tables["log", wp])
+        assert {key[-1] for key in e._tables if key[0] in ("log", "run")} \
+            == {wp}
         longest = max(longest, len(ours))
         monkeypatch.undo()
     assert longest > 61
+
+
+def test_truncation_audit_alone_keeps_no_table(monkeypatch):
+    # run alone, as AC3 runs it, the audit converts each stored point it
+    # reads once, at its precision, and keeps none of the conversions, as
+    # no later reader asks for them at that precision
+    rng = random.Random(19)
+    for _ in range(6):
+        x = random_surd(rng, half=True)
+        for prec in (160, 400):
+            _clear_memos()
+            converted = _count(monkeypatch, series_eval, "raw_mpf")
+            series_eval.truncation_audit(x, 30, prec)
+            monkeypatch.undo()
+            e = expand(x, ONE, CAP)
+            assert converted == [(v, max(prec + 16, series_eval._VALUES_WP))
+                                 for v in e.orbit[:min(31, e.points)]]
+            assert not e._tables
 
 
 def test_gap_audits_round_each_point_once_to_a_float(monkeypatch):
@@ -174,7 +196,6 @@ def test_gap_audits_round_each_point_once_to_a_float(monkeypatch):
     for _ in range(8):
         x = random_surd(rng, half=True)
         _clear_memos()
-        kept = _count(monkeypatch, cf_core, "raw_mpf")
         rounded = _count(monkeypatch, series_eval, "raw_mpf")
         for alpha in (ONE, HALF):
             for mode in ("brjuno", "wilton"):
@@ -183,7 +204,7 @@ def test_gap_audits_round_each_point_once_to_a_float(monkeypatch):
         e1, e2 = (expand(x, alpha, CAP, best_effort=True)
                   for alpha in (ONE, HALF))
         assert set(e2._tables) == {("float", 1), ("proxy", 1)}
-        assert kept == [] and {prec for _, prec in rounded} == {53}
+        assert {prec for _, prec in rounded} == {53}
         assert len(rounded) == sum(min(e.depth(60), e.points)
                                    for e in (e1, e2))
 
@@ -253,9 +274,9 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
     # the op's expansion, both values and both residuals share
     # (x, alpha, 256): one ball walk, one _walk per distinct end (10 and 5
     # _walk calls without the memo).  The values and the residuals read one
-    # conversion and one log list, both at prec + 32, so a point is logged
-    # once, however many of them read it, and each residual adds log x_0
-    # for its head.  All four read one running pass from x_0, and the
+    # list of pairs (x_i, log(1/x_i)) at prec + 32, so a point is converted
+    # and logged once, however many of them read it, and each residual adds
+    # log x_0 for its head.  All four read one running pass from x_0, and the
     # residuals share one from x_1.  No point past the last one a sum reads
     # is converted, as the values' pass converts each point as it reaches it
     rng = random.Random(5)
@@ -263,13 +284,17 @@ def test_ball_eval_walks_each_orbit_once_and_logs_each_point_once(
         x = make(rng)
         _clear_memos()
         walk_calls = _count(monkeypatch, cf_core, "_walk")
+        converted = _count(monkeypatch, series_eval, "raw_mpf")
         logs = _count(monkeypatch, series_eval, "mpf_log")
         (b, w), n, e = _ball_eval(x, BALL_ALPHAS[i % 3])
+        reached = max(b.n_terms, w.n_terms, n)
         assert len(walk_calls) == walks
-        assert len(logs) == max(b.n_terms, w.n_terms, n) + 2
-        assert len(e._tables["mpf", 288]) == max(b.n_terms, w.n_terms, n)
-        assert set(e._tables) == {("mpf", 288), ("log", 288),
-                                  ("run", 1, 0, 288), ("run", 1, 1, 288)}
+        assert len(logs) == reached + 2
+        assert [v for v, _ in converted] == e.orbit[:reached]
+        assert {prec for _, prec in converted} == {288}
+        assert len(e._tables["log", 288]) == reached
+        assert set(e._tables) == {("log", 288), ("run", 1, 0, 288),
+                                  ("run", 1, 1, 288)}
         monkeypatch.undo()
 
 
@@ -378,7 +403,7 @@ def test_equal_balls_share_one_expansion():
 # -- same bits against the unmemoised code -----------------------------------
 
 def _orbit_mpf_fresh(e, n, prec):
-    """``CFExpansion.orbit_mpf`` before it kept its conversions."""
+    """``series_eval._orbit_mpf`` with every point converted afresh."""
     if e.period is None:
         return [numkit.raw_mpf(v, prec) for v in e.orbit[:n + 1]]
     pre, length = e.period
@@ -457,6 +482,8 @@ def _bits(values):
 
 
 def test_orbit_mpf_keeps_the_bits_of_fresh_conversions():
+    # the audit's reader keeps nothing, and reads the conversions a pass
+    # kept in its pairs at one precision with the bits of fresh ones
     surds = _over_cap_surds()
     surds.append(make_surd(-1, 1, 2, 5))  # periodic, so the list cycles
     for x in surds:
@@ -464,12 +491,15 @@ def test_orbit_mpf_keeps_the_bits_of_fresh_conversions():
             xa, _ = cf_core.normalize(x, alpha)
             _clear_memos()
             e = expand(xa, alpha, CAP)
-            # short, long, short again, past the stored orbit
-            for n in (5, 60, 20, CAP, 3 * CAP):
-                for prec in PRECS:
-                    got = e.orbit_mpf(n, prec)
-                    assert got == _orbit_mpf_fresh(e, n, prec)
-            assert set(e._tables) == {("mpf", prec) for prec in PRECS}
+            for with_pairs in (False, True):
+                # short, long, short again, past the stored orbit
+                for n in (5, 60, 20, CAP, 3 * CAP):
+                    for prec in PRECS:
+                        got = series_eval._orbit_mpf(e, n, prec)
+                        assert got == _orbit_mpf_fresh(e, n, prec)
+                assert set(e._tables) == ({("log", 176), ("run", 1, 0, 176)}
+                                          if with_pairs else set())
+                series_eval._run(e, 1, 0, 40, 176)
     assert any(expand(cf_core.normalize(x, ONE)[0], ONE, CAP).period is None
                for x in surds)
 
@@ -647,8 +677,8 @@ def test_ball_walk_orders_its_ends_by_eps_parity():
 def test_residual_reads_the_values_expansion():
     # after brjuno_k and wilton the residuals of both modes find their
     # expansion in the memo, for a ball and for a surd; at alpha = 1/2 they
-    # also read the values' conversion, logs and running pass from x_0, and
-    # keep only the pass from x_1 that the two modes share
+    # also read the values' pairs of points and logs and running pass from
+    # x_0, and keep only the pass from x_1 that the two modes share
     rng = random.Random(9)
     for x, alpha in ((_surd_ball(rng), HALF),
                      (random_surd(rng, half=True), ONE),
@@ -663,8 +693,8 @@ def test_residual_reads_the_values_expansion():
         if alpha == HALF:
             e = expand(cf_core.normalize(x, alpha)[0], alpha, CAP,
                        best_effort=True)
-            assert set(e._tables) == {("mpf", 288), ("log", 288),
-                                      ("run", 1, 0, 288), ("run", 1, 1, 288)}
+            assert set(e._tables) == {("log", 288), ("run", 1, 0, 288),
+                                      ("run", 1, 1, 288)}
 
 
 def test_residual_keeps_the_bits_of_an_n_plus_1_expansion():
@@ -710,7 +740,7 @@ def _tasks(surds, rationals, balls) -> list:
                 tasks.append((series_eval.gap_audit, x, alpha, mode))
         for n in (10, 80, CAP):
             for prec in PRECS:
-                tasks.append(("orbit_mpf", x, n, prec))
+                tasks.append((series_eval._orbit_mpf, x, n, prec))
         for n in (30, 5, CAP):
             tasks.append(("convergents", x, ONE, CAP, n))
     for fr in rationals:
@@ -727,9 +757,9 @@ def _tasks(surds, rationals, balls) -> list:
 
 def _run(task):
     fn, *args = task
-    if fn == "orbit_mpf":
+    if fn is series_eval._orbit_mpf:
         x, n, prec = args
-        return expand(x, ONE, CAP).orbit_mpf(n, prec)
+        return fn(expand(x, ONE, CAP), n, prec)
     if fn == "convergents":
         x, alpha, cap, n = args
         c = cf_core.convergents(expand(x, alpha, cap), n)
@@ -784,12 +814,12 @@ def test_expansion_constructor_takes_no_memo():
     assert "_tables" not in fields
     x = make_surd(-1, 1, 2, 5)
     e = expand(x, ONE, CAP)
-    e.orbit_mpf(3, 96)
+    series_eval._orbit_mpf(e, 3, 96)
     series_eval.brjuno_k(x, ONE)
     series_eval.gap_audit([x], ONE, 2, 9)
     wp = series_eval._VALUES_WP
-    assert set(e._tables) == {("mpf", 96), ("mpf", wp), ("log", wp),
-                              ("run", 1, 0, wp), ("float", 2), ("proxy", 2)}
+    assert set(e._tables) == {("log", wp), ("run", 1, 0, wp), ("float", 2),
+                              ("proxy", 2)}
     assert len(e._tables["float", 2]) == len(e._tables["proxy", 2]) == 9
     assert "_tables" not in repr(e)
     fresh = cf_core._expansion.__wrapped__(x, ONE, CAP)
@@ -815,16 +845,18 @@ def _oracle_entries(e, k, start, n, prec):
 
 
 def _check_tables(e, prec):
-    """The conversions and pairs kept on e are stored point j's at entry j,
-    as many as the passes reached, and no more than the stored points."""
+    """The pairs kept on e are stored point j's at entry j, as many as the
+    passes reached, and no more than the stored points; no other table
+    holds conversions."""
     runs = [(key[2], len(t)) for key, t in e._tables.items()
             if key[0] == "run" and key[3] == prec]
     reached = min(e.points, max(start + n for start, n in runs))
-    vals, pairs = e._tables["mpf", prec], e._tables["log", prec]
-    assert len(vals) == len(pairs) == reached
-    for j, (v, (x, log)) in enumerate(zip(vals, pairs)):
-        assert v == x == _point_raw(e.orbit[j], prec)
+    pairs = e._tables["log", prec]
+    assert len(pairs) == reached
+    for j, (x, log) in enumerate(pairs):
+        assert x == _point_raw(e.orbit[j], prec)
         assert log == series_eval._log_inv(x, prec)
+    assert {key[0] for key in e._tables} <= {"log", "run"}
 
 
 def _ball_cases(rng):
@@ -970,10 +1002,11 @@ def test_value_sums_test_each_entry_against_tol_once(monkeypatch):
 
 def test_values_call_kept_a_fixed_number_of_times(monkeypatch):
     # on a fresh ball a value reads the pass kept so far, runs it on in one
-    # call and publishes its conversions and logs once: four kept calls,
-    # whatever its number of terms (about two per term when each point was
-    # read through the kept tables one at a time); the whole ball-eval op
-    # makes 9, or 11 when a residual runs the pass on past the values
+    # call and publishes its pairs of points and logs once: three kept
+    # calls, whatever its number of terms (about two per term when each
+    # point was read through the kept tables one at a time, four when the
+    # conversions were a table apart); the whole ball-eval op makes 8, or 9
+    # when a residual runs the pass on past the values
     rng = random.Random(41)
     terms, ops = set(), set()
     for i in range(12):
@@ -983,18 +1016,18 @@ def test_values_call_kept_a_fixed_number_of_times(monkeypatch):
             _clear_memos()
             calls = _count(monkeypatch, cf_core.CFExpansion, "kept")
             terms.add(value(x, alpha).n_terms)
-            assert len(calls) == 4
+            assert len(calls) == 3
             monkeypatch.undo()
         _clear_memos()
         calls = _count(monkeypatch, cf_core.CFExpansion, "kept")
         _ball_eval(x, alpha)
         ops.add(len(calls))
         monkeypatch.undo()
-    assert len(terms) > 5 and ops <= {9, 11}
+    assert len(terms) > 5 and ops <= {8, 9}
 
 
 def test_publishing_appends_past_the_tables_as_they_stand(monkeypatch):
-    # another reader extends the conversions and logs between a pass's
+    # another reader extends the pairs of points and logs between a pass's
     # snapshot and its publish, as a thread may: shorter than the pass
     # reaches, and longer.  Entry j stays point j, and the bits are the
     # serial run's
@@ -1012,7 +1045,6 @@ def test_publishing_appends_past_the_tables_as_they_stand(monkeypatch):
             def interleaved(*args):
                 if not busy:  # the outer pass, after its snapshot
                     busy.append(1)
-                    e.orbit_mpf(reach + 5, wp)
                     series_eval._run(e, 3, 0, min(reach, len(e.orbit)), wp)
                 return real_pass(*args)
 

@@ -44,7 +44,7 @@ def long_sum(x, alpha, k, signed, n, prec):
     """The n-term orbit sum of x from the oracle's terms, with no tail."""
     e = expand(normalize(x, alpha)[0], alpha, n)
     wp = prec + 32
-    vals = e.orbit_mpf(n - 1, wp)
+    vals = se._orbit_mpf(e, n - 1, wp)
     total = oracles.orbit_sum(vals, k, signed, wp)
     return mp.make_mpf(mpf_pos(total, prec, round_nearest))
 
@@ -53,7 +53,7 @@ def gauss_orbit_mpf(fr, prec):
     """The points of the terminating orbit of fr in (0, 1) at alpha = 1, its
     final 0 left out, as raw mpfs at prec."""
     e = expand(fr, Alpha.one(), 2 * fr.denominator.bit_length() + 2)
-    return e.orbit_mpf(len(e.digits) - 1, prec)
+    return se._orbit_mpf(e, len(e.digits) - 1, prec)
 
 
 def kernel_pass(vals, k, prec):
@@ -278,13 +278,25 @@ def test_proxy_terms_past_the_float_range():
      "not a BallFloat"),
     (lambda: se.truncation_audit(G, 3, prec=-5), "prec must be >= 1"),
     (lambda: se.c_prime(0), "prec must be >= 1"),
+    # no term is < nan, so a NaN tol summed every certified term, as tol = 0
+    # does: refused as series_grid and the CLI refuse it, on a ball and on
+    # a surd whose tail is a closed form alike
+    (lambda: se.brjuno_k(nk.parse_exact("0.3183098861837907", 64),
+                         Alpha.one(), tol=math.nan), "tol must be a number"),
+    (lambda: se.brjuno_k(SQRT2M1, Alpha.half(), 2, tol=math.nan),
+     "tol must be a number"),
+    (lambda: se.wilton(nk.parse_exact("0.3183098861837907", 64),
+                       Alpha.one(), tol=math.nan), "tol must be a number"),
+    (lambda: se.wilton(SQRT2M1, Alpha.one(), tol=math.nan),
+     "tol must be a number"),
 ], ids=["gap-mode", "gap-k0", "proxy-k0", "proxy-k0-N0", "residual-k0",
         "brjuno-terms0", "wilton-terms0", "gap-N0", "gap-N-1", "proxy-N-1",
         "trunc-r0", "trunc-r-3", "brjuno-prec-40", "brjuno-prec0",
         "wilton-prec0", "finite-prec0", "finite-wilton-prec-1",
         "residual-prec0", "residual-wilton-k2", "finite-float",
         "finite-wilton-surd", "finite-ball", "trunc-prec-5",
-        "c-prime-prec0"])
+        "c-prime-prec0", "brjuno-tol-nan-ball", "brjuno-k2-tol-nan-surd",
+        "wilton-tol-nan-ball", "wilton-tol-nan-surd"])
 def test_series_parameters_checked_like_siblings(call, message):
     with pytest.raises(OutOfDomain, match=message):
         call()
@@ -464,7 +476,7 @@ def _gap_oracle(x, k, N, signed):
     e = expand(normalize(x, Alpha.one())[0], Alpha.one(), N + 1)
     depth = e.depth(N)
     c = convergents(e, depth)
-    vals = [float(mp.make_mpf(v)) for v in e.orbit_mpf(depth - 1, 96)]
+    vals = [float(mp.make_mpf(v)) for v in se._orbit_mpf(e, depth - 1, 96)]
     beta, series, proxy, gap = 1.0, 0.0, 0.0, 0.0
     for j in range(depth):
         sterm = beta ** k * math.log(1 / vals[j])
@@ -753,7 +765,7 @@ def _oracle_truncation_audit(x, r_max, prec=160):
     with mp.workprec(prec):
         cp = (3 + mp.sqrt(5)) / 2
     with mp.workprec(prec + 16):
-        vals = [mp.make_mpf(v) for v in e.orbit_mpf(depth, prec + 16)]
+        vals = [mp.make_mpf(v) for v in se._orbit_mpf(e, depth, prec + 16)]
         partial = [mp.mpf(0)] * len(modes)
         for j, terms in enumerate(_oracle_orbit_terms(vals[:depth], modes)):
             r = j + 1
@@ -802,7 +814,7 @@ def test_raw_kernel_matches_mp_context_oracle(prec):
     orbits, rationals = _oracle_inputs()
     cases = 0
     for e in orbits:
-        vals = e.orbit_mpf(39, prec)
+        vals = se._orbit_mpf(e, 39, prec)
         with mp.workprec(prec):
             want = [tuple(t._mpf_ for t in terms) for terms in
                     _oracle_orbit_terms(map(mp.make_mpf, vals), ORACLE_MODES)]
@@ -895,7 +907,8 @@ def test_one_pass_kernel_matches_the_two_pass_oracle():
             1, 48)))) for _ in range(rng.randrange(1, 31))]
         cases.append((a, rng.random()))
     x = nk.make_surd(-2 ** 20, 1, 2, 2 ** 40 + 4)
-    x_r = float(mp.make_mpf(expand(x, Alpha.one(), 31).orbit_mpf(1, 64)[1]))
+    x_r = float(mp.make_mpf(se._orbit_mpf(
+        expand(x, Alpha.one(), 31), 1, 64)[1]))
     cases += [([2 ** 20] * r, x_r) for r in range(1, 31)]
     cases += [(a, 0.0) for a, _ in cases[:300]]
     for a, t in cases:
